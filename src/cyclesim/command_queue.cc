@@ -17,31 +17,12 @@ CommandQueue::CommandQueue(unsigned ranks, unsigned banks,
         q.init(depth_ + 1);
 }
 
-bool
-CommandQueue::hasSpace(unsigned rank, unsigned bank,
-                       unsigned count) const
-{
-    return at(rank, bank).size() + count <= depth_;
-}
-
 void
 CommandQueue::push(const Command &cmd)
 {
     auto &q = at(cmd.rank, cmd.bank);
     DC_ASSERT(q.size() < depth_, "command queue overflow");
     q.push_back(cmd);
-}
-
-RingBuffer<Command> &
-CommandQueue::at(unsigned rank, unsigned bank)
-{
-    return queues_.at(static_cast<std::size_t>(rank) * banks_ + bank);
-}
-
-const RingBuffer<Command> &
-CommandQueue::at(unsigned rank, unsigned bank) const
-{
-    return queues_.at(static_cast<std::size_t>(rank) * banks_ + bank);
 }
 
 bool

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "cyclesim/bank_state.hh"
+#include "sim/logging.hh"
 #include "sim/ring_buffer.hh"
 #include "sim/types.hh"
 
@@ -55,13 +56,45 @@ class CommandQueue
   public:
     CommandQueue(unsigned ranks, unsigned banks, unsigned depth);
 
-    /** Whether bank (@p rank, @p bank) can take @p count commands. */
-    bool hasSpace(unsigned rank, unsigned bank, unsigned count) const;
+    /**
+     * Commands flat bank @p flat (rank * banks + bank) can still take,
+     * clamped at 0 while a head repair occupies the spare slot.
+     */
+    unsigned
+    freeSlots(unsigned flat) const
+    {
+        const std::size_t used = at(flat).size();
+        return used < depth_ ? depth_ - static_cast<unsigned>(used) : 0;
+    }
 
     void push(const Command &cmd);
 
-    RingBuffer<Command> &at(unsigned rank, unsigned bank);
-    const RingBuffer<Command> &at(unsigned rank, unsigned bank) const;
+    /** Queue of flat bank index @p flat (rank * banks + bank). */
+    RingBuffer<Command> &
+    at(unsigned flat)
+    {
+        DC_ASSERT(flat < queues_.size(), "bank %u out of range", flat);
+        return queues_[flat];
+    }
+
+    const RingBuffer<Command> &
+    at(unsigned flat) const
+    {
+        DC_ASSERT(flat < queues_.size(), "bank %u out of range", flat);
+        return queues_[flat];
+    }
+
+    RingBuffer<Command> &
+    at(unsigned rank, unsigned bank)
+    {
+        return at(rank * banks_ + bank);
+    }
+
+    const RingBuffer<Command> &
+    at(unsigned rank, unsigned bank) const
+    {
+        return at(rank * banks_ + bank);
+    }
 
     bool empty() const;
     std::size_t totalSize() const;

@@ -15,7 +15,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <regex>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -117,34 +119,30 @@ expectSameLog(const std::vector<CmdRecord> &got,
     }
 }
 
-class CkptRoundTrip : public testing::TestWithParam<CkptCase>
+/**
+ * Run the system @p build makes once uninterrupted, and once split at
+ * kCkptAt through a checkpoint into a fresh system; expect identical
+ * stats JSON and command logs. Returns the snapshot.
+ */
+std::string
+expectSplitRunMatches(const std::function<BuiltSystem()> &build)
 {
-};
-
-TEST_P(CkptRoundTrip, SplitRunMatchesUninterrupted)
-{
-    const CkptCase &c = GetParam();
-    DRAMCtrlConfig cfg = presets::byName(c.preset);
-
     // Reference: one uninterrupted run.
-    BuiltSystem ref = buildSystem(cfg, c.pattern, c.model, c.readPct,
-                                  kRequests, kSeed);
+    BuiltSystem ref = build();
     CmdLogger refLog;
     ref.tb->ctrl().setCmdLogger(&refLog);
     ref.tb->runToCompletion([&] { return ref.gen->done(); });
     const std::string refStats = statsJson(*ref.tb);
 
     // Phase 1: run to the checkpoint tick and save.
-    BuiltSystem pre = buildSystem(cfg, c.pattern, c.model, c.readPct,
-                                  kRequests, kSeed);
+    BuiltSystem pre = build();
     CmdLogger preLog;
     pre.tb->ctrl().setCmdLogger(&preLog);
     pre.tb->sim().run(kCkptAt);
     const std::string snapshot = ckpt::saveToString(pre.tb->sim());
 
     // Phase 2: fresh system, restore, continue to completion.
-    BuiltSystem post = buildSystem(cfg, c.pattern, c.model, c.readPct,
-                                   kRequests, kSeed);
+    BuiltSystem post = build();
     CmdLogger postLog;
     post.tb->ctrl().setCmdLogger(&postLog);
     ckpt::restoreFromString(post.tb->sim(), snapshot);
@@ -157,6 +155,21 @@ TEST_P(CkptRoundTrip, SplitRunMatchesUninterrupted)
     joined.insert(joined.end(), postLog.log().begin(),
                   postLog.log().end());
     expectSameLog(joined, refLog.log());
+    return snapshot;
+}
+
+class CkptRoundTrip : public testing::TestWithParam<CkptCase>
+{
+};
+
+TEST_P(CkptRoundTrip, SplitRunMatchesUninterrupted)
+{
+    const CkptCase &c = GetParam();
+    const DRAMCtrlConfig cfg = presets::byName(c.preset);
+    expectSplitRunMatches([&] {
+        return buildSystem(cfg, c.pattern, c.model, c.readPct, kRequests,
+                           kSeed);
+    });
 }
 
 std::vector<CkptCase>
@@ -250,39 +263,61 @@ TEST(CkptPlugin, ckpt_plugin_chains_round_trip)
             }
         }
 
-        BuiltSystem ref = buildSystem(cfg, "random",
-                                      harness::CtrlModel::Event, 60,
-                                      kRequests, kSeed);
-        CmdLogger refLog;
-        ref.tb->ctrl().setCmdLogger(&refLog);
-        ref.tb->runToCompletion([&] { return ref.gen->done(); });
-        const std::string refStats = statsJson(*ref.tb);
-
-        BuiltSystem pre = buildSystem(cfg, "random",
-                                      harness::CtrlModel::Event, 60,
-                                      kRequests, kSeed);
-        CmdLogger preLog;
-        pre.tb->ctrl().setCmdLogger(&preLog);
-        pre.tb->sim().run(kCkptAt);
-        const std::string snapshot =
-            ckpt::saveToString(pre.tb->sim());
-
-        BuiltSystem post = buildSystem(cfg, "random",
-                                       harness::CtrlModel::Event, 60,
-                                       kRequests, kSeed);
-        CmdLogger postLog;
-        post.tb->ctrl().setCmdLogger(&postLog);
-        ckpt::restoreFromString(post.tb->sim(), snapshot);
-        post.tb->runToCompletion([&] { return post.gen->done(); });
-
-        EXPECT_EQ(statsJson(*post.tb), refStats)
-            << "plugin chain '" << chain << "'";
-
-        std::vector<CmdRecord> joined = preLog.log();
-        joined.insert(joined.end(), postLog.log().begin(),
-                      postLog.log().end());
-        expectSameLog(joined, refLog.log());
+        SCOPED_TRACE(std::string("plugin chain '") + chain + "'");
+        expectSplitRunMatches([&] {
+            return buildSystem(cfg, "random", harness::CtrlModel::Event,
+                               60, kRequests, kSeed);
+        });
     }
+}
+
+/**
+ * Cycle model with four-burst requests offered faster than they drain:
+ * the snapshot lands while transactions are partly decomposed into the
+ * command queues, so the restored controller must re-derive the
+ * coordinates of each one's next burst from its address and progress.
+ */
+TEST(CkptCycle, ckpt_cycle_partly_decomposed_transactions_resume)
+{
+    DRAMCtrlConfig cfg = presets::byName("ddr3_1333");
+    cfg.writeLowThreshold = 0.0;
+    cfg.check();
+    auto build = [&] {
+        BuiltSystem built;
+        built.tb = std::make_unique<harness::SingleChannelSystem>(
+            cfg, harness::CtrlModel::Cycle);
+        GenConfig gc;
+        gc.windowSize = 1ULL << 22;
+        gc.blockSize = 4 * static_cast<unsigned>(cfg.org.burstSize());
+        gc.readPct = 60;
+        gc.minITT = gc.maxITT = fromNs(3.0);
+        gc.numRequests = kRequests;
+        gc.seed = kSeed;
+        built.gen = &built.tb->addGen<RandomGen>(gc);
+        return built;
+    };
+    const std::string snapshot = expectSplitRunMatches(build);
+
+    // The snapshot must hold a transaction with some, not all, of its
+    // bursts queued: fields are isRead, entryTime, localAddr, size,
+    // burstsTotal, burstsQueued, ...
+    std::istringstream is(snapshot);
+    std::ostringstream json;
+    ckpt::dumpJson(is, json);
+    const std::string text = json.str();
+    const std::regex fields(
+        "\"trans[0-9]+\\.f\": \\[[0-9]+,[0-9]+,[0-9]+,[0-9]+,"
+        "([0-9]+),([0-9]+),");
+    unsigned partial = 0;
+    for (auto it = std::sregex_iterator(text.begin(), text.end(), fields);
+         it != std::sregex_iterator(); ++it) {
+        const unsigned long total = std::stoul((*it)[1]);
+        const unsigned long queued = std::stoul((*it)[2]);
+        if (queued > 0 && queued < total)
+            ++partial;
+    }
+    EXPECT_GT(partial, 0u) << "no partly decomposed transaction at the "
+                              "checkpoint; the case lost its purpose";
 }
 
 /**

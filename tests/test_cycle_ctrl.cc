@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "cyclesim/cycle_ctrl.hh"
 #include "sim/logging.hh"
 #include "sim/random.hh"
@@ -151,6 +154,49 @@ TEST_F(CycleCtrlTest, AdaptivePoliciesRejected)
     EXPECT_THROW(CycleDRAMCtrl(s, "ctrl", cfg,
                                AddrRange(0, cfg.org.channelCapacity)),
                  std::runtime_error);
+    setThrowOnError(false);
+}
+
+/**
+ * Low-power states and per-rank refresh are event-model features: the
+ * cycle model refuses them with a fatal naming the option instead of
+ * silently simulating without them.
+ */
+TEST_F(CycleCtrlTest, LowPowerAndPerRankRefreshRejected)
+{
+    auto construct = [](const DRAMCtrlConfig &cfg) {
+        Simulator s;
+        CycleDRAMCtrl ctrl(s, "ctrl", cfg,
+                           AddrRange(0, cfg.org.channelCapacity));
+    };
+    auto fatalMessage = [&](const DRAMCtrlConfig &cfg) {
+        try {
+            construct(cfg);
+        } catch (const std::runtime_error &e) {
+            return std::string(e.what());
+        }
+        return std::string();
+    };
+
+    setThrowOnError(true);
+    DRAMCtrlConfig power_down = testutil::bareTimingConfig();
+    power_down.enablePowerDown = true;
+    EXPECT_THROW(construct(power_down), std::runtime_error);
+    EXPECT_NE(fatalMessage(power_down).find("enablePowerDown"),
+              std::string::npos);
+
+    DRAMCtrlConfig self_refresh = power_down;
+    self_refresh.enableSelfRefresh = true;
+    self_refresh.selfRefreshDelay = fromUs(1);
+    EXPECT_THROW(construct(self_refresh), std::runtime_error);
+    EXPECT_NE(fatalMessage(self_refresh).find("enableSelfRefresh"),
+              std::string::npos);
+
+    DRAMCtrlConfig per_rank = testutil::bareTimingConfig();
+    per_rank.perRankRefresh = true;
+    EXPECT_THROW(construct(per_rank), std::runtime_error);
+    EXPECT_NE(fatalMessage(per_rank).find("perRankRefresh"),
+              std::string::npos);
     setThrowOnError(false);
 }
 

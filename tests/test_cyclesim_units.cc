@@ -93,14 +93,17 @@ TEST(CommandQueueTest, SpaceAccounting)
 {
     CommandQueue q(1, 2, 3);
     EXPECT_TRUE(q.empty());
-    EXPECT_TRUE(q.hasSpace(0, 0, 3));
-    EXPECT_FALSE(q.hasSpace(0, 0, 4));
+    EXPECT_EQ(q.freeSlots(0), 3u);
     for (unsigned i = 0; i < 3; ++i)
         q.push(Command{CmdType::Act, 0, 0, i, 0, false, nullptr});
-    EXPECT_FALSE(q.hasSpace(0, 0, 1));
-    EXPECT_TRUE(q.hasSpace(0, 1, 3)); // other bank unaffected
+    EXPECT_EQ(q.freeSlots(0), 0u);
+    EXPECT_EQ(q.freeSlots(1), 3u); // other bank unaffected
     EXPECT_EQ(q.totalSize(), 3u);
     EXPECT_FALSE(q.empty());
+    // A head repair may use the spare slot: free slots clamp at 0.
+    q.at(0, 0).push_front(Command{CmdType::Pre, 0, 0, 0, 0, false,
+                                  nullptr});
+    EXPECT_EQ(q.freeSlots(0), 0u);
 }
 
 TEST(CommandQueueTest, PerBankFifoOrder)
@@ -134,6 +137,7 @@ TEST(CommandQueueTest, RankBankIndexing)
     EXPECT_TRUE(q.at(0, 3).empty());
     EXPECT_FALSE(q.at(1, 3).empty());
     EXPECT_EQ(q.at(1, 3).front().row, 9u);
+    EXPECT_EQ(&q.at(7), &q.at(1, 3)); // flat index rank * banks + bank
 }
 
 } // namespace
