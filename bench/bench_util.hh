@@ -91,6 +91,47 @@ applyOverrides(DRAMCtrlConfig &cfg, const PointConfig &pc)
         pc.tweak(cfg);
 }
 
+/**
+ * Warm up for 5 us, reset the stats, run @p gen to completion and
+ * collect the point's metrics from the measured window.
+ */
+inline PointResult
+measurePoint(harness::SingleChannelSystem &tb, BaseGen &gen,
+             const DRAMCtrlConfig &cfg, harness::CtrlModel model)
+{
+    auto t0 = std::chrono::steady_clock::now();
+    tb.sim().run(fromUs(5));
+    tb.sim().resetStats();
+    Tick measure_start = tb.sim().curTick();
+    tb.runToCompletion([&] { return gen.done(); }, fromUs(100000));
+    auto t1 = std::chrono::steady_clock::now();
+
+    PointResult r;
+    r.cfg = cfg;
+    r.busUtil = tb.ctrl().busUtilisation();
+    r.bandwidthGBs = tb.ctrl().achievedBandwidthGBs();
+    r.avgReadLatencyNs = gen.avgReadLatencyNs();
+    r.powerIn = tb.ctrl().powerInputs();
+    r.hostSeconds = std::chrono::duration<double>(t1 - t0).count();
+    r.simSeconds = toSeconds(tb.sim().curTick() - measure_start);
+    r.events = tb.sim().eventq().numEventsServiced();
+    if (model == harness::CtrlModel::Event) {
+        r.rowHitRate =
+            tb.eventCtrl().ctrlStats().rowHitRate.value();
+        r.wrPerTurnaround =
+            tb.eventCtrl().ctrlStats().wrPerTurnAround.value();
+    }
+
+    const auto &h = gen.genStats().readLatencyHist;
+    for (std::size_t i = 0; i < h.numBuckets(); ++i) {
+        if (h.bucketCount(i) > 0)
+            r.latencyBuckets.emplace_back(h.bucketLow(i),
+                                          h.bucketCount(i));
+    }
+    r.latencyModes = h.numModes(0.02);
+    return r;
+}
+
 /** Run one validation point with the DRAM-aware generator. */
 inline PointResult
 runPoint(const PointConfig &pc)
@@ -110,40 +151,7 @@ runPoint(const PointConfig &pc)
     gc.minITT = gc.maxITT = pc.itt;
     gc.numRequests = pc.numRequests;
     gc.seed = 12345;
-    auto &gen = tb.addGen<DramGen>(gc);
-
-    // Warm up 10% of the requests, then measure the rest.
-    auto t0 = std::chrono::steady_clock::now();
-    tb.sim().run(fromUs(5));
-    tb.sim().resetStats();
-    Tick measure_start = tb.sim().curTick();
-    tb.runToCompletion([&] { return gen.done(); }, fromUs(100000));
-    auto t1 = std::chrono::steady_clock::now();
-
-    PointResult r;
-    r.cfg = cfg;
-    r.busUtil = tb.ctrl().busUtilisation();
-    r.bandwidthGBs = tb.ctrl().achievedBandwidthGBs();
-    r.avgReadLatencyNs = gen.avgReadLatencyNs();
-    r.powerIn = tb.ctrl().powerInputs();
-    r.hostSeconds = std::chrono::duration<double>(t1 - t0).count();
-    r.simSeconds = toSeconds(tb.sim().curTick() - measure_start);
-    r.events = tb.sim().eventq().numEventsServiced();
-    if (pc.model == harness::CtrlModel::Event) {
-        r.rowHitRate =
-            tb.eventCtrl().ctrlStats().rowHitRate.value();
-        r.wrPerTurnaround =
-            tb.eventCtrl().ctrlStats().wrPerTurnAround.value();
-    }
-
-    const auto &h = gen.genStats().readLatencyHist;
-    for (std::size_t i = 0; i < h.numBuckets(); ++i) {
-        if (h.bucketCount(i) > 0)
-            r.latencyBuckets.emplace_back(h.bucketLow(i),
-                                          h.bucketCount(i));
-    }
-    r.latencyModes = h.numModes(0.02);
-    return r;
+    return measurePoint(tb, tb.addGen<DramGen>(gc), cfg, pc.model);
 }
 
 /** Same point but with a linear or random generator (latency runs). */
@@ -161,43 +169,10 @@ runLinearPoint(const PointConfig &pc, bool random = false)
     gc.numRequests = pc.numRequests;
     gc.seed = 12345;
 
-    BaseGen *gen;
-    if (random)
-        gen = &tb.addGen<RandomGen>(gc);
-    else
-        gen = &tb.addGen<LinearGen>(gc);
-
-    auto t0 = std::chrono::steady_clock::now();
-    tb.sim().run(fromUs(5));
-    tb.sim().resetStats();
-    Tick measure_start = tb.sim().curTick();
-    tb.runToCompletion([&] { return gen->done(); }, fromUs(100000));
-    auto t1 = std::chrono::steady_clock::now();
-
-    PointResult r;
-    r.cfg = cfg;
-    r.busUtil = tb.ctrl().busUtilisation();
-    r.bandwidthGBs = tb.ctrl().achievedBandwidthGBs();
-    r.avgReadLatencyNs = gen->avgReadLatencyNs();
-    r.powerIn = tb.ctrl().powerInputs();
-    r.hostSeconds = std::chrono::duration<double>(t1 - t0).count();
-    r.simSeconds = toSeconds(tb.sim().curTick() - measure_start);
-    r.events = tb.sim().eventq().numEventsServiced();
-    if (pc.model == harness::CtrlModel::Event) {
-        r.rowHitRate =
-            tb.eventCtrl().ctrlStats().rowHitRate.value();
-        r.wrPerTurnaround =
-            tb.eventCtrl().ctrlStats().wrPerTurnAround.value();
-    }
-
-    const auto &h = gen->genStats().readLatencyHist;
-    for (std::size_t i = 0; i < h.numBuckets(); ++i) {
-        if (h.bucketCount(i) > 0)
-            r.latencyBuckets.emplace_back(h.bucketLow(i),
-                                          h.bucketCount(i));
-    }
-    r.latencyModes = h.numModes(0.02);
-    return r;
+    BaseGen &gen = random
+        ? static_cast<BaseGen &>(tb.addGen<RandomGen>(gc))
+        : tb.addGen<LinearGen>(gc);
+    return measurePoint(tb, gen, cfg, pc.model);
 }
 
 /**

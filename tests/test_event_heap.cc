@@ -31,7 +31,7 @@ TEST_F(EventHeapTest, RescheduleJoinsBackOfTickClass)
 {
     // a, b, c scheduled at t=10; rescheduling a to the same tick must
     // move it behind b and c (fresh sequence number), exactly like
-    // deschedule+schedule on the old tree-based agenda.
+    // deschedule+schedule.
     EventQueue eq;
     std::vector<int> order;
     EventFunctionWrapper a([&] { order.push_back(1); }, "a");
@@ -143,8 +143,9 @@ TEST_F(EventHeapTest, RandomOpsMatchOrderedSetReference)
     // Thousands of random schedule/deschedule/reschedule operations,
     // mirrored into a std::set reference keyed (when, priority, seq)
     // with a shadow sequence counter that advances exactly when the
-    // queue's does. Drains between bursts must fire events in the
-    // reference order.
+    // queue's does. After each burst every pending event's orderOf()
+    // must equal its rank in the reference, and drains between bursts
+    // must fire events in the reference order.
     EventQueue eq;
     std::mt19937 rng(0xD2A3);
 
@@ -213,6 +214,11 @@ TEST_F(EventHeapTest, RandomOpsMatchOrderedSetReference)
                                          ? kMaxTick
                                          : std::get<0>(ref.begin()->first));
         }
+
+        std::uint64_t rank = 0;
+        for (const auto &entry : ref)
+            ASSERT_EQ(eq.orderOf(*probes[entry.second]), rank++)
+                << "probe " << entry.second << " in round " << round;
 
         // Drain a few events and compare the firing order.
         std::size_t drain = std::min<std::size_t>(ref.size(), rng() % 8);

@@ -65,10 +65,9 @@ struct CliOptions
                                 // stdout) and exit
     std::string pattern = "random"; // linear | random | dram | trace
     std::string model = "event";    // event | cycle
-    std::string eventq = "heap";    // heap | calendar
     std::string page;               // open | open_adaptive | ...
     std::string mapping;            // RoRaBaCoCh | ...
-    std::string sched;              // fcfs | frfcfs
+    std::string sched;              // fcfs | frfcfs | frfcfs_prio
     bool tempExplicit = false;
     unsigned readPct = 100;
     double ittNs = 6.0;
@@ -139,14 +138,10 @@ usage(const char *prog)
         "  --pattern NAME     linear|random|dram (DRAM-aware)|trace\n"
         "                     (replay --trace-in)\n"
         "  --model NAME       event|cycle\n"
-        "  --eventq NAME      heap|calendar agenda (identical "
-        "results,\n"
-        "                     different cost profile; see "
-        "bench/eventq_perf)\n"
         "  --page POLICY      open|open_adaptive|closed|"
         "closed_adaptive\n"
         "  --mapping NAME     RoRaBaCoCh|RoRaBaChCo|RoCoRaBaCh\n"
-        "  --sched NAME       fcfs|frfcfs\n"
+        "  --sched NAME       fcfs|frfcfs|frfcfs_prio\n"
         "  --read-pct N       percentage of reads (default 100)\n"
         "  --itt-ns F         inter-transaction time (default 6)\n"
         "  --requests N       requests to simulate (default 20000)\n"
@@ -245,7 +240,6 @@ parseArgs(int argc, char **argv, CliOptions &opt)
         else if (a == "--dump-config") opt.dumpConfig = need(i);
         else if (a == "--pattern") opt.pattern = need(i);
         else if (a == "--model") opt.model = need(i);
-        else if (a == "--eventq") opt.eventq = need(i);
         else if (a == "--page") opt.page = need(i);
         else if (a == "--mapping") opt.mapping = need(i);
         else if (a == "--sched") opt.sched = need(i);
@@ -314,33 +308,6 @@ parseArgs(int argc, char **argv, CliOptions &opt)
         }
     }
     return true;
-}
-
-PagePolicy
-pageFromString(const std::string &s)
-{
-    if (s == "open") return PagePolicy::Open;
-    if (s == "open_adaptive") return PagePolicy::OpenAdaptive;
-    if (s == "closed") return PagePolicy::Closed;
-    if (s == "closed_adaptive") return PagePolicy::ClosedAdaptive;
-    fatal("unknown page policy '%s'", s.c_str());
-}
-
-AddrMapping
-mappingFromString(const std::string &s)
-{
-    if (s == "RoRaBaCoCh") return AddrMapping::RoRaBaCoCh;
-    if (s == "RoRaBaChCo") return AddrMapping::RoRaBaChCo;
-    if (s == "RoCoRaBaCh") return AddrMapping::RoCoRaBaCh;
-    fatal("unknown address mapping '%s'", s.c_str());
-}
-
-SchedPolicy
-schedFromString(const std::string &s)
-{
-    if (s == "fcfs") return SchedPolicy::Fcfs;
-    if (s == "frfcfs") return SchedPolicy::FrFcfs;
-    fatal("unknown scheduler '%s'", s.c_str());
 }
 
 /**
@@ -569,14 +536,6 @@ main(int argc, char **argv)
         return 0;
     }
 
-    // Must precede every simulator construction: queues pin their
-    // agenda kind when built.
-    if (opt.eventq == "calendar")
-        EventQueue::setDefaultAgenda(AgendaKind::Calendar);
-    else if (opt.eventq != "heap")
-        fatal("unknown event queue '%s' (heap|calendar)",
-              opt.eventq.c_str());
-
     // A system preset names a whole multi-channel assembly; an
     // explicit --channels can still override its channel count.
     unsigned channels = opt.channels;
@@ -603,12 +562,15 @@ main(int argc, char **argv)
     } else {
         cfg = presets::byName(opt.preset);
     }
-    if (!opt.page.empty())
-        cfg.pagePolicy = pageFromString(opt.page);
-    if (!opt.mapping.empty())
-        cfg.addrMapping = mappingFromString(opt.mapping);
-    if (!opt.sched.empty())
-        cfg.schedPolicy = schedFromString(opt.sched);
+    if (!opt.page.empty() &&
+        !pagePolicyFromString(opt.page, cfg.pagePolicy))
+        fatal("unknown page policy '%s'", opt.page.c_str());
+    if (!opt.mapping.empty() &&
+        !addrMappingFromString(opt.mapping, cfg.addrMapping))
+        fatal("unknown address mapping '%s'", opt.mapping.c_str());
+    if (!opt.sched.empty() &&
+        !schedPolicyFromString(opt.sched, cfg.schedPolicy))
+        fatal("unknown scheduler '%s'", opt.sched.c_str());
     if (opt.tempExplicit || opt.configFile.empty())
         cfg.temperatureC = opt.temperatureC;
     if (opt.powerDown || opt.configFile.empty())
