@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "cpu/workload.hh"
 #include "dram/dram_presets.hh"
 #include "dram/plugin/plugin.hh"
 #include "exec/batch_runner.hh"
@@ -53,6 +54,32 @@ std::string
 caseName(const testing::TestParamInfo<GoldenCase> &info)
 {
     return goldenName(info.param);
+}
+
+/**
+ * Compare @p got with the reference tests/golden/<name>.json, or
+ * rewrite that reference when GOLDEN_REGEN is set.
+ */
+void
+expectMatchesGolden(const std::string &name, const std::string &got)
+{
+    const std::string path = std::string(GOLDEN_DIR) + "/" + name + ".json";
+    if (std::getenv("GOLDEN_REGEN") != nullptr) {
+        std::ofstream out(path);
+        ASSERT_TRUE(out.is_open()) << "cannot write " << path;
+        out << got;
+        return;
+    }
+
+    std::ifstream in(path);
+    ASSERT_TRUE(in.is_open())
+        << "missing reference " << path
+        << " — generate the corpus with tools/regen_golden.sh";
+    std::stringstream want;
+    want << in.rdbuf();
+    EXPECT_EQ(got, want.str())
+        << "stats drifted from the reference; if intended, regenerate "
+        << "with tools/regen_golden.sh and review the diff";
 }
 
 /** Run the canned workload for @p c and return the stats JSON. */
@@ -116,27 +143,7 @@ class GoldenStats : public testing::TestWithParam<GoldenCase>
 
 TEST_P(GoldenStats, MatchesReference)
 {
-    const GoldenCase &c = GetParam();
-    const std::string path =
-        std::string(GOLDEN_DIR) + "/" + goldenName(c) + ".json";
-    const std::string got = runCase(c);
-
-    if (std::getenv("GOLDEN_REGEN") != nullptr) {
-        std::ofstream out(path);
-        ASSERT_TRUE(out.is_open()) << "cannot write " << path;
-        out << got;
-        return;
-    }
-
-    std::ifstream in(path);
-    ASSERT_TRUE(in.is_open())
-        << "missing reference " << path
-        << " — generate the corpus with tools/regen_golden.sh";
-    std::stringstream want;
-    want << in.rdbuf();
-    EXPECT_EQ(got, want.str())
-        << "stats drifted from the reference; if intended, regenerate "
-        << "with tools/regen_golden.sh and review the diff";
+    expectMatchesGolden(goldenName(GetParam()), runCase(GetParam()));
 }
 
 std::vector<GoldenCase>
@@ -296,27 +303,8 @@ class GoldenPluginStats
 
 TEST_P(GoldenPluginStats, MatchesReference)
 {
-    const PluginGoldenCase &c = GetParam();
-    const std::string path =
-        std::string(GOLDEN_DIR) + "/" + pluginGoldenName(c) + ".json";
-    const std::string got = runPluginCase(c);
-
-    if (std::getenv("GOLDEN_REGEN") != nullptr) {
-        std::ofstream out(path);
-        ASSERT_TRUE(out.is_open()) << "cannot write " << path;
-        out << got;
-        return;
-    }
-
-    std::ifstream in(path);
-    ASSERT_TRUE(in.is_open())
-        << "missing reference " << path
-        << " — generate the corpus with tools/regen_golden.sh";
-    std::stringstream want;
-    want << in.rdbuf();
-    EXPECT_EQ(got, want.str())
-        << "stats drifted from the reference; if intended, regenerate "
-        << "with tools/regen_golden.sh and review the diff";
+    expectMatchesGolden(pluginGoldenName(GetParam()),
+                        runPluginCase(GetParam()));
 }
 
 std::vector<PluginGoldenCase>
@@ -386,27 +374,8 @@ class GoldenSystemStats : public testing::TestWithParam<GoldenCase>
 
 TEST_P(GoldenSystemStats, MatchesReference)
 {
-    const GoldenCase &c = GetParam();
-    const std::string path =
-        std::string(GOLDEN_DIR) + "/" + goldenName(c) + ".json";
-    const std::string got = runSystemCase(c);
-
-    if (std::getenv("GOLDEN_REGEN") != nullptr) {
-        std::ofstream out(path);
-        ASSERT_TRUE(out.is_open()) << "cannot write " << path;
-        out << got;
-        return;
-    }
-
-    std::ifstream in(path);
-    ASSERT_TRUE(in.is_open())
-        << "missing reference " << path
-        << " — generate the corpus with tools/regen_golden.sh";
-    std::stringstream want;
-    want << in.rdbuf();
-    EXPECT_EQ(got, want.str())
-        << "stats drifted from the reference; if intended, regenerate "
-        << "with tools/regen_golden.sh and review the diff";
+    expectMatchesGolden(goldenName(GetParam()),
+                        runSystemCase(GetParam()));
 }
 
 std::vector<GoldenCase>
@@ -421,6 +390,81 @@ systemCases()
 
 INSTANTIATE_TEST_SUITE_P(SystemCorpus, GoldenSystemStats,
                          testing::ValuesIn(systemCases()), caseName);
+
+/**
+ * Closed-loop corpus: the fig8 system (four timing cores with private
+ * L1s, a shared L2 and one closed-page DDR3-1333 channel) on three
+ * workloads, plus the cycle model on canneal. Each run warms up,
+ * resets the statistics part way through and then runs to
+ * completion, so the references pin the core statistics (cycles,
+ * memStallCycles, committedOps) across a reset as well as the memory
+ * side: any change to when or in which order the cores tick shows up
+ * here.
+ */
+struct MultiCoreGoldenCase
+{
+    std::string workload;
+    harness::CtrlModel model = harness::CtrlModel::Event;
+};
+
+std::string
+multiCoreGoldenName(const MultiCoreGoldenCase &c)
+{
+    return "golden_multicore_" + c.workload +
+           (c.model == harness::CtrlModel::Cycle ? "_cycle" : "");
+}
+
+std::string
+multiCoreCaseName(const testing::TestParamInfo<MultiCoreGoldenCase> &info)
+{
+    return multiCoreGoldenName(info.param);
+}
+
+std::string
+runMultiCoreCase(const MultiCoreGoldenCase &c)
+{
+    harness::MultiCoreConfig cfg;
+    cfg.numCores = 4;
+    cfg.channels = 1;
+    cfg.ctrl = presets::ddr3_1333();
+    cfg.ctrl.pagePolicy = PagePolicy::Closed;
+    cfg.ctrl.addrMapping = AddrMapping::RoCoRaBaCh;
+    cfg.model = c.model;
+    cfg.opsPerCore = 4000;
+    cfg.seed = 9;
+    harness::MultiCoreSystem sys(cfg, workloads::byName(c.workload));
+
+    harness::runUntil(
+        sys.sim(), [&] { return sys.core(0).committed() >= 1000; },
+        fromNs(100.0));
+    sys.sim().resetStats();
+    sys.runToCompletion();
+
+    std::ostringstream os;
+    sys.sim().dumpStatsJson(os);
+    os << "\n";
+    return os.str();
+}
+
+class GoldenMultiCoreStats
+    : public testing::TestWithParam<MultiCoreGoldenCase>
+{
+};
+
+TEST_P(GoldenMultiCoreStats, MatchesReference)
+{
+    expectMatchesGolden(multiCoreGoldenName(GetParam()),
+                        runMultiCoreCase(GetParam()));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    MultiCoreCorpus, GoldenMultiCoreStats,
+    testing::Values(
+        MultiCoreGoldenCase{"canneal"},
+        MultiCoreGoldenCase{"blackscholes"},
+        MultiCoreGoldenCase{"fluidanimate"},
+        MultiCoreGoldenCase{"canneal", harness::CtrlModel::Cycle}),
+    multiCoreCaseName);
 
 /**
  * Trace-replay corpus: the committed example trace under
