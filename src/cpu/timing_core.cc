@@ -1,5 +1,7 @@
 #include "cpu/timing_core.hh"
 
+#include <algorithm>
+
 #include "sim/logging.hh"
 
 namespace dramctrl {
@@ -19,13 +21,65 @@ TimingCore::CoreStats::CoreStats(TimingCore &core)
 {
 }
 
+CoreClock::CoreClock(EventQueue &eq, std::string name, Tick period)
+    : eq_(eq), period_(period),
+      tickEvent_([this] { tick(); }, std::move(name) + ".tickEvent",
+                 Event::kCpuTickPriority)
+{
+    if (period_ == 0)
+        fatal("core clock '%s': zero period", tickEvent_.name().c_str());
+}
+
+CoreClock::~CoreClock()
+{
+    if (tickEvent_.scheduled())
+        eq_.deschedule(tickEvent_);
+}
+
+void
+CoreClock::add(TimingCore &core)
+{
+    cores_.push_back(&core);
+}
+
+void
+CoreClock::scheduleEdge(Tick when)
+{
+    // Wakes come from memory-side events, which run before the edge
+    // of their tick; a core woken by the edge itself would have to
+    // tick in index order at an edge that is already under way.
+    DC_ASSERT(!inEdge_, "core woken during its clock edge");
+    if (!tickEvent_.scheduled())
+        eq_.schedule(tickEvent_, when);
+    DC_ASSERT(tickEvent_.when() == when,
+              "core clock edges out of phase (%llu vs %llu)",
+              static_cast<unsigned long long>(tickEvent_.when()),
+              static_cast<unsigned long long>(when));
+}
+
+void
+CoreClock::tick()
+{
+    inEdge_ = true;
+    bool any_awake = false;
+    for (TimingCore *core : cores_) {
+        if (core->state_ != TimingCore::State::Awake)
+            continue;
+        core->tick();
+        any_awake = any_awake || core->state_ == TimingCore::State::Awake;
+    }
+    inEdge_ = false;
+    if (any_awake)
+        eq_.schedule(tickEvent_, eq_.curTick() + period_);
+}
+
 TimingCore::TimingCore(Simulator &sim, std::string name,
                        const CoreConfig &cfg,
-                       const WorkloadProfile &workload, RequestorId id)
+                       const WorkloadProfile &workload, RequestorId id,
+                       CoreClock *clock)
     : SimObject(sim, std::move(name)), cfg_(cfg), workload_(workload),
       id_(id), port_(this->name() + ".dcachePort", *this),
-      rng_(cfg.seed),
-      tickEvent_([this] { tick(); }, this->name() + ".tickEvent")
+      rng_(cfg.seed), clock_(clock)
 {
     if (cfg_.dispatchWidth == 0 || cfg_.commitWidth == 0 ||
         cfg_.robSize == 0)
@@ -34,21 +88,38 @@ TimingCore::TimingCore(Simulator &sim, std::string name,
     if (workload_.footprintBytes < workload_.opSize)
         fatal("core '%s': footprint smaller than one op",
               this->name().c_str());
+    if (clock_ == nullptr) {
+        ownClock_ = std::make_unique<CoreClock>(eventq(), this->name(),
+                                                cfg_.clockPeriod);
+        clock_ = ownClock_.get();
+    }
+    if (clock_->period() != cfg_.clockPeriod)
+        fatal("core '%s': clock period differs from its clock domain's",
+              this->name().c_str());
+    clock_->add(*this);
     stats_ = std::make_unique<CoreStats>(*this);
+
+    // Fold the edges slept through into the statistics before anyone
+    // reads them. A reset has already zeroed them when its callback
+    // runs, so it only forgets the edges slept through so far.
+    statGroup().onDump([this] { creditSleep(curTick()); });
+    statGroup().onReset([this] {
+        if (state_ == State::Asleep)
+            lastEdge_ += (curTick() - lastEdge_) / cfg_.clockPeriod *
+                         cfg_.clockPeriod;
+    });
 }
 
 TimingCore::~TimingCore()
 {
-    if (tickEvent_.scheduled())
-        deschedule(tickEvent_);
     delete blockedPkt_;
 }
 
 void
 TimingCore::startup()
 {
-    running_ = true;
-    schedule(tickEvent_, curTick() + cfg_.clockPeriod);
+    state_ = State::Awake;
+    clock_->scheduleEdge(curTick() + cfg_.clockPeriod);
 }
 
 bool
@@ -57,10 +128,17 @@ TimingCore::done() const
     return cfg_.numOps != 0 && committed_ >= cfg_.numOps;
 }
 
-double
-TimingCore::ipc() const
+const TimingCore::CoreStats &
+TimingCore::coreStats()
 {
-    return stats_->ipc.value();
+    creditSleep(curTick());
+    return *stats_;
+}
+
+double
+TimingCore::ipc()
+{
+    return coreStats().ipc.value();
 }
 
 Addr
@@ -85,11 +163,51 @@ TimingCore::tick()
     commit();
     dispatch();
 
-    if (running_ && !done()) {
-        schedule(tickEvent_, curTick() + cfg_.clockPeriod);
-    } else {
-        running_ = false;
+    if (done()) {
+        state_ = State::Done;
+    } else if (stalled()) {
+        // Every further edge would only count a cycle (and a memory
+        // stall while blocked) until memory responds or retries.
+        state_ = State::Asleep;
+        lastEdge_ = curTick();
+        sleptBlocked_ = blockedPkt_ != nullptr;
     }
+}
+
+bool
+TimingCore::stalled() const
+{
+    return (rob_.empty() || !rob_.front().completed) &&
+           (blockedPkt_ != nullptr || rob_.size() >= cfg_.robSize);
+}
+
+void
+TimingCore::creditSleep(Tick upto)
+{
+    if (state_ != State::Asleep || upto <= lastEdge_)
+        return;
+    Tick edges = (upto - lastEdge_) / cfg_.clockPeriod;
+    stats_->cycles += static_cast<double>(edges);
+    if (sleptBlocked_)
+        stats_->memStallCycles += static_cast<double>(edges);
+    lastEdge_ += edges * cfg_.clockPeriod;
+}
+
+void
+TimingCore::wake()
+{
+    if (state_ != State::Asleep)
+        return;
+    // The first edge at or after now; the edges before it were slept
+    // through.
+    Tick period = cfg_.clockPeriod;
+    Tick resume =
+        lastEdge_ +
+        std::max<Tick>(1, divCeil<Tick>(curTick() - lastEdge_, period)) *
+            period;
+    creditSleep(resume - period);
+    state_ = State::Awake;
+    clock_->scheduleEdge(resume);
 }
 
 void
@@ -153,6 +271,7 @@ TimingCore::recvReqRetry()
         return;
     }
     inFlight_.emplace(pkt->id(), blockedOp_);
+    wake();
 }
 
 bool
@@ -164,6 +283,9 @@ TimingCore::recvTimingResp(Packet *pkt)
     it->second->completed = true;
     inFlight_.erase(it);
     delete pkt;
+    // Only a completed ROB head lets a stalled core progress.
+    if (rob_.front().completed)
+        wake();
     return true;
 }
 

@@ -178,6 +178,8 @@ MultiCoreSystem::MultiCoreSystem(const MultiCoreConfig &cfg,
     l1ToL2_->memSidePort(l2_mem_idx).bind(l2_->cpuSidePort());
 
     // Cores and their private L1 data caches.
+    coreClock_ = std::make_unique<CoreClock>(sim_.eventq(), "cpu_clock",
+                                             cfg_.core.clockPeriod);
     for (unsigned i = 0; i < cfg_.numCores; ++i) {
         auto l1 = std::make_unique<Cache>(
             sim_, "l1d" + std::to_string(i), cfg_.l1);
@@ -191,7 +193,7 @@ MultiCoreSystem::MultiCoreSystem(const MultiCoreConfig &cfg,
 
         auto core = std::make_unique<TimingCore>(
             sim_, "core" + std::to_string(i), core_cfg, wl,
-            static_cast<RequestorId>(i));
+            static_cast<RequestorId>(i), coreClock_.get());
         core->dcachePort().bind(l1->cpuSidePort());
 
         l1s_.push_back(std::move(l1));

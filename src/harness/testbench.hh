@@ -182,6 +182,8 @@ class MultiCoreSystem
   private:
     MultiCoreConfig cfg_;
     Simulator sim_;
+    /** The cores' shared clock; ticks them in index order. */
+    std::unique_ptr<CoreClock> coreClock_;
     std::vector<std::unique_ptr<TimingCore>> cores_;
     std::vector<std::unique_ptr<Cache>> l1s_;
     std::unique_ptr<Crossbar> l1ToL2_;

@@ -42,6 +42,12 @@ class Event
     static constexpr Priority kRefreshPriority = -10;
     /** Default priority for ordinary model events. */
     static constexpr Priority kDefaultPriority = 0;
+    /**
+     * Core clock edges run after the memory-side events of their tick,
+     * so a response or retry that lands on an edge is seen by that
+     * edge whether the core was ticking or asleep.
+     */
+    static constexpr Priority kCpuTickPriority = 10;
     /** Statistic dump / bookkeeping events run after model events. */
     static constexpr Priority kStatsPriority = 20;
 
