@@ -189,8 +189,10 @@ MetricsRegistry::snapshot() const
                        help != help_.end() ? help->second : "",
                        kv.second->value(), false});
     }
-    for (const AttachedTree &tree : trees_)
+    for (const AttachedTree &tree : trees_) {
+        tree.root->fireDumpCallbacks();
         flattenGroup(out, tree.prefix, tree.root);
+    }
     std::sort(out.begin(), out.end(),
               [](const MetricSample &a, const MetricSample &b) {
                   return a.path < b.path;

@@ -116,7 +116,8 @@ class MetricsRegistry
     /**
      * Flatten everything into one sample vector: registered counters
      * and gauges, then attached stats trees (scalars by value,
-     * vectors as path.N, histograms as path.count/mean/p50/p95/p99).
+     * vectors as path.N, histograms as path.count/mean/p50/p95/p99),
+     * read after the trees' dump callbacks ran, as in a stats dump.
      * Ordering is deterministic: registration order is irrelevant,
      * samples are sorted by path.
      */

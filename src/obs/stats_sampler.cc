@@ -93,6 +93,7 @@ StatsSampler::sampleNow()
 {
     writeHeader();
     ++samplesTaken_;
+    simulator().rootStats().fireDumpCallbacks();
     TRACE(Sampler, "sample %llu, %zu stats",
           static_cast<unsigned long long>(samplesTaken_),
           stats_.size());

@@ -12,7 +12,9 @@
  * so series from different runs line up.
  *
  * Samples read each stat's sampleValue() (cumulative counters stay
- * cumulative; formulas evaluate at sample time). A stats reset simply
+ * cumulative; formulas evaluate at sample time) after running the
+ * dump callbacks, so lazily folded stats (a sleeping core's cycles,
+ * a plugin's table sizes) read as a dump would. A stats reset simply
  * shows up as the counters restarting — the sampler keeps its
  * schedule and its stat bindings across resets.
  */

@@ -233,6 +233,14 @@ class Group
      */
     void dumpJson(std::ostream &os) const;
 
+    /**
+     * Run the dump callbacks of this group and all children, depth
+     * first, so lazily folded statistics are current. dump() and
+     * dumpJson() do this themselves; anything else that reads stat
+     * values directly (samplers, live metrics) calls it first.
+     */
+    void fireDumpCallbacks() const;
+
     /** Reset this group's stats and all children. */
     void resetAll();
 
@@ -260,8 +268,6 @@ class Group
     std::vector<std::function<void()>> resetCallbacks_;
     std::vector<std::function<void()>> dumpCallbacks_;
 
-    /** Run dump callbacks of this group and all children, depth first. */
-    void fireDumpCallbacks() const;
     /** dump() / dumpJson() bodies, minus the callback pass. */
     void dumpStats(std::ostream &os) const;
     void dumpJsonStats(std::ostream &os) const;

@@ -2,16 +2,22 @@
  * @file
  * Tests for the timing core and workload profiles: IPC limits, the
  * memory-latency feedback loop (the property traces cannot capture),
- * ROB blocking, and completion semantics.
+ * ROB blocking, completion semantics, and the cycle accounting of
+ * cores that sleep while stalled on memory.
  */
 
 #include <gtest/gtest.h>
+
+#include <sstream>
+#include <string>
 
 #include "cpu/cache.hh"
 #include "cpu/timing_core.hh"
 #include "cpu/workload.hh"
 #include "dram/dram_ctrl.hh"
+#include "dram/dram_presets.hh"
 #include "harness/testbench.hh"
+#include "obs/stats_sampler.hh"
 #include "sim/logging.hh"
 #include "sim/simulator.hh"
 #include "test_util.hh"
@@ -189,6 +195,148 @@ TEST(MultiCoreSystemTest, BothControllerModelsComplete)
         EXPECT_TRUE(sys.core(0).done())
             << harness::toString(model);
     }
+}
+
+/**
+ * Cycle accounting of sleeping cores: four cores on canneal behind
+ * 6-MSHR L1s and one closed-page channel spend most edges stalled on
+ * memory, so most edges reach the statistics by lazy crediting rather
+ * than a tick. Whatever the mix, cycles must count every core-clock
+ * edge since the last reset (the cores never finish: no op budget).
+ */
+class CoreCycleAccountingTest : public ::testing::Test
+{
+  protected:
+    CoreCycleAccountingTest() : sys(config(), workloads::canneal()) {}
+
+    static harness::MultiCoreConfig
+    config()
+    {
+        harness::MultiCoreConfig cfg;
+        cfg.numCores = 4;
+        cfg.ctrl = presets::ddr3_1333();
+        cfg.ctrl.pagePolicy = PagePolicy::Closed;
+        cfg.l1.mshrs = 6;
+        cfg.opsPerCore = 0;
+        return cfg;
+    }
+
+    /** Core-clock edges in (resetTick, now]; the first is at period. */
+    double
+    edgesSinceReset()
+    {
+        return static_cast<double>(sys.sim().curTick() / period -
+                                   resetTick / period);
+    }
+
+    void
+    expectEveryEdgeCounted(const std::string &when)
+    {
+        for (unsigned i = 0; i < 4; ++i) {
+            const auto &st = sys.core(i).coreStats();
+            EXPECT_EQ(st.cycles.value(), edgesSinceReset())
+                << when << ", core " << i;
+            EXPECT_LE(st.memStallCycles.value(), st.cycles.value())
+                << when << ", core " << i;
+        }
+    }
+
+    /** Step the run until every core sleeps at once. */
+    void
+    runUntilAllAsleep()
+    {
+        auto all_asleep = [this] {
+            for (unsigned i = 0; i < 4; ++i)
+                if (!sys.core(i).asleep())
+                    return false;
+            return true;
+        };
+        harness::runUntil(sys.sim(), all_asleep, 37, fromUs(10.0));
+        ASSERT_TRUE(all_asleep());
+    }
+
+    harness::MultiCoreSystem sys;
+    const Tick period = CoreConfig{}.clockPeriod;
+    Tick resetTick = 0;
+};
+
+TEST_F(CoreCycleAccountingTest, CyclesCountEveryEdgeAcrossSleep)
+{
+    Simulator &sim = sys.sim();
+    // Stop between edges and on them, at uneven steps.
+    for (Tick step : {fromNs(1000.0) + 123, Tick(fromNs(777.0)),
+                      fromNs(2500.0) + 250, Tick(fromNs(3000.0))}) {
+        harness::runUntil(
+            sim, [&, stop = sim.curTick() + step] {
+                return sim.curTick() >= stop;
+            },
+            step);
+        expectEveryEdgeCounted("at tick " +
+                               std::to_string(sim.curTick()));
+    }
+
+    // Almost every edge was slept through rather than ticked: a core
+    // clock event per edge and core would outnumber the edges.
+    double total_cycles = 0;
+    for (unsigned i = 0; i < 4; ++i)
+        total_cycles += sys.core(i).coreStats().cycles.value();
+    EXPECT_LE(3.0 * static_cast<double>(sim.eventq().numEventsServiced()),
+              total_cycles)
+        << sim.eventq().numEventsServiced() << " events";
+}
+
+TEST_F(CoreCycleAccountingTest, ResetAndDumpWhileAllCoresSleep)
+{
+    Simulator &sim = sys.sim();
+    harness::runUntil(sim, [] { return false; }, fromUs(1.0), fromUs(2.0));
+
+    // A reset while every core sleeps forgets the edges slept through
+    // so far without crediting them to the fresh statistics.
+    runUntilAllAsleep();
+    sim.resetStats();
+    resetTick = sim.curTick();
+    std::ostringstream os;
+    sim.dumpStatsJson(os);
+    EXPECT_EQ(sim.rootStats().resolve("core0.cycles")->sampleValue(), 0.0);
+    harness::runUntil(sim, [] { return false; }, fromUs(1.0), fromUs(3.0));
+    expectEveryEdgeCounted("after a reset while asleep");
+
+    // A dump while every core sleeps credits them once, not twice.
+    runUntilAllAsleep();
+    sim.dumpStatsJson(os);
+    EXPECT_EQ(sim.rootStats().resolve("core2.cycles")->sampleValue(),
+              edgesSinceReset());
+    harness::runUntil(sim, [] { return false; }, fromUs(1.0), fromUs(3.0));
+    expectEveryEdgeCounted("after a dump while asleep");
+}
+
+TEST_F(CoreCycleAccountingTest, SamplerRowAgreesWithDump)
+{
+    Simulator &sim = sys.sim();
+    std::ostringstream csv;
+    obs::StatsSampler sampler(sim, "sampler", fromNs(250.0), csv);
+    ASSERT_TRUE(sampler.addStat("core1.cycles"));
+    ASSERT_TRUE(sampler.addStat("core1.memStallCycles"));
+
+    // Stop on a sampling tick with core1 asleep, so the sample has to
+    // credit the edges it slept through just as the dump does.
+    harness::runUntil(
+        sim, [&] { return sim.curTick() > 0 && sys.core(1).asleep(); },
+        sampler.interval(), fromUs(10.0));
+    ASSERT_TRUE(sys.core(1).asleep());
+    std::ostringstream os;
+    sim.dumpStatsJson(os);
+    auto value = [&](const char *path) {
+        return std::to_string(static_cast<long long>(
+            sim.rootStats().resolve(path)->sampleValue()));
+    };
+    std::string last = csv.str();
+    last.pop_back(); // trailing newline
+    last = last.substr(last.rfind('\n') + 1);
+    EXPECT_EQ(last, std::to_string(sim.curTick()) + "," +
+                        value("core1.cycles") + "," +
+                        value("core1.memStallCycles"));
+    expectEveryEdgeCounted("at a sampling tick");
 }
 
 } // namespace

@@ -1,8 +1,9 @@
 /**
  * @file
  * Periodic stats-sampler tests: row cadence and tick alignment, stat
- * binding by path and by group, CSV/JSONL output shape, and the
- * interaction with a mid-run statistics reset.
+ * binding by path and by group, CSV/JSONL output shape, the
+ * interaction with a mid-run statistics reset, and lazily folded
+ * stats reading the same in samples and live snapshots as in a dump.
  */
 
 #include <gtest/gtest.h>
@@ -12,10 +13,15 @@
 
 #include "ckpt/ckpt.hh"
 #include "dram/dram_ctrl.hh"
+#include "dram/dram_presets.hh"
+#include "dram/plugin/plugin.hh"
+#include "harness/testbench.hh"
+#include "obs/metrics.hh"
 #include "obs/stats_sampler.hh"
 #include "sim/logging.hh"
 #include "sim/simulator.hh"
 #include "test_util.hh"
+#include "trafficgen/random_gen.hh"
 
 namespace dramctrl {
 namespace {
@@ -216,6 +222,61 @@ TEST_F(SamplerTest, SampleNowWritesHeaderOnce)
     ASSERT_EQ(lines.size(), 3u);
     EXPECT_EQ(lines[0], "tick,mem_ctrl.writeReqs");
     EXPECT_EQ(lines[1], lines[2]);
+}
+
+/** Value of @p path in a full stats dump taken now. */
+double
+dumpedValue(Simulator &sim, const std::string &path)
+{
+    std::ostringstream os;
+    sim.dumpStatsJson(os);
+    return sim.rootStats().resolve(path)->sampleValue();
+}
+
+TEST(SamplerLazyStatsTest, PracRowsTrackedMatchesDumpMidRun)
+{
+    // PRAC publishes rowsTracked only from its stats-dump hook, so a
+    // sample or a live snapshot that skipped the hook would read a
+    // stale value (zero before the first dump).
+    DRAMCtrlConfig cfg = presets::ddr3_1600();
+    std::string err;
+    ASSERT_TRUE(plugin::parsePluginList("prac", cfg, err)) << err;
+    cfg.plugins[0].pracThreshold = 4;
+    cfg.check();
+    harness::SingleChannelSystem tb(cfg, harness::CtrlModel::Event);
+    Simulator &sim = tb.sim();
+
+    std::ostringstream os;
+    StatsSampler sampler(sim, "sampler", fromNs(1000), os);
+    const std::string path = "mem_ctrl.prac.rowsTracked";
+    ASSERT_TRUE(sampler.addStat(path));
+
+    GenConfig gc;
+    gc.windowSize = 1ULL << 16;
+    gc.minITT = gc.maxITT = fromNs(6.0);
+    gc.numRequests = 300;
+    gc.seed = 7;
+    gc.readPct = 70;
+    tb.addGen<RandomGen>(gc);
+
+    // Mid-run, at a sampling tick: the row matches a dump there.
+    sim.run(fromNs(1000));
+    auto lines = splitLines(os.str());
+    const double at_sample = dumpedValue(sim, path);
+    EXPECT_GT(at_sample, 0.0);
+    EXPECT_EQ(lines.back(),
+              "1000000," + std::to_string(static_cast<int>(at_sample)));
+
+    // A live snapshot between samples matches a dump there too, not
+    // the value the last sample and dump left behind.
+    sim.run(fromNs(1700));
+    double snapshot = -1;
+    for (const obs::MetricSample &m : sim.metrics().snapshot())
+        if (m.path == path)
+            snapshot = m.value;
+    const double at_snapshot = dumpedValue(sim, path);
+    EXPECT_NE(at_snapshot, at_sample);
+    EXPECT_EQ(snapshot, at_snapshot);
 }
 
 } // namespace
