@@ -3,17 +3,21 @@
  * Batch-engine unit tests: the worker pool runs everything it is
  * given, job seeds derive reproducibly, and BatchRunner delivers
  * outcomes in submission order with identical bytes at any width and
- * per-job failure isolation.
+ * per-job failure isolation; and exec::checkSpec() rejects every
+ * sweep spec it cannot run.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
+#include <ostream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "exec/batch_runner.hh"
+#include "exec/sweep.hh"
 #include "exec/thread_pool.hh"
 #include "sim/random.hh"
 
@@ -152,3 +156,91 @@ TEST(Exec, RunCollectReturnsAllOutcomesInOrder)
         EXPECT_GE(all[i].hostSeconds, 0.0);
     }
 }
+
+namespace {
+
+/** One checkSpec() verdict: a default spec with one edit applied. */
+struct SpecCase
+{
+    std::string name;
+    std::function<void(SweepSpec &)> edit;
+    bool accepted = false;
+};
+
+std::vector<SpecCase>
+specCases()
+{
+    using harness::CtrlModel;
+    return {
+        {"accepted",
+         [](SweepSpec &s) {
+             s.patterns = {"linear", "random", "dram", "trace"};
+             s.tracePath = "stimulus.dtrc";
+             s.models = {CtrlModel::Event, CtrlModel::Cycle};
+             s.plugins = "ecc,prac";
+         },
+         true},
+        {"unknown_preset", [](SweepSpec &s) { s.presets = {"ddr9"}; }},
+        {"unknown_pattern",
+         [](SweepSpec &s) { s.patterns = {"random", "zigzag"}; }},
+        {"trace_without_path",
+         [](SweepSpec &s) { s.patterns = {"trace"}; }},
+        {"trace_with_warmup",
+         [](SweepSpec &s) {
+             s.patterns = {"trace"};
+             s.tracePath = "stimulus.dtrc";
+             s.warmupRequests = 100;
+         }},
+        {"trace_scale_zero", [](SweepSpec &s) { s.traceScale = 0; }},
+        {"trace_scale_negative",
+         [](SweepSpec &s) { s.traceScale = -1; }},
+        {"read_pct_above_100",
+         [](SweepSpec &s) { s.readPcts = {50, 101}; }},
+        {"refmgr_pb_on_cycle_axis",
+         [](SweepSpec &s) {
+             s.plugins = "refmgr-pb";
+             s.models = {CtrlModel::Event, CtrlModel::Cycle};
+         }},
+        {"empty_axis", [](SweepSpec &s) { s.ittNs.clear(); }},
+        {"zero_channels", [](SweepSpec &s) { s.channels = 0; }},
+        {"dram_multi_channel",
+         [](SweepSpec &s) {
+             s.patterns = {"random", "dram"};
+             s.channels = 4;
+         }},
+        {"warmup_multi_channel",
+         [](SweepSpec &s) {
+             s.channels = 4;
+             s.warmupRequests = 100;
+         }},
+    };
+}
+
+void
+PrintTo(const SpecCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
+class CheckSpec : public testing::TestWithParam<SpecCase>
+{
+};
+
+TEST_P(CheckSpec, Verdict)
+{
+    SweepSpec spec;
+    GetParam().edit(spec);
+    std::string err;
+    EXPECT_EQ(checkSpec(spec, &err), GetParam().accepted) << err;
+    EXPECT_EQ(err.empty(), GetParam().accepted) << err;
+    // The error text is optional for the caller.
+    EXPECT_EQ(checkSpec(spec, nullptr), GetParam().accepted);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Exec, CheckSpec, testing::ValuesIn(specCases()),
+    [](const testing::TestParamInfo<SpecCase> &info) {
+        return info.param.name;
+    });
+
+} // namespace

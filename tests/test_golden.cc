@@ -9,6 +9,8 @@
  * timing, scheduling, stats bookkeeping or the JSON writer shows up as
  * a diff here — if the change is intended, regenerate with
  * tools/regen_golden.sh and review the diff like any other code change.
+ * The sweep-row case pins the rows exec::runSweepPoint() produces the
+ * same way.
  */
 
 #include <gtest/gtest.h>
@@ -24,6 +26,7 @@
 #include "dram/dram_presets.hh"
 #include "dram/plugin/plugin.hh"
 #include "exec/batch_runner.hh"
+#include "exec/sweep.hh"
 #include "harness/config_file.hh"
 #include "harness/multichannel.hh"
 #include "harness/testbench.hh"
@@ -534,6 +537,76 @@ INSTANTIATE_TEST_SUITE_P(TraceCorpus, GoldenTraceReplay,
                          testing::Values(std::string("example.dtrc"),
                                          std::string("example.txt")),
                          traceCaseName);
+
+/**
+ * Sweep-row corpus: a small grid through exec::runSweepPoint() — every
+ * synthetic pattern on open and closed pages and both models, a trace
+ * point, 4-channel linear, random and trace points, and a warm-up
+ * point run both cold and from a warm-up snapshot — compared as the
+ * CSV rows sweep_cli writes. Rows are only a handful of rounded numbers per
+ * run, so this pins how each point is assembled (stimulus, address
+ * window, request split, seeds) rather than the controller itself.
+ */
+std::string
+runSweepRows()
+{
+    std::vector<std::string> rows{exec::csvHeader()};
+    auto runAll = [&](const exec::SweepSpec &spec) {
+        std::string err;
+        EXPECT_TRUE(exec::checkSpec(spec, &err)) << err;
+        for (const exec::SweepPoint &pt : exec::expandGrid(spec))
+            rows.push_back(exec::toCsv(exec::runSweepPoint(pt, spec)));
+    };
+
+    exec::SweepSpec single;
+    single.patterns = {"linear", "random", "dram"};
+    single.pages = {PagePolicy::Open, PagePolicy::Closed};
+    single.readPcts = {70};
+    single.models = {harness::CtrlModel::Event,
+                     harness::CtrlModel::Cycle};
+    single.requests = 1000;
+    runAll(single);
+
+    const std::string trace_path =
+        std::string(TRACES_DIR) + "/example.dtrc";
+    exec::SweepSpec trace;
+    trace.patterns = {"trace"};
+    trace.tracePath = trace_path;
+    runAll(trace);
+
+    exec::SweepSpec multi;
+    multi.presets = {"ddr3_1600"};
+    multi.patterns = {"linear", "random", "trace"};
+    multi.tracePath = trace_path;
+    multi.readPcts = {50};
+    multi.channels = 4;
+    multi.requests = 1600;
+    runAll(multi);
+
+    exec::SweepSpec warm;
+    warm.readPcts = {80};
+    warm.requests = 1000;
+    warm.warmupRequests = 500;
+    runAll(warm);
+    const exec::SweepPoint pt = exec::expandGrid(warm).front();
+    rows.push_back(exec::toCsv(exec::runMeasuredFromSnapshot(
+        pt, warm, exec::captureWarmupSnapshot(pt, warm))));
+    EXPECT_EQ(rows.back(), rows[rows.size() - 2])
+        << "warm-start row differs from the cold warm-up row";
+
+    // A JSON array of the CSV lines, so the reference reads like the
+    // rest of the corpus.
+    std::string out = "[\n";
+    for (std::size_t i = 0; i < rows.size(); ++i)
+        out += "  \"" + rows[i] +
+               (i + 1 < rows.size() ? "\",\n" : "\"\n");
+    return out + "]\n";
+}
+
+TEST(GoldenSweep, golden_sweep_rows)
+{
+    expectMatchesGolden("golden_sweep_rows", runSweepRows());
+}
 
 } // namespace
 } // namespace dramctrl
