@@ -417,27 +417,16 @@ bool
 parsePluginList(const std::string &list, DRAMCtrlConfig &cfg,
                 std::string &err)
 {
-    std::size_t pos = 0;
-    while (pos <= list.size()) {
-        std::size_t comma = list.find(',', pos);
-        std::string kind =
-            list.substr(pos, comma == std::string::npos
-                                 ? std::string::npos
-                                 : comma - pos);
-        if (!kind.empty()) {
-            if (kind != "ecc" && kind != "prac" && kind != "refmgr" &&
-                kind != "refmgr-pb") {
-                err = "unknown plugin '" + kind +
-                      "' (known: ecc, prac, refmgr, refmgr-pb)";
-                return false;
-            }
-            PluginSpec spec;
-            spec.kind = kind;
-            cfg.plugins.push_back(spec);
+    for (const std::string &kind : splitCsv(list)) {
+        if (kind != "ecc" && kind != "prac" && kind != "refmgr" &&
+            kind != "refmgr-pb") {
+            err = "unknown plugin '" + kind +
+                  "' (known: ecc, prac, refmgr, refmgr-pb)";
+            return false;
         }
-        if (comma == std::string::npos)
-            break;
-        pos = comma + 1;
+        PluginSpec spec;
+        spec.kind = kind;
+        cfg.plugins.push_back(spec);
     }
     return true;
 }

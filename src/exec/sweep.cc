@@ -10,10 +10,6 @@
 #include "exec/batch_runner.hh"
 #include "harness/multichannel.hh"
 #include "sim/logging.hh"
-#include "trafficgen/dram_gen.hh"
-#include "trafficgen/linear_gen.hh"
-#include "trafficgen/random_gen.hh"
-#include "trafficgen/trace_file.hh"
 
 namespace dramctrl {
 namespace exec {
@@ -48,130 +44,28 @@ expandGrid(const SweepSpec &spec)
     return grid;
 }
 
-bool
-checkSpec(const SweepSpec &spec, std::string *err)
-{
-    auto known = presets::names();
-    for (const std::string &p : spec.presets) {
-        if (std::find(known.begin(), known.end(), p) == known.end()) {
-            if (err != nullptr)
-                *err = "unknown preset '" + p + "'";
-            return false;
-        }
-    }
-    bool has_trace = false;
-    for (const std::string &p : spec.patterns) {
-        if (p != "linear" && p != "random" && p != "dram" &&
-            p != "trace") {
-            if (err != nullptr)
-                *err = "unknown pattern '" + p + "'";
-            return false;
-        }
-        has_trace = has_trace || p == "trace";
-    }
-    if (has_trace && spec.tracePath.empty()) {
-        if (err != nullptr)
-            *err = "the trace pattern needs a trace path";
-        return false;
-    }
-    if (has_trace && spec.warmupRequests > 0) {
-        if (err != nullptr)
-            *err = "the trace pattern does not support warm-up";
-        return false;
-    }
-    if (spec.traceScale <= 0) {
-        if (err != nullptr)
-            *err = "trace time scale must be positive";
-        return false;
-    }
-    for (unsigned pct : spec.readPcts) {
-        if (pct > 100) {
-            if (err != nullptr)
-                *err = "read-pct above 100";
-            return false;
-        }
-    }
-    if (!spec.plugins.empty()) {
-        DRAMCtrlConfig probe;
-        std::string perr;
-        if (!plugin::parsePluginList(spec.plugins, probe, perr)) {
-            if (err != nullptr)
-                *err = perr;
-            return false;
-        }
-        if (probe.hasPlugin("refmgr-pb")) {
-            for (harness::CtrlModel m : spec.models) {
-                if (m == harness::CtrlModel::Cycle) {
-                    if (err != nullptr)
-                        *err = "refmgr-pb is event-model-only; drop "
-                               "the cycle model axis";
-                    return false;
-                }
-            }
-        }
-    }
-    if (spec.presets.empty() || spec.patterns.empty() ||
-        spec.pages.empty() || spec.mappings.empty() ||
-        spec.readPcts.empty() || spec.ittNs.empty() ||
-        spec.models.empty()) {
-        if (err != nullptr)
-            *err = "empty sweep axis";
-        return false;
-    }
-    if (spec.channels == 0) {
-        if (err != nullptr)
-            *err = "channels must be at least 1";
-        return false;
-    }
-    if (spec.channels > 1) {
-        for (const std::string &p : spec.patterns) {
-            if (p == "dram") {
-                if (err != nullptr)
-                    *err = "the dram pattern is single-channel; "
-                           "multi-channel sweeps use linear/random";
-                return false;
-            }
-        }
-        if (spec.warmupRequests > 0) {
-            if (err != nullptr)
-                *err = "multi-channel sweeps do not support warm-up";
-            return false;
-        }
-    }
-    return true;
-}
-
 namespace {
 
-/** A built-but-not-yet-run sweep point system. */
-struct BuiltPoint
+/** The stimulus of @p point. */
+harness::Stimulus
+stimulusOf(const SweepPoint &point, const SweepSpec &spec)
 {
-    std::unique_ptr<harness::SingleChannelSystem> tb;
-    BaseGen *gen = nullptr;
-    TracePlayer *player = nullptr; ///< set instead of gen for "trace"
-
-    bool
-    done() const
-    {
-        return gen != nullptr ? gen->done() : player->done();
-    }
-};
-
-/** Per-point capture file: "<prefix><index>.dtrc". */
-std::string
-capturePathOf(const SweepSpec &spec, const SweepPoint &point)
-{
-    return spec.traceCapturePrefix + std::to_string(point.index) +
-           ".dtrc";
+    harness::Stimulus s;
+    s.pattern = point.pattern;
+    s.readPct = point.readPct;
+    s.ittNs = point.ittNs;
+    s.requests = spec.requests;
+    s.strideBytes = spec.strideBytes;
+    s.banks = spec.banks;
+    s.seed = point.seed;
+    s.tracePath = spec.tracePath;
+    s.traceScale = spec.traceScale;
+    return s;
 }
 
-/**
- * Assemble the system for @p point with an explicit request budget and
- * seed (so the warm-up and measured phases can use the same assembly).
- */
-BuiltPoint
-buildPoint(const SweepPoint &point, const SweepSpec &spec,
-           std::uint64_t num_requests, std::uint64_t seed)
+/** The controller configuration of @p point. */
+DRAMCtrlConfig
+configOf(const SweepPoint &point, const SweepSpec &spec)
 {
     DRAMCtrlConfig cfg = presets::byName(point.preset);
     cfg.pagePolicy = point.page;
@@ -183,49 +77,42 @@ buildPoint(const SweepPoint &point, const SweepSpec &spec,
             fatal("%s", perr.c_str());
     }
     cfg.check();
+    return cfg;
+}
 
-    BuiltPoint built;
-    built.tb =
-        std::make_unique<harness::SingleChannelSystem>(cfg, point.model);
+/**
+ * Put @p stim on @p sys, recording what it injects to
+ * "<prefix><index>.dtrc" when the spec asks for a capture.
+ */
+template <typename System>
+void
+addPointStimulus(System &sys, const SweepPoint &point,
+                 const SweepSpec &spec, const harness::Stimulus &stim)
+{
     if (!spec.traceCapturePrefix.empty())
-        built.tb->enableCapture(capturePathOf(spec, point));
+        sys.enableCapture(spec.traceCapturePrefix +
+                          std::to_string(point.index) + ".dtrc");
+    sys.addStimulus(stim);
+}
 
-    if (point.pattern == "trace") {
-        built.player = &built.tb->addGen<TracePlayer>(
-            makeTracePlayerConfig(spec.tracePath, spec.traceScale));
-        return built;
-    }
-
-    GenConfig gc;
-    gc.windowSize =
-        std::min<std::uint64_t>(cfg.org.channelCapacity, 1ULL << 26);
-    gc.readPct = point.readPct;
-    gc.minITT = gc.maxITT = fromNs(point.ittNs);
-    gc.numRequests = num_requests;
-    gc.seed = seed;
-
-    if (point.pattern == "linear") {
-        built.gen = &built.tb->addGen<LinearGen>(gc);
-    } else if (point.pattern == "random") {
-        built.gen = &built.tb->addGen<RandomGen>(gc);
-    } else if (point.pattern == "dram") {
-        DramGenConfig dgc;
-        static_cast<GenConfig &>(dgc) = gc;
-        dgc.org = cfg.org;
-        dgc.mapping = cfg.addrMapping;
-        dgc.strideBytes = spec.strideBytes;
-        dgc.numBanksTarget = spec.banks;
-        built.gen = &built.tb->addGen<DramGen>(dgc);
-    } else {
-        fatal("unknown sweep pattern '%s'", point.pattern.c_str());
-    }
-    return built;
+/**
+ * Assemble the single-channel system for @p point with @p stim, whose
+ * request budget and seed may differ from the point's (so the warm-up
+ * and measured phases can use the same assembly).
+ */
+std::unique_ptr<harness::SingleChannelSystem>
+buildPoint(const SweepPoint &point, const SweepSpec &spec,
+           const harness::Stimulus &stim)
+{
+    auto tb = std::make_unique<harness::SingleChannelSystem>(
+        configOf(point, spec), point.model);
+    addPointStimulus(*tb, point, spec, stim);
+    return tb;
 }
 
 SweepRow
-collectRow(const SweepPoint &point, BuiltPoint &built)
+collectRow(const SweepPoint &point, harness::SingleChannelSystem &tb)
 {
-    harness::SingleChannelSystem &tb = *built.tb;
     tb.finishCapture();
 
     SweepRow row;
@@ -235,14 +122,8 @@ collectRow(const SweepPoint &point, BuiltPoint &built)
     row.busUtil = tb.ctrl().busUtilisation();
     if (point.model == harness::CtrlModel::Event)
         row.rowHitRate = tb.eventCtrl().ctrlStats().rowHitRate.value();
-    if (built.gen != nullptr) {
-        row.avgReadLatencyNs = built.gen->avgReadLatencyNs();
-        row.responses = static_cast<std::uint64_t>(
-            built.gen->genStats().recvResponses.value());
-    } else {
-        row.avgReadLatencyNs = built.player->avgReadLatencyNs();
-        row.responses = built.player->responses();
-    }
+    row.avgReadLatencyNs = tb.avgReadLatencyNs();
+    row.responses = tb.responses();
     return row;
 }
 
@@ -254,49 +135,13 @@ collectRow(const SweepPoint &point, BuiltPoint &built)
 SweepRow
 runMultiPoint(const SweepPoint &point, const SweepSpec &spec)
 {
-    DRAMCtrlConfig cfg = presets::byName(point.preset);
-    cfg.pagePolicy = point.page;
-    cfg.addrMapping = point.mapping;
-    cfg.writeLowThreshold = 0.0; // drain fully so every run terminates
-    if (!spec.plugins.empty()) {
-        std::string perr;
-        if (!plugin::parsePluginList(spec.plugins, cfg, perr))
-            fatal("%s", perr.c_str());
-    }
-    cfg.check();
-
     harness::MultiChannelConfig mcfg;
     mcfg.channels = spec.channels;
-    mcfg.ctrl = cfg;
+    mcfg.ctrl = configOf(point, spec);
     mcfg.model = point.model;
     mcfg.simThreads = spec.simThreads;
     harness::MultiChannelSystem mc(mcfg);
-    if (!spec.traceCapturePrefix.empty())
-        mc.enableCapture(capturePathOf(spec, point));
-
-    if (point.pattern == "trace") {
-        harness::addTracePlayers(mc, spec.tracePath, spec.traceScale);
-    } else {
-        GenConfig gc;
-        gc.readPct = point.readPct;
-        gc.minITT = gc.maxITT = fromNs(point.ittNs);
-        gc.numRequests =
-            std::max<std::uint64_t>(1, spec.requests / spec.channels);
-        gc.windowSize =
-            std::min<std::uint64_t>(mc.totalCapacity(), 1ULL << 26);
-        for (unsigned i = 0; i < spec.channels; ++i) {
-            GenConfig g = harness::sliceGenWindow(gc, i, spec.channels,
-                                                  mc.totalCapacity());
-            g.seed = deriveSeed(point.seed, i);
-            if (point.pattern == "linear")
-                mc.addGen<LinearGen>(g);
-            else if (point.pattern == "random")
-                mc.addGen<RandomGen>(g);
-            else
-                fatal("unknown sweep pattern '%s'",
-                      point.pattern.c_str());
-        }
-    }
+    addPointStimulus(mc, point, spec, stimulusOf(point, spec));
 
     mc.runToCompletion();
     mc.finishCapture();
@@ -317,26 +162,71 @@ runMultiPoint(const SweepPoint &point, const SweepSpec &spec)
                        .rowHitRate.value();
         row.rowHitRate = hit / mc.numChannels();
     }
-    for (unsigned i = 0; i < mc.numGens(); ++i)
-        row.responses += static_cast<std::uint64_t>(
-            mc.gen(i).genStats().recvResponses.value());
-    for (unsigned i = 0; i < mc.numPlayers(); ++i)
-        row.responses += mc.player(i).responses();
+    row.responses = mc.responses();
     return row;
 }
 
 /**
- * The warm-up stimulus stream: one seed per config group, disjoint
- * from every measured seed (which derive from masterSeed and the point
- * index directly).
+ * The warm-up stimulus of @p point: the point's stimulus with the
+ * warm-up budget and one seed per config group, disjoint from every
+ * measured seed (which derive from masterSeed and the point index
+ * directly).
  */
-std::uint64_t
-warmupSeedOf(const SweepSpec &spec, std::size_t group)
+harness::Stimulus
+warmupStimulusOf(const SweepPoint &point, const SweepSpec &spec)
 {
-    return deriveSeed(spec.masterSeed ^ 0x5741524d55500aULL, group);
+    harness::Stimulus s = stimulusOf(point, spec);
+    s.requests = spec.warmupRequests;
+    s.seed = deriveSeed(spec.masterSeed ^ 0x5741524d55500aULL,
+                        configGroupOf(point, spec));
+    return s;
 }
 
 } // namespace
+
+bool
+checkSpec(const SweepSpec &spec, std::string *err)
+{
+    auto reject = [err](const std::string &why) {
+        if (err != nullptr)
+            *err = why;
+        return false;
+    };
+    auto known = presets::names();
+    for (const std::string &p : spec.presets)
+        if (std::find(known.begin(), known.end(), p) == known.end())
+            return reject("unknown preset '" + p + "'");
+    harness::Stimulus stim = stimulusOf(SweepPoint{}, spec);
+    for (const std::string &pattern : spec.patterns) {
+        stim.pattern = pattern;
+        for (unsigned pct : spec.readPcts) {
+            stim.readPct = pct;
+            if (!harness::checkStimulus(stim, spec.channels, err))
+                return false;
+        }
+        if (pattern == "trace" && spec.warmupRequests > 0)
+            return reject("the trace pattern does not support warm-up");
+    }
+    if (!spec.plugins.empty()) {
+        DRAMCtrlConfig probe;
+        std::string perr;
+        if (!plugin::parsePluginList(spec.plugins, probe, perr))
+            return reject(perr);
+        if (probe.hasPlugin("refmgr-pb") &&
+            std::find(spec.models.begin(), spec.models.end(),
+                      harness::CtrlModel::Cycle) != spec.models.end())
+            return reject("refmgr-pb is event-model-only; drop the "
+                          "cycle model axis");
+    }
+    if (spec.presets.empty() || spec.patterns.empty() ||
+        spec.pages.empty() || spec.mappings.empty() ||
+        spec.readPcts.empty() || spec.ittNs.empty() ||
+        spec.models.empty())
+        return reject("empty sweep axis");
+    if (spec.channels > 1 && spec.warmupRequests > 0)
+        return reject("multi-channel sweeps do not support warm-up");
+    return true;
+}
 
 std::size_t
 configGroupOf(const SweepPoint &point, const SweepSpec &spec)
@@ -351,22 +241,19 @@ runSweepPoint(const SweepPoint &point, const SweepSpec &spec)
         return runMultiPoint(point, spec);
 
     if (spec.warmupRequests == 0 || point.pattern == "trace") {
-        BuiltPoint built =
-            buildPoint(point, spec, spec.requests, point.seed);
-        built.tb->runToCompletion([&] { return built.done(); });
-        return collectRow(point, built);
+        auto tb = buildPoint(point, spec, stimulusOf(point, spec));
+        tb->runToCompletion();
+        return collectRow(point, *tb);
     }
 
     // Cold warm-up: run the group's warm-up stream inline, reset the
     // statistics, then extend the run with the measured requests.
-    BuiltPoint built =
-        buildPoint(point, spec, spec.warmupRequests,
-                   warmupSeedOf(spec, configGroupOf(point, spec)));
-    built.tb->runToCompletion([&] { return built.gen->done(); });
-    built.tb->sim().resetStats();
-    built.gen->extendRun(spec.requests, point.seed);
-    built.tb->runToCompletion([&] { return built.gen->done(); });
-    return collectRow(point, built);
+    auto tb = buildPoint(point, spec, warmupStimulusOf(point, spec));
+    tb->runToCompletion();
+    tb->sim().resetStats();
+    tb->gen().extendRun(spec.requests, point.seed);
+    tb->runToCompletion();
+    return collectRow(point, *tb);
 }
 
 std::string
@@ -374,25 +261,21 @@ captureWarmupSnapshot(const SweepPoint &point, const SweepSpec &spec)
 {
     DC_ASSERT(spec.warmupRequests > 0,
               "warm-start snapshot requested without warmupRequests");
-    BuiltPoint built =
-        buildPoint(point, spec, spec.warmupRequests,
-                   warmupSeedOf(spec, configGroupOf(point, spec)));
-    built.tb->runToCompletion([&] { return built.gen->done(); });
-    built.tb->sim().resetStats();
-    return ckpt::saveToString(built.tb->sim());
+    auto tb = buildPoint(point, spec, warmupStimulusOf(point, spec));
+    tb->runToCompletion();
+    tb->sim().resetStats();
+    return ckpt::saveToString(tb->sim());
 }
 
 SweepRow
 runMeasuredFromSnapshot(const SweepPoint &point, const SweepSpec &spec,
                         const std::string &snapshot)
 {
-    BuiltPoint built =
-        buildPoint(point, spec, spec.warmupRequests,
-                   warmupSeedOf(spec, configGroupOf(point, spec)));
-    ckpt::restoreFromString(built.tb->sim(), snapshot);
-    built.gen->extendRun(spec.requests, point.seed);
-    built.tb->runToCompletion([&] { return built.gen->done(); });
-    return collectRow(point, built);
+    auto tb = buildPoint(point, spec, warmupStimulusOf(point, spec));
+    ckpt::restoreFromString(tb->sim(), snapshot);
+    tb->gen().extendRun(spec.requests, point.seed);
+    tb->runToCompletion();
+    return collectRow(point, *tb);
 }
 
 std::string

@@ -142,7 +142,9 @@ std::vector<SweepPoint> expandGrid(const SweepSpec &spec);
 SweepRow runSweepPoint(const SweepPoint &point, const SweepSpec &spec);
 
 /**
- * Validate names in @p spec without running anything.
+ * Validate @p spec without running anything: preset names, the sweep
+ * axes, warm-up and plugin combinations, and every pattern and read
+ * percentage through harness::checkStimulus().
  * @return false and fill @p err with the first offending name.
  */
 bool checkSpec(const SweepSpec &spec, std::string *err);

@@ -30,14 +30,14 @@ MultiChannelSystem::MultiChannelSystem(const MultiChannelConfig &cfg)
 
     xbar_ = std::make_unique<ShardedCrossbar>(sim_, "mem_xbar",
                                               cfg_.xbar);
-    ranges_ = interleavedRanges(0, total_mem, granularity,
-                                cfg_.channels);
+    auto ranges = interleavedRanges(0, total_mem, granularity,
+                                    cfg_.channels);
     for (unsigned ch = 0; ch < cfg_.channels; ++ch) {
         Simulator::ShardScope scope(sim_, ch);
         auto ctrl = makeController(sim_,
                                    "mem_ctrl" + std::to_string(ch),
-                                   cfg_.ctrl, ranges_[ch], cfg_.model);
-        xbar_->addChannel(ctrl->port(), ranges_[ch]);
+                                   cfg_.ctrl, ranges[ch], cfg_.model);
+        xbar_->addChannel(ctrl->port(), ranges[ch]);
         ctrls_.push_back(std::move(ctrl));
     }
 }
@@ -96,20 +96,6 @@ MultiChannelSystem::finishCapture()
     writer.finish();
 }
 
-TracePlayer &
-MultiChannelSystem::addPlayer(const TracePlayerConfig &pcfg)
-{
-    unsigned index = numGens() + numPlayers();
-    RequestorId id = static_cast<RequestorId>(index);
-    Simulator::ShardScope scope(sim_, index % sim_.numShards());
-    auto player = std::make_unique<TracePlayer>(
-        sim_, "player" + std::to_string(index), pcfg, id);
-    player->port().bind(xbar_->addFrontPort(id));
-    TracePlayer &ref = *player;
-    players_.push_back(std::move(player));
-    return ref;
-}
-
 bool
 MultiChannelSystem::drained() const
 {
@@ -153,24 +139,6 @@ MultiChannelSystem::attachCmdLoggers()
 }
 
 double
-MultiChannelSystem::totalBandwidthGBs() const
-{
-    double total = 0;
-    for (const auto &ctrl : ctrls_)
-        total += ctrl->achievedBandwidthGBs();
-    return total;
-}
-
-double
-MultiChannelSystem::avgBusUtil() const
-{
-    double total = 0;
-    for (const auto &ctrl : ctrls_)
-        total += ctrl->busUtilisation();
-    return total / static_cast<double>(ctrls_.size());
-}
-
-double
 MultiChannelSystem::avgReadLatencyNs() const
 {
     // Weight each generator by its responded-read count so the mean
@@ -187,6 +155,18 @@ MultiChannelSystem::avgReadLatencyNs() const
         reads += n;
     }
     return reads > 0 ? weighted / reads : 0;
+}
+
+std::uint64_t
+MultiChannelSystem::responses() const
+{
+    std::uint64_t total = 0;
+    for (const auto &gen : gens_)
+        total += static_cast<std::uint64_t>(
+            gen->genStats().recvResponses.value());
+    for (const auto &player : players_)
+        total += player->responses();
+    return total;
 }
 
 namespace {
@@ -244,22 +224,6 @@ systemPresetNames()
     for (const auto &p : kSystemPresets)
         out.emplace_back(p.name);
     return out;
-}
-
-unsigned
-addTracePlayers(MultiChannelSystem &mc, const std::string &path,
-                double time_scale)
-{
-    unsigned sources = 1;
-    if (traceFormatOf(path) == TraceFormat::Dtrc) {
-        TraceReader probe(path, /*verify_crc=*/false);
-        sources = probe.info().numSources;
-    }
-    for (unsigned s = 0; s < sources; ++s)
-        mc.addPlayer(makeTracePlayerConfig(
-            path, time_scale,
-            sources > 1 ? static_cast<int>(s) : -1));
-    return sources;
 }
 
 GenConfig

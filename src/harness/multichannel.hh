@@ -68,12 +68,6 @@ class MultiChannelSystem
         return static_cast<unsigned>(gens_.size());
     }
 
-    /** The address range controller @p ch serves. */
-    const AddrRange &channelRange(unsigned ch) const
-    {
-        return ranges_.at(ch);
-    }
-
     /** Total bytes across all channels. */
     std::uint64_t totalCapacity() const;
 
@@ -115,18 +109,10 @@ class MultiChannelSystem
         return ref;
     }
 
-    /**
-     * Add a trace player on the next front port, sharded like a
-     * generator. Used by .dtrc replay: one player per recorded source
-     * id, every player streaming the same file.
-     */
-    TracePlayer &addPlayer(const TracePlayerConfig &pcfg);
-
     unsigned numPlayers() const
     {
         return static_cast<unsigned>(players_.size());
     }
-    TracePlayer &player(unsigned i) { return *players_.at(i); }
 
     /** All generators done, controllers drained, crossbar idle. */
     bool drained() const;
@@ -140,20 +126,30 @@ class MultiChannelSystem
      */
     std::vector<CmdLogger> &attachCmdLoggers();
 
-    /** Achieved DRAM bandwidth summed over the channels, GByte/s. */
-    double totalBandwidthGBs() const;
+    double
+    totalBandwidthGBs() const
+    {
+        return harness::totalBandwidthGBs(ctrls_);
+    }
 
-    /** Bus utilisation averaged over the channels. */
-    double avgBusUtil() const;
+    double avgBusUtil() const { return harness::avgBusUtil(ctrls_); }
 
     /** Mean end-to-end read latency over all generators, ns. */
     double avgReadLatencyNs() const;
+
+    /** Responses received, summed over generators and players. */
+    std::uint64_t responses() const;
+
+    /**
+     * Add the stimulus @p s describes: one generator per channel, or
+     * one trace player per recorded source (see stimulus.cc).
+     */
+    void addStimulus(const Stimulus &s);
 
   private:
     MultiChannelConfig cfg_;
     Simulator sim_;
     std::unique_ptr<ShardedCrossbar> xbar_;
-    std::vector<AddrRange> ranges_;
     std::vector<std::unique_ptr<MemCtrlBase>> ctrls_;
     std::vector<std::unique_ptr<BaseGen>> gens_;
     std::vector<std::unique_ptr<TracePlayer>> players_;
@@ -163,17 +159,6 @@ class MultiChannelSystem
     /** Stable storage: controllers hold pointers into this. */
     std::unique_ptr<std::vector<CmdLogger>> cmdLoggers_;
 };
-
-/**
- * Replay @p path (text or .dtrc) into @p mc: one player per recorded
- * source id — each streaming the same file, filtered to its own
- * records — sharded round-robin like generators would be, so the
- * original per-requestor streams reappear whatever the thread count.
- *
- * @return the number of players added.
- */
-unsigned addTracePlayers(MultiChannelSystem &mc, const std::string &path,
-                         double time_scale = 1.0);
 
 /**
  * Carve the generator address windows: generator @p i of @p n plays

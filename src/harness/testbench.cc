@@ -30,6 +30,24 @@ makeController(Simulator &sim, const std::string &name,
                                                      range);
 }
 
+double
+avgBusUtil(const std::vector<std::unique_ptr<MemCtrlBase>> &ctrls)
+{
+    double total = 0;
+    for (const auto &ctrl : ctrls)
+        total += ctrl->busUtilisation();
+    return total / static_cast<double>(ctrls.size());
+}
+
+double
+totalBandwidthGBs(const std::vector<std::unique_ptr<MemCtrlBase>> &ctrls)
+{
+    double total = 0;
+    for (const auto &ctrl : ctrls)
+        total += ctrl->achievedBandwidthGBs();
+    return total;
+}
+
 Tick
 runUntil(Simulator &sim, const std::function<bool()> &done, Tick step,
          Tick max_ticks)
@@ -106,6 +124,16 @@ SingleChannelSystem::runToCompletion(
     return runUntil(
         sim_, [&] { return gen_done() && ctrl_->idle(); }, fromUs(1.0),
         max_ticks);
+}
+
+std::vector<CmdLogger> &
+SingleChannelSystem::attachCmdLoggers()
+{
+    if (cmdLoggers_.empty()) {
+        cmdLoggers_.resize(1);
+        ctrl_->setCmdLogger(&cmdLoggers_[0]);
+    }
+    return cmdLoggers_;
 }
 
 void
@@ -246,24 +274,6 @@ double
 MultiCoreSystem::l2MissLatencyNs() const
 {
     return l2_->avgMissLatencyNs();
-}
-
-double
-MultiCoreSystem::avgBusUtil() const
-{
-    double total = 0;
-    for (const auto &ctrl : ctrls_)
-        total += ctrl->busUtilisation();
-    return total / static_cast<double>(ctrls_.size());
-}
-
-double
-MultiCoreSystem::totalBandwidthGBs() const
-{
-    double total = 0;
-    for (const auto &ctrl : ctrls_)
-        total += ctrl->achievedBandwidthGBs();
-    return total;
 }
 
 } // namespace harness

@@ -17,15 +17,18 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "cpu/cache.hh"
 #include "cpu/timing_core.hh"
 #include "cpu/workload.hh"
+#include "dram/cmd_log.hh"
 #include "dram/dram_ctrl.hh"
 #include "mem/mem_ctrl_iface.hh"
 #include "sim/logging.hh"
 #include "sim/simulator.hh"
+#include "trafficgen/base_gen.hh"
 #include "trafficgen/trace.hh"
 #include "xbar/xbar.hh"
 
@@ -44,12 +47,50 @@ enum class CtrlModel {
 
 const char *toString(CtrlModel m);
 
+/**
+ * The synthetic stimulus of a run, as dramctrl_cli and every sweep
+ * point describe it: what to inject, not where. The systems' own
+ * addStimulus() turns it into generators (see stimulus.cc).
+ */
+struct Stimulus
+{
+    /** "linear", "random", "dram" (bank-aware) or "trace". */
+    std::string pattern = "random";
+    unsigned readPct = 100;
+    /** Fixed inter-transaction time, ns. */
+    double ittNs = 6.0;
+    /** Requests in total, split evenly over the generators. */
+    std::uint64_t requests = 20000;
+    /** dram pattern: sequential bytes per bank visit. */
+    std::uint64_t strideBytes = 256;
+    /** dram pattern: banks cycled over. */
+    unsigned banks = 4;
+    std::uint64_t seed = 1;
+    /** trace pattern: stimulus file, text or .dtrc. */
+    std::string tracePath;
+    /** trace pattern: stretch (>1) or compress (<1) replayed gaps. */
+    double traceScale = 1.0;
+};
+
+/**
+ * Whether @p s can drive a system of @p channels channels.
+ * @return false and fill @p err (when non-null) with the reason.
+ */
+bool checkStimulus(const Stimulus &s, unsigned channels, std::string *err);
+
 /** Instantiate a controller of either model behind MemCtrlBase. */
 std::unique_ptr<MemCtrlBase> makeController(Simulator &sim,
                                             const std::string &name,
                                             const DRAMCtrlConfig &cfg,
                                             AddrRange range,
                                             CtrlModel model);
+
+/** Bus utilisation averaged over @p ctrls. */
+double avgBusUtil(const std::vector<std::unique_ptr<MemCtrlBase>> &ctrls);
+
+/** Achieved DRAM bandwidth summed over @p ctrls, GByte/s. */
+double totalBandwidthGBs(
+    const std::vector<std::unique_ptr<MemCtrlBase>> &ctrls);
 
 /**
  * Run @p sim in steps of @p step ticks until @p done returns true or
@@ -72,6 +113,8 @@ class SingleChannelSystem
 
     /** The event-model controller; panics if model is Cycle. */
     DRAMCtrl &eventCtrl();
+
+    unsigned numChannels() const { return 1; }
 
     /**
      * Record every request the generator gets accepted into the
@@ -98,13 +141,61 @@ class SingleChannelSystem
         gen->port().bind(recorder_ != nullptr ? recorder_->cpuSidePort()
                                               : ctrl_->port());
         GenT &ref = *gen;
+        if constexpr (std::is_base_of_v<BaseGen, GenT>)
+            gen_ = &ref;
+        else if constexpr (std::is_same_v<GenT, TracePlayer>)
+            player_ = &ref;
         genHolder_ = std::move(gen);
         return ref;
+    }
+
+    /** Add the generator (or trace player) @p s describes. */
+    void addStimulus(const Stimulus &s);
+
+    /** The synthetic generator (not set for a trace player). */
+    BaseGen &
+    gen()
+    {
+        DC_ASSERT(gen_ != nullptr, "the stimulus is a trace player");
+        return *gen_;
+    }
+
+    /** Mean end-to-end read latency of the generator or player, ns. */
+    double
+    avgReadLatencyNs() const
+    {
+        return gen_ != nullptr ? gen_->avgReadLatencyNs()
+                               : player_->avgReadLatencyNs();
+    }
+
+    /** Responses the generator or player received. */
+    std::uint64_t
+    responses() const
+    {
+        return gen_ != nullptr ? static_cast<std::uint64_t>(
+                                     gen_->genStats().recvResponses.value())
+                               : player_->responses();
     }
 
     /** Run until the generator reports done and the controller drains. */
     Tick runToCompletion(const std::function<bool()> &gen_done,
                          Tick max_ticks = fromUs(100000));
+
+    /** runToCompletion() until the generator or trace player is done. */
+    Tick
+    runToCompletion(Tick max_ticks = fromUs(100000))
+    {
+        return runToCompletion(
+            [this] { return gen_ != nullptr ? gen_->done()
+                                            : player_->done(); },
+            max_ticks);
+    }
+
+    /**
+     * Attach a command logger to the controller (idempotent) and
+     * return it as the one-channel list MultiChannelSystem returns.
+     */
+    std::vector<CmdLogger> &attachCmdLoggers();
 
     /**
      * Warm up for @p warmup ticks, reset all statistics, then run
@@ -121,6 +212,9 @@ class SingleChannelSystem
     std::shared_ptr<TraceWriter> captureWriter_;
     std::string textCapturePath_;
     bool genAdded_ = false;
+    BaseGen *gen_ = nullptr;
+    TracePlayer *player_ = nullptr;
+    std::vector<CmdLogger> cmdLoggers_;
 };
 
 /** Parameters of the Section IV multi-core system. */
@@ -173,11 +267,13 @@ class MultiCoreSystem
     /** Average L2 miss (fill) latency in ns. */
     double l2MissLatencyNs() const;
 
-    /** Bus utilisation averaged over the channels. */
-    double avgBusUtil() const;
+    double avgBusUtil() const { return harness::avgBusUtil(ctrls_); }
 
-    /** Achieved DRAM bandwidth summed over the channels, GByte/s. */
-    double totalBandwidthGBs() const;
+    double
+    totalBandwidthGBs() const
+    {
+        return harness::totalBandwidthGBs(ctrls_);
+    }
 
   private:
     MultiCoreConfig cfg_;

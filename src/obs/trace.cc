@@ -96,19 +96,11 @@ enableChannelsByName(const std::string &csv)
         return true;
     }
     ChannelMask add = 0;
-    std::size_t pos = 0;
-    while (pos <= csv.size()) {
-        std::size_t comma = csv.find(',', pos);
-        if (comma == std::string::npos)
-            comma = csv.size();
-        std::string name = csv.substr(pos, comma - pos);
-        if (!name.empty()) {
-            TraceChannel ch;
-            if (!channelFromString(name, ch))
-                return false;
-            add |= maskOf(ch);
-        }
-        pos = comma + 1;
+    for (const std::string &name : splitCsv(csv)) {
+        TraceChannel ch;
+        if (!channelFromString(name, ch))
+            return false;
+        add |= maskOf(ch);
     }
     detail::traceMask |= add;
     return true;

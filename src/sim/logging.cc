@@ -1,5 +1,6 @@
 #include "sim/logging.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -163,6 +164,20 @@ formatString(const char *fmt, ...)
     std::string s = vformatString(fmt, args);
     va_end(args);
     return s;
+}
+
+std::vector<std::string>
+splitCsv(const std::string &csv)
+{
+    std::vector<std::string> out;
+    std::size_t pos = 0;
+    while (pos <= csv.size()) {
+        std::size_t comma = std::min(csv.find(',', pos), csv.size());
+        if (comma > pos)
+            out.push_back(csv.substr(pos, comma - pos));
+        pos = comma + 1;
+    }
+    return out;
 }
 
 void

@@ -18,6 +18,7 @@
 #include <cstdarg>
 #include <iosfwd>
 #include <string>
+#include <vector>
 
 #include "sim/types.hh"
 
@@ -43,6 +44,9 @@ std::string jsonEscaped(const std::string &s);
 /** Format a printf-style message into a std::string. */
 std::string formatString(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
+
+/** The non-empty items of the comma-separated list @p csv, in order. */
+std::vector<std::string> splitCsv(const std::string &csv);
 
 /** Report a simulator bug and abort. */
 [[noreturn]] void panic(const char *fmt, ...)

@@ -387,7 +387,11 @@ TEST_F(DtrcFileTest, MultiChannelCaptureReplaysAtAnyWidth)
         harness::MultiChannelConfig rcfg = mcfg;
         rcfg.simThreads = threads;
         harness::MultiChannelSystem mc(rcfg);
-        EXPECT_EQ(harness::addTracePlayers(mc, path_), 2u);
+        harness::Stimulus stim;
+        stim.pattern = "trace";
+        stim.tracePath = path_;
+        mc.addStimulus(stim);
+        EXPECT_EQ(mc.numPlayers(), 2u);
         mc.runToCompletion();
         for (unsigned ch = 0; ch < 2; ++ch)
             EXPECT_EQ(statsJson(mc.ctrl(ch).statGroup()),

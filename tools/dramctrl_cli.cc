@@ -21,12 +21,14 @@
  * the tool exits non-zero.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "ckpt/ckpt.hh"
 #include "dram/cmd_log.hh"
@@ -47,10 +49,6 @@
 #include "power/micron_power.hh"
 #include "sim/eventq.hh"
 #include "sim/logging.hh"
-#include "trafficgen/dram_gen.hh"
-#include "trafficgen/linear_gen.hh"
-#include "trafficgen/random_gen.hh"
-#include "trafficgen/trace_file.hh"
 
 using namespace dramctrl;
 
@@ -58,22 +56,18 @@ namespace {
 
 struct CliOptions
 {
+    /** --pattern, --read-pct, ..., --trace-in, --trace-scale. */
+    harness::Stimulus stim;
     std::string preset = "ddr3_1333";
     bool presetExplicit = false;
     std::string configFile;     // declarative config (overrides preset)
     std::string dumpConfig;     // dump resolved config to PATH ('-' =
                                 // stdout) and exit
-    std::string pattern = "random"; // linear | random | dram | trace
     std::string model = "event";    // event | cycle
     std::string page;               // open | open_adaptive | ...
     std::string mapping;            // RoRaBaCoCh | ...
     std::string sched;              // fcfs | frfcfs | frfcfs_prio
     bool tempExplicit = false;
-    unsigned readPct = 100;
-    double ittNs = 6.0;
-    std::uint64_t requests = 20000;
-    std::uint64_t strideBytes = 256;
-    unsigned banks = 4;
     double temperatureC = 85.0;
     bool powerDown = false;
     std::string plugins;        // csv plugin chain, e.g. ecc,prac
@@ -82,14 +76,11 @@ struct CliOptions
     unsigned pracThreshold = 0; // 0 = keep the spec default
     bool json = false;
     bool audit = false;
-    std::uint64_t seed = 1;
     std::uint64_t runs = 1;  // > 1 = batch mode over derived seeds
     unsigned jobs = 1;
 
-    // Trace replay and capture (see docs/TRACES.md).
-    std::string traceIn;      // stimulus for --pattern trace
+    // Trace capture (see docs/TRACES.md).
     std::string traceCapture; // record the accepted request stream
-    double traceScale = 1.0;  // replay time scale
 
     // Multi-channel mode (see docs/PERFORMANCE.md, sharding).
     unsigned channels = 0;   // 0 = unset (single channel, or preset's)
@@ -238,19 +229,22 @@ parseArgs(int argc, char **argv, CliOptions &opt)
         }
         else if (a == "--config") opt.configFile = need(i);
         else if (a == "--dump-config") opt.dumpConfig = need(i);
-        else if (a == "--pattern") opt.pattern = need(i);
+        else if (a == "--pattern") opt.stim.pattern = need(i);
         else if (a == "--model") opt.model = need(i);
         else if (a == "--page") opt.page = need(i);
         else if (a == "--mapping") opt.mapping = need(i);
         else if (a == "--sched") opt.sched = need(i);
         else if (a == "--read-pct")
-            opt.readPct = static_cast<unsigned>(std::stoul(need(i)));
-        else if (a == "--itt-ns") opt.ittNs = std::stod(need(i));
-        else if (a == "--requests") opt.requests = std::stoull(need(i));
+            opt.stim.readPct =
+                static_cast<unsigned>(std::stoul(need(i)));
+        else if (a == "--itt-ns") opt.stim.ittNs = std::stod(need(i));
+        else if (a == "--requests")
+            opt.stim.requests = std::stoull(need(i));
         else if (a == "--stride")
-            opt.strideBytes = std::stoull(need(i));
+            opt.stim.strideBytes = std::stoull(need(i));
         else if (a == "--banks")
-            opt.banks = static_cast<unsigned>(std::stoul(need(i)));
+            opt.stim.banks =
+                static_cast<unsigned>(std::stoul(need(i)));
         else if (a == "--temperature") {
             opt.temperatureC = std::stod(need(i));
             opt.tempExplicit = true;
@@ -264,7 +258,7 @@ parseArgs(int argc, char **argv, CliOptions &opt)
                 static_cast<unsigned>(std::stoul(need(i)));
         else if (a == "--audit") opt.audit = true;
         else if (a == "--json") opt.json = true;
-        else if (a == "--seed") opt.seed = std::stoull(need(i));
+        else if (a == "--seed") opt.stim.seed = std::stoull(need(i));
         else if (a == "--runs") opt.runs = std::stoull(need(i));
         else if (a == "--jobs") {
             opt.jobs = static_cast<unsigned>(std::stoul(need(i)));
@@ -279,10 +273,10 @@ parseArgs(int argc, char **argv, CliOptions &opt)
             if (opt.simThreads == 0)
                 opt.simThreads = exec::ThreadPool::hardwareThreads();
         }
-        else if (a == "--trace-in") opt.traceIn = need(i);
+        else if (a == "--trace-in") opt.stim.tracePath = need(i);
         else if (a == "--trace-capture") opt.traceCapture = need(i);
         else if (a == "--trace-scale")
-            opt.traceScale = std::stod(need(i));
+            opt.stim.traceScale = std::stod(need(i));
         else if (a == "--trace") opt.traceChannels = need(i);
         else if (a == "--trace-file") opt.traceFile = need(i);
         else if (a == "--trace-jsonl") opt.traceJsonl = need(i);
@@ -332,19 +326,19 @@ runBatch(const CliOptions &opt, const DRAMCtrlConfig &cfg,
 
     exec::SweepSpec spec;
     spec.presets = {opt.preset};
-    spec.patterns = {opt.pattern};
+    spec.patterns = {opt.stim.pattern};
     spec.pages = {cfg.pagePolicy};
     spec.mappings = {cfg.addrMapping};
-    spec.readPcts = {opt.readPct};
-    spec.ittNs = {opt.ittNs};
+    spec.readPcts = {opt.stim.readPct};
+    spec.ittNs = {opt.stim.ittNs};
     spec.models = {model};
     spec.numSeeds = static_cast<unsigned>(opt.runs);
-    spec.masterSeed = opt.seed;
-    spec.requests = opt.requests;
-    spec.strideBytes = opt.strideBytes;
-    spec.banks = opt.banks;
-    spec.tracePath = opt.traceIn;
-    spec.traceScale = opt.traceScale;
+    spec.masterSeed = opt.stim.seed;
+    spec.requests = opt.stim.requests;
+    spec.strideBytes = opt.stim.strideBytes;
+    spec.banks = opt.stim.banks;
+    spec.tracePath = opt.stim.tracePath;
+    spec.traceScale = opt.stim.traceScale;
     spec.traceCapturePrefix = opt.traceCapture;
 
     std::string err;
@@ -369,7 +363,8 @@ runBatch(const CliOptions &opt, const DRAMCtrlConfig &cfg,
                             out.index,
                             static_cast<unsigned long long>(
                                 grid[out.index].seed),
-                            static_cast<unsigned long long>(opt.seed),
+                            static_cast<unsigned long long>(
+                                opt.stim.seed),
                             out.error.c_str());
                 return;
             }
@@ -394,132 +389,267 @@ runBatch(const CliOptions &opt, const DRAMCtrlConfig &cfg,
                      "batch: %zu of %zu runs failed (master seed "
                      "%llu)\n",
                      failed, grid.size(),
-                     static_cast<unsigned long long>(opt.seed));
+                     static_cast<unsigned long long>(opt.stim.seed));
         return 2;
     }
     return 0;
 }
 
+void
+printSummary(const CliOptions &opt, const DRAMCtrlConfig &cfg,
+             harness::SingleChannelSystem &tb)
+{
+    std::printf("preset %s, %s model, %s pattern, %llu requests, "
+                "seed %llu\n",
+                opt.preset.c_str(), opt.model.c_str(),
+                opt.stim.pattern.c_str(),
+                static_cast<unsigned long long>(opt.stim.requests),
+                static_cast<unsigned long long>(opt.stim.seed));
+    std::printf("simulated time:    %.2f us\n",
+                toSeconds(tb.sim().curTick()) * 1e6);
+    std::printf("avg read latency:  %.1f ns\n", tb.avgReadLatencyNs());
+    std::printf("bus utilisation:   %.1f%%\n",
+                100 * tb.ctrl().busUtilisation());
+    std::printf("bandwidth:         %.2f / %.2f GB/s\n",
+                tb.ctrl().achievedBandwidthGBs(),
+                tb.ctrl().peakBandwidthGBs());
+    if (power::hasParamsFor(opt.preset)) {
+        auto p = power::computePower(tb.ctrl().powerInputs(), cfg,
+                                     power::paramsFor(opt.preset));
+        std::printf("DRAM power:        %.2f W\n", p.total());
+    }
+}
+
+void
+printSummary(const CliOptions &, const DRAMCtrlConfig &,
+             harness::MultiChannelSystem &mc)
+{
+    std::printf("simulated time:    %.2f us\n",
+                toSeconds(mc.sim().curTick()) * 1e6);
+    std::printf("avg read latency:  %.1f ns\n", mc.avgReadLatencyNs());
+    std::printf("avg bus util:      %.1f%%\n", 100 * mc.avgBusUtil());
+    std::printf("total bandwidth:   %.2f GB/s over %u channels\n",
+                mc.totalBandwidthGBs(), mc.numChannels());
+}
+
 /**
- * --channels N: one sharded multi-channel system, one generator per
- * channel, executed by --sim-threads worker threads. Stats and exit
- * status are byte-identical for every thread count (see sim/shard.hh),
- * so --sim-threads is a pure wall-clock knob.
+ * Check every channel's command log against the JEDEC rules and print
+ * the totals and the first violations.
+ *
+ * @return the exit status: 0 when clean, 2 on any violation.
  */
 int
-runMulti(const CliOptions &opt, const DRAMCtrlConfig &cfg,
-         harness::CtrlModel model, unsigned channels)
+audit(const DRAMCtrlConfig &cfg, const std::vector<CmdLogger> &loggers)
 {
-    if (opt.runs > 1 || !opt.traceChannels.empty() ||
-        !opt.traceFile.empty() || !opt.traceJsonl.empty() ||
-        !opt.chromeFile.empty() || opt.sampleIntervalNs > 0 ||
-        opt.profileEvents || !opt.metricsListen.empty())
-        fatal("--channels supports the preset/pattern/page/mapping/"
-              "sched/read-pct/itt-ns/model/requests/seed/audit/json/"
-              "checkpoint axes only; mid-run observers read simulator "
-              "state across shards and stay single-channel");
-    if (opt.pattern == "dram")
-        fatal("the dram pattern is bank-aware and single-channel; use "
-              "linear or random with --channels");
-    if (opt.pattern != "linear" && opt.pattern != "random" &&
-        opt.pattern != "trace")
-        fatal("unknown pattern '%s'", opt.pattern.c_str());
-    if (opt.pattern == "trace" && opt.traceIn.empty())
-        fatal("--pattern trace needs --trace-in PATH");
-
-    harness::MultiChannelConfig mcfg;
-    mcfg.channels = channels;
-    mcfg.ctrl = cfg;
-    mcfg.model = model;
-    mcfg.simThreads = opt.simThreads;
-    harness::MultiChannelSystem mc(mcfg);
-    if (!opt.traceCapture.empty())
-        mc.enableCapture(opt.traceCapture);
-
-    if (opt.pattern == "trace") {
-        // One player per recorded source id; the trace fans out over
-        // the shards like its originating generators did.
-        harness::addTracePlayers(mc, opt.traceIn, opt.traceScale);
-    } else {
-        // One generator per channel, each in its own address slice,
-        // with the request budget split evenly.
-        GenConfig gc;
-        gc.readPct = opt.readPct;
-        gc.minITT = gc.maxITT = fromNs(opt.ittNs);
-        gc.numRequests =
-            std::max<std::uint64_t>(1, opt.requests / channels);
-        gc.windowSize =
-            std::min<std::uint64_t>(mc.totalCapacity(), 1ULL << 26);
-        for (unsigned i = 0; i < channels; ++i) {
-            GenConfig g = harness::sliceGenWindow(gc, i, channels,
-                                                  mc.totalCapacity());
-            g.seed = exec::deriveSeed(opt.seed, i);
-            if (opt.pattern == "linear")
-                mc.addGen<LinearGen>(g);
-            else
-                mc.addGen<RandomGen>(g);
-        }
+    bool multi = loggers.size() > 1;
+    std::size_t cmds = 0, violations = 0;
+    std::string shown;
+    for (unsigned ch = 0; ch < loggers.size(); ++ch) {
+        // Fresh checker per channel: each channel is its own command
+        // bus with its own timing state.
+        ProtocolChecker checker(cfg.org, cfg.timing);
+        plugin::armChecker(checker, cfg);
+        auto v = checker.check(loggers[ch].log());
+        cmds += loggers[ch].size();
+        for (unsigned i = 0; i < 5 && i < v.size(); ++i)
+            shown += (multi ? formatString("  ch%u ", ch) : "  ") +
+                     v[i].toString() + "\n";
+        violations += v.size();
     }
+    std::printf("protocol audit:    %zu commands, %zu violations%s\n",
+                cmds, violations,
+                multi ? formatString(" over %zu channels", loggers.size())
+                            .c_str()
+                      : "");
+    std::fputs(shown.c_str(), stdout);
+    return violations == 0 ? 0 : 2;
+}
 
+/**
+ * Run one system, single- or multi-channel: command loggers, capture,
+ * the stimulus, checkpoint restore or save, the run, the JSON dump or
+ * summary, and the protocol audit. @p report prints what the
+ * single-channel observers collected, once the run is over.
+ */
+template <typename System, typename Report>
+int
+runSystem(const CliOptions &opt, const DRAMCtrlConfig &cfg, System &sys,
+          Report report)
+{
     std::vector<CmdLogger> *loggers = nullptr;
-    if (opt.audit)
-        loggers = &mc.attachCmdLoggers();
+    if (opt.audit || !opt.chromeFile.empty())
+        loggers = &sys.attachCmdLoggers();
+    if (!opt.traceCapture.empty())
+        sys.enableCapture(opt.traceCapture);
+    sys.addStimulus(opt.stim);
 
     if (!opt.ckptRestore.empty())
-        ckpt::restoreFile(mc.sim(), opt.ckptRestore);
+        ckpt::restoreFile(sys.sim(), opt.ckptRestore);
 
-    if (!opt.json)
-        std::printf("%s\nchannels:          %u (sim-threads %u)\n",
-                    cfg.describe().c_str(), channels, opt.simThreads);
+    if (!opt.json) {
+        std::printf("%s\n", cfg.describe().c_str());
+        if (sys.numChannels() > 1)
+            std::printf("channels:          %u (sim-threads %u)\n",
+                        sys.numChannels(), opt.simThreads);
+    }
 
     if (opt.ckptAtNs > 0) {
-        mc.sim().run(fromNs(opt.ckptAtNs));
-        ckpt::saveFile(mc.sim(), opt.ckptOut);
+        sys.sim().run(fromNs(opt.ckptAtNs));
+        ckpt::saveFile(sys.sim(), opt.ckptOut);
         if (!opt.json)
             std::printf("checkpoint:        %s (at %.2f us)\n",
                         opt.ckptOut.c_str(),
-                        toSeconds(mc.sim().curTick()) * 1e6);
+                        toSeconds(sys.sim().curTick()) * 1e6);
         return 0;
     }
 
-    mc.runToCompletion();
-    mc.finishCapture();
+    sys.runToCompletion();
+    sys.finishCapture();
+    report(loggers);
 
     if (opt.json) {
-        std::cout << "{\"seed\": " << opt.seed << ", \"stats\": ";
-        mc.sim().dumpStatsJson(std::cout);
+        // Envelope so the seed rides along with the stats: rerunning
+        // with --seed <seed> reproduces the run bit for bit.
+        std::cout << "{\"seed\": " << opt.stim.seed << ", \"stats\": ";
+        sys.sim().dumpStatsJson(std::cout);
         std::cout << "}\n";
     } else {
-        std::printf("simulated time:    %.2f us\n",
-                    toSeconds(mc.sim().curTick()) * 1e6);
-        std::printf("avg read latency:  %.1f ns\n",
-                    mc.avgReadLatencyNs());
-        std::printf("avg bus util:      %.1f%%\n",
-                    100 * mc.avgBusUtil());
-        std::printf("total bandwidth:   %.2f GB/s over %u channels\n",
-                    mc.totalBandwidthGBs(), channels);
+        printSummary(opt, cfg, sys);
+    }
+    return opt.audit ? audit(cfg, *loggers) : 0;
+}
+
+/**
+ * One channel, with the mid-run observers: trace sinks, the Chrome
+ * trace, the event profiler, the stats sampler and the live metrics
+ * endpoint.
+ */
+int
+runSingleChannel(const CliOptions &opt, const DRAMCtrlConfig &cfg,
+                 harness::CtrlModel model)
+{
+    // Trace channels and sinks. With channels enabled but no sink
+    // requested, messages fall back to stderr.
+    if (!opt.traceChannels.empty() &&
+        !obs::enableChannelsByName(opt.traceChannels))
+        fatal("unknown trace channel in '%s' (channels: DRAMCtrl, "
+              "CycleCtrl, XBar, Port, PacketQueue, EventQ, Refresh, "
+              "Power, Sampler, or 'all')",
+              opt.traceChannels.c_str());
+    std::unique_ptr<obs::FileTextSink> traceTextSink;
+    if (!opt.traceFile.empty()) {
+        traceTextSink =
+            std::make_unique<obs::FileTextSink>(opt.traceFile);
+        if (!traceTextSink->ok())
+            fatal("cannot open trace file '%s'", opt.traceFile.c_str());
+        obs::addSink(traceTextSink.get());
+    }
+    std::unique_ptr<obs::FileJsonlSink> traceJsonlSink;
+    if (!opt.traceJsonl.empty()) {
+        traceJsonlSink =
+            std::make_unique<obs::FileJsonlSink>(opt.traceJsonl);
+        if (!traceJsonlSink->ok())
+            fatal("cannot open trace file '%s'",
+                  opt.traceJsonl.c_str());
+        obs::addSink(traceJsonlSink.get());
     }
 
-    if (opt.audit) {
-        std::size_t cmds = 0, violations = 0;
-        for (unsigned ch = 0; ch < channels; ++ch) {
-            // Fresh checker per channel: each channel is its own
-            // command bus with its own timing state.
-            ProtocolChecker checker(cfg.org, cfg.timing);
-            plugin::armChecker(checker, cfg);
-            auto v = checker.check((*loggers)[ch].log());
-            cmds += (*loggers)[ch].size();
-            for (unsigned i = 0; i < 5 && i < v.size(); ++i)
-                std::printf("  ch%u %s\n", ch,
-                            v[i].toString().c_str());
-            violations += v.size();
+    obs::ChromeTraceWriter chrome;
+    if (!opt.chromeFile.empty())
+        obs::setChromeTracer(&chrome);
+
+    harness::SingleChannelSystem tb(cfg, model);
+
+    obs::EventProfiler profiler;
+    if (opt.profileEvents)
+        tb.sim().eventq().setProfiler(&profiler);
+
+    std::ofstream sampleOut;
+    std::unique_ptr<obs::StatsSampler> sampler;
+    if (opt.sampleIntervalNs > 0) {
+        sampleOut.open(opt.sampleFile);
+        if (!sampleOut.is_open())
+            fatal("cannot open sample file '%s'",
+                  opt.sampleFile.c_str());
+        if (opt.sampleFormat != "csv" && opt.sampleFormat != "jsonl")
+            fatal("unknown sample format '%s'",
+                  opt.sampleFormat.c_str());
+        auto fmt = opt.sampleFormat == "jsonl"
+                       ? obs::StatsSampler::Format::Jsonl
+                       : obs::StatsSampler::Format::Csv;
+        sampler = std::make_unique<obs::StatsSampler>(
+            tb.sim(), "sampler", fromNs(opt.sampleIntervalNs),
+            sampleOut, fmt);
+        auto addOne = [&](const std::string &path) {
+            if (!sampler->addStat(path))
+                warn("sample stat '%s' does not resolve, skipping",
+                     path.c_str());
+        };
+        if (!opt.sampleStats.empty()) {
+            for (const std::string &path : splitCsv(opt.sampleStats))
+                addOne(path);
+        } else {
+            for (const char *s :
+                 {"readReqs", "writeReqs", "bytesRead", "bytesWritten",
+                  "busUtil", "rowHitRate", "avgRdQLen", "avgWrQLen"})
+                addOne(std::string("mem_ctrl.") + s);
         }
-        std::printf("protocol audit:    %zu commands, %zu violations "
-                    "over %u channels\n",
-                    cmds, violations, channels);
-        return violations == 0 ? 0 : 2;
+        if (sampler->numStats() == 0)
+            fatal("no sample stats resolved");
     }
-    return 0;
+
+    // Live introspection endpoint: a poll-based server fed by a
+    // periodic publisher. The publisher is a SimObject, so it must be
+    // constructed before any checkpoint restore (the object lists
+    // have to match — same rule as the sampler, hence the "same
+    // config flags" note under --ckpt-restore).
+    std::unique_ptr<obs::MetricsServer> metricsServer;
+    std::unique_ptr<obs::MetricsPublisher> metricsPublisher;
+    if (!opt.metricsListen.empty()) {
+        metricsServer =
+            std::make_unique<obs::MetricsServer>(opt.metricsListen);
+        metricsServer->start();
+        MemCtrlBase &ctrl = tb.ctrl();
+        metricsPublisher = std::make_unique<obs::MetricsPublisher>(
+            tb.sim(), "metrics", tb.sim().metrics(), *metricsServer,
+            fromNs(opt.metricsIntervalNs),
+            [&ctrl](obs::MetricsRegistry &reg) {
+                reg.gauge("ctrl.queued_requests",
+                          "requests buffered in the controller")
+                    .set(static_cast<double>(ctrl.queuedRequests()));
+            });
+        if (!opt.json)
+            std::printf("metrics endpoint:  %s\n",
+                        metricsServer->endpoint().c_str());
+    }
+
+    auto report = [&](std::vector<CmdLogger> *loggers) {
+        if (!opt.traceCapture.empty() && !opt.json)
+            std::printf("trace capture:     %s\n",
+                        opt.traceCapture.c_str());
+        if (!opt.chromeFile.empty()) {
+            chrome.importCmdLog(loggers->front().log(), "mem_ctrl");
+            if (!chrome.writeFile(opt.chromeFile))
+                fatal("cannot write chrome trace '%s'",
+                      opt.chromeFile.c_str());
+            obs::setChromeTracer(nullptr);
+            if (!opt.json)
+                std::printf("chrome trace:      %s (%zu events)\n",
+                            opt.chromeFile.c_str(), chrome.numEvents());
+        }
+        if (sampler && !opt.json)
+            std::printf("stats samples:     %s (%llu samples of %zu "
+                        "stats)\n",
+                        opt.sampleFile.c_str(),
+                        static_cast<unsigned long long>(
+                            sampler->samplesTaken()),
+                        sampler->numStats());
+        if (opt.profileEvents) {
+            tb.sim().eventq().setProfiler(nullptr);
+            profiler.report(std::cout);
+        }
+    };
+    return runSystem(opt, cfg, tb, report);
 }
 
 } // namespace
@@ -614,240 +744,39 @@ main(int argc, char **argv)
     if (opt.model != "cycle" && opt.model != "event")
         fatal("unknown model '%s'", opt.model.c_str());
 
-    if (channels > 1)
-        return runMulti(opt, cfg, model, channels);
+    std::string err;
+    if (!harness::checkStimulus(opt.stim, std::max(channels, 1u),
+                                &err))
+        fatal("%s", err.c_str());
+
+    if (channels > 1) {
+        // --channels N: one sharded multi-channel system, one
+        // generator per channel, executed by --sim-threads worker
+        // threads. Stats and exit status are byte-identical for every
+        // thread count (see sim/shard.hh), so --sim-threads is a pure
+        // wall-clock knob.
+        if (opt.runs > 1 || !opt.traceChannels.empty() ||
+            !opt.traceFile.empty() || !opt.traceJsonl.empty() ||
+            !opt.chromeFile.empty() || opt.sampleIntervalNs > 0 ||
+            opt.profileEvents || !opt.metricsListen.empty())
+            fatal("--channels supports the preset/pattern/page/mapping/"
+                  "sched/read-pct/itt-ns/model/requests/seed/audit/json/"
+                  "checkpoint axes only; mid-run observers read "
+                  "simulator state across shards and stay "
+                  "single-channel");
+        harness::MultiChannelConfig mcfg;
+        mcfg.channels = channels;
+        mcfg.ctrl = cfg;
+        mcfg.model = model;
+        mcfg.simThreads = opt.simThreads;
+        harness::MultiChannelSystem mc(mcfg);
+        return runSystem(opt, cfg, mc, [](std::vector<CmdLogger> *) {});
+    }
     if (opt.simThreads > 1)
         fatal("--sim-threads shards a multi-channel run; it needs "
               "--channels N (or a system preset)");
 
     if (opt.runs > 1)
         return runBatch(opt, cfg, model);
-
-    // Trace channels and sinks. With channels enabled but no sink
-    // requested, messages fall back to stderr.
-    if (!opt.traceChannels.empty() &&
-        !obs::enableChannelsByName(opt.traceChannels))
-        fatal("unknown trace channel in '%s' (channels: DRAMCtrl, "
-              "CycleCtrl, XBar, Port, PacketQueue, EventQ, Refresh, "
-              "Power, Sampler, or 'all')",
-              opt.traceChannels.c_str());
-    std::unique_ptr<obs::FileTextSink> traceTextSink;
-    if (!opt.traceFile.empty()) {
-        traceTextSink =
-            std::make_unique<obs::FileTextSink>(opt.traceFile);
-        if (!traceTextSink->ok())
-            fatal("cannot open trace file '%s'", opt.traceFile.c_str());
-        obs::addSink(traceTextSink.get());
-    }
-    std::unique_ptr<obs::FileJsonlSink> traceJsonlSink;
-    if (!opt.traceJsonl.empty()) {
-        traceJsonlSink =
-            std::make_unique<obs::FileJsonlSink>(opt.traceJsonl);
-        if (!traceJsonlSink->ok())
-            fatal("cannot open trace file '%s'",
-                  opt.traceJsonl.c_str());
-        obs::addSink(traceJsonlSink.get());
-    }
-
-    obs::ChromeTraceWriter chrome;
-    if (!opt.chromeFile.empty())
-        obs::setChromeTracer(&chrome);
-
-    harness::SingleChannelSystem tb(cfg, model);
-
-    CmdLogger logger;
-    if (opt.audit || !opt.chromeFile.empty())
-        tb.ctrl().setCmdLogger(&logger);
-
-    obs::EventProfiler profiler;
-    if (opt.profileEvents)
-        tb.sim().eventq().setProfiler(&profiler);
-
-    std::ofstream sampleOut;
-    std::unique_ptr<obs::StatsSampler> sampler;
-    if (opt.sampleIntervalNs > 0) {
-        sampleOut.open(opt.sampleFile);
-        if (!sampleOut.is_open())
-            fatal("cannot open sample file '%s'",
-                  opt.sampleFile.c_str());
-        if (opt.sampleFormat != "csv" && opt.sampleFormat != "jsonl")
-            fatal("unknown sample format '%s'",
-                  opt.sampleFormat.c_str());
-        auto fmt = opt.sampleFormat == "jsonl"
-                       ? obs::StatsSampler::Format::Jsonl
-                       : obs::StatsSampler::Format::Csv;
-        sampler = std::make_unique<obs::StatsSampler>(
-            tb.sim(), "sampler", fromNs(opt.sampleIntervalNs),
-            sampleOut, fmt);
-        auto addOne = [&](const std::string &path) {
-            if (!sampler->addStat(path))
-                warn("sample stat '%s' does not resolve, skipping",
-                     path.c_str());
-        };
-        if (!opt.sampleStats.empty()) {
-            std::size_t pos = 0;
-            while (pos <= opt.sampleStats.size()) {
-                std::size_t comma = opt.sampleStats.find(',', pos);
-                if (comma == std::string::npos)
-                    comma = opt.sampleStats.size();
-                if (comma > pos)
-                    addOne(opt.sampleStats.substr(pos, comma - pos));
-                pos = comma + 1;
-            }
-        } else {
-            for (const char *s :
-                 {"readReqs", "writeReqs", "bytesRead", "bytesWritten",
-                  "busUtil", "rowHitRate", "avgRdQLen", "avgWrQLen"})
-                addOne(std::string("mem_ctrl.") + s);
-        }
-        if (sampler->numStats() == 0)
-            fatal("no sample stats resolved");
-    }
-
-    // Live introspection endpoint: a poll-based server fed by a
-    // periodic publisher. The publisher is a SimObject, so it must be
-    // constructed before any checkpoint restore (the object lists
-    // have to match — same rule as the sampler, hence the "same
-    // config flags" note under --ckpt-restore).
-    std::unique_ptr<obs::MetricsServer> metricsServer;
-    std::unique_ptr<obs::MetricsPublisher> metricsPublisher;
-    if (!opt.metricsListen.empty()) {
-        metricsServer =
-            std::make_unique<obs::MetricsServer>(opt.metricsListen);
-        metricsServer->start();
-        MemCtrlBase &ctrl = tb.ctrl();
-        metricsPublisher = std::make_unique<obs::MetricsPublisher>(
-            tb.sim(), "metrics", tb.sim().metrics(), *metricsServer,
-            fromNs(opt.metricsIntervalNs),
-            [&ctrl](obs::MetricsRegistry &reg) {
-                reg.gauge("ctrl.queued_requests",
-                          "requests buffered in the controller")
-                    .set(static_cast<double>(ctrl.queuedRequests()));
-            });
-        if (!opt.json)
-            std::printf("metrics endpoint:  %s\n",
-                        metricsServer->endpoint().c_str());
-    }
-
-    if (!opt.traceCapture.empty())
-        tb.enableCapture(opt.traceCapture);
-
-    BaseGen *gen = nullptr;
-    TracePlayer *player = nullptr;
-    GenConfig gc;
-    gc.windowSize =
-        std::min<std::uint64_t>(cfg.org.channelCapacity, 1ULL << 26);
-    gc.readPct = opt.readPct;
-    gc.minITT = gc.maxITT = fromNs(opt.ittNs);
-    gc.numRequests = opt.requests;
-    gc.seed = opt.seed;
-
-    if (opt.pattern == "linear") {
-        gen = &tb.addGen<LinearGen>(gc);
-    } else if (opt.pattern == "random") {
-        gen = &tb.addGen<RandomGen>(gc);
-    } else if (opt.pattern == "dram") {
-        DramGenConfig dgc;
-        static_cast<GenConfig &>(dgc) = gc;
-        dgc.org = cfg.org;
-        dgc.mapping = cfg.addrMapping;
-        dgc.strideBytes = opt.strideBytes;
-        dgc.numBanksTarget = opt.banks;
-        gen = &tb.addGen<DramGen>(dgc);
-    } else if (opt.pattern == "trace") {
-        if (opt.traceIn.empty())
-            fatal("--pattern trace needs --trace-in PATH");
-        player = &tb.addGen<TracePlayer>(
-            makeTracePlayerConfig(opt.traceIn, opt.traceScale));
-    } else {
-        fatal("unknown pattern '%s'", opt.pattern.c_str());
-    }
-
-    if (!opt.ckptRestore.empty())
-        ckpt::restoreFile(tb.sim(), opt.ckptRestore);
-
-    if (!opt.json)
-        std::printf("%s\n", cfg.describe().c_str());
-
-    if (opt.ckptAtNs > 0) {
-        tb.sim().run(fromNs(opt.ckptAtNs));
-        ckpt::saveFile(tb.sim(), opt.ckptOut);
-        if (!opt.json)
-            std::printf("checkpoint:        %s (at %.2f us)\n",
-                        opt.ckptOut.c_str(),
-                        toSeconds(tb.sim().curTick()) * 1e6);
-        return 0;
-    }
-
-    tb.runToCompletion(
-        [&] { return gen != nullptr ? gen->done() : player->done(); });
-    tb.finishCapture();
-    if (!opt.traceCapture.empty() && !opt.json)
-        std::printf("trace capture:     %s\n", opt.traceCapture.c_str());
-
-    if (!opt.chromeFile.empty()) {
-        chrome.importCmdLog(logger.log(), "mem_ctrl");
-        if (!chrome.writeFile(opt.chromeFile))
-            fatal("cannot write chrome trace '%s'",
-                  opt.chromeFile.c_str());
-        obs::setChromeTracer(nullptr);
-        if (!opt.json)
-            std::printf("chrome trace:      %s (%zu events)\n",
-                        opt.chromeFile.c_str(), chrome.numEvents());
-    }
-
-    if (sampler && !opt.json)
-        std::printf("stats samples:     %s (%llu samples of %zu "
-                    "stats)\n",
-                    opt.sampleFile.c_str(),
-                    static_cast<unsigned long long>(
-                        sampler->samplesTaken()),
-                    sampler->numStats());
-
-    if (opt.profileEvents) {
-        tb.sim().eventq().setProfiler(nullptr);
-        profiler.report(std::cout);
-    }
-
-    if (opt.json) {
-        // Envelope so the seed rides along with the stats: rerunning
-        // with --seed <seed> reproduces the run bit for bit.
-        std::cout << "{\"seed\": " << opt.seed << ", \"stats\": ";
-        tb.sim().dumpStatsJson(std::cout);
-        std::cout << "}\n";
-    } else {
-        std::printf("preset %s, %s model, %s pattern, %llu requests, "
-                    "seed %llu\n",
-                    opt.preset.c_str(), harness::toString(model),
-                    opt.pattern.c_str(),
-                    static_cast<unsigned long long>(opt.requests),
-                    static_cast<unsigned long long>(opt.seed));
-        std::printf("simulated time:    %.2f us\n",
-                    toSeconds(tb.sim().curTick()) * 1e6);
-        std::printf("avg read latency:  %.1f ns\n",
-                    gen != nullptr ? gen->avgReadLatencyNs()
-                                   : player->avgReadLatencyNs());
-        std::printf("bus utilisation:   %.1f%%\n",
-                    100 * tb.ctrl().busUtilisation());
-        std::printf("bandwidth:         %.2f / %.2f GB/s\n",
-                    tb.ctrl().achievedBandwidthGBs(),
-                    tb.ctrl().peakBandwidthGBs());
-        if (power::hasParamsFor(opt.preset)) {
-            auto p = power::computePower(tb.ctrl().powerInputs(), cfg,
-                                         power::paramsFor(opt.preset));
-            std::printf("DRAM power:        %.2f W\n", p.total());
-        }
-    }
-
-    if (opt.audit) {
-        ProtocolChecker checker(cfg.org, cfg.timing);
-        plugin::armChecker(checker, cfg);
-        auto violations = checker.check(logger.log());
-        std::printf("protocol audit:    %zu commands, %zu violations\n",
-                    logger.size(), violations.size());
-        for (unsigned i = 0; i < 5 && i < violations.size(); ++i)
-            std::printf("  %s\n", violations[i].toString().c_str());
-        return violations.empty() ? 0 : 2;
-    }
-    return 0;
+    return runSingleChannel(opt, cfg, model);
 }

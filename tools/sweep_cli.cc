@@ -109,22 +109,6 @@ usage(const char *prog)
         prog);
 }
 
-std::vector<std::string>
-splitCsv(const std::string &csv)
-{
-    std::vector<std::string> out;
-    std::size_t pos = 0;
-    while (pos <= csv.size()) {
-        std::size_t comma = csv.find(',', pos);
-        if (comma == std::string::npos)
-            comma = csv.size();
-        if (comma > pos)
-            out.push_back(csv.substr(pos, comma - pos));
-        pos = comma + 1;
-    }
-    return out;
-}
-
 bool
 parseArgs(int argc, char **argv, SweepCliOptions &opt)
 {

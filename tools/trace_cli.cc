@@ -43,12 +43,6 @@ usage(const char *argv0)
     return 2;
 }
 
-const char *
-formatName(TraceFormat f)
-{
-    return f == TraceFormat::Dtrc ? "dtrc" : "text";
-}
-
 int
 cmdConvert(const std::string &in, const std::string &out)
 {
