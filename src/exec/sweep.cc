@@ -110,20 +110,33 @@ buildPoint(const SweepPoint &point, const SweepSpec &spec,
     return tb;
 }
 
+/**
+ * The row of @p point once @p sys has run. Bandwidth is summed over
+ * the channels; bus utilisation and row-hit rate are unweighted means
+ * (the generators drive the channels symmetrically).
+ */
+template <typename System>
 SweepRow
-collectRow(const SweepPoint &point, harness::SingleChannelSystem &tb)
+collectRow(const SweepPoint &point, System &sys)
 {
-    tb.finishCapture();
+    sys.finishCapture();
 
     SweepRow row;
     row.point = point;
-    row.simulatedUs = toSeconds(tb.sim().curTick()) * 1e6;
-    row.bandwidthGBs = tb.ctrl().achievedBandwidthGBs();
-    row.busUtil = tb.ctrl().busUtilisation();
-    if (point.model == harness::CtrlModel::Event)
-        row.rowHitRate = tb.eventCtrl().ctrlStats().rowHitRate.value();
-    row.avgReadLatencyNs = tb.avgReadLatencyNs();
-    row.responses = tb.responses();
+    row.simulatedUs = toSeconds(sys.sim().curTick()) * 1e6;
+    row.avgReadLatencyNs = sys.avgReadLatencyNs();
+    row.responses = sys.responses();
+    for (unsigned ch = 0; ch < sys.numChannels(); ++ch) {
+        MemCtrlBase &ctrl = sys.ctrl(ch);
+        row.bandwidthGBs += ctrl.achievedBandwidthGBs();
+        row.busUtil += ctrl.busUtilisation();
+        if (point.model == harness::CtrlModel::Event)
+            row.rowHitRate += static_cast<DRAMCtrl &>(ctrl)
+                                  .ctrlStats()
+                                  .rowHitRate.value();
+    }
+    row.busUtil /= sys.numChannels();
+    row.rowHitRate /= sys.numChannels();
     return row;
 }
 
@@ -142,28 +155,8 @@ runMultiPoint(const SweepPoint &point, const SweepSpec &spec)
     mcfg.simThreads = spec.simThreads;
     harness::MultiChannelSystem mc(mcfg);
     addPointStimulus(mc, point, spec, stimulusOf(point, spec));
-
     mc.runToCompletion();
-    mc.finishCapture();
-
-    SweepRow row;
-    row.point = point;
-    row.simulatedUs = toSeconds(mc.sim().curTick()) * 1e6;
-    row.bandwidthGBs = mc.totalBandwidthGBs();
-    row.avgReadLatencyNs = mc.avgReadLatencyNs();
-    row.busUtil = mc.avgBusUtil();
-    if (point.model == harness::CtrlModel::Event) {
-        // Unweighted mean over the channels (the generators drive
-        // them symmetrically).
-        double hit = 0;
-        for (unsigned ch = 0; ch < mc.numChannels(); ++ch)
-            hit += static_cast<DRAMCtrl &>(mc.ctrl(ch))
-                       .ctrlStats()
-                       .rowHitRate.value();
-        row.rowHitRate = hit / mc.numChannels();
-    }
-    row.responses = mc.responses();
-    return row;
+    return collectRow(point, mc);
 }
 
 /**

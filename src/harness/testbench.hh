@@ -109,7 +109,14 @@ class SingleChannelSystem
                         Addr base = 0);
 
     Simulator &sim() { return sim_; }
-    MemCtrlBase &ctrl() { return *ctrl_; }
+    /** The controller: channel 0 of one, as on a MultiChannelSystem. */
+    MemCtrlBase &
+    ctrl(unsigned ch = 0)
+    {
+        DC_ASSERT(ch == 0, "a single-channel system has no channel %u",
+                  ch);
+        return *ctrl_;
+    }
 
     /** The event-model controller; panics if model is Cycle. */
     DRAMCtrl &eventCtrl();
