@@ -24,6 +24,12 @@
  * timing. Running with 1, 2 or 8 threads produces byte-identical
  * results; a single-threaded run of the sharded engine IS the
  * reference ordering, not an approximation of it.
+ *
+ * That guarantee covers thread counts for one sequence of run()
+ * calls. It does not yet cover different run() horizons: a sharded
+ * run advanced in other steps, or stopped, checkpointed and restored,
+ * can end with different statistics (known cases in
+ * docs/CHECKPOINT.md §3).
  */
 
 #ifndef DRAMCTRL_SIM_SHARD_H

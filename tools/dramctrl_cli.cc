@@ -208,7 +208,11 @@ usage(const char *prog)
         "  --ckpt-out PATH    checkpoint target (default ckpt.bin)\n"
         "  --ckpt-restore P   restore checkpoint P (same config "
         "flags!)\n"
-        "                     before simulating to completion\n"
+        "                     before simulating to completion; only\n"
+        "                     a single-channel restore is byte-"
+        "identical\n"
+        "                     to the uninterrupted run (see\n"
+        "                     docs/CHECKPOINT.md)\n"
         "  --ckpt-json PATH   print checkpoint PATH as JSON and exit\n",
         prog);
 }
