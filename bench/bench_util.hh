@@ -9,7 +9,6 @@
 #define DRAMCTRL_BENCH_BENCH_UTIL_H
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <functional>
@@ -60,12 +59,6 @@ struct PointResult
     double rowHitRate = 0;
     PowerInputs powerIn;
     DRAMCtrlConfig cfg;
-    /** Wall-clock seconds the host spent simulating. */
-    double hostSeconds = 0;
-    /** Simulated seconds covered. */
-    double simSeconds = 0;
-    /** Kernel events serviced. */
-    std::uint64_t events = 0;
     /** Read latency histogram snapshot (ns). */
     std::vector<std::pair<double, std::uint64_t>> latencyBuckets;
     unsigned latencyModes = 0;
@@ -99,12 +92,9 @@ inline PointResult
 measurePoint(harness::SingleChannelSystem &tb, BaseGen &gen,
              const DRAMCtrlConfig &cfg, harness::CtrlModel model)
 {
-    auto t0 = std::chrono::steady_clock::now();
     tb.sim().run(fromUs(5));
     tb.sim().resetStats();
-    Tick measure_start = tb.sim().curTick();
     tb.runToCompletion([&] { return gen.done(); }, fromUs(100000));
-    auto t1 = std::chrono::steady_clock::now();
 
     PointResult r;
     r.cfg = cfg;
@@ -112,9 +102,6 @@ measurePoint(harness::SingleChannelSystem &tb, BaseGen &gen,
     r.bandwidthGBs = tb.ctrl().achievedBandwidthGBs();
     r.avgReadLatencyNs = gen.avgReadLatencyNs();
     r.powerIn = tb.ctrl().powerInputs();
-    r.hostSeconds = std::chrono::duration<double>(t1 - t0).count();
-    r.simSeconds = toSeconds(tb.sim().curTick() - measure_start);
-    r.events = tb.sim().eventq().numEventsServiced();
     if (model == harness::CtrlModel::Event) {
         r.rowHitRate =
             tb.eventCtrl().ctrlStats().rowHitRate.value();

@@ -7,9 +7,9 @@
  * is also a determinism check: the stats JSON must match the
  * single-threaded run before its timing counts.
  *
- * Near-linear speedup on the 64- and 256-channel grids is the
- * tentpole target of the sharding work (docs/PERFORMANCE.md); CI runs
- * the 64-channel row and gates on a core-count-scaled floor.
+ * CI runs the 16- and 64-channel rows and gates on byte-identity
+ * only: the speedups are printed, not asserted, because the sharded
+ * engine does not yet scale at these sizes (docs/PERFORMANCE.md).
  *
  * Usage: channel_scaling [--channels 16,64,256] [--threads 1,2,4,8]
  *                        [--requests-per-gen N] [--json FILE]

@@ -8,6 +8,7 @@
  * the bare controller on identical traffic.
  */
 
+#include <chrono>
 #include <cstdio>
 #include <string>
 

@@ -184,6 +184,14 @@ class SingleChannelSystem
                                : player_->responses();
     }
 
+    /** The generator or trace player is done and the controller idle. */
+    bool
+    drained() const
+    {
+        return (gen_ != nullptr ? gen_->done() : player_->done()) &&
+               ctrl_->idle();
+    }
+
     /** Run until the generator reports done and the controller drains. */
     Tick runToCompletion(const std::function<bool()> &gen_done,
                          Tick max_ticks = fromUs(100000));

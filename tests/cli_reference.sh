@@ -84,4 +84,14 @@ split ckpt_cycle --model cycle
 split ckpt_dram_plugins --pattern dram --plugins ecc,prac,refmgr \
     --power-down
 
+# A split at or after the end of the run is refused: hmc_stack_16 with
+# 6400 requests completes at 5.0 us, so 5.5 us must exit 1 and write
+# no checkpoint.
+run ckpt_past_end --preset hmc_stack_16 --requests 6400 --ckpt-at 5500 \
+    --ckpt-out past_end.ckpt --json
+if [ -e past_end.ckpt ]; then
+    echo "FAIL ckpt_past_end wrote a checkpoint"
+    status=1
+fi
+
 exit $status

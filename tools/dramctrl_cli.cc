@@ -204,7 +204,8 @@ usage(const char *prog)
         "(default 1000)\n"
         "checkpointing:\n"
         "  --ckpt-at NS       simulate to NS ns, save a checkpoint, "
-        "stop\n"
+        "stop;\n"
+        "                     exits 1 if the run completes by NS\n"
         "  --ckpt-out PATH    checkpoint target (default ckpt.bin)\n"
         "  --ckpt-restore P   restore checkpoint P (same config "
         "flags!)\n"
@@ -498,7 +499,25 @@ runSystem(const CliOptions &opt, const DRAMCtrlConfig &cfg, System &sys,
     }
 
     if (opt.ckptAtNs > 0) {
-        sys.sim().run(fromNs(opt.ckptAtNs));
+        // Advance with runToCompletion's absolute 1 us polling, so a
+        // run that completes before the split is seen to, and refuse
+        // to checkpoint it: the restored run would end at the split.
+        Tick at = fromNs(opt.ckptAtNs);
+        Tick step = fromUs(1.0);
+        Tick now = sys.sim().curTick();
+        if (at <= now)
+            fatal("--ckpt-at %.3f ns is not after the restored tick "
+                  "%llu", opt.ckptAtNs,
+                  static_cast<unsigned long long>(now));
+        harness::runUntil(sys.sim(), [&] { return sys.drained(); }, step,
+                          at - now);
+        if (sys.drained()) {
+            Tick end = (sys.sim().curTick() + step - 1) / step * step;
+            fatal("--ckpt-at %.3f ns is at or after the end of the run "
+                  "(tick %llu, %.3f us)", opt.ckptAtNs,
+                  static_cast<unsigned long long>(end),
+                  toSeconds(end) * 1e6);
+        }
         ckpt::saveFile(sys.sim(), opt.ckptOut);
         if (!opt.json)
             std::printf("checkpoint:        %s (at %.2f us)\n",

@@ -1,37 +1,30 @@
 #!/usr/bin/env sh
-# Regenerate the committed performance baselines under bench/baselines/.
+# Regenerate the committed trace-pipeline baseline,
+# bench/baselines/BENCH_trace.json.
 #
 # Usage: tools/regen_perf_baseline.sh [build-dir]
 #
-# Runs the headline throughput benchmark (core_perf), the
-# batch-engine scaling benchmark (parallel_scaling) and the trace
-# pipeline benchmark (trace_perf, 50M records — needs ~800 MB of
-# scratch space) and rewrites bench/baselines/BENCH_core.json,
-# BENCH_parallel.json and BENCH_trace.json.
-# CI diffs every run against these files (informational — runner timing
-# is noisy), so refresh them on the machine class you care about after
-# any deliberate perf-relevant change, and review the diff like any
-# other code change.
+# Runs trace_perf at 50M records (needs ~800 MB of scratch space).
+# CI diffs every run against this file (informational — runner timing
+# is noisy), so refresh it on the machine class you care about after
+# any deliberate change to the trace pipeline, and review the diff like
+# any other code change. Every other speed number comes from perfbench
+# (perfbench/README.md).
 set -eu
 
 BUILD_DIR="${1:-build}"
 REPO_DIR="$(cd "$(dirname "$0")/.." && pwd)"
 OUT_DIR="$REPO_DIR/bench/baselines"
 
-for bin in core_perf parallel_scaling trace_perf; do
-    if [ ! -x "$BUILD_DIR/bench/$bin" ]; then
-        echo "error: $BUILD_DIR/bench/$bin not found; build first" \
-             "(cmake -B $BUILD_DIR -S . -DCMAKE_BUILD_TYPE=Release" \
-             "&& cmake --build $BUILD_DIR -j --target $bin)" >&2
-        exit 1
-    fi
-done
+if [ ! -x "$BUILD_DIR/bench/trace_perf" ]; then
+    echo "error: $BUILD_DIR/bench/trace_perf not found; build first" \
+         "(cmake -B $BUILD_DIR -S . -DCMAKE_BUILD_TYPE=Release" \
+         "&& cmake --build $BUILD_DIR -j --target trace_perf)" >&2
+    exit 1
+fi
 
 mkdir -p "$OUT_DIR"
-"$BUILD_DIR/bench/core_perf" --json "$OUT_DIR/BENCH_core.json"
-"$BUILD_DIR/bench/parallel_scaling" --runs 48 \
-    --json "$OUT_DIR/BENCH_parallel.json"
 "$BUILD_DIR/bench/trace_perf" --records 50000000 --sim-records 500000 \
     --json "$OUT_DIR/BENCH_trace.json"
-echo "perf baselines regenerated under bench/baselines/"
+echo "trace baseline regenerated under bench/baselines/"
 git -C "$REPO_DIR" status --short bench/baselines/ 2>/dev/null || true
