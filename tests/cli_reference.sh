@@ -1,19 +1,25 @@
 #!/usr/bin/env sh
 # CLI reference outputs (`ctest -R cli_reference`).
 #
-# Runs dramctrl_cli over a fixed set of invocations and compares what
-# each one prints (stdout plus its exit status) with the reference
-# under tests/cli_reference/. Checkpoint splits are also compared with
-# the uninterrupted run they split: a restored --json run must print
-# exactly what the run without the split prints.
+# Runs the four tools (dramctrl_cli, sweep_cli, fuzz_cli, trace_cli)
+# over a fixed set of invocations and compares what each one prints
+# (stdout plus its exit status) with the reference under
+# tests/cli_reference/. Checkpoint splits are also compared with the
+# uninterrupted run they split: a restored --json run must print
+# exactly what the run without the split prints. The --help cases also
+# record stderr, with the tools' directory stripped from the program
+# path.
 #
-# Usage: tests/cli_reference.sh CLI WORK_DIR [--regen]
+# Usage: tests/cli_reference.sh TOOLS_DIR WORK_DIR [--regen]
+#
+# TOOLS_DIR holds the four built tools (build/tools).
 #
 # --regen rewrites the references instead of comparing; review the
 # resulting diff under tests/cli_reference/ like any other change.
 set -eu
 
-CLI=$(cd "$(dirname "$1")" && pwd)/$(basename "$1")
+TOOLS=$(cd "$1" && pwd)
+CLI=$TOOLS/dramctrl_cli
 WORK=$2
 REGEN=${3:-}
 HERE=$(cd "$(dirname "$0")" && pwd)
@@ -23,7 +29,10 @@ rm -rf "$WORK"
 mkdir -p "$WORK"
 cd "$WORK"
 # Relative paths only: some outputs echo the file names they were given.
-cp "$HERE/traces/example.dtrc" .
+cp "$HERE/traces/example.dtrc" "$HERE/../examples/ddr4.json" .
+mkdir -p tests/repros
+cp "$HERE/repros/injected_trcd_fault.json" \
+    "$HERE/repros/clean_baseline.json" tests/repros/
 status=0
 
 # check NAME: compare NAME.out with its reference (or rewrite it).
@@ -37,12 +46,31 @@ check() {
     fi
 }
 
-# run NAME ARGS...: run the CLI, record stdout and the exit status.
-run() {
-    name=$1
-    shift
+# tool TOOL NAME ARGS...: run TOOL, record stdout and the exit status.
+tool() {
+    prog=$1
+    name=$2
+    shift 2
     code=0
-    "$CLI" "$@" > "$name.out" || code=$?
+    "$TOOLS/$prog" "$@" > "$name.out" || code=$?
+    echo "exit $code" >> "$name.out"
+    check "$name"
+}
+
+# run NAME ARGS...: the same for dramctrl_cli.
+run() {
+    tool dramctrl_cli "$@"
+}
+
+# usage TOOL NAME ARGS...: record stdout and stderr, with the program
+# path reduced to the tool's name, and the exit status.
+usage() {
+    prog=$1
+    name=$2
+    shift 2
+    code=0
+    "$TOOLS/$prog" "$@" > "$name.raw" 2>&1 || code=$?
+    sed "s|$TOOLS/||g" "$name.raw" > "$name.out"
     echo "exit $code" >> "$name.out"
     check "$name"
 }
@@ -93,5 +121,20 @@ if [ -e past_end.ckpt ]; then
     echo "FAIL ckpt_past_end wrote a checkpoint"
     status=1
 fi
+
+# The other tools: a sweep grid over a config file with a plugin, a
+# verbose fuzz batch, and the replays of the committed repros.
+tool sweep_cli sweep_config_ecc --config ddr4.json --plugins ecc \
+    --format jsonl --pattern random,dram --read-pct 50,100 \
+    --requests 500 --seeds 2
+tool fuzz_cli fuzz_verbose --runs 8 --seed 1 --verbose
+tool fuzz_cli fuzz_repro_trcd --repro tests/repros/injected_trcd_fault.json
+tool fuzz_cli fuzz_repro_clean --repro tests/repros/clean_baseline.json
+
+# Every tool's --help.
+usage dramctrl_cli help_dramctrl_cli --help
+usage sweep_cli help_sweep_cli --help
+usage fuzz_cli help_fuzz_cli --help
+usage trace_cli help_trace_cli --help
 
 exit $status
