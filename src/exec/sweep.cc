@@ -8,6 +8,7 @@
 #include "dram/dram_presets.hh"
 #include "dram/plugin/plugin.hh"
 #include "exec/batch_runner.hh"
+#include "harness/config_file.hh"
 #include "harness/multichannel.hh"
 #include "sim/logging.hh"
 
@@ -67,16 +68,13 @@ stimulusOf(const SweepPoint &point, const SweepSpec &spec)
 DRAMCtrlConfig
 configOf(const SweepPoint &point, const SweepSpec &spec)
 {
-    DRAMCtrlConfig cfg = presets::byName(point.preset);
-    cfg.pagePolicy = point.page;
-    cfg.addrMapping = point.mapping;
+    harness::ConfigRequest req;
+    req.preset = point.preset;
+    req.page = toString(point.page);
+    req.mapping = toString(point.mapping);
+    req.plugins = spec.plugins;
+    DRAMCtrlConfig cfg = harness::resolveConfig(req).cfg;
     cfg.writeLowThreshold = 0.0; // drain fully so every run terminates
-    if (!spec.plugins.empty()) {
-        std::string perr;
-        if (!plugin::parsePluginList(spec.plugins, cfg, perr))
-            fatal("%s", perr.c_str());
-    }
-    cfg.check();
     return cfg;
 }
 

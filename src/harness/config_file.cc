@@ -6,6 +6,8 @@
 
 #include "ckpt/ckpt.hh"
 #include "dram/dram_presets.hh"
+#include "dram/plugin/plugin.hh"
+#include "harness/multichannel.hh"
 #include "sim/logging.hh"
 
 namespace dramctrl {
@@ -305,6 +307,8 @@ pluginsFromJson(const Json &j, DRAMCtrlConfig &cfg, std::string *err)
     return true;
 }
 
+} // namespace
+
 bool
 configFromJson(const Json &j, DRAMCtrlConfig &cfg,
                std::string *base_preset, std::string *err)
@@ -346,6 +350,8 @@ configFromJson(const Json &j, DRAMCtrlConfig &cfg,
         return false;
     return true;
 }
+
+namespace {
 
 Json
 orgToJson(const DRAMOrg &org)
@@ -496,6 +502,63 @@ writeConfigFile(const std::string &path, const DRAMCtrlConfig &cfg,
         return false;
     out << dumpConfig(cfg, preset_name);
     return static_cast<bool>(out);
+}
+
+std::string
+registerConfigPreset(const std::string &path)
+{
+    std::string base;
+    DRAMCtrlConfig cfg = loadConfigFile(path, &base);
+    std::string name = base.empty() ? "config:" + path : base;
+    presets::registerPreset(name, [cfg] { return cfg; });
+    return name;
+}
+
+ResolvedConfig
+resolveConfig(const ConfigRequest &req)
+{
+    ResolvedConfig r;
+    r.preset = req.preset;
+    if (!req.configFile.empty()) {
+        r.preset = registerConfigPreset(req.configFile);
+        r.cfg = presets::byName(r.preset);
+    } else if (isSystemPreset(req.preset)) {
+        MultiChannelConfig sys = systemPresetByName(req.preset);
+        r.cfg = sys.ctrl;
+        r.channels = sys.channels;
+    } else {
+        r.cfg = presets::byName(req.preset);
+    }
+    DRAMCtrlConfig &cfg = r.cfg;
+    if (!req.page.empty() && !pagePolicyFromString(req.page, cfg.pagePolicy))
+        fatal("unknown page policy '%s'", req.page.c_str());
+    if (!req.mapping.empty() &&
+        !addrMappingFromString(req.mapping, cfg.addrMapping))
+        fatal("unknown address mapping '%s'", req.mapping.c_str());
+    if (!req.sched.empty() &&
+        !schedPolicyFromString(req.sched, cfg.schedPolicy))
+        fatal("unknown scheduler '%s'", req.sched.c_str());
+    if (req.temperatureC)
+        cfg.temperatureC = *req.temperatureC;
+    if (req.powerDown)
+        cfg.enablePowerDown = true;
+    if (!req.plugins.empty()) {
+        std::string err;
+        if (!plugin::parsePluginList(req.plugins, cfg, err))
+            fatal("%s", err.c_str());
+        for (PluginSpec &ps : cfg.plugins) {
+            if (ps.kind == "ecc") {
+                if (req.eccBer >= 0)
+                    ps.eccBer = req.eccBer;
+                if (req.eccSeed)
+                    ps.eccSeed = req.eccSeed;
+            } else if (ps.kind == "prac" && req.pracThreshold) {
+                ps.pracThreshold = req.pracThreshold;
+            }
+        }
+    }
+    cfg.check();
+    return r;
 }
 
 std::uint64_t

@@ -35,6 +35,7 @@
 #define DRAMCTRL_HARNESS_CONFIG_FILE_H
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "dram/dram_config.hh"
@@ -42,6 +43,15 @@
 
 namespace dramctrl {
 namespace harness {
+
+/**
+ * Parse a config document already read as JSON into @p cfg; the
+ * strict reader behind parseConfigText(), for documents embedded in
+ * other files (fuzz repro files).
+ */
+bool configFromJson(const validate::Json &j, DRAMCtrlConfig &cfg,
+                    std::string *base_preset = nullptr,
+                    std::string *err = nullptr);
 
 /**
  * Parse a config document from JSON text into @p cfg.
@@ -79,6 +89,57 @@ std::string dumpConfig(const DRAMCtrlConfig &cfg,
 /** Write dumpConfig() to @p path; false on I/O failure. */
 bool writeConfigFile(const std::string &path, const DRAMCtrlConfig &cfg,
                      const std::string &preset_name = "");
+
+/**
+ * Load the config file @p path (fatal() on any error) and register it
+ * as an in-process preset, so every preset-name lookup in this process
+ * (sweep axes, batch rows, labels, power) resolves to exactly the
+ * file's configuration. The name is the file's base preset, which it
+ * shadows, or "config:<path>" when the file names none.
+ * @return the registered preset name.
+ */
+std::string registerConfigPreset(const std::string &path);
+
+/** Where a run's controller configuration comes from, plus overrides. */
+struct ConfigRequest
+{
+    /** A controller or system preset; unused with @ref configFile. */
+    std::string preset = "ddr3_1333";
+    /** A config file, registered with registerConfigPreset(). */
+    std::string configFile;
+    /** Page policy, address mapping and scheduler names; empty keeps. */
+    std::string page;
+    std::string mapping;
+    std::string sched;
+    /** Device temperature; unset keeps the base configuration's. */
+    std::optional<double> temperatureC;
+    /** Switch the power-down extension on. */
+    bool powerDown = false;
+    /** Plugin chain (csv), appended to the base configuration's. */
+    std::string plugins;
+    /** Plugin knobs for the chain: ecc BER (< 0 = spec default), ecc
+     *  seed and prac threshold (0 = spec default). */
+    double eccBer = -1.0;
+    std::uint64_t eccSeed = 0;
+    unsigned pracThreshold = 0;
+};
+
+/** A resolved ConfigRequest. */
+struct ResolvedConfig
+{
+    DRAMCtrlConfig cfg;
+    /** The preset name the run goes by (a config file's registered name). */
+    std::string preset;
+    /** A system preset's channel count; 0 for a controller preset. */
+    unsigned channels = 0;
+};
+
+/**
+ * The one config resolver of the tools: the base (config file, system
+ * preset or controller preset), then the overrides of @p req, then
+ * DRAMCtrlConfig::check(). fatal() on unknown names.
+ */
+ResolvedConfig resolveConfig(const ConfigRequest &req);
 
 /**
  * Configuration identity hash: FNV-1a over cfg.describe(). Two configs

@@ -125,6 +125,16 @@ MetricsServer::publish(std::string prom, std::string json)
 }
 
 void
+MetricsServer::publish(const MetricsRegistry &registry)
+{
+    std::ostringstream prom;
+    registry.writeProm(prom);
+    std::ostringstream json;
+    registry.writeJson(json);
+    publish(prom.str(), json.str());
+}
+
+void
 MetricsServer::acceptLoop()
 {
     while (!stop_) {
@@ -235,12 +245,7 @@ MetricsPublisher::publishNow()
         .set(static_cast<double>(eventq().size()));
     if (extra_)
         extra_(registry_);
-
-    std::ostringstream prom;
-    registry_.writeProm(prom);
-    std::ostringstream json;
-    registry_.writeJson(json);
-    server_.publish(prom.str(), json.str());
+    server_.publish(registry_);
 }
 
 void

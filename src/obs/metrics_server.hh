@@ -64,6 +64,9 @@ class MetricsServer
     /** Swap in a freshly rendered snapshot (any thread). */
     void publish(std::string prom, std::string json);
 
+    /** Render @p registry in both formats and publish it. */
+    void publish(const MetricsRegistry &registry);
+
   private:
     void acceptLoop();
     void serveClient(int fd);

@@ -3,6 +3,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "harness/config_file.hh"
 #include "sim/logging.hh"
 
 namespace dramctrl {
@@ -10,225 +11,7 @@ namespace validate {
 
 namespace {
 
-Json
-orgToJson(const DRAMOrg &org)
-{
-    Json j = Json::object();
-    j.set("burstLength", org.burstLength);
-    j.set("deviceBusWidth", org.deviceBusWidth);
-    j.set("devicesPerRank", org.devicesPerRank);
-    j.set("ranksPerChannel", org.ranksPerChannel);
-    j.set("banksPerRank", org.banksPerRank);
-    j.set("rowBufferSize", org.rowBufferSize);
-    j.set("channelCapacity", org.channelCapacity);
-    j.set("bankGroupsPerRank", org.bankGroupsPerRank);
-    j.set("pseudoChannels", org.pseudoChannels);
-    return j;
-}
-
-void
-orgFromJson(const Json &j, DRAMOrg &org)
-{
-    org.burstLength =
-        static_cast<unsigned>(j["burstLength"].asUInt(org.burstLength));
-    org.deviceBusWidth = static_cast<unsigned>(
-        j["deviceBusWidth"].asUInt(org.deviceBusWidth));
-    org.devicesPerRank = static_cast<unsigned>(
-        j["devicesPerRank"].asUInt(org.devicesPerRank));
-    org.ranksPerChannel = static_cast<unsigned>(
-        j["ranksPerChannel"].asUInt(org.ranksPerChannel));
-    org.banksPerRank = static_cast<unsigned>(
-        j["banksPerRank"].asUInt(org.banksPerRank));
-    org.rowBufferSize = j["rowBufferSize"].asUInt(org.rowBufferSize);
-    org.channelCapacity =
-        j["channelCapacity"].asUInt(org.channelCapacity);
-    org.bankGroupsPerRank = static_cast<unsigned>(
-        j["bankGroupsPerRank"].asUInt(org.bankGroupsPerRank));
-    org.pseudoChannels = static_cast<unsigned>(
-        j["pseudoChannels"].asUInt(org.pseudoChannels));
-}
-
-Json
-timingToJson(const DRAMTiming &t)
-{
-    // Ticks serialised raw (64-bit integers stay exact in this JSON
-    // model), so no ns round-trip error.
-    Json j = Json::object();
-    j.set("tCK", t.tCK);
-    j.set("tBURST", t.tBURST);
-    j.set("tRCD", t.tRCD);
-    j.set("tCL", t.tCL);
-    j.set("tRP", t.tRP);
-    j.set("tRAS", t.tRAS);
-    j.set("tWR", t.tWR);
-    j.set("tWTR", t.tWTR);
-    j.set("tRTW", t.tRTW);
-    j.set("tRRD", t.tRRD);
-    j.set("tXAW", t.tXAW);
-    j.set("tREFI", t.tREFI);
-    j.set("tRFC", t.tRFC);
-    j.set("tCCD_L", t.tCCD_L);
-    j.set("tCCD_S", t.tCCD_S);
-    j.set("tRRD_L", t.tRRD_L);
-    j.set("tRFCsb", t.tRFCsb);
-    j.set("activationLimit", t.activationLimit);
-    return j;
-}
-
-void
-timingFromJson(const Json &j, DRAMTiming &t)
-{
-    t.tCK = j["tCK"].asUInt(t.tCK);
-    t.tBURST = j["tBURST"].asUInt(t.tBURST);
-    t.tRCD = j["tRCD"].asUInt(t.tRCD);
-    t.tCL = j["tCL"].asUInt(t.tCL);
-    t.tRP = j["tRP"].asUInt(t.tRP);
-    t.tRAS = j["tRAS"].asUInt(t.tRAS);
-    t.tWR = j["tWR"].asUInt(t.tWR);
-    t.tWTR = j["tWTR"].asUInt(t.tWTR);
-    t.tRTW = j["tRTW"].asUInt(t.tRTW);
-    t.tRRD = j["tRRD"].asUInt(t.tRRD);
-    t.tXAW = j["tXAW"].asUInt(t.tXAW);
-    t.tREFI = j["tREFI"].asUInt(t.tREFI);
-    t.tRFC = j["tRFC"].asUInt(t.tRFC);
-    t.tCCD_L = j["tCCD_L"].asUInt(t.tCCD_L);
-    t.tCCD_S = j["tCCD_S"].asUInt(t.tCCD_S);
-    t.tRRD_L = j["tRRD_L"].asUInt(t.tRRD_L);
-    t.tRFCsb = j["tRFCsb"].asUInt(t.tRFCsb);
-    t.activationLimit = static_cast<unsigned>(
-        j["activationLimit"].asUInt(t.activationLimit));
-}
-
-Json
-pluginToJson(const PluginSpec &ps)
-{
-    Json j = Json::object();
-    j.set("kind", ps.kind);
-    j.set("eccDataBits", ps.eccDataBits);
-    j.set("eccCheckBits", ps.eccCheckBits);
-    j.set("eccCorrectBits", ps.eccCorrectBits);
-    j.set("eccDetectBits", ps.eccDetectBits);
-    j.set("eccBer", ps.eccBer);
-    j.set("eccSeed", ps.eccSeed);
-    j.set("pracThreshold", ps.pracThreshold);
-    j.set("tRFM", ps.tRFM);
-    j.set("tRFCpb", ps.tRFCpb);
-    return j;
-}
-
-void
-pluginFromJson(const Json &j, PluginSpec &ps)
-{
-    ps.kind = j["kind"].asString();
-    ps.eccDataBits = static_cast<unsigned>(
-        j["eccDataBits"].asUInt(ps.eccDataBits));
-    ps.eccCheckBits = static_cast<unsigned>(
-        j["eccCheckBits"].asUInt(ps.eccCheckBits));
-    ps.eccCorrectBits = static_cast<unsigned>(
-        j["eccCorrectBits"].asUInt(ps.eccCorrectBits));
-    ps.eccDetectBits = static_cast<unsigned>(
-        j["eccDetectBits"].asUInt(ps.eccDetectBits));
-    ps.eccBer = j["eccBer"].asDouble(ps.eccBer);
-    ps.eccSeed = j["eccSeed"].asUInt(ps.eccSeed);
-    ps.pracThreshold = static_cast<unsigned>(
-        j["pracThreshold"].asUInt(ps.pracThreshold));
-    ps.tRFM = j["tRFM"].asUInt(ps.tRFM);
-    ps.tRFCpb = j["tRFCpb"].asUInt(ps.tRFCpb);
-}
-
-Json
-cfgToJson(const DRAMCtrlConfig &cfg)
-{
-    Json j = Json::object();
-    j.set("org", orgToJson(cfg.org));
-    j.set("timing", timingToJson(cfg.timing));
-    j.set("readBufferSize", cfg.readBufferSize);
-    j.set("writeBufferSize", cfg.writeBufferSize);
-    j.set("writeHighThreshold", cfg.writeHighThreshold);
-    j.set("writeLowThreshold", cfg.writeLowThreshold);
-    j.set("minWritesPerSwitch", cfg.minWritesPerSwitch);
-    j.set("schedPolicy", toString(cfg.schedPolicy));
-    j.set("addrMapping", toString(cfg.addrMapping));
-    j.set("pagePolicy", toString(cfg.pagePolicy));
-    j.set("frontendLatency", cfg.frontendLatency);
-    j.set("backendLatency", cfg.backendLatency);
-    j.set("maxAccessesPerRow", cfg.maxAccessesPerRow);
-    j.set("enablePowerDown", cfg.enablePowerDown);
-    j.set("enableSelfRefresh", cfg.enableSelfRefresh);
-    j.set("perRankRefresh", cfg.perRankRefresh);
-    if (!cfg.plugins.empty()) {
-        Json arr = Json::array();
-        for (const PluginSpec &ps : cfg.plugins)
-            arr.push(pluginToJson(ps));
-        j.set("plugins", arr);
-    }
-    return j;
-}
-
-bool
-cfgFromJson(const Json &j, DRAMCtrlConfig &cfg, std::string *err)
-{
-    orgFromJson(j["org"], cfg.org);
-    timingFromJson(j["timing"], cfg.timing);
-    cfg.readBufferSize = static_cast<unsigned>(
-        j["readBufferSize"].asUInt(cfg.readBufferSize));
-    cfg.writeBufferSize = static_cast<unsigned>(
-        j["writeBufferSize"].asUInt(cfg.writeBufferSize));
-    cfg.writeHighThreshold =
-        j["writeHighThreshold"].asDouble(cfg.writeHighThreshold);
-    cfg.writeLowThreshold =
-        j["writeLowThreshold"].asDouble(cfg.writeLowThreshold);
-    cfg.minWritesPerSwitch = static_cast<unsigned>(
-        j["minWritesPerSwitch"].asUInt(cfg.minWritesPerSwitch));
-    if (j.has("schedPolicy") &&
-        !schedPolicyFromString(j["schedPolicy"].asString(),
-                               cfg.schedPolicy)) {
-        if (err)
-            *err = "unknown schedPolicy '" +
-                   j["schedPolicy"].asString() + "'";
-        return false;
-    }
-    if (j.has("addrMapping") &&
-        !addrMappingFromString(j["addrMapping"].asString(),
-                               cfg.addrMapping)) {
-        if (err)
-            *err = "unknown addrMapping '" +
-                   j["addrMapping"].asString() + "'";
-        return false;
-    }
-    if (j.has("pagePolicy") &&
-        !pagePolicyFromString(j["pagePolicy"].asString(),
-                              cfg.pagePolicy)) {
-        if (err)
-            *err = "unknown pagePolicy '" +
-                   j["pagePolicy"].asString() + "'";
-        return false;
-    }
-    cfg.frontendLatency =
-        j["frontendLatency"].asUInt(cfg.frontendLatency);
-    cfg.backendLatency = j["backendLatency"].asUInt(cfg.backendLatency);
-    cfg.maxAccessesPerRow = static_cast<unsigned>(
-        j["maxAccessesPerRow"].asUInt(cfg.maxAccessesPerRow));
-    cfg.enablePowerDown =
-        j["enablePowerDown"].asBool(cfg.enablePowerDown);
-    cfg.enableSelfRefresh =
-        j["enableSelfRefresh"].asBool(cfg.enableSelfRefresh);
-    cfg.perRankRefresh = j["perRankRefresh"].asBool(cfg.perRankRefresh);
-    cfg.plugins.clear();
-    if (j.has("plugins")) {
-        for (const Json &row : j["plugins"].items()) {
-            PluginSpec ps;
-            pluginFromJson(row, ps);
-            if (ps.kind.empty()) {
-                if (err)
-                    *err = "plugin entry without a kind";
-                return false;
-            }
-            cfg.plugins.push_back(ps);
-        }
-    }
-    return true;
-}
+constexpr const char *kFormat = "dramctrl-fuzz-repro-v2";
 
 Json
 streamParamsToJson(const StreamParams &sp)
@@ -348,10 +131,10 @@ Json
 toJson(const ReproFile &repro)
 {
     Json j = Json::object();
-    j.set("format", "dramctrl-fuzz-repro-v1");
+    j.set("format", kFormat);
     j.set("note", repro.note);
     j.set("preset", repro.fc.presetName);
-    j.set("config", cfgToJson(repro.fc.cfg));
+    j.set("config", harness::configToJson(repro.fc.cfg));
     j.set("streamParams", streamParamsToJson(repro.fc.stream));
     j.set("streamSeed", repro.streamSeed);
     j.set("options", optsToJson(repro.opts));
@@ -368,15 +151,16 @@ fromJson(const Json &j, ReproFile &repro, std::string *err)
             *err = "repro root is not an object";
         return false;
     }
-    if (j["format"].asString() != "dramctrl-fuzz-repro-v1") {
+    if (j["format"].asString() != kFormat) {
         if (err)
             *err = "unknown repro format '" + j["format"].asString() +
-                   "'";
+                   "' (expected '" + kFormat + "')";
         return false;
     }
     repro.note = j["note"].asString();
     repro.fc.presetName = j["preset"].asString();
-    if (!cfgFromJson(j["config"], repro.fc.cfg, err))
+    repro.fc.cfg = DRAMCtrlConfig{};
+    if (!harness::configFromJson(j["config"], repro.fc.cfg, nullptr, err))
         return false;
     streamParamsFromJson(j["streamParams"], repro.fc.stream);
     repro.streamSeed = j["streamSeed"].asUInt();

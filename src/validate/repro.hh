@@ -2,13 +2,15 @@
  * @file
  * Self-contained reproducer files for fuzz failures.
  *
- * A repro file captures everything a failing differential run needs to
- * be replayed in a fresh process: the full controller configuration
- * (serialised knob by knob, so the file stays valid even if presets
- * drift), the stream parameters and seed, the — usually shrunk —
- * explicit request stream, the tolerances, and any injected fault.
- * `fuzz_cli --repro file.json` and the validate_repro test target
- * replay them.
+ * A repro file ("dramctrl-fuzz-repro-v2") captures everything a
+ * failing differential run needs to be replayed in a fresh process:
+ * the full controller configuration, embedded as a
+ * "dramctrl-config-v1" document (harness/config_file.hh: every knob,
+ * so the file stays valid even if presets drift, and read as strictly
+ * as a config file), the stream parameters and seed, the — usually
+ * shrunk — explicit request stream, the tolerances, and any injected
+ * fault. `fuzz_cli --repro file.json` and the validate_repro test
+ * target replay them.
  */
 
 #ifndef DRAMCTRL_VALIDATE_REPRO_H

@@ -62,9 +62,9 @@ run() {
     tool dramctrl_cli "$@"
 }
 
-# usage TOOL NAME ARGS...: record stdout and stderr, with the program
+# both TOOL NAME ARGS...: record stdout and stderr, with the program
 # path reduced to the tool's name, and the exit status.
-usage() {
+both() {
     prog=$1
     name=$2
     shift 2
@@ -132,9 +132,16 @@ tool fuzz_cli fuzz_repro_trcd --repro tests/repros/injected_trcd_fault.json
 tool fuzz_cli fuzz_repro_clean --repro tests/repros/clean_baseline.json
 
 # Every tool's --help.
-usage dramctrl_cli help_dramctrl_cli --help
-usage sweep_cli help_sweep_cli --help
-usage fuzz_cli help_fuzz_cli --help
-usage trace_cli help_trace_cli --help
+both dramctrl_cli help_dramctrl_cli --help
+both sweep_cli help_sweep_cli --help
+both fuzz_cli help_fuzz_cli --help
+both trace_cli help_trace_cli --help
+
+# A malformed number exits 1 with a message naming the option and the
+# value: no abort, and no silently truncated value.
+both dramctrl_cli bad_number_dramctrl_cli --requests 10x
+both sweep_cli bad_number_sweep_cli --seeds x
+both fuzz_cli bad_number_fuzz_cli --runs 1x
+both trace_cli bad_number_trace_cli head example.dtrc -n abc
 
 exit $status

@@ -227,5 +227,72 @@ TEST(ConfigFile, SemanticallyInvalidConfigFailsCheck)
     setThrowOnError(false);
 }
 
+// ---------------------------------------------------------------
+// The tools' config resolver.
+// ---------------------------------------------------------------
+
+TEST(ConfigFile, ResolvePresetAppliesEveryOverride)
+{
+    harness::ConfigRequest req;
+    req.preset = "ddr3_1600";
+    req.page = "closed";
+    req.mapping = "RoCoRaBaCh";
+    req.sched = "fcfs";
+    req.temperatureC = 95.0;
+    req.powerDown = true;
+    req.plugins = "ecc,prac";
+    req.eccBer = 1e-4;
+    req.eccSeed = 7;
+    req.pracThreshold = 16;
+    harness::ResolvedConfig rc = harness::resolveConfig(req);
+
+    DRAMCtrlConfig want = presets::byName("ddr3_1600");
+    want.pagePolicy = PagePolicy::Closed;
+    want.addrMapping = AddrMapping::RoCoRaBaCh;
+    want.schedPolicy = SchedPolicy::Fcfs;
+    want.temperatureC = 95.0;
+    want.enablePowerDown = true;
+    want.plugins.resize(2);
+    want.plugins[0].kind = "ecc";
+    want.plugins[0].eccBer = 1e-4;
+    want.plugins[0].eccSeed = 7;
+    want.plugins[1].kind = "prac";
+    want.plugins[1].pracThreshold = 16;
+    EXPECT_EQ(dumpConfig(rc.cfg), dumpConfig(want));
+    EXPECT_EQ(rc.preset, "ddr3_1600");
+    EXPECT_EQ(rc.channels, 0u);
+}
+
+TEST(ConfigFile, ResolveSystemPresetGivesItsChannels)
+{
+    harness::ConfigRequest req;
+    req.preset = "hmc_stack_16";
+    harness::ResolvedConfig rc = harness::resolveConfig(req);
+    EXPECT_EQ(rc.channels, 16u);
+    EXPECT_EQ(dumpConfig(rc.cfg), dumpConfig(presets::byName("hmc_vault")));
+}
+
+TEST(ConfigFile, ResolveConfigFileRegistersItAsPreset)
+{
+    harness::ConfigRequest req;
+    req.configFile = std::string(EXAMPLES_DIR) + "/ddr4.json";
+    harness::ResolvedConfig rc = harness::resolveConfig(req);
+    // The file names ddr4_2400 as its base, so it goes by that name.
+    EXPECT_EQ(rc.preset, "ddr4_2400");
+    EXPECT_EQ(dumpConfig(rc.cfg), dumpConfig(presets::byName(rc.preset)));
+    EXPECT_EQ(configFingerprint(rc.cfg),
+              configFingerprint(loadConfigFile(req.configFile)));
+}
+
+TEST(ConfigFile, ResolveRejectsUnknownNames)
+{
+    harness::ConfigRequest page, mapping, sched, plugins;
+    page.page = mapping.mapping = sched.sched = plugins.plugins = "bogus";
+    setThrowOnError(true);
+    for (const harness::ConfigRequest &req : {page, mapping, sched, plugins})
+        EXPECT_THROW(harness::resolveConfig(req), std::runtime_error);
+    setThrowOnError(false);
+}
+
 } // namespace
 } // namespace dramctrl

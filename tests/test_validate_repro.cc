@@ -8,7 +8,9 @@
  * fault — and must still fail when replayed; all other files are
  * regression scenarios that must pass. Either way the replay
  * exercises the full load -> materialise -> differential-run path on
- * real files, not in-memory JSON.
+ * real files, not in-memory JSON. The config a repro embeds is a
+ * dramctrl-config-v1 document, so every knob survives the file and a
+ * misspelt key is an error.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +20,8 @@
 #include <string>
 #include <vector>
 
+#include "dram/dram_presets.hh"
+#include "harness/config_file.hh"
 #include "validate/repro.hh"
 
 #ifndef DRAMCTRL_REPRO_DIR
@@ -61,6 +65,81 @@ TEST(ValidateRepro, CommittedReprosReplayAsRecorded)
         else
             EXPECT_TRUE(dr.pass) << dr.describe();
     }
+}
+
+/** A repro whose config sets knobs no preset sets. */
+ReproFile
+unusualRepro()
+{
+    ReproFile repro;
+    repro.fc.presetName = "ddr4_2400";
+    repro.fc.cfg = presets::byName("ddr4_2400");
+    DRAMCtrlConfig &cfg = repro.fc.cfg;
+    cfg.enablePowerDown = true;
+    cfg.powerDownDelay = fromNs(37.5);
+    cfg.tXP = fromNs(7.25);
+    cfg.enableSelfRefresh = true;
+    cfg.selfRefreshDelay = fromNs(2345.0);
+    cfg.tXS = fromNs(211.0);
+    cfg.temperatureC = 93.5;
+    cfg.requestorPriorities = {3, 0, 7};
+    cfg.plugins.resize(1);
+    cfg.plugins[0].kind = "prac";
+    cfg.plugins[0].pracThreshold = 9;
+    repro.streamSeed = 5;
+    repro.note = "round trip";
+    return repro;
+}
+
+TEST(ValidateRepro, ConfigRoundTripsEveryField)
+{
+    const ReproFile repro = unusualRepro();
+    const std::string path =
+        (std::filesystem::temp_directory_path() / "repro_round_trip.json")
+            .string();
+    ASSERT_TRUE(writeReproFile(path, repro));
+    ReproFile back;
+    std::string err;
+    ASSERT_TRUE(loadReproFile(path, back, &err)) << err;
+    std::filesystem::remove(path);
+
+    const DRAMCtrlConfig &a = repro.fc.cfg;
+    const DRAMCtrlConfig &b = back.fc.cfg;
+    EXPECT_EQ(b.powerDownDelay, a.powerDownDelay);
+    EXPECT_EQ(b.tXP, a.tXP);
+    EXPECT_EQ(b.selfRefreshDelay, a.selfRefreshDelay);
+    EXPECT_EQ(b.tXS, a.tXS);
+    EXPECT_EQ(b.temperatureC, a.temperatureC);
+    EXPECT_EQ(b.requestorPriorities, a.requestorPriorities);
+    // Every other knob, field by field, through the config document.
+    EXPECT_EQ(harness::dumpConfig(b), harness::dumpConfig(a));
+    EXPECT_EQ(back.fc.presetName, repro.fc.presetName);
+}
+
+TEST(ValidateRepro, MisspeltConfigKeyIsRejected)
+{
+    std::string text = toJson(unusualRepro()).dump(2);
+    std::size_t at = text.find("\"tRCD\"");
+    ASSERT_NE(at, std::string::npos);
+    text.replace(at, 6, "\"tRDC\"");
+    Json j;
+    std::string err;
+    ASSERT_TRUE(parseJson(text, j, &err)) << err;
+    ReproFile back;
+    EXPECT_FALSE(fromJson(j, back, &err));
+    EXPECT_NE(err.find("unknown key 'tRDC'"), std::string::npos) << err;
+}
+
+TEST(ValidateRepro, VersionOneFileNamesTheExpectedFormat)
+{
+    Json j = toJson(unusualRepro());
+    j.set("format", "dramctrl-fuzz-repro-v1");
+    ReproFile back;
+    std::string err;
+    EXPECT_FALSE(fromJson(j, back, &err));
+    EXPECT_NE(err.find("expected 'dramctrl-fuzz-repro-v2'"),
+              std::string::npos)
+        << err;
 }
 
 } // namespace

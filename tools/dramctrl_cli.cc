@@ -23,7 +23,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -31,6 +30,7 @@
 #include <vector>
 
 #include "ckpt/ckpt.hh"
+#include "cli/options.hh"
 #include "dram/cmd_log.hh"
 #include "exec/batch_runner.hh"
 #include "exec/sweep.hh"
@@ -56,24 +56,13 @@ namespace {
 
 struct CliOptions
 {
+    /** --preset/--config and the overrides on them. */
+    harness::ConfigRequest config;
     /** --pattern, --read-pct, ..., --trace-in, --trace-scale. */
     harness::Stimulus stim;
-    std::string preset = "ddr3_1333";
-    bool presetExplicit = false;
-    std::string configFile;     // declarative config (overrides preset)
     std::string dumpConfig;     // dump resolved config to PATH ('-' =
                                 // stdout) and exit
     std::string model = "event";    // event | cycle
-    std::string page;               // open | open_adaptive | ...
-    std::string mapping;            // RoRaBaCoCh | ...
-    std::string sched;              // fcfs | frfcfs | frfcfs_prio
-    bool tempExplicit = false;
-    double temperatureC = 85.0;
-    bool powerDown = false;
-    std::string plugins;        // csv plugin chain, e.g. ecc,prac
-    double eccBer = -1.0;       // < 0 = keep the spec default
-    std::uint64_t eccSeed = 0;  // 0 = keep the spec default
-    unsigned pracThreshold = 0; // 0 = keep the spec default
     bool json = false;
     bool audit = false;
     std::uint64_t runs = 1;  // > 1 = batch mode over derived seeds
@@ -106,206 +95,141 @@ struct CliOptions
     std::string ckptJson;       // dump a checkpoint as JSON and exit
 };
 
-void
-usage(const char *prog)
-{
-    std::printf(
-        "usage: %s [options]\n"
-        "  --preset NAME      ddr3_1333|ddr3_1600|lpddr3_1600|"
-        "wideio_200|\n"
-        "                     hmc_vault|ddr4_2400|lpddr4_3200|hbm2,\n"
-        "                     or a system preset: hmc_stack_16|"
-        "hmc_stack_64|\n"
-        "                     hmc_stack_256|hbm2_stack_4|hbm2_stack_8\n"
-        "                     (implies --channels)\n"
-        "  --config PATH      load a declarative JSON config file "
-        "(see\n"
-        "                     docs/STANDARDS.md; mutually exclusive "
-        "with\n"
-        "                     --preset)\n"
-        "  --dump-config P    write the resolved configuration as a\n"
-        "                     config file to P ('-' = stdout) and "
-        "exit\n"
-        "  --pattern NAME     linear|random|dram (DRAM-aware)|trace\n"
-        "                     (replay --trace-in)\n"
-        "  --model NAME       event|cycle\n"
-        "  --page POLICY      open|open_adaptive|closed|"
-        "closed_adaptive\n"
-        "  --mapping NAME     RoRaBaCoCh|RoRaBaChCo|RoCoRaBaCh\n"
-        "  --sched NAME       fcfs|frfcfs|frfcfs_prio\n"
-        "  --read-pct N       percentage of reads (default 100)\n"
-        "  --itt-ns F         inter-transaction time (default 6)\n"
-        "  --requests N       requests to simulate (default 20000)\n"
-        "  --stride BYTES     dram pattern stride (default 256)\n"
-        "  --banks N          dram pattern banks (default 4)\n"
-        "  --temperature C    device temperature (default 85)\n"
-        "  --power-down       enable the power-down extension\n"
-        "  --plugins LIST     controller plugin chain (csv of ecc|"
-        "prac|\n"
-        "                     refmgr|refmgr-pb; see docs/PLUGINS.md)\n"
-        "  --ecc-ber F        raw bit error rate for the ecc plugin\n"
-        "  --ecc-seed N       error-injection seed for the ecc plugin\n"
-        "  --prac-threshold N activation threshold for the prac "
-        "plugin\n"
-        "  --audit            log commands and run the JEDEC checker\n"
-        "  --json             dump the full stats tree as JSON\n"
-        "  --seed N           RNG seed (default 1)\n"
-        "  --runs N           repeat with seeds derived from (seed, "
-        "run\n"
-        "                     index), one summary row per run\n"
-        "  --jobs M           concurrent runs in batch mode "
-        "(default 1;\n"
-        "                     0 = one per core); output is identical "
-        "for\n"
-        "                     every value\n"
-        "trace replay/capture (see docs/TRACES.md):\n"
-        "  --trace-in PATH    stimulus file for --pattern trace; text "
-        "or\n"
-        "                     binary .dtrc, detected by content\n"
-        "  --trace-capture P  record the accepted request stream to P\n"
-        "                     (.txt => text, anything else => .dtrc "
-        "binary;\n"
-        "                     with --runs, P is a prefix: one\n"
-        "                     '<P><run>.dtrc' file per run)\n"
-        "  --trace-scale F    stretch (>1) or compress (<1) replayed\n"
-        "                     inter-request gaps (default 1.0)\n"
-        "multi-channel:\n"
-        "  --channels N       simulate N interleaved channels behind "
-        "the\n"
-        "                     sharded crossbar, one generator per "
-        "channel\n"
-        "                     (--requests is the total across "
-        "channels)\n"
-        "  --sim-threads N    worker threads for one multi-channel "
-        "run\n"
-        "                     (default 1; 0 = one per core); stats "
-        "are\n"
-        "                     byte-identical for every value\n"
-        "observability:\n"
-        "  --trace LIST       enable trace channels (csv or 'all')\n"
-        "  --trace-file PATH  tick-stamped text trace to PATH "
-        "(default stderr)\n"
-        "  --trace-jsonl PATH JSONL trace to PATH\n"
-        "  --trace-chrome PATH  Chrome trace-event JSON (packet spans\n"
-        "                     + DRAM commands; open in Perfetto)\n"
-        "  --sample-interval NS  sample stats every NS ns of sim time\n"
-        "  --sample-file PATH    time series target "
-        "(default samples.csv)\n"
-        "  --sample-format F     csv|jsonl (default csv)\n"
-        "  --sample-stats LIST   csv of stat paths "
-        "(default controller set)\n"
-        "  --profile-events   count and time events per type\n"
-        "  --metrics-listen SPEC  serve live metrics while running: a\n"
-        "                     Unix socket path (contains '/') or a\n"
-        "                     loopback TCP port (0 = ephemeral);\n"
-        "                     Prometheus text by default, /json for "
-        "JSON\n"
-        "  --metrics-interval NS  publish cadence in ns "
-        "(default 1000)\n"
-        "checkpointing:\n"
-        "  --ckpt-at NS       simulate to NS ns, save a checkpoint, "
-        "stop;\n"
-        "                     exits 1 if the run completes by NS\n"
-        "  --ckpt-out PATH    checkpoint target (default ckpt.bin)\n"
-        "  --ckpt-restore P   restore checkpoint P (same config "
-        "flags!)\n"
-        "                     before simulating to completion; only\n"
-        "                     a single-channel restore is byte-"
-        "identical\n"
-        "                     to the uninterrupted run (see\n"
-        "                     docs/CHECKPOINT.md)\n"
-        "  --ckpt-json PATH   print checkpoint PATH as JSON and exit\n",
-        prog);
-}
-
+/** Parse argv into @p opt. @return false when --help was printed. */
 bool
 parseArgs(int argc, char **argv, CliOptions &opt)
 {
-    auto need = [&](int &i) -> const char * {
-        if (i + 1 >= argc)
-            fatal("missing value for %s", argv[i]);
-        return argv[++i];
-    };
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        if (a == "--preset") {
-            opt.preset = need(i);
-            opt.presetExplicit = true;
-        }
-        else if (a == "--config") opt.configFile = need(i);
-        else if (a == "--dump-config") opt.dumpConfig = need(i);
-        else if (a == "--pattern") opt.stim.pattern = need(i);
-        else if (a == "--model") opt.model = need(i);
-        else if (a == "--page") opt.page = need(i);
-        else if (a == "--mapping") opt.mapping = need(i);
-        else if (a == "--sched") opt.sched = need(i);
-        else if (a == "--read-pct")
-            opt.stim.readPct =
-                static_cast<unsigned>(std::stoul(need(i)));
-        else if (a == "--itt-ns") opt.stim.ittNs = std::stod(need(i));
-        else if (a == "--requests")
-            opt.stim.requests = std::stoull(need(i));
-        else if (a == "--stride")
-            opt.stim.strideBytes = std::stoull(need(i));
-        else if (a == "--banks")
-            opt.stim.banks =
-                static_cast<unsigned>(std::stoul(need(i)));
-        else if (a == "--temperature") {
-            opt.temperatureC = std::stod(need(i));
-            opt.tempExplicit = true;
-        }
-        else if (a == "--power-down") opt.powerDown = true;
-        else if (a == "--plugins") opt.plugins = need(i);
-        else if (a == "--ecc-ber") opt.eccBer = std::stod(need(i));
-        else if (a == "--ecc-seed") opt.eccSeed = std::stoull(need(i));
-        else if (a == "--prac-threshold")
-            opt.pracThreshold =
-                static_cast<unsigned>(std::stoul(need(i)));
-        else if (a == "--audit") opt.audit = true;
-        else if (a == "--json") opt.json = true;
-        else if (a == "--seed") opt.stim.seed = std::stoull(need(i));
-        else if (a == "--runs") opt.runs = std::stoull(need(i));
-        else if (a == "--jobs") {
-            opt.jobs = static_cast<unsigned>(std::stoul(need(i)));
-            if (opt.jobs == 0)
-                opt.jobs = exec::ThreadPool::hardwareThreads();
-        }
-        else if (a == "--channels")
-            opt.channels = static_cast<unsigned>(std::stoul(need(i)));
-        else if (a == "--sim-threads") {
-            opt.simThreads =
-                static_cast<unsigned>(std::stoul(need(i)));
-            if (opt.simThreads == 0)
-                opt.simThreads = exec::ThreadPool::hardwareThreads();
-        }
-        else if (a == "--trace-in") opt.stim.tracePath = need(i);
-        else if (a == "--trace-capture") opt.traceCapture = need(i);
-        else if (a == "--trace-scale")
-            opt.stim.traceScale = std::stod(need(i));
-        else if (a == "--trace") opt.traceChannels = need(i);
-        else if (a == "--trace-file") opt.traceFile = need(i);
-        else if (a == "--trace-jsonl") opt.traceJsonl = need(i);
-        else if (a == "--trace-chrome") opt.chromeFile = need(i);
-        else if (a == "--sample-interval")
-            opt.sampleIntervalNs = std::stod(need(i));
-        else if (a == "--sample-file") opt.sampleFile = need(i);
-        else if (a == "--sample-format") opt.sampleFormat = need(i);
-        else if (a == "--sample-stats") opt.sampleStats = need(i);
-        else if (a == "--profile-events") opt.profileEvents = true;
-        else if (a == "--metrics-listen") opt.metricsListen = need(i);
-        else if (a == "--metrics-interval")
-            opt.metricsIntervalNs = std::stod(need(i));
-        else if (a == "--ckpt-at") opt.ckptAtNs = std::stod(need(i));
-        else if (a == "--ckpt-out") opt.ckptOut = need(i);
-        else if (a == "--ckpt-restore") opt.ckptRestore = need(i);
-        else if (a == "--ckpt-json") opt.ckptJson = need(i);
-        else if (a == "--help" || a == "-h") {
-            usage(argv[0]);
-            return false;
-        } else {
-            fatal("unknown option '%s' (try --help)", a.c_str());
-        }
-    }
+    using namespace cli;
+    harness::ConfigRequest &c = opt.config;
+    harness::Stimulus &s = opt.stim;
+    OptionTable table("[options]", {
+        text("--preset", "NAME", c.preset,
+             "ddr3_1333|ddr3_1600|lpddr3_1600|wideio_200|\n"
+             "hmc_vault|ddr4_2400|lpddr4_3200|hbm2,\n"
+             "or a system preset: hmc_stack_16|hmc_stack_64|\n"
+             "hmc_stack_256|hbm2_stack_4|hbm2_stack_8\n"
+             "(implies --channels)"),
+        text("--config", "PATH", c.configFile,
+             "load a declarative JSON config file (see\n"
+             "docs/STANDARDS.md; mutually exclusive with\n"
+             "--preset)"),
+        text("--dump-config", "P", opt.dumpConfig,
+             "write the resolved configuration as a\n"
+             "config file to P ('-' = stdout) and exit"),
+        text("--pattern", "NAME", s.pattern,
+             "linear|random|dram (DRAM-aware)|trace\n"
+             "(replay --trace-in)"),
+        text("--model", "NAME", opt.model, "event|cycle"),
+        text("--page", "POLICY", c.page,
+             "open|open_adaptive|closed|closed_adaptive"),
+        text("--mapping", "NAME", c.mapping,
+             "RoRaBaCoCh|RoRaBaChCo|RoCoRaBaCh"),
+        text("--sched", "NAME", c.sched, "fcfs|frfcfs|frfcfs_prio"),
+        integer("--read-pct", "N", s.readPct,
+                "percentage of reads (default 100)"),
+        real("--itt-ns", "F", s.ittNs,
+             "inter-transaction time (default 6)"),
+        integer("--requests", "N", s.requests,
+                "requests to simulate (default 20000)"),
+        integer("--stride", "BYTES", s.strideBytes,
+                "dram pattern stride (default 256)"),
+        integer("--banks", "N", s.banks, "dram pattern banks (default 4)"),
+        custom("--temperature", "C", "device temperature (default 85)",
+               [&c](const std::string &v) {
+                   c.temperatureC = parseDouble("--temperature", v);
+               }),
+        flag("--power-down", c.powerDown,
+             "enable the power-down extension"),
+        text("--plugins", "LIST", c.plugins,
+             "controller plugin chain (csv of ecc|prac|\n"
+             "refmgr|refmgr-pb; see docs/PLUGINS.md)"),
+        real("--ecc-ber", "F", c.eccBer,
+             "raw bit error rate for the ecc plugin"),
+        integer("--ecc-seed", "N", c.eccSeed,
+                "error-injection seed for the ecc plugin"),
+        integer("--prac-threshold", "N", c.pracThreshold,
+                "activation threshold for the prac plugin"),
+        flag("--audit", opt.audit,
+             "log commands and run the JEDEC checker"),
+        flag("--json", opt.json, "dump the full stats tree as JSON"),
+        integer("--seed", "N", s.seed, "RNG seed (default 1)"),
+        integer("--runs", "N", opt.runs,
+                "repeat with seeds derived from (seed, run\n"
+                "index), one summary row per run"),
+        threads("--jobs", "M", opt.jobs,
+                "concurrent runs in batch mode (default 1;\n"
+                "0 = one per core); output is identical for\n"
+                "every value"),
+        heading("trace replay/capture (see docs/TRACES.md):"),
+        text("--trace-in", "PATH", s.tracePath,
+             "stimulus file for --pattern trace; text or\n"
+             "binary .dtrc, detected by content"),
+        text("--trace-capture", "P", opt.traceCapture,
+             "record the accepted request stream to P\n"
+             "(.txt => text, anything else => .dtrc binary;\n"
+             "with --runs, P is a prefix: one\n"
+             "'<P><run>.dtrc' file per run)"),
+        real("--trace-scale", "F", s.traceScale,
+             "stretch (>1) or compress (<1) replayed\n"
+             "inter-request gaps (default 1.0)"),
+        heading("multi-channel:"),
+        integer("--channels", "N", opt.channels,
+                "simulate N interleaved channels behind the\n"
+                "sharded crossbar, one generator per channel\n"
+                "(--requests is the total across channels)"),
+        threads("--sim-threads", "N", opt.simThreads,
+                "worker threads for one multi-channel run\n"
+                "(default 1; 0 = one per core); stats are\n"
+                "byte-identical for every value"),
+        heading("observability:"),
+        text("--trace", "LIST", opt.traceChannels,
+             "enable trace channels (csv or 'all')"),
+        text("--trace-file", "PATH", opt.traceFile,
+             "tick-stamped text trace to PATH (default stderr)"),
+        text("--trace-jsonl", "PATH", opt.traceJsonl,
+             "JSONL trace to PATH"),
+        text("--trace-chrome", "PATH", opt.chromeFile,
+             "Chrome trace-event JSON (packet spans\n"
+             "+ DRAM commands; open in Perfetto)"),
+        // The leading spaces align the sample-* texts with
+        // --sample-interval's.
+        real("--sample-interval", "NS", opt.sampleIntervalNs,
+             "sample stats every NS ns of sim time"),
+        text("--sample-file", "PATH", opt.sampleFile,
+             "   time series target (default samples.csv)"),
+        text("--sample-format", "F", opt.sampleFormat,
+             "   csv|jsonl (default csv)"),
+        text("--sample-stats", "LIST", opt.sampleStats,
+             " csv of stat paths (default controller set)"),
+        flag("--profile-events", opt.profileEvents,
+             "count and time events per type"),
+        text("--metrics-listen", "SPEC", opt.metricsListen,
+             "serve live metrics while running: a\n"
+             "Unix socket path (contains '/') or a\n"
+             "loopback TCP port (0 = ephemeral);\n"
+             "Prometheus text by default, /json for JSON"),
+        real("--metrics-interval", "NS", opt.metricsIntervalNs,
+             "publish cadence in ns (default 1000)"),
+        heading("checkpointing:"),
+        real("--ckpt-at", "NS", opt.ckptAtNs,
+             "simulate to NS ns, save a checkpoint, stop;\n"
+             "exits 1 if the run completes by NS"),
+        text("--ckpt-out", "PATH", opt.ckptOut,
+             "checkpoint target (default ckpt.bin)"),
+        text("--ckpt-restore", "P", opt.ckptRestore,
+             "restore checkpoint P (same config flags!)\n"
+             "before simulating to completion; only\n"
+             "a single-channel restore is byte-identical\n"
+             "to the uninterrupted run (see\n"
+             "docs/CHECKPOINT.md)"),
+        text("--ckpt-json", "PATH", opt.ckptJson,
+             "print checkpoint PATH as JSON and exit"),
+    });
+    if (!table.parse(argc, argv))
+        return false;
+    if (table.given("--preset") && table.given("--config"))
+        fatal("--config and --preset are mutually exclusive (a "
+              "config file may name its base preset itself)");
     return true;
 }
 
@@ -315,12 +239,13 @@ parseArgs(int argc, char **argv, CliOptions &opt)
  * therefore the output bytes) match a single-point sweep_cli grid.
  */
 int
-runBatch(const CliOptions &opt, const DRAMCtrlConfig &cfg,
+runBatch(const CliOptions &opt, const harness::ResolvedConfig &rc,
          harness::CtrlModel model)
 {
-    if (!opt.sched.empty() || opt.audit || opt.powerDown ||
-        !opt.plugins.empty() ||
-        opt.temperatureC != 85.0 || !opt.traceChannels.empty() ||
+    const harness::ConfigRequest &c = opt.config;
+    if (!c.sched.empty() || opt.audit || c.powerDown ||
+        !c.plugins.empty() || c.temperatureC.value_or(85.0) != 85.0 ||
+        !opt.traceChannels.empty() ||
         !opt.traceFile.empty() || !opt.traceJsonl.empty() ||
         !opt.chromeFile.empty() || opt.sampleIntervalNs > 0 ||
         opt.profileEvents || !opt.metricsListen.empty())
@@ -330,10 +255,10 @@ runBatch(const CliOptions &opt, const DRAMCtrlConfig &cfg,
               "the rest");
 
     exec::SweepSpec spec;
-    spec.presets = {opt.preset};
+    spec.presets = {rc.preset};
     spec.patterns = {opt.stim.pattern};
-    spec.pages = {cfg.pagePolicy};
-    spec.mappings = {cfg.addrMapping};
+    spec.pages = {rc.cfg.pagePolicy};
+    spec.mappings = {rc.cfg.addrMapping};
     spec.readPcts = {opt.stim.readPct};
     spec.ittNs = {opt.stim.ittNs};
     spec.models = {model};
@@ -401,12 +326,12 @@ runBatch(const CliOptions &opt, const DRAMCtrlConfig &cfg,
 }
 
 void
-printSummary(const CliOptions &opt, const DRAMCtrlConfig &cfg,
+printSummary(const CliOptions &opt, const harness::ResolvedConfig &rc,
              harness::SingleChannelSystem &tb)
 {
     std::printf("preset %s, %s model, %s pattern, %llu requests, "
                 "seed %llu\n",
-                opt.preset.c_str(), opt.model.c_str(),
+                rc.preset.c_str(), opt.model.c_str(),
                 opt.stim.pattern.c_str(),
                 static_cast<unsigned long long>(opt.stim.requests),
                 static_cast<unsigned long long>(opt.stim.seed));
@@ -418,15 +343,15 @@ printSummary(const CliOptions &opt, const DRAMCtrlConfig &cfg,
     std::printf("bandwidth:         %.2f / %.2f GB/s\n",
                 tb.ctrl().achievedBandwidthGBs(),
                 tb.ctrl().peakBandwidthGBs());
-    if (power::hasParamsFor(opt.preset)) {
-        auto p = power::computePower(tb.ctrl().powerInputs(), cfg,
-                                     power::paramsFor(opt.preset));
+    if (power::hasParamsFor(rc.preset)) {
+        auto p = power::computePower(tb.ctrl().powerInputs(), rc.cfg,
+                                     power::paramsFor(rc.preset));
         std::printf("DRAM power:        %.2f W\n", p.total());
     }
 }
 
 void
-printSummary(const CliOptions &, const DRAMCtrlConfig &,
+printSummary(const CliOptions &, const harness::ResolvedConfig &,
              harness::MultiChannelSystem &mc)
 {
     std::printf("simulated time:    %.2f us\n",
@@ -478,8 +403,8 @@ audit(const DRAMCtrlConfig &cfg, const std::vector<CmdLogger> &loggers)
  */
 template <typename System, typename Report>
 int
-runSystem(const CliOptions &opt, const DRAMCtrlConfig &cfg, System &sys,
-          Report report)
+runSystem(const CliOptions &opt, const harness::ResolvedConfig &rc,
+          System &sys, Report report)
 {
     std::vector<CmdLogger> *loggers = nullptr;
     if (opt.audit || !opt.chromeFile.empty())
@@ -492,7 +417,7 @@ runSystem(const CliOptions &opt, const DRAMCtrlConfig &cfg, System &sys,
         ckpt::restoreFile(sys.sim(), opt.ckptRestore);
 
     if (!opt.json) {
-        std::printf("%s\n", cfg.describe().c_str());
+        std::printf("%s\n", rc.cfg.describe().c_str());
         if (sys.numChannels() > 1)
             std::printf("channels:          %u (sim-threads %u)\n",
                         sys.numChannels(), opt.simThreads);
@@ -537,9 +462,9 @@ runSystem(const CliOptions &opt, const DRAMCtrlConfig &cfg, System &sys,
         sys.sim().dumpStatsJson(std::cout);
         std::cout << "}\n";
     } else {
-        printSummary(opt, cfg, sys);
+        printSummary(opt, rc, sys);
     }
-    return opt.audit ? audit(cfg, *loggers) : 0;
+    return opt.audit ? audit(rc.cfg, *loggers) : 0;
 }
 
 /**
@@ -548,7 +473,7 @@ runSystem(const CliOptions &opt, const DRAMCtrlConfig &cfg, System &sys,
  * endpoint.
  */
 int
-runSingleChannel(const CliOptions &opt, const DRAMCtrlConfig &cfg,
+runSingleChannel(const CliOptions &opt, const harness::ResolvedConfig &rc,
                  harness::CtrlModel model)
 {
     // Trace channels and sinks. With channels enabled but no sink
@@ -581,7 +506,7 @@ runSingleChannel(const CliOptions &opt, const DRAMCtrlConfig &cfg,
     if (!opt.chromeFile.empty())
         obs::setChromeTracer(&chrome);
 
-    harness::SingleChannelSystem tb(cfg, model);
+    harness::SingleChannelSystem tb(rc.cfg, model);
 
     obs::EventProfiler profiler;
     if (opt.profileEvents)
@@ -672,7 +597,7 @@ runSingleChannel(const CliOptions &opt, const DRAMCtrlConfig &cfg,
             profiler.report(std::cout);
         }
     };
-    return runSystem(opt, cfg, tb, report);
+    return runSystem(opt, rc, tb, report);
 }
 
 } // namespace
@@ -691,70 +616,19 @@ main(int argc, char **argv)
 
     // A system preset names a whole multi-channel assembly; an
     // explicit --channels can still override its channel count.
-    unsigned channels = opt.channels;
-    DRAMCtrlConfig cfg;
-    if (!opt.configFile.empty()) {
-        if (opt.presetExplicit)
-            fatal("--config and --preset are mutually exclusive (a "
-                  "config file may name its base preset itself)");
-        std::string base;
-        cfg = harness::loadConfigFile(opt.configFile, &base);
-        // Register the loaded config so every preset-name lookup on
-        // this run (batch rows, labels, power) resolves to exactly
-        // the file's configuration.
-        std::string pname =
-            base.empty() ? "config:" + opt.configFile : base;
-        presets::registerPreset(pname, [cfg] { return cfg; });
-        opt.preset = pname;
-    } else if (harness::isSystemPreset(opt.preset)) {
-        harness::MultiChannelConfig sys =
-            harness::systemPresetByName(opt.preset);
-        cfg = sys.ctrl;
-        if (channels == 0)
-            channels = sys.channels;
-    } else {
-        cfg = presets::byName(opt.preset);
-    }
-    if (!opt.page.empty() &&
-        !pagePolicyFromString(opt.page, cfg.pagePolicy))
-        fatal("unknown page policy '%s'", opt.page.c_str());
-    if (!opt.mapping.empty() &&
-        !addrMappingFromString(opt.mapping, cfg.addrMapping))
-        fatal("unknown address mapping '%s'", opt.mapping.c_str());
-    if (!opt.sched.empty() &&
-        !schedPolicyFromString(opt.sched, cfg.schedPolicy))
-        fatal("unknown scheduler '%s'", opt.sched.c_str());
-    if (opt.tempExplicit || opt.configFile.empty())
-        cfg.temperatureC = opt.temperatureC;
-    if (opt.powerDown || opt.configFile.empty())
-        cfg.enablePowerDown = opt.powerDown;
-    if (!opt.plugins.empty()) {
-        std::string err;
-        if (!plugin::parsePluginList(opt.plugins, cfg, err))
-            fatal("%s", err.c_str());
-        for (PluginSpec &ps : cfg.plugins) {
-            if (ps.kind == "ecc") {
-                if (opt.eccBer >= 0)
-                    ps.eccBer = opt.eccBer;
-                if (opt.eccSeed)
-                    ps.eccSeed = opt.eccSeed;
-            } else if (ps.kind == "prac" && opt.pracThreshold) {
-                ps.pracThreshold = opt.pracThreshold;
-            }
-        }
-    }
-    cfg.check();
+    harness::ResolvedConfig rc = harness::resolveConfig(opt.config);
+    unsigned channels = opt.channels ? opt.channels : rc.channels;
 
     if (!opt.dumpConfig.empty()) {
         // Emit the fully-resolved configuration (preset + config file
         // + CLI overrides) as a config file. The preset name is only
         // recorded when re-parsing can resolve it.
         std::string pname =
-            presets::hasPreset(opt.preset) ? opt.preset : "";
+            presets::hasPreset(rc.preset) ? rc.preset : "";
         if (opt.dumpConfig == "-") {
-            std::fputs(harness::dumpConfig(cfg, pname).c_str(),
+            std::fputs(harness::dumpConfig(rc.cfg, pname).c_str(),
                        stdout);
-        } else if (!harness::writeConfigFile(opt.dumpConfig, cfg,
+        } else if (!harness::writeConfigFile(opt.dumpConfig, rc.cfg,
                                              pname)) {
             fatal("cannot write config file '%s'",
                   opt.dumpConfig.c_str());
@@ -789,17 +663,17 @@ main(int argc, char **argv)
                   "single-channel");
         harness::MultiChannelConfig mcfg;
         mcfg.channels = channels;
-        mcfg.ctrl = cfg;
+        mcfg.ctrl = rc.cfg;
         mcfg.model = model;
         mcfg.simThreads = opt.simThreads;
         harness::MultiChannelSystem mc(mcfg);
-        return runSystem(opt, cfg, mc, [](std::vector<CmdLogger> *) {});
+        return runSystem(opt, rc, mc, [](std::vector<CmdLogger> *) {});
     }
     if (opt.simThreads > 1)
         fatal("--sim-threads shards a multi-channel run; it needs "
               "--channels N (or a system preset)");
 
     if (opt.runs > 1)
-        return runBatch(opt, cfg, model);
-    return runSingleChannel(opt, cfg, model);
+        return runBatch(opt, rc, model);
+    return runSingleChannel(opt, rc, model);
 }

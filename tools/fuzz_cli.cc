@@ -33,9 +33,9 @@
 #include <chrono>
 #include <cstdio>
 #include <memory>
-#include <sstream>
 #include <string>
 
+#include "cli/options.hh"
 #include "dram/dram_presets.hh"
 #include "exec/batch_runner.hh"
 #include "obs/metrics.hh"
@@ -79,125 +79,73 @@ struct FuzzCliOptions
     bool verbose = false;
 };
 
-void
-usage(const char *prog)
-{
-    std::printf(
-        "usage: %s [options]\n"
-        "  --runs N           fuzz cases to run (default 50; 0 = "
-        "until --duration-s)\n"
-        "  --seed N           master seed (default 1); every failure "
-        "is\n"
-        "                     reproducible from this seed + run index\n"
-        "  --first-run N      start at case index N (replay one case "
-        "as\n"
-        "                     --first-run N --runs 1)\n"
-        "  --jobs N           concurrent fuzz jobs (default 1; 0 = "
-        "one\n"
-        "                     per core); output is byte-identical "
-        "for\n"
-        "                     every value\n"
-        "  --requests N       override per-case request count\n"
-        "  --duration-s S     stop after S wall-clock seconds\n"
-        "  --tolerance-bw F   relative completion-time tolerance "
-        "(default 0.5)\n"
-        "  --tolerance-lat F  relative read-latency tolerance "
-        "(default 0.60)\n"
-        "  --out-dir PATH     where repro/trace files go (default .)\n"
-        "  --trace-capture P  write every case's drawn request stream "
-        "as\n"
-        "                     '<P><run>.dtrc' (replayable with "
-        "dramctrl_cli\n"
-        "                     --pattern trace; identical for every "
-        "--jobs)\n"
-        "  --fuzz-plugins     also draw random plugin chains (ecc, "
-        "prac,\n"
-        "                     refresh managers) for every case\n"
-        "  --standards S      preset pool to draw timing sets from: "
-        "'all'\n"
-        "                     (every registered preset) or a csv of\n"
-        "                     preset names; default keeps the "
-        "historical\n"
-        "                     DDR3-era pool so old seeds reproduce\n"
-        "  --inject-bug [M]   plant fault M in the event model — the "
-        "run\n"
-        "                     must fail and the checker must name the "
-        "rule.\n"
-        "                     M: trcd (default; tRCD x 0.5), prac "
-        "(skip the\n"
-        "                     mitigation refresh), trfcpb (drop the "
-        "per-bank\n"
-        "                     refresh blackout), refpb (starve one "
-        "bank of\n"
-        "                     per-bank refresh)\n"
-        "  --no-shrink        skip stream minimisation on failure\n"
-        "  --no-shard-diff    skip the sharded-vs-sequential check "
-        "(each\n"
-        "                     case normally also runs a multi-channel\n"
-        "                     system with a random --sim-threads and\n"
-        "                     demands byte-identical results)\n"
-        "  --repro FILE       replay a repro file instead of fuzzing\n"
-        "  --metrics-listen SPEC  serve live fuzz progress (Unix "
-        "socket\n"
-        "                     path or loopback TCP port; see "
-        "dramctrl_cli)\n"
-        "  --verbose          print every case, not just failures\n",
-        prog);
-}
-
+/** Parse argv into @p opt. @return false when --help was printed. */
 bool
 parseArgs(int argc, char **argv, FuzzCliOptions &opt)
 {
-    auto need = [&](int &i) -> const char * {
-        if (i + 1 >= argc)
-            fatal("missing value for %s", argv[i]);
-        return argv[++i];
-    };
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        if (a == "--runs") opt.runs = std::stoull(need(i));
-        else if (a == "--seed") opt.seed = std::stoull(need(i));
-        else if (a == "--first-run")
-            opt.firstRun = std::stoull(need(i));
-        else if (a == "--jobs") {
-            opt.jobs = static_cast<unsigned>(std::stoul(need(i)));
-            if (opt.jobs == 0)
-                opt.jobs = exec::ThreadPool::hardwareThreads();
-        }
-        else if (a == "--requests")
-            opt.requests = std::stoull(need(i));
-        else if (a == "--duration-s")
-            opt.durationS = std::stod(need(i));
-        else if (a == "--tolerance-bw")
-            opt.toleranceBw = std::stod(need(i));
-        else if (a == "--tolerance-lat")
-            opt.toleranceLat = std::stod(need(i));
-        else if (a == "--out-dir") opt.outDir = need(i);
-        else if (a == "--trace-capture") opt.traceCapture = need(i);
-        else if (a == "--inject-bug") {
-            // Optional mode operand; bare --inject-bug keeps the
-            // original tRCD fault.
-            if (i + 1 < argc && argv[i + 1][0] != '-')
-                opt.injectMode = argv[++i];
-            else
-                opt.injectMode = "trcd";
-        }
-        else if (a == "--fuzz-plugins") opt.fuzzPlugins = true;
-        else if (a == "--standards") opt.standards = need(i);
-        else if (a == "--no-shrink") opt.noShrink = true;
-        else if (a == "--no-shard-diff") opt.noShardDiff = true;
-        else if (a == "--repro") opt.repro = need(i);
-        else if (a == "--metrics-listen")
-            opt.metricsListen = need(i);
-        else if (a == "--verbose") opt.verbose = true;
-        else if (a == "--help" || a == "-h") {
-            usage(argv[0]);
-            return false;
-        } else {
-            fatal("unknown option '%s' (try --help)", a.c_str());
-        }
-    }
-    return true;
+    using namespace cli;
+    Option injectBug = text(
+        "--inject-bug", "[M]", opt.injectMode,
+        "plant fault M in the event model — the run\n"
+        "must fail and the checker must name the rule.\n"
+        "M: trcd (default; tRCD x 0.5), prac (skip the\n"
+        "mitigation refresh), trfcpb (drop the per-bank\n"
+        "refresh blackout), refpb (starve one bank of\n"
+        "per-bank refresh)");
+    // A bare --inject-bug keeps the original tRCD fault.
+    injectBug.implicit = "trcd";
+    OptionTable table("[options]", {
+        integer("--runs", "N", opt.runs,
+                "fuzz cases to run (default 50; 0 = until --duration-s)"),
+        integer("--seed", "N", opt.seed,
+                "master seed (default 1); every failure is\n"
+                "reproducible from this seed + run index"),
+        integer("--first-run", "N", opt.firstRun,
+                "start at case index N (replay one case as\n"
+                "--first-run N --runs 1)"),
+        threads("--jobs", "N", opt.jobs,
+                "concurrent fuzz jobs (default 1; 0 = one\n"
+                "per core); output is byte-identical for\n"
+                "every value"),
+        integer("--requests", "N", opt.requests,
+                "override per-case request count"),
+        real("--duration-s", "S", opt.durationS,
+             "stop after S wall-clock seconds"),
+        real("--tolerance-bw", "F", opt.toleranceBw,
+             "relative completion-time tolerance (default 0.5)"),
+        real("--tolerance-lat", "F", opt.toleranceLat,
+             "relative read-latency tolerance (default 0.60)"),
+        text("--out-dir", "PATH", opt.outDir,
+             "where repro/trace files go (default .)"),
+        text("--trace-capture", "P", opt.traceCapture,
+             "write every case's drawn request stream as\n"
+             "'<P><run>.dtrc' (replayable with dramctrl_cli\n"
+             "--pattern trace; identical for every --jobs)"),
+        flag("--fuzz-plugins", opt.fuzzPlugins,
+             "also draw random plugin chains (ecc, prac,\n"
+             "refresh managers) for every case"),
+        text("--standards", "S", opt.standards,
+             "preset pool to draw timing sets from: 'all'\n"
+             "(every registered preset) or a csv of\n"
+             "preset names; default keeps the historical\n"
+             "DDR3-era pool so old seeds reproduce"),
+        injectBug,
+        flag("--no-shrink", opt.noShrink,
+             "skip stream minimisation on failure"),
+        flag("--no-shard-diff", opt.noShardDiff,
+             "skip the sharded-vs-sequential check (each\n"
+             "case normally also runs a multi-channel\n"
+             "system with a random --sim-threads and\n"
+             "demands byte-identical results)"),
+        text("--repro", "FILE", opt.repro,
+             "replay a repro file instead of fuzzing"),
+        text("--metrics-listen", "SPEC", opt.metricsListen,
+             "serve live fuzz progress (Unix socket\n"
+             "path or loopback TCP port; see dramctrl_cli)"),
+        flag("--verbose", opt.verbose,
+             "print every case, not just failures"),
+    });
+    return table.parse(argc, argv);
 }
 
 int
@@ -377,11 +325,7 @@ main(int argc, char **argv)
     if (opt.standards == "all") {
         fopts.standards = presets::names();
     } else if (!opt.standards.empty()) {
-        std::string item;
-        std::istringstream csv(opt.standards);
-        while (std::getline(csv, item, ',')) {
-            if (item.empty())
-                continue;
+        for (const std::string &item : splitCsv(opt.standards)) {
             if (!presets::hasPreset(item))
                 fatal("--standards: unknown preset '%s'",
                       item.c_str());
@@ -459,11 +403,7 @@ main(int argc, char **argv)
             .set(static_cast<double>(failed_n));
         metricsReg->gauge("fuzz.elapsed_s", "wall-clock seconds")
             .set(elapsedS());
-        std::ostringstream prom;
-        std::ostringstream json;
-        metricsReg->writeProm(prom);
-        metricsReg->writeJson(json);
-        metricsServer->publish(prom.str(), json.str());
+        metricsServer->publish(*metricsReg);
     };
     publishMetrics(0, 0);
 

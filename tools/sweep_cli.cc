@@ -21,11 +21,10 @@
 
 #include <cstdio>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "dram/dram_presets.hh"
+#include "cli/options.hh"
 #include "exec/batch_runner.hh"
 #include "exec/sweep.hh"
 #include "harness/config_file.hh"
@@ -43,7 +42,6 @@ struct SweepCliOptions
     SweepSpec spec;
     /** Preset names minted from --config files, joined to the axis. */
     std::vector<std::string> configPresets;
-    bool presetExplicit = false;
     unsigned jobs = 1;
     std::string out;             // empty = stdout
     std::string format = "csv";  // csv | jsonl
@@ -51,172 +49,115 @@ struct SweepCliOptions
     std::string metricsListen;   // live endpoint listen spec
 };
 
-void
-usage(const char *prog)
-{
-    std::printf(
-        "usage: %s [options]   (list-valued options take csv)\n"
-        "  --preset LIST      ddr3_1333|ddr3_1600|lpddr3_1600|"
-        "wideio_200|\n"
-        "                     hmc_vault|ddr4_2400|lpddr4_3200|hbm2\n"
-        "  --config LIST      declarative config files (see\n"
-        "                     docs/STANDARDS.md); each file is "
-        "registered\n"
-        "                     as an in-process preset and added to "
-        "the\n"
-        "                     --preset axis under its own name\n"
-        "  --pattern LIST     linear|random|dram\n"
-        "  --page LIST        open|open_adaptive|closed|"
-        "closed_adaptive\n"
-        "  --mapping LIST     RoRaBaCoCh|RoRaBaChCo|RoCoRaBaCh\n"
-        "  --read-pct LIST    read percentages\n"
-        "  --itt-ns LIST      inter-transaction times, ns\n"
-        "  --model NAME       event|cycle|both (default event)\n"
-        "  --seeds N          seeds per grid point (default 1)\n"
-        "  --seed N           master seed (default 1); run seeds "
-        "derive\n"
-        "                     from (master seed, grid index)\n"
-        "  --requests N       requests per run (default 5000)\n"
-        "  --warmup N         warm-up requests before the stats reset\n"
-        "                     (default 0 = none)\n"
-        "  --warm-start       checkpoint each config group once after\n"
-        "                     warm-up and fan the measured phases out\n"
-        "                     from the shared snapshot (needs "
-        "--warmup)\n"
-        "  --plugins LIST     controller plugin chain applied to "
-        "every\n"
-        "                     point (csv of ecc|prac|refmgr|refmgr-pb;\n"
-        "                     refmgr-pb needs --model event)\n"
-        "  --stride BYTES     dram-pattern stride (default 256)\n"
-        "  --banks N          dram-pattern banks (default 4)\n"
-        "  --channels N       channels per run (default 1); N > 1 "
-        "builds a\n"
-        "                     sharded multi-channel system per point\n"
-        "  --sim-threads N    worker threads inside each run "
-        "(default 1;\n"
-        "                     0 = one per core); composes with --jobs "
-        "and\n"
-        "                     never changes the rows\n"
-        "  --jobs N           worker threads (default 1; 0 = one "
-        "per core);\n"
-        "                     output is identical for every value\n"
-        "  --out PATH         result file (default stdout)\n"
-        "  --format F         csv|jsonl (default csv)\n"
-        "  --metrics-listen SPEC  serve live batch progress (Unix "
-        "socket\n"
-        "                     path or loopback TCP port; see "
-        "dramctrl_cli)\n",
-        prog);
-}
-
+/** Parse argv into @p opt. @return false when --help was printed. */
 bool
 parseArgs(int argc, char **argv, SweepCliOptions &opt)
 {
-    auto need = [&](int &i) -> const char * {
-        if (i + 1 >= argc)
-            fatal("missing value for %s", argv[i]);
-        return argv[++i];
-    };
+    using namespace cli;
     SweepSpec &spec = opt.spec;
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        if (a == "--preset") {
-            spec.presets = splitCsv(need(i));
-            opt.presetExplicit = true;
-        } else if (a == "--config") {
-            // Each file becomes an in-process preset named after its
-            // base preset (shadowing it) or its path, and joins the
-            // preset axis so the grid expands over it like any name.
-            for (const std::string &path : splitCsv(need(i))) {
-                std::string base;
-                DRAMCtrlConfig cfg =
-                    harness::loadConfigFile(path, &base);
-                std::string pname =
-                    base.empty() ? "config:" + path : base;
-                presets::registerPreset(pname,
-                                        [cfg] { return cfg; });
-                opt.configPresets.push_back(pname);
-            }
-        } else if (a == "--pattern") {
-            spec.patterns = splitCsv(need(i));
-        } else if (a == "--page") {
-            spec.pages.clear();
-            for (const std::string &s : splitCsv(need(i))) {
-                PagePolicy p;
-                if (!pagePolicyFromString(s, p))
-                    fatal("unknown page policy '%s'", s.c_str());
-                spec.pages.push_back(p);
-            }
-        } else if (a == "--mapping") {
-            spec.mappings.clear();
-            for (const std::string &s : splitCsv(need(i))) {
-                AddrMapping m;
-                if (!addrMappingFromString(s, m))
-                    fatal("unknown mapping '%s'", s.c_str());
-                spec.mappings.push_back(m);
-            }
-        } else if (a == "--read-pct") {
-            spec.readPcts.clear();
-            for (const std::string &s : splitCsv(need(i)))
-                spec.readPcts.push_back(
-                    static_cast<unsigned>(std::stoul(s)));
-        } else if (a == "--itt-ns") {
-            spec.ittNs.clear();
-            for (const std::string &s : splitCsv(need(i)))
-                spec.ittNs.push_back(std::stod(s));
-        } else if (a == "--model") {
-            std::string m = need(i);
-            if (m == "event")
-                spec.models = {harness::CtrlModel::Event};
-            else if (m == "cycle")
-                spec.models = {harness::CtrlModel::Cycle};
-            else if (m == "both")
-                spec.models = {harness::CtrlModel::Event,
-                               harness::CtrlModel::Cycle};
-            else
-                fatal("unknown model '%s'", m.c_str());
-        } else if (a == "--seeds") {
-            spec.numSeeds =
-                static_cast<unsigned>(std::stoul(need(i)));
-        } else if (a == "--seed") {
-            spec.masterSeed = std::stoull(need(i));
-        } else if (a == "--plugins") {
-            spec.plugins = need(i);
-        } else if (a == "--requests") {
-            spec.requests = std::stoull(need(i));
-        } else if (a == "--warmup") {
-            spec.warmupRequests = std::stoull(need(i));
-        } else if (a == "--warm-start") {
-            opt.warmStart = true;
-        } else if (a == "--stride") {
-            spec.strideBytes = std::stoull(need(i));
-        } else if (a == "--banks") {
-            spec.banks = static_cast<unsigned>(std::stoul(need(i)));
-        } else if (a == "--channels") {
-            spec.channels =
-                static_cast<unsigned>(std::stoul(need(i)));
-        } else if (a == "--sim-threads") {
-            spec.simThreads =
-                static_cast<unsigned>(std::stoul(need(i)));
-            if (spec.simThreads == 0)
-                spec.simThreads = ThreadPool::hardwareThreads();
-        } else if (a == "--jobs") {
-            opt.jobs = static_cast<unsigned>(std::stoul(need(i)));
-            if (opt.jobs == 0)
-                opt.jobs = ThreadPool::hardwareThreads();
-        } else if (a == "--out") {
-            opt.out = need(i);
-        } else if (a == "--format") {
-            opt.format = need(i);
-        } else if (a == "--metrics-listen") {
-            opt.metricsListen = need(i);
-        } else if (a == "--help" || a == "-h") {
-            usage(argv[0]);
-            return false;
-        } else {
-            fatal("unknown option '%s' (try --help)", a.c_str());
-        }
-    }
+    OptionTable table("[options]   (list-valued options take csv)", {
+        csv("--preset", "LIST", spec.presets,
+            "ddr3_1333|ddr3_1600|lpddr3_1600|wideio_200|\n"
+            "hmc_vault|ddr4_2400|lpddr4_3200|hbm2"),
+        // Each file becomes an in-process preset and joins the preset
+        // axis, so the grid expands over it like any name.
+        custom("--config", "LIST",
+               "declarative config files (see\n"
+               "docs/STANDARDS.md); each file is registered\n"
+               "as an in-process preset and added to the\n"
+               "--preset axis under its own name",
+               [&opt](const std::string &v) {
+                   for (const std::string &path : splitCsv(v))
+                       opt.configPresets.push_back(
+                           harness::registerConfigPreset(path));
+               }),
+        csv("--pattern", "LIST", spec.patterns, "linear|random|dram"),
+        custom("--page", "LIST",
+               "open|open_adaptive|closed|closed_adaptive",
+               [&spec](const std::string &v) {
+                   spec.pages.clear();
+                   for (const std::string &s : splitCsv(v)) {
+                       PagePolicy p;
+                       if (!pagePolicyFromString(s, p))
+                           fatal("unknown page policy '%s'", s.c_str());
+                       spec.pages.push_back(p);
+                   }
+               }),
+        custom("--mapping", "LIST", "RoRaBaCoCh|RoRaBaChCo|RoCoRaBaCh",
+               [&spec](const std::string &v) {
+                   spec.mappings.clear();
+                   for (const std::string &s : splitCsv(v)) {
+                       AddrMapping m;
+                       if (!addrMappingFromString(s, m))
+                           fatal("unknown mapping '%s'", s.c_str());
+                       spec.mappings.push_back(m);
+                   }
+               }),
+        custom("--read-pct", "LIST", "read percentages",
+               [&spec](const std::string &v) {
+                   spec.readPcts.clear();
+                   for (const std::string &s : splitCsv(v))
+                       spec.readPcts.push_back(static_cast<unsigned>(
+                           parseUInt("--read-pct", s, ~0u)));
+               }),
+        custom("--itt-ns", "LIST", "inter-transaction times, ns",
+               [&spec](const std::string &v) {
+                   spec.ittNs.clear();
+                   for (const std::string &s : splitCsv(v))
+                       spec.ittNs.push_back(parseDouble("--itt-ns", s));
+               }),
+        custom("--model", "NAME", "event|cycle|both (default event)",
+               [&spec](const std::string &m) {
+                   using harness::CtrlModel;
+                   if (m == "event")
+                       spec.models = {CtrlModel::Event};
+                   else if (m == "cycle")
+                       spec.models = {CtrlModel::Cycle};
+                   else if (m == "both")
+                       spec.models = {CtrlModel::Event, CtrlModel::Cycle};
+                   else
+                       fatal("unknown model '%s'", m.c_str());
+               }),
+        integer("--seeds", "N", spec.numSeeds,
+                "seeds per grid point (default 1)"),
+        integer("--seed", "N", spec.masterSeed,
+                "master seed (default 1); run seeds derive\n"
+                "from (master seed, grid index)"),
+        integer("--requests", "N", spec.requests,
+                "requests per run (default 5000)"),
+        integer("--warmup", "N", spec.warmupRequests,
+                "warm-up requests before the stats reset\n"
+                "(default 0 = none)"),
+        flag("--warm-start", opt.warmStart,
+             "checkpoint each config group once after\n"
+             "warm-up and fan the measured phases out\n"
+             "from the shared snapshot (needs --warmup)"),
+        text("--plugins", "LIST", spec.plugins,
+             "controller plugin chain applied to every\n"
+             "point (csv of ecc|prac|refmgr|refmgr-pb;\n"
+             "refmgr-pb needs --model event)"),
+        integer("--stride", "BYTES", spec.strideBytes,
+                "dram-pattern stride (default 256)"),
+        integer("--banks", "N", spec.banks,
+                "dram-pattern banks (default 4)"),
+        integer("--channels", "N", spec.channels,
+                "channels per run (default 1); N > 1 builds a\n"
+                "sharded multi-channel system per point"),
+        threads("--sim-threads", "N", spec.simThreads,
+                "worker threads inside each run (default 1;\n"
+                "0 = one per core); composes with --jobs and\n"
+                "never changes the rows"),
+        threads("--jobs", "N", opt.jobs,
+                "worker threads (default 1; 0 = one per core);\n"
+                "output is identical for every value"),
+        text("--out", "PATH", opt.out, "result file (default stdout)"),
+        text("--format", "F", opt.format, "csv|jsonl (default csv)"),
+        text("--metrics-listen", "SPEC", opt.metricsListen,
+             "serve live batch progress (Unix socket\n"
+             "path or loopback TCP port; see dramctrl_cli)"),
+    });
+    if (!table.parse(argc, argv))
+        return false;
     if (opt.format != "csv" && opt.format != "jsonl")
         fatal("unknown format '%s'", opt.format.c_str());
     if (opt.warmStart && spec.warmupRequests == 0)
@@ -225,7 +166,7 @@ parseArgs(int argc, char **argv, SweepCliOptions &opt)
     // --preset they replace the default axis instead of silently
     // sweeping ddr3_1333 alongside the files.
     if (!opt.configPresets.empty()) {
-        if (!opt.presetExplicit)
+        if (!table.given("--preset"))
             spec.presets.clear();
         for (const std::string &p : opt.configPresets)
             spec.presets.push_back(p);
@@ -272,13 +213,8 @@ main(int argc, char **argv)
             .set(static_cast<double>(grid.size()));
     }
     auto publishMetrics = [&]() {
-        if (!metricsServer)
-            return;
-        std::ostringstream prom;
-        std::ostringstream json;
-        metricsReg->writeProm(prom);
-        metricsReg->writeJson(json);
-        metricsServer->publish(prom.str(), json.str());
+        if (metricsServer)
+            metricsServer->publish(*metricsReg);
     };
     publishMetrics();
 

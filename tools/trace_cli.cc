@@ -15,6 +15,7 @@
 #include <cstring>
 #include <string>
 
+#include "cli/options.hh"
 #include "sim/logging.hh"
 #include "sim/types.hh"
 #include "trafficgen/trace.hh"
@@ -242,7 +243,7 @@ main(int argc, char **argv)
             return usage(argv[0]);
         std::uint64_t n = 10;
         if (argc == 5)
-            n = std::strtoull(argv[4], nullptr, 10);
+            n = cli::parseUInt("-n", argv[4]);
         return cmdHead(argv[2], n);
     }
     if (cmd == "validate") {
