@@ -7,6 +7,7 @@
 #include <cstdlib>
 
 #include "exec/thread_pool.hh"
+#include "sim/logging.hh"
 
 namespace dramctrl {
 namespace cli {

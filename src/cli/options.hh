@@ -31,8 +31,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/logging.hh"
-
 namespace dramctrl {
 namespace cli {
 
