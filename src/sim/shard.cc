@@ -1,6 +1,7 @@
 #include "sim/shard.hh"
 
 #include <algorithm>
+#include <thread>
 
 #include "exec/thread_pool.hh"
 #include "sim/eventq.hh"
@@ -59,44 +60,7 @@ ShardedEngine::post(unsigned from, unsigned to, Tick when,
               static_cast<unsigned long long>(
                   sim_.shardQueue(from).curTick()),
               static_cast<unsigned long long>(lookahead_));
-    outbox_[from].push_back(
-        Msg{when, to, from, &box, pkt, arg});
-}
-
-void
-ShardedEngine::deliverMessages()
-{
-    merged_.clear();
-    for (auto &ob : outbox_) {
-        merged_.insert(merged_.end(), ob.begin(), ob.end());
-        ob.clear();
-    }
-    if (merged_.empty())
-        return;
-
-    // Total deterministic order. stable_sort preserves each sender's
-    // send order within equal (when, to, from) keys, and the outboxes
-    // were concatenated in ascending sender order, so the merge is a
-    // pure function of the model state — never of thread timing.
-    std::stable_sort(merged_.begin(), merged_.end(),
-                     [](const Msg &a, const Msg &b) {
-                         if (a.when != b.when)
-                             return a.when < b.when;
-                         if (a.to != b.to)
-                             return a.to < b.to;
-                         return a.from < b.from;
-                     });
-
-    for (const Msg &m : merged_) {
-        DC_ASSERT(m.when >= sim_.shardQueue(m.to).curTick(),
-                  "message due at %llu delivered past the barrier %llu",
-                  static_cast<unsigned long long>(m.when),
-                  static_cast<unsigned long long>(
-                      sim_.shardQueue(m.to).curTick()));
-        m.box->deliver(m.when, m.pkt, m.arg);
-        ++messages_;
-    }
-    merged_.clear();
+    outbox_[from].push_back(Msg{when, to, &box, pkt, arg});
 }
 
 void
@@ -124,7 +88,6 @@ ShardedEngine::ensureWorkers()
 void
 ShardedEngine::workerBody(unsigned id)
 {
-    const unsigned n = sim_.numShards();
     std::uint64_t seen = 0;
     for (;;) {
         std::uint64_t e;
@@ -151,67 +114,133 @@ ShardedEngine::workerBody(unsigned id)
         if (stop_.load(std::memory_order_acquire))
             return;
         seen = e;
-        Tick window_end = windowEnd_; // published by the epoch store
-        for (unsigned s = id; s < n; s += width_)
-            sim_.shardQueue(s).simulate(window_end);
+        executeEpoch(id);
         pending_.fetch_sub(1, std::memory_order_release);
     }
 }
 
 void
-ShardedEngine::runWindow(Tick window_end)
+ShardedEngine::executeEpoch(unsigned id)
 {
     const unsigned n = sim_.numShards();
-    ++windows_;
-    if (width_ <= 1) {
-        // Sequential reference execution: identical shard-local event
-        // order, identical barrier merge — just one executor.
-        for (unsigned s = 0; s < n; ++s)
-            sim_.shardQueue(s).simulate(window_end);
-        return;
+    if (runPhase_) {
+        for (unsigned s = id; s < n; s += width_) {
+            // Every executor finished reading this outbox before the
+            // epoch began, so the sender can reuse it.
+            outbox_[s].clear();
+            sim_.shardQueue(s).simulate(windowEnd_);
+        }
+        // Delivery reads every outbox: wait until all shards have
+        // finished posting. The release half publishes this
+        // executor's outboxes, the acquire loads collect the others'.
+        running_.fetch_sub(1, std::memory_order_acq_rel);
+        unsigned spins = 0;
+        while (running_.load(std::memory_order_acquire) != 0) {
+            if (++spins >= 64)
+                std::this_thread::yield();
+        }
+    }
+    deliverInbound(id);
+
+    Tick next = kMaxTick;
+    for (unsigned s = id; s < n; s += width_)
+        next = std::min(next, sim_.shardQueue(s).nextTick());
+    executors_[id].nextTick = next;
+}
+
+void
+ShardedEngine::deliverInbound(unsigned id)
+{
+    const unsigned n = sim_.numShards();
+    std::vector<MsgRef> &inbound = executors_[id].inbound;
+    inbound.clear();
+    for (std::uint32_t from = 0; from < n; ++from) {
+        const std::vector<Msg> &ob = outbox_[from];
+        for (std::uint32_t pos = 0; pos < ob.size(); ++pos)
+            if (ob[pos].to % width_ == id)
+                inbound.push_back(MsgRef{ob[pos].when, from, pos});
     }
 
-    ensureWorkers();
+    // (when, from, send order) is a total order, so the result is a
+    // pure function of the model state. Restricted to one target it is
+    // that target's delivery order at every width, and a delivery
+    // touches only its target's shard, so the interleaving across this
+    // executor's targets does not matter.
+    std::sort(inbound.begin(), inbound.end(),
+              [](const MsgRef &a, const MsgRef &b) {
+                  if (a.when != b.when)
+                      return a.when < b.when;
+                  if (a.from != b.from)
+                      return a.from < b.from;
+                  return a.pos < b.pos;
+              });
+
+    for (const MsgRef &r : inbound) {
+        const Msg &m = outbox_[r.from][r.pos];
+        DC_ASSERT(m.when >= sim_.shardQueue(m.to).curTick(),
+                  "message due at %llu delivered past the barrier %llu",
+                  static_cast<unsigned long long>(m.when),
+                  static_cast<unsigned long long>(
+                      sim_.shardQueue(m.to).curTick()));
+        m.box->deliver(m.when, m.pkt, m.arg);
+    }
+    executors_[id].delivered = inbound.size();
+}
+
+Tick
+ShardedEngine::runEpoch(bool run_phase, Tick window_end)
+{
+    if (run_phase)
+        ++windows_;
+    runPhase_ = run_phase;
     windowEnd_ = window_end;
-    pending_.store(width_ - 1, std::memory_order_relaxed);
-    epoch_.fetch_add(1, std::memory_order_release);
-    if (parked_.load(std::memory_order_acquire) > 0) {
-        std::lock_guard<std::mutex> lock(wakeMutex_);
-        wakeCv_.notify_all();
+    running_.store(width_, std::memory_order_relaxed);
+    if (width_ > 1) {
+        ensureWorkers();
+        pending_.store(width_ - 1, std::memory_order_relaxed);
+        epoch_.fetch_add(1, std::memory_order_release);
+        if (parked_.load(std::memory_order_acquire) > 0) {
+            std::lock_guard<std::mutex> lock(wakeMutex_);
+            wakeCv_.notify_all();
+        }
     }
 
     // The coordinator is executor 0: shard 0 (and every width-th shard)
     // always runs here, so objects on shard 0 keep main-thread
     // affinity.
-    for (unsigned s = 0; s < n; s += width_)
-        sim_.shardQueue(s).simulate(window_end);
+    executeEpoch(0);
 
     unsigned spins = 0;
     while (pending_.load(std::memory_order_acquire) != 0) {
         if (++spins >= 64)
             std::this_thread::yield();
     }
+
+    Tick t_next = kMaxTick;
+    for (const Executor &ex : executors_) {
+        t_next = std::min(t_next, ex.nextTick);
+        messages_ += ex.delivered;
+    }
+    return t_next;
 }
 
 Tick
 ShardedEngine::run(Tick until)
 {
-    const unsigned n = sim_.numShards();
-    if (width_ == 1 && !workersStarted_)
-        width_ = std::min(requestedThreads_, n);
+    if (width_ == 1 && !workersStarted_) {
+        width_ = std::min(requestedThreads_, sim_.numShards());
+        executors_.resize(width_);
+    }
 
     // Messages posted outside a window (model setup before the first
-    // run) have not been through a barrier yet; apply them so their
-    // wake-ups show up in the shard agendas below.
-    deliverMessages();
-
+    // run, or between runs) have not been through a barrier yet: an
+    // epoch without a run phase delivers them, so their wake-ups show
+    // up in the shard agendas below.
+    Tick t_next = runEpoch(false, 0);
     for (;;) {
-        // Invariant at the top: all shards sit at a common barrier tick
-        // and every posted message has been delivered.
-        Tick t_next = kMaxTick;
-        for (unsigned s = 0; s < n; ++s)
-            t_next = std::min(t_next, sim_.shardQueue(s).nextTick());
-
+        // Invariant at the top: all shards sit at a common barrier tick,
+        // every posted message has been delivered, and t_next is the
+        // earliest event over all shards.
         if (t_next == kMaxTick) {
             if (until != kMaxTick)
                 advanceAll(until);
@@ -228,9 +257,12 @@ ShardedEngine::run(Tick until)
         if (window_end > until)
             window_end = until;
 
-        runWindow(window_end);
-        deliverMessages();
+        t_next = runEpoch(true, window_end);
     }
+
+    // No executor reads the outboxes again before the next epoch.
+    for (auto &ob : outbox_)
+        ob.clear();
     return sim_.shardQueue(0).curTick();
 }
 

@@ -11,19 +11,28 @@
  * where the lookahead is the minimum latency of any cross-shard
  * interaction. Every cross-shard effect travels as a message posted
  * during window execution and applied only at the barrier between
- * windows, in a single deterministic order sorted by
- * (delivery tick, target shard, sender shard, per-sender send order).
- * Because every message carries latency >= lookahead, a message sent
- * inside a window can never be due before that window's end, so
- * applying it at the barrier is always causally safe (the classic
- * conservative-synchronisation argument, CMB-style).
+ * windows. Because every message carries latency >= lookahead, a
+ * message sent inside a window can never be due before that window's
+ * end, so applying it at the barrier is always causally safe (the
+ * classic conservative-synchronisation argument, CMB-style).
+ *
+ * Each window has two phases on a team of executors; executor e runs
+ * the shards s with s % width == e. In the run phase every executor
+ * simulates its shards to the window end. Once all have finished,
+ * each executor delivers the messages bound for its own shards, in
+ * (delivery tick, sender shard, per-sender send order) order, and
+ * reports its shards' earliest next event. A delivery touches only its
+ * target's shard and event sequence numbers are per queue, so this
+ * per-target order is all that the results depend on: it is the
+ * order a single global sort by (tick, target, sender, send order)
+ * would give each target.
  *
  * The upshot: the sequence of windows, the events run inside each
- * shard, and the merge order at every barrier are all pure functions
- * of the model state — never of the worker-thread count or of host
- * timing. Running with 1, 2 or 8 threads produces byte-identical
- * results; a single-threaded run of the sharded engine IS the
- * reference ordering, not an approximation of it.
+ * shard, and the delivery order into every shard are all pure
+ * functions of the model state — never of the worker-thread count or
+ * of host timing. Running with 1, 2 or 8 threads produces
+ * byte-identical results; a single-threaded run of the sharded engine
+ * IS the reference ordering, not an approximation of it.
  *
  * That guarantee covers thread counts for one sequence of run()
  * calls. It does not yet cover different run() horizons: a sharded
@@ -55,10 +64,12 @@ class ThreadPool;
 
 /**
  * Receiving end of a cross-shard link. deliver() is invoked at a
- * barrier, on the coordinating thread, with all shards quiescent at a
- * common tick <= @p when; the implementation typically enqueues the
- * payload and (re)schedules a wake-up event on its owner's shard
- * queue at @p when.
+ * barrier, on the executor that runs the target shard, with all
+ * shards quiescent at a common tick <= @p when; the implementation
+ * typically enqueues the payload and (re)schedules a wake-up event on
+ * its owner's shard queue at @p when. Other executors deliver to
+ * their own shards at the same time, so deliver() must touch only
+ * state on its target shard, and must not post.
  */
 class ShardMailbox
 {
@@ -129,22 +140,48 @@ class ShardedEngine
     {
         Tick when;
         std::uint32_t to;
-        std::uint32_t from;
         ShardMailbox *box;
         Packet *pkt;
         std::uint64_t arg;
     };
 
-    /** Run one window on all shards (parallel when width > 1). */
-    void runWindow(Tick window_end);
+    /** Merge key of one message: its tick and place in the outboxes. */
+    struct MsgRef
+    {
+        Tick when;
+        std::uint32_t from;
+        /** Index in outbox_[from], i.e. the sender's send order. */
+        std::uint32_t pos;
+    };
 
-    /** Merge and apply all posted messages, single-threaded. */
-    void deliverMessages();
+    /** One executor's merge scratch and epoch results. */
+    struct alignas(64) Executor
+    {
+        std::vector<MsgRef> inbound;
+        /** Earliest next event over this executor's shards. */
+        Tick nextTick = kMaxTick;
+        /** Messages this executor delivered in the last epoch. */
+        std::uint64_t delivered = 0;
+    };
+
+    /**
+     * One epoch on every executor: the run phase to @p window_end when
+     * @p run_phase, then delivery.
+     *
+     * @return the earliest next event over all shards.
+     */
+    Tick runEpoch(bool run_phase, Tick window_end);
+
+    /** Executor @p id's share of the current epoch. */
+    void executeEpoch(unsigned id);
+
+    /** Deliver the posted messages bound for executor @p id's shards. */
+    void deliverInbound(unsigned id);
 
     /** Advance every shard's clock to @p until (no events due). */
     void advanceAll(Tick until);
 
-    /** Spawn the worker team on first parallel window. */
+    /** Spawn the worker team on first parallel epoch. */
     void ensureWorkers();
 
     /** Long-running loop each pool worker executes. */
@@ -153,9 +190,13 @@ class ShardedEngine
     Simulator &sim_;
     const Tick lookahead_;
 
-    /** Per-sender-shard outboxes; only shard i writes outbox_[i]. */
+    /**
+     * Per-sender-shard outboxes; only shard i's executor writes
+     * outbox_[i]. Kept after delivery until that executor's next run
+     * phase (or the end of run()), since every executor reads them.
+     */
     std::vector<std::vector<Msg>> outbox_;
-    std::vector<Msg> merged_;
+    std::vector<Executor> executors_;
 
     std::uint64_t windows_ = 0;
     std::uint64_t messages_ = 0;
@@ -166,9 +207,13 @@ class ShardedEngine
     std::unique_ptr<exec::ThreadPool> pool_;
     bool workersStarted_ = false;
 
-    /** Barrier state: a new epoch publishes windowEnd_ to workers. */
+    /** Epoch state: a new epoch publishes these to the workers. */
+    bool runPhase_ = false;
     Tick windowEnd_ = 0;
     std::atomic<std::uint64_t> epoch_{0};
+    /** Executors still in the run phase; delivery waits for zero. */
+    std::atomic<unsigned> running_{0};
+    /** Workers still in the epoch; the coordinator waits for zero. */
     std::atomic<unsigned> pending_{0};
     std::atomic<bool> stop_{false};
     std::atomic<unsigned> parked_{0};

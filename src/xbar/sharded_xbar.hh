@@ -83,12 +83,17 @@ struct ShardedXBarConfig
 
 /**
  * Ordered inbound queue of one cross-shard link, owned by a SimObject
- * on the receiving shard. deliver() (called at engine barriers, or
- * directly when the simulator is unsharded) inserts the message sorted
- * by due tick and keeps a wake-up event scheduled for the head; the
- * handler is then invoked on the owner's shard at exactly the due
- * tick. A handler returning false stalls the queue (the head entry
- * stays put) until the owner calls resume().
+ * on the receiving shard. deliver() inserts the message sorted by due
+ * tick and keeps a wake-up event scheduled for the head; the handler
+ * is then invoked on the owner's shard at exactly the due tick. A
+ * handler returning false stalls the queue (the head entry stays put)
+ * until the owner calls resume().
+ *
+ * With a sharded engine, deliver() runs at each barrier on the
+ * executor that runs the owner's shard, in (due tick, sender shard,
+ * send order) order, while other executors fill their own shards'
+ * inboxes; it touches only the owner's queue and this inbox. When the
+ * simulator is unsharded, postMsg() calls it directly.
  */
 class ShardInbox : public ShardMailbox
 {
