@@ -154,7 +154,10 @@ class ShardedEngine
         std::uint32_t pos;
     };
 
-    /** One executor's merge scratch and epoch results. */
+    /**
+     * One executor's merge scratch and epoch results, a cache line
+     * apart: executors write their own entries concurrently.
+     */
     struct alignas(64) Executor
     {
         std::vector<MsgRef> inbound;
