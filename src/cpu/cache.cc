@@ -73,13 +73,17 @@ Cache::Cache(Simulator &sim, std::string name, const CacheConfig &cfg)
               this->name().c_str());
 
     sets_.assign(num_sets, std::vector<Line>(cfg_.assoc));
+    mshrs_.resize(cfg_.mshrs);
+    for (Mshr &mshr : mshrs_)
+        mshr.targets.reserve(cfg_.targetsPerMshr);
+    memReqQueue_.init(2 * cfg_.mshrs);
     stats_ = std::make_unique<CacheStats>(*this);
 }
 
 Cache::~Cache()
 {
-    for (auto &mshr : mshrs_) {
-        for (Packet *pkt : mshr->targets) {
+    for (Mshr &mshr : mshrs_) {
+        for (Packet *pkt : mshr.targets) {
             // In-flight targets may carry crossbar route state from
             // the request path; release it before the packet.
             while (pkt->senderState() != nullptr)
@@ -87,14 +91,14 @@ Cache::~Cache()
             delete pkt;
         }
     }
-    for (Packet *pkt : memReqQueue_)
-        delete pkt;
+    for (std::size_t i = 0; i < memReqQueue_.size(); ++i)
+        delete memReqQueue_[i];
 }
 
 bool
 Cache::idle() const
 {
-    return mshrs_.empty() && memReqQueue_.empty() &&
+    return mshrsInUse_ == 0 && memReqQueue_.empty() &&
            respQueue_.empty() && !memWaitingRetry_;
 }
 
@@ -142,11 +146,26 @@ Cache::isDirty(Addr addr) const
 Cache::Mshr *
 Cache::findMshr(Addr block_addr)
 {
-    for (auto &mshr : mshrs_) {
-        if (mshr->blockAddr == block_addr)
-            return mshr.get();
+    // Valid MSHRs track distinct blocks, so at most one matches.
+    for (Mshr &mshr : mshrs_) {
+        if (mshr.valid && mshr.blockAddr == block_addr)
+            return &mshr;
     }
     return nullptr;
+}
+
+Cache::Mshr &
+Cache::allocMshr(Addr block_addr, bool is_prefetch)
+{
+    auto it = std::find_if(mshrs_.begin(), mshrs_.end(),
+                           [](const Mshr &m) { return !m.valid; });
+    DC_ASSERT(it != mshrs_.end(), "no free MSHR");
+    it->valid = true;
+    it->blockAddr = block_addr;
+    it->issued = curTick();
+    it->isPrefetch = is_prefetch;
+    ++mshrsInUse_;
+    return *it;
 }
 
 bool
@@ -192,7 +211,7 @@ Cache::handleCpuReq(Packet *pkt)
         return true;
     }
 
-    if (mshrs_.size() >= cfg_.mshrs) {
+    if (mshrsInUse_ >= cfg_.mshrs) {
         ++stats_->blockedNoMshr;
         cpuBlocked_ = true;
         return false;
@@ -201,11 +220,7 @@ Cache::handleCpuReq(Packet *pkt)
     // New miss: allocate an MSHR and issue the fill (write-allocate, so
     // writes also fetch the block first).
     ++stats_->misses;
-    auto mshr = std::make_unique<Mshr>();
-    mshr->blockAddr = block;
-    mshr->issued = curTick();
-    mshr->targets.push_back(pkt);
-    mshrs_.push_back(std::move(mshr));
+    allocMshr(block, false).targets.push_back(pkt);
 
     auto *fill = new Packet(MemCmd::ReadReq, block, cfg_.blockSize,
                             pkt->requestorId());
@@ -226,16 +241,12 @@ Cache::runPrefetcher(Addr block_addr, RequestorId requestor)
     for (Addr cand : candidates) {
         // Keep at least one MSHR free for demand misses, and skip
         // blocks already present or in flight.
-        if (mshrs_.size() + 1 >= cfg_.mshrs)
+        if (mshrsInUse_ + 1 >= cfg_.mshrs)
             return;
         if (lookup(cand) != nullptr || findMshr(cand) != nullptr)
             continue;
 
-        auto mshr = std::make_unique<Mshr>();
-        mshr->blockAddr = cand;
-        mshr->issued = curTick();
-        mshr->isPrefetch = true;
-        mshrs_.push_back(std::move(mshr));
+        allocMshr(cand, true);
 
         auto *fill = new Packet(MemCmd::ReadReq, cand, cfg_.blockSize,
                                 requestor);
@@ -316,14 +327,10 @@ Cache::handleMemResp(Packet *pkt)
 
     // A fill for the MSHR tracking this block.
     Addr block = blockAlign(pkt->addr());
-    auto it = std::find_if(mshrs_.begin(), mshrs_.end(),
-                           [block](const std::unique_ptr<Mshr> &m) {
-                               return m->blockAddr == block;
-                           });
-    DC_ASSERT(it != mshrs_.end(), "fill %s with no matching MSHR",
+    Mshr *mshr = findMshr(block);
+    DC_ASSERT(mshr != nullptr, "fill %s with no matching MSHR",
               pkt->toString().c_str());
 
-    Mshr *mshr = it->get();
     if (!mshr->isPrefetch)
         stats_->totMissLatency +=
             static_cast<double>(curTick() - mshr->issued);
@@ -339,7 +346,9 @@ Cache::handleMemResp(Packet *pkt)
         target->makeResponse();
         respQueue_.schedSendResp(target, curTick() + cfg_.hitLatency);
     }
-    mshrs_.erase(it);
+    mshr->targets.clear();
+    mshr->valid = false;
+    --mshrsInUse_;
     delete pkt;
 
     unblockCpu();

@@ -14,16 +14,15 @@
 #ifndef DRAMCTRL_CPU_CACHE_H
 #define DRAMCTRL_CPU_CACHE_H
 
-#include <deque>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "cpu/prefetcher.hh"
 #include "mem/packet.hh"
 #include "mem/packet_queue.hh"
 #include "mem/port.hh"
+#include "sim/ring_buffer.hh"
 #include "sim/sim_object.hh"
 #include "sim/simulator.hh"
 #include "stats/stats.hh"
@@ -100,8 +99,13 @@ class Cache : public SimObject
         std::uint64_t lastUsed = 0;
     };
 
+    /**
+     * One of the cfg.mshrs registers, all built at construction.
+     * Freeing one clears its targets but keeps their storage.
+     */
     struct Mshr
     {
+        bool valid = false;
         Addr blockAddr = 0;
         Tick issued = 0;
         /** Allocated by the prefetcher (no demand target yet). */
@@ -169,6 +173,8 @@ class Cache : public SimObject
     void runPrefetcher(Addr block_addr, RequestorId requestor);
 
     Mshr *findMshr(Addr block_addr);
+    /** Claim a free MSHR for @p block_addr; one must be free. */
+    Mshr &allocMshr(Addr block_addr, bool is_prefetch);
 
     void unblockCpu();
 
@@ -180,11 +186,19 @@ class Cache : public SimObject
     std::vector<std::vector<Line>> sets_;
     std::uint64_t useCounter_ = 0;
 
-    std::vector<std::unique_ptr<Mshr>> mshrs_;
+    std::vector<Mshr> mshrs_;
+    /** MSHRs currently valid. */
+    unsigned mshrsInUse_ = 0;
     StridePrefetcher prefetcher_;
 
-    /** Outbound request FIFO (fills and writebacks). */
-    std::deque<Packet *> memReqQueue_;
+    /**
+     * Outbound request FIFO (fills and writebacks), sized 2 x mshrs.
+     * Each queued fill holds an MSHR. Everything queued before the
+     * last fill sent has been sent, so each queued writeback was
+     * queued by a fill that completed later, one of the at most
+     * mshrs fills in flight when the last fill sent was queued.
+     */
+    RingBuffer<Packet *> memReqQueue_;
     bool memWaitingRetry_ = false;
 
     bool cpuBlocked_ = false;

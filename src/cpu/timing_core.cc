@@ -85,6 +85,8 @@ TimingCore::TimingCore(Simulator &sim, std::string name,
         cfg_.robSize == 0)
         fatal("core '%s': zero-width pipeline parameter",
               this->name().c_str());
+    if (workload_.opSize == 0)
+        fatal("core '%s': zero op size", this->name().c_str());
     if (workload_.footprintBytes < workload_.opSize)
         fatal("core '%s': footprint smaller than one op",
               this->name().c_str());
@@ -98,6 +100,8 @@ TimingCore::TimingCore(Simulator &sim, std::string name,
               this->name().c_str());
     clock_->add(*this);
     stats_ = std::make_unique<CoreStats>(*this);
+    rob_.init(cfg_.robSize);
+    inFlight_.reserve(cfg_.robSize);
 
     // Fold the edges slept through into the statistics before anyone
     // reads them. A reset has already zeroed them when its callback
@@ -156,6 +160,18 @@ TimingCore::nextMemAddr()
     return cfg_.memBase + cursor_;
 }
 
+TimingCore::Op &
+TimingCore::robOp(std::uint64_t op_id)
+{
+    DC_ASSERT(!rob_.empty() && op_id >= rob_.front().id &&
+                  op_id - rob_.front().id < rob_.size(),
+              "op %llu is not in the ROB",
+              static_cast<unsigned long long>(op_id));
+    Op &op = rob_[op_id - rob_.front().id];
+    DC_ASSERT(op.id == op_id, "ROB ids not consecutive");
+    return op;
+}
+
 void
 TimingCore::tick()
 {
@@ -178,7 +194,7 @@ bool
 TimingCore::stalled() const
 {
     return (rob_.empty() || !rob_.front().completed) &&
-           (blockedPkt_ != nullptr || rob_.size() >= cfg_.robSize);
+           (blockedPkt_ != nullptr || rob_.full());
 }
 
 void
@@ -233,16 +249,15 @@ TimingCore::dispatch()
     }
 
     unsigned dispatched = 0;
-    while (dispatched < cfg_.dispatchWidth &&
-           rob_.size() < cfg_.robSize) {
+    while (dispatched < cfg_.dispatchWidth && !rob_.full()) {
         bool is_mem = rng_.chance(workload_.memFraction);
-        rob_.push_back(Op{is_mem, !is_mem, nextOpId_++});
+        std::uint64_t op_id = nextOpId_++;
+        rob_.push_back(Op{is_mem, !is_mem, op_id});
         ++dispatched;
 
         if (!is_mem)
             continue;
 
-        auto slot = std::prev(rob_.end());
         bool is_read = rng_.chance(workload_.readFraction);
         auto *pkt = new Packet(is_read ? MemCmd::ReadReq
                                        : MemCmd::WriteReq,
@@ -252,11 +267,11 @@ TimingCore::dispatch()
 
         if (!port_.sendTimingReq(pkt)) {
             blockedPkt_ = pkt;
-            blockedOp_ = slot;
+            blockedOp_ = op_id;
             ++stats_->memStallCycles;
             return;
         }
-        inFlight_.emplace(pkt->id(), slot);
+        inFlight_.push_back(InFlight{pkt->id(), op_id});
     }
 }
 
@@ -270,18 +285,23 @@ TimingCore::recvReqRetry()
         blockedPkt_ = pkt;
         return;
     }
-    inFlight_.emplace(pkt->id(), blockedOp_);
+    inFlight_.push_back(InFlight{pkt->id(), blockedOp_});
     wake();
 }
 
 bool
 TimingCore::recvTimingResp(Packet *pkt)
 {
-    auto it = inFlight_.find(pkt->id());
+    auto it = std::find_if(inFlight_.begin(), inFlight_.end(),
+                           [id = pkt->id()](const InFlight &f) {
+                               return f.pktId == id;
+                           });
     DC_ASSERT(it != inFlight_.end(), "unexpected response %s",
               pkt->toString().c_str());
-    it->second->completed = true;
-    inFlight_.erase(it);
+    robOp(it->opId).completed = true;
+    // Packet ids are unique, so the table's order is immaterial.
+    *it = inFlight_.back();
+    inFlight_.pop_back();
     delete pkt;
     // Only a completed ROB head lets a stalled core progress.
     if (rob_.front().completed)

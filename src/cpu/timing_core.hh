@@ -20,16 +20,15 @@
 #ifndef DRAMCTRL_CPU_TIMING_CORE_H
 #define DRAMCTRL_CPU_TIMING_CORE_H
 
-#include <list>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "cpu/workload.hh"
 #include "mem/packet.hh"
 #include "mem/port.hh"
 #include "sim/random.hh"
+#include "sim/ring_buffer.hh"
 #include "sim/sim_object.hh"
 #include "stats/stats.hh"
 
@@ -138,6 +137,13 @@ class TimingCore : public SimObject
         std::uint64_t id = 0;
     };
 
+    /** A memory op whose packet the cache has accepted. */
+    struct InFlight
+    {
+        std::uint64_t pktId = 0;
+        std::uint64_t opId = 0;
+    };
+
     class DcachePort : public RequestPort
     {
       public:
@@ -179,6 +185,8 @@ class TimingCore : public SimObject
     void recvReqRetry();
 
     Addr nextMemAddr();
+    /** The ROB slot of op @p op_id, which must still be in the ROB. */
+    Op &robOp(std::uint64_t op_id);
 
     CoreConfig cfg_;
     WorkloadProfile workload_;
@@ -186,14 +194,16 @@ class TimingCore : public SimObject
     DcachePort port_;
     Random rng_;
 
-    std::list<Op> rob_;
-    std::unordered_map<std::uint64_t, std::list<Op>::iterator>
-        inFlight_; // packet id -> ROB slot
+    /** Ops in program order; their ids are consecutive. */
+    RingBuffer<Op> rob_;
+    /** Accepted memory ops awaiting a response, in no order. */
+    std::vector<InFlight> inFlight_;
     std::uint64_t nextOpId_ = 0;
     std::uint64_t committed_ = 0;
 
     Packet *blockedPkt_ = nullptr;
-    std::list<Op>::iterator blockedOp_;
+    /** The op whose packet blockedPkt_ is. */
+    std::uint64_t blockedOp_ = 0;
 
     Addr cursor_ = 0;
 

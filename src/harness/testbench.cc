@@ -168,6 +168,13 @@ MultiCoreSystem::MultiCoreSystem(const MultiCoreConfig &cfg,
 {
     if (cfg_.numCores == 0 || cfg_.channels == 0)
         fatal("multi-core system needs at least one core and channel");
+    // An op that straddles an L1 block would reach the cache as one
+    // access to two blocks. Aligned ops of a size dividing the block
+    // never do; a zero size is the core's to reject.
+    if (workload.opSize != 0 && cfg_.l1.blockSize % workload.opSize != 0)
+        fatal("multi-core system: op size %u does not divide the L1 "
+              "block size %u",
+              workload.opSize, cfg_.l1.blockSize);
 
     std::uint64_t total_mem =
         cfg_.ctrl.org.channelCapacity * cfg_.channels;

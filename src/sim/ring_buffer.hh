@@ -3,11 +3,12 @@
  * A fixed-capacity circular FIFO.
  *
  * The simulator's bounded bookkeeping windows (the tXAW activation
- * window, the cycle model's per-bank command queues) used std::deque,
- * whose node recycling allocates in steady state as the FIFO marches
- * through its node map. This ring owns one flat array sized once at
- * init() and never allocates again; indices wrap instead of pointers
- * moving.
+ * window, the cycle model's per-bank command queues, a core's reorder
+ * buffer, a cache's outbound queue, a crossbar layer) used std::deque
+ * or std::list, which allocate in steady state as the FIFO marches
+ * through its node map or its nodes. This ring owns one flat array
+ * sized once at init() and never allocates again; indices wrap
+ * instead of pointers moving.
  */
 
 #ifndef DRAMCTRL_SIM_RING_BUFFER_H

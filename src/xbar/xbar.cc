@@ -37,16 +37,18 @@ Crossbar::XBarStats::XBarStats(Crossbar &xbar)
 
 Crossbar::Layer::Layer(EventQueue &eq, std::string name,
                        unsigned queue_limit)
-    : eq_(eq), name_(name), queueLimit_(queue_limit),
+    : eq_(eq), name_(name),
       sendEvent_([this] { trySend(); }, name + ".sendEvent")
 {
+    queue_.init(queue_limit);
 }
 
 Crossbar::Layer::~Layer()
 {
     if (sendEvent_.scheduled())
         eq_.deschedule(sendEvent_);
-    for (Entry &e : queue_) {
+    for (std::size_t i = 0; i < queue_.size(); ++i) {
+        Entry &e = queue_[i];
         while (e.pkt->senderState() != nullptr)
             delete e.pkt->popSenderState();
         delete e.pkt;
@@ -136,7 +138,9 @@ Crossbar::addCpuSidePort()
         retryWaiters(respWaiters_[idx], false);
     };
     respLayers_.push_back(std::move(layer));
-    respWaiters_.emplace_back();
+    respWaiters_.emplace_back().reserve(memPorts_.size());
+    for (auto &waiters : reqWaiters_)
+        waiters.reserve(cpuPorts_.size());
     return idx;
 }
 
@@ -171,7 +175,9 @@ Crossbar::addMemSidePort(const AddrRange &range)
         retryWaiters(reqWaiters_[idx], true);
     };
     reqLayers_.push_back(std::move(layer));
-    reqWaiters_.emplace_back();
+    reqWaiters_.emplace_back().reserve(cpuPorts_.size());
+    for (auto &waiters : respWaiters_)
+        waiters.reserve(memPorts_.size());
     return idx;
 }
 
@@ -288,12 +294,12 @@ Crossbar::handleResp(Packet *pkt, unsigned mem_idx)
 }
 
 void
-Crossbar::retryWaiters(std::deque<unsigned> &waiters, bool cpu_side)
+Crossbar::retryWaiters(std::vector<unsigned> &waiters, bool cpu_side)
 {
     if (waiters.empty())
         return;
     unsigned idx = waiters.front();
-    waiters.pop_front();
+    waiters.erase(waiters.begin());
     if (cpu_side)
         cpuPorts_[idx]->sendReqRetry();
     else

@@ -15,7 +15,6 @@
 #ifndef DRAMCTRL_XBAR_XBAR_H
 #define DRAMCTRL_XBAR_XBAR_H
 
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -23,6 +22,8 @@
 #include "mem/addr_range.hh"
 #include "mem/packet.hh"
 #include "mem/port.hh"
+#include "sim/pool.hh"
+#include "sim/ring_buffer.hh"
 #include "sim/sim_object.hh"
 #include "sim/simulator.hh"
 #include "stats/stats.hh"
@@ -111,7 +112,7 @@ class Crossbar : public SimObject
         Layer(EventQueue &eq, std::string name, unsigned queue_limit);
         ~Layer();
 
-        bool full() const { return queue_.size() >= queueLimit_; }
+        bool full() const { return queue_.full(); }
         bool empty() const { return queue_.empty(); }
         std::size_t size() const { return queue_.size(); }
 
@@ -131,14 +132,14 @@ class Crossbar : public SimObject
 
         struct Entry
         {
-            Tick deliverAt;
-            Packet *pkt;
+            Tick deliverAt = 0;
+            Packet *pkt = nullptr;
         };
 
         EventQueue &eq_;
         std::string name_;
-        std::deque<Entry> queue_;
-        unsigned queueLimit_;
+        /** Sized to the queue limit once, at construction. */
+        RingBuffer<Entry> queue_;
         /** Serialisation horizon of admitted packets. */
         Tick busyUntil_ = 0;
         bool waitingForRetry_ = false;
@@ -146,7 +147,7 @@ class Crossbar : public SimObject
     };
 
     /** Route-back breadcrumb pushed on the request path. */
-    struct RouteState : Packet::SenderState
+    struct RouteState : Packet::SenderState, Pooled<RouteState>
     {
         unsigned srcPort;
     };
@@ -201,7 +202,7 @@ class Crossbar : public SimObject
     /** Serialisation time of @p pkt on a layer. */
     Tick occupancyFor(const Packet *pkt) const;
 
-    void retryWaiters(std::deque<unsigned> &waiters, bool cpu_side);
+    void retryWaiters(std::vector<unsigned> &waiters, bool cpu_side);
 
     XBarConfig cfg_;
 
@@ -212,10 +213,15 @@ class Crossbar : public SimObject
     std::vector<std::unique_ptr<Layer>> reqLayers_;  // per mem port
     std::vector<std::unique_ptr<Layer>> respLayers_; // per cpu port
 
-    /** Sources waiting on a full request layer, per mem port. */
-    std::vector<std::deque<unsigned>> reqWaiters_;
+    /**
+     * Sources waiting on a full request layer, per mem port, oldest
+     * first. A port waits at most once per list, so each list is
+     * reserved to the port count as ports are added and never grows
+     * while simulating.
+     */
+    std::vector<std::vector<unsigned>> reqWaiters_;
     /** Mem ports waiting on a full response layer, per cpu port. */
-    std::vector<std::deque<unsigned>> respWaiters_;
+    std::vector<std::vector<unsigned>> respWaiters_;
 
     std::unique_ptr<XBarStats> stats_;
 };

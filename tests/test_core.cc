@@ -161,6 +161,35 @@ TEST(TimingCoreTest, ValidatesConfig)
     setThrowOnError(false);
 }
 
+TEST(TimingCoreTest, RejectsZeroOpSize)
+{
+    // A zero op size would divide by zero drawing the next address.
+    setThrowOnError(true);
+    Simulator sim;
+    WorkloadProfile wl = workloads::canneal();
+    wl.opSize = 0;
+    EXPECT_THROW(TimingCore(sim, "c", CoreConfig{}, wl, 0),
+                 std::runtime_error);
+    setThrowOnError(false);
+}
+
+TEST(MultiCoreSystemTest, RejectsOpSizeNotDividingTheL1Block)
+{
+    // 24-byte ops on 64-byte blocks: some op straddles two blocks.
+    setThrowOnError(true);
+    harness::MultiCoreConfig cfg;
+    cfg.numCores = 1;
+    cfg.ctrl = testutil::noRefreshConfig();
+    WorkloadProfile wl = workloads::canneal();
+    wl.opSize = 24;
+    EXPECT_THROW(harness::MultiCoreSystem(cfg, wl), std::runtime_error);
+    wl.opSize = 128;
+    EXPECT_THROW(harness::MultiCoreSystem(cfg, wl), std::runtime_error);
+    wl.opSize = 0;
+    EXPECT_THROW(harness::MultiCoreSystem(cfg, wl), std::runtime_error);
+    setThrowOnError(false);
+}
+
 TEST(MultiCoreSystemTest, RunsToCompletionAndReportsMetrics)
 {
     harness::MultiCoreConfig cfg;
