@@ -36,9 +36,7 @@ run(bool with_qos, Tick itt)
     DRAMCtrl ctrl(sim, "ctrl", cfg,
                   AddrRange(0, cfg.org.channelCapacity));
     Crossbar xbar(sim, "xbar", XBarConfig{});
-    xbar.memSidePort(
-            xbar.addMemSidePort(AddrRange(0, cfg.org.channelCapacity)))
-        .bind(ctrl.port());
+    xbar.addChannel(ctrl.port(), AddrRange(0, cfg.org.channelCapacity));
 
     std::vector<std::unique_ptr<RandomGen>> gens;
     for (unsigned g = 0; g < 2; ++g) {
@@ -53,7 +51,7 @@ run(bool with_qos, Tick itt)
             sim, "gen" + std::to_string(g), gc,
             static_cast<RequestorId>(g)));
         gens.back()->port().bind(
-            xbar.cpuSidePort(xbar.addCpuSidePort()));
+            xbar.addFrontPort({static_cast<RequestorId>(g)}));
     }
     harness::runUntil(sim, [&] {
         return gens[0]->done() && gens[1]->done();

@@ -50,8 +50,7 @@ runHmc(Tick itt)
     for (unsigned v = 0; v < kVaults; ++v) {
         vaults.push_back(std::make_unique<DRAMCtrl>(
             sim, "vault" + std::to_string(v), cfg, ranges[v]));
-        xbar.memSidePort(xbar.addMemSidePort(ranges[v]))
-            .bind(vaults.back()->port());
+        xbar.addChannel(vaults.back()->port(), ranges[v]);
     }
 
     GenConfig gc;
@@ -62,7 +61,7 @@ runHmc(Tick itt)
     gc.numRequests = 30000;
     gc.seed = 19;
     RandomGen gen(sim, "gen", gc, 0);
-    gen.port().bind(xbar.cpuSidePort(xbar.addCpuSidePort()));
+    gen.port().bind(xbar.addFrontPort({0}));
 
     while (!gen.done())
         sim.run(sim.curTick() + fromUs(1));

@@ -44,8 +44,7 @@ main()
         AddrRange range(0, total, 64, kChannels, ch);
         auto ctrl = std::make_unique<DRAMCtrl>(
             sim, "lpddr3_ch" + std::to_string(ch), cfg, range);
-        xbar.memSidePort(xbar.addMemSidePort(range))
-            .bind(ctrl->port());
+        xbar.addChannel(ctrl->port(), range);
         ctrls.push_back(std::move(ctrl));
     }
 
@@ -63,7 +62,8 @@ main()
         auto gen = std::make_unique<RandomGen>(
             sim, "gen" + std::to_string(g), gc,
             static_cast<RequestorId>(g));
-        gen->port().bind(xbar.cpuSidePort(xbar.addCpuSidePort()));
+        gen->port().bind(
+            xbar.addFrontPort({static_cast<RequestorId>(g)}));
         gens.push_back(std::move(gen));
     }
 

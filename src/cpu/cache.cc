@@ -284,7 +284,8 @@ Cache::memRetry()
 }
 
 void
-Cache::install(Addr block_addr, bool dirty, bool prefetched)
+Cache::install(Addr block_addr, bool dirty, bool prefetched,
+               RequestorId requestor)
 {
     auto &set = sets_[setIndex(block_addr)];
     Line *victim = &set[0];
@@ -301,7 +302,7 @@ Cache::install(Addr block_addr, bool dirty, bool prefetched)
         // Write back the dirty victim before reusing the frame.
         ++stats_->writebacks;
         auto *wb = new Packet(MemCmd::WriteReq, victim->tag,
-                              cfg_.blockSize, 0);
+                              cfg_.blockSize, requestor);
         wb->setInjectedTick(curTick());
         sendMemReq(wb);
     }
@@ -339,7 +340,7 @@ Cache::handleMemResp(Packet *pkt)
                              [](const Packet *t) {
                                  return t->isWrite();
                              });
-    install(block, dirty, mshr->isPrefetch);
+    install(block, dirty, mshr->isPrefetch, pkt->requestorId());
 
     // Answer every coalesced target.
     for (Packet *target : mshr->targets) {

@@ -166,8 +166,13 @@ class Cache : public SimObject
     Line *lookup(Addr block_addr);
     const Line *lookup(Addr block_addr) const;
 
-    /** Install @p block_addr, evicting (and writing back) as needed. */
-    void install(Addr block_addr, bool dirty, bool prefetched = false);
+    /**
+     * Install @p block_addr, evicting (and writing back) as needed.
+     * A writeback carries @p requestor, the id of the fill that
+     * evicted its block.
+     */
+    void install(Addr block_addr, bool dirty, bool prefetched,
+                 RequestorId requestor);
 
     /** Feed the prefetcher and issue candidate fills on spare MSHRs. */
     void runPrefetcher(Addr block_addr, RequestorId requestor);

@@ -19,7 +19,7 @@ MultiChannelSystem::MultiChannelSystem(const MultiChannelConfig &cfg)
     // One shard per channel; the crossbar's cheapest cross-shard hop
     // bounds how far shards may drift apart.
     sim_.configureShards(cfg_.channels,
-                         ShardedCrossbar::lookahead(cfg_.xbar));
+                         Crossbar::lookahead(cfg_.xbar));
     sim_.setSimThreads(cfg_.simThreads);
 
     std::uint64_t total_mem =
@@ -28,8 +28,7 @@ MultiChannelSystem::MultiChannelSystem(const MultiChannelConfig &cfg)
                                     ? cfg_.interleaveGranularity
                                     : 64;
 
-    xbar_ = std::make_unique<ShardedCrossbar>(sim_, "mem_xbar",
-                                              cfg_.xbar);
+    xbar_ = std::make_unique<Crossbar>(sim_, "mem_xbar", cfg_.xbar);
     auto ranges = interleavedRanges(0, total_mem, granularity,
                                     cfg_.channels);
     for (unsigned ch = 0; ch < cfg_.channels; ++ch) {

@@ -4,7 +4,7 @@
  *
  * MultiChannelSystem is the scaling counterpart of the testbench's
  * SingleChannelSystem: N synthetic generators drive M channel
- * controllers through a ShardedCrossbar, with each channel (its
+ * controllers through a Crossbar, with each channel (its
  * controller plus its half of the crossbar) bound to its own
  * simulation shard. Generators are distributed round-robin over the
  * channel shards. With --sim-threads > 1 the shards execute on a
@@ -26,7 +26,7 @@
 #include "sim/simulator.hh"
 #include "trafficgen/base_gen.hh"
 #include "trafficgen/trace.hh"
-#include "xbar/sharded_xbar.hh"
+#include "xbar/xbar.hh"
 
 namespace dramctrl {
 namespace harness {
@@ -38,7 +38,7 @@ struct MultiChannelConfig
     unsigned channels = 2;
     DRAMCtrlConfig ctrl;
     CtrlModel model = CtrlModel::Event;
-    ShardedXBarConfig xbar;
+    XBarConfig xbar;
     /** Channel interleaving granularity (0 = one 64 B block). */
     std::uint64_t interleaveGranularity = 0;
     /** Worker threads for the sharded engine (1 = sequential). */
@@ -46,7 +46,7 @@ struct MultiChannelConfig
 };
 
 /**
- * N generators -> sharded crossbar -> one controller per channel,
+ * N generators -> crossbar -> one controller per channel,
  * one shard per channel.
  */
 class MultiChannelSystem
@@ -55,7 +55,7 @@ class MultiChannelSystem
     explicit MultiChannelSystem(const MultiChannelConfig &cfg);
 
     Simulator &sim() { return sim_; }
-    ShardedCrossbar &xbar() { return *xbar_; }
+    Crossbar &xbar() { return *xbar_; }
     MemCtrlBase &ctrl(unsigned ch) { return *ctrls_.at(ch); }
     BaseGen &gen(unsigned i) { return *gens_.at(i); }
 
@@ -99,10 +99,10 @@ class MultiChannelSystem
             auto rec = std::make_unique<TraceRecorder>(
                 sim_, "trace_rec" + std::to_string(index));
             gen->port().bind(rec->cpuSidePort());
-            rec->memSidePort().bind(xbar_->addFrontPort(id));
+            rec->memSidePort().bind(xbar_->addFrontPort({id}));
             recorders_.push_back(std::move(rec));
         } else {
-            gen->port().bind(xbar_->addFrontPort(id));
+            gen->port().bind(xbar_->addFrontPort({id}));
         }
         GenT &ref = *gen;
         gens_.push_back(std::move(gen));
@@ -149,7 +149,7 @@ class MultiChannelSystem
   private:
     MultiChannelConfig cfg_;
     Simulator sim_;
-    std::unique_ptr<ShardedCrossbar> xbar_;
+    std::unique_ptr<Crossbar> xbar_;
     std::vector<std::unique_ptr<MemCtrlBase>> ctrls_;
     std::vector<std::unique_ptr<BaseGen>> gens_;
     std::vector<std::unique_ptr<TracePlayer>> players_;
@@ -171,7 +171,7 @@ GenConfig sliceGenWindow(GenConfig base, unsigned i, unsigned n,
 /**
  * System presets: named multi-channel assemblies. hmc_stack_16 /
  * hmc_stack_64 / hmc_stack_256 stack N hmc_vault channels behind the
- * sharded crossbar — the paper's HMC recipe ("combining the crossbar
+ * crossbar — the paper's HMC recipe ("combining the crossbar
  * model with 16 instances of our controller model"), and its scaled-up
  * descendants for parallel-simulation studies. hbm2_stack_4 /
  * hbm2_stack_8 stack N physical HBM2 channels, each split into its

@@ -114,7 +114,7 @@ MultiChannelSystem::addStimulus(const Stimulus &s)
                     s.tracePath, s.traceScale,
                     sources > 1 ? static_cast<int>(src) : -1),
                 id);
-            player->port().bind(xbar_->addFrontPort(id));
+            player->port().bind(xbar_->addFrontPort({id}));
             players_.push_back(std::move(player));
         }
         return;

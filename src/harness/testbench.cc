@@ -1,6 +1,7 @@
 #include "harness/testbench.hh"
 
 #include <algorithm>
+#include <numeric>
 
 #include "cyclesim/cycle_ctrl.hh"
 #include "sim/logging.hh"
@@ -178,7 +179,10 @@ MultiCoreSystem::MultiCoreSystem(const MultiCoreConfig &cfg,
 
     std::uint64_t total_mem =
         cfg_.ctrl.org.channelCapacity * cfg_.channels;
+    // Each core's slice starts on a cache-block boundary, so an
+    // aligned op never straddles an L1 or L2 block.
     std::uint64_t slice = total_mem / cfg_.numCores;
+    slice -= slice % std::max(cfg_.l1.blockSize, cfg_.l2.blockSize);
 
     // Clamp each core's working set into its slice of physical memory.
     WorkloadProfile wl = workload;
@@ -197,20 +201,20 @@ MultiCoreSystem::MultiCoreSystem(const MultiCoreConfig &cfg,
         auto ctrl = makeController(
             sim_, "mem_ctrl" + std::to_string(ch), cfg_.ctrl,
             ranges[ch], cfg_.model);
-        unsigned mem_idx = memXbar_->addMemSidePort(ranges[ch]);
-        memXbar_->memSidePort(mem_idx).bind(ctrl->port());
+        memXbar_->addChannel(ctrl->port(), ranges[ch]);
         ctrls_.push_back(std::move(ctrl));
     }
 
     // Shared L2 between the L1-L2 crossbar and the memory crossbar.
+    // Its fills and writebacks carry the id of the core they serve,
+    // so its memory-side front answers for every core.
     l2_ = std::make_unique<Cache>(sim_, "l2", cfg_.l2);
-    unsigned l2_src = memXbar_->addCpuSidePort();
-    l2_->memSidePort().bind(memXbar_->cpuSidePort(l2_src));
+    std::vector<RequestorId> core_ids(cfg_.numCores);
+    std::iota(core_ids.begin(), core_ids.end(), RequestorId{0});
+    l2_->memSidePort().bind(memXbar_->addFrontPort(core_ids));
 
     l1ToL2_ = std::make_unique<Crossbar>(sim_, "l1_xbar", XBarConfig{});
-    unsigned l2_mem_idx =
-        l1ToL2_->addMemSidePort(AddrRange(0, total_mem));
-    l1ToL2_->memSidePort(l2_mem_idx).bind(l2_->cpuSidePort());
+    l1ToL2_->addChannel(l2_->cpuSidePort(), AddrRange(0, total_mem));
 
     // Cores and their private L1 data caches.
     coreClock_ = std::make_unique<CoreClock>(sim_.eventq(), "cpu_clock",
@@ -218,8 +222,8 @@ MultiCoreSystem::MultiCoreSystem(const MultiCoreConfig &cfg,
     for (unsigned i = 0; i < cfg_.numCores; ++i) {
         auto l1 = std::make_unique<Cache>(
             sim_, "l1d" + std::to_string(i), cfg_.l1);
-        unsigned src = l1ToL2_->addCpuSidePort();
-        l1->memSidePort().bind(l1ToL2_->cpuSidePort(src));
+        l1->memSidePort().bind(
+            l1ToL2_->addFrontPort({static_cast<RequestorId>(i)}));
 
         CoreConfig core_cfg = cfg_.core;
         core_cfg.numOps = cfg_.opsPerCore;

@@ -4,11 +4,13 @@
  *
  * The simulator's bounded bookkeeping windows (the tXAW activation
  * window, the cycle model's per-bank command queues, a core's reorder
- * buffer, a cache's outbound queue, a crossbar layer) used std::deque
+ * buffer, a cache's outbound queue, a crossbar inbox) used std::deque
  * or std::list, which allocate in steady state as the FIFO marches
  * through its node map or its nodes. This ring owns one flat array
- * sized once at init() and never allocates again; indices wrap
- * instead of pointers moving.
+ * and indices wrap instead of pointers moving. A bounded window sizes
+ * it once at init() and never allocates again; an unbounded queue
+ * uses insert(), which doubles the array when it is full, so the ring
+ * grows to its high-water mark and then stops allocating.
  */
 
 #ifndef DRAMCTRL_SIM_RING_BUFFER_H
@@ -67,6 +69,23 @@ class RingBuffer
         ++count_;
     }
 
+    /**
+     * Insert @p value at position @p i (0 == front, size() == back),
+     * moving the elements behind it back one slot. A full ring first
+     * doubles its capacity.
+     */
+    void
+    insert(std::size_t i, const T &value)
+    {
+        DC_ASSERT(i <= count_, "ring buffer insert past the end");
+        if (full())
+            grow();
+        ++count_;
+        for (std::size_t j = count_ - 1; j > i; --j)
+            (*this)[j] = (*this)[j - 1];
+        (*this)[i] = value;
+    }
+
     void
     pop_front()
     {
@@ -96,6 +115,17 @@ class RingBuffer
     }
 
   private:
+    /** Double the capacity (at least one slot), front moved to slot 0. */
+    void
+    grow()
+    {
+        std::vector<T> slots(slots_.empty() ? 1 : 2 * slots_.size());
+        for (std::size_t i = 0; i < count_; ++i)
+            slots[i] = (*this)[i];
+        slots_.swap(slots);
+        head_ = 0;
+    }
+
     std::size_t
     wrap(std::size_t i) const
     {

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 
-#include "obs/chrome_trace.hh"
+#include "ckpt/ckpt.hh"
 #include "obs/trace.hh"
 #include "sim/logging.hh"
+#include "sim/shard.hh"
+#include "sim/simulator.hh"
 
 namespace dramctrl {
 
@@ -23,287 +25,653 @@ interleavedRanges(Addr base, std::uint64_t total_size,
     return ranges;
 }
 
-Crossbar::XBarStats::XBarStats(Crossbar &xbar)
-    : reqPackets(&xbar.statGroup(), "reqPackets",
-                 "requests forwarded"),
-      respPackets(&xbar.statGroup(), "respPackets",
-                  "responses forwarded"),
-      reqRetries(&xbar.statGroup(), "reqRetries",
-                 "requests refused on a busy layer"),
-      bytesForwarded(&xbar.statGroup(), "bytesForwarded",
-                     "payload bytes forwarded (both directions)")
+// --------------------------------------------------------------------
+// ShardInbox
+// --------------------------------------------------------------------
+
+ShardInbox::ShardInbox(SimObject &owner, const std::string &name,
+                       Handler handler)
+    : owner_(owner), handler_(std::move(handler)),
+      wakeEvent_([this] { pump(); }, owner.name() + "." + name + ".wake")
 {
+    // Room for one peer's credits; insert() grows it past that.
+    entries_.init(Crossbar::kCredits);
 }
 
-Crossbar::Layer::Layer(EventQueue &eq, std::string name,
-                       unsigned queue_limit)
-    : eq_(eq), name_(name),
-      sendEvent_([this] { trySend(); }, name + ".sendEvent")
+ShardInbox::~ShardInbox()
 {
-    queue_.init(queue_limit);
-}
-
-Crossbar::Layer::~Layer()
-{
-    if (sendEvent_.scheduled())
-        eq_.deschedule(sendEvent_);
-    for (std::size_t i = 0; i < queue_.size(); ++i) {
-        Entry &e = queue_[i];
-        while (e.pkt->senderState() != nullptr)
-            delete e.pkt->popSenderState();
-        delete e.pkt;
+    if (wakeEvent_.scheduled())
+        owner_.deschedule(wakeEvent_);
+    for (std::size_t i = 0; i < entries_.size(); ++i) {
+        Packet *pkt = entries_[i].pkt;
+        if (pkt == nullptr)
+            continue;
+        while (pkt->senderState() != nullptr)
+            delete pkt->popSenderState();
+        delete pkt;
     }
 }
 
 void
-Crossbar::Layer::admit(Packet *pkt, Tick occupancy, Tick latency)
+ShardInbox::deliver(Tick when, Packet *pkt, std::uint64_t arg)
 {
-    DC_ASSERT(!full(), "admit to a full layer");
-    Tick now = eq_.curTick();
-    busyUntil_ = std::max(busyUntil_, now) + occupancy;
-    Tick deliver_at = busyUntil_ + latency;
-    queue_.push_back(Entry{deliver_at, pkt});
-    if (auto *ct = obs::chromeTracer())
-        ct->counter(name_, "depth", now,
-                    static_cast<double>(queue_.size()));
-    if (!waitingForRetry_ && !sendEvent_.scheduled())
-        eq_.schedule(sendEvent_,
-                               std::max(now, queue_.front().deliverAt));
+    // Keep entries sorted by due tick; equal ticks preserve delivery
+    // order (insert after them), which is the engine's deterministic
+    // merge order — so the pump drains equal-tick entries exactly as
+    // they were merged. Messages mostly arrive in due order, so the
+    // scan from the back usually stops at once.
+    std::size_t pos = entries_.size();
+    while (pos > 0 && entries_[pos - 1].when > when)
+        --pos;
+    entries_.insert(pos, Entry{when, pkt, arg});
+    if (!stalled_)
+        scheduleWake();
 }
 
 void
-Crossbar::Layer::retry()
+ShardInbox::resume()
 {
-    DC_ASSERT(waitingForRetry_, "unexpected layer retry");
-    waitingForRetry_ = false;
-    trySend();
-}
-
-void
-Crossbar::Layer::trySend()
-{
-    bool sent = false;
-    while (!queue_.empty() &&
-           queue_.front().deliverAt <= eq_.curTick()) {
-        if (!sendFn(queue_.front().pkt)) {
-            waitingForRetry_ = true;
-            break;
-        }
-        queue_.pop_front();
-        sent = true;
-        if (onSlotFreed)
-            onSlotFreed();
-    }
-    if (sent) {
-        if (auto *ct = obs::chromeTracer())
-            ct->counter(name_, "depth", eq_.curTick(),
-                        static_cast<double>(queue_.size()));
-    }
-    if (waitingForRetry_)
+    if (!stalled_)
         return;
-    if (!queue_.empty() && !sendEvent_.scheduled())
-        eq_.schedule(
-            sendEvent_,
-            std::max(eq_.curTick(), queue_.front().deliverAt));
+    stalled_ = false;
+    pump();
 }
 
-Crossbar::Crossbar(Simulator &sim, std::string name, XBarConfig cfg)
-    : SimObject(sim, std::move(name)), cfg_(cfg)
+void
+ShardInbox::pump()
+{
+    while (!entries_.empty() &&
+           entries_.front().when <= owner_.curTick()) {
+        // A copy: the handler may deliver into this inbox, which can
+        // grow (and so move) the ring.
+        Entry head = entries_.front();
+        if (!handler_(head.when, head.pkt, head.arg)) {
+            stalled_ = true;
+            return;
+        }
+        entries_.pop_front();
+    }
+    if (!entries_.empty())
+        scheduleWake();
+}
+
+void
+ShardInbox::scheduleWake()
+{
+    DC_ASSERT(!entries_.empty(), "waking an empty inbox");
+    Tick head = entries_.front().when;
+    if (wakeEvent_.scheduled()) {
+        if (wakeEvent_.when() != head)
+            owner_.reschedule(wakeEvent_, head);
+    } else {
+        owner_.schedule(wakeEvent_, head);
+    }
+}
+
+void
+ShardInbox::serialize(ckpt::CkptOut &out,
+                      const std::string &prefix) const
+{
+    out.putBool(prefix + ".stalled", stalled_);
+    std::vector<std::uint64_t> whens, args;
+    whens.reserve(entries_.size());
+    args.reserve(entries_.size());
+    for (std::size_t i = 0; i < entries_.size(); ++i) {
+        whens.push_back(entries_[i].when);
+        args.push_back(entries_[i].arg);
+    }
+    out.putU64Vec(prefix + ".when", whens);
+    out.putU64Vec(prefix + ".arg", args);
+    for (std::size_t i = 0; i < entries_.size(); ++i)
+        out.putPacket(prefix + ".pkt" + std::to_string(i),
+                      entries_[i].pkt);
+    out.putEvent(prefix + ".wake", owner_.eventq(), wakeEvent_);
+}
+
+void
+ShardInbox::unserialize(ckpt::CkptIn &in, const std::string &prefix)
+{
+    DC_ASSERT(entries_.empty(), "unserialize into a non-empty inbox");
+    stalled_ = in.getBool(prefix + ".stalled");
+    const auto &whens = in.getU64Vec(prefix + ".when");
+    const auto &args = in.getU64Vec(prefix + ".arg");
+    DC_ASSERT(whens.size() == args.size(), "inbox vector mismatch");
+    for (std::size_t i = 0; i < whens.size(); ++i) {
+        Packet *pkt =
+            in.getPacket(prefix + ".pkt" + std::to_string(i));
+        entries_.insert(i, Entry{whens[i], pkt, args[i]});
+    }
+    in.getEvent(prefix + ".wake", owner_.eventq(), wakeEvent_);
+}
+
+// --------------------------------------------------------------------
+// FrontPort — requestor-shard half of the crossbar
+// --------------------------------------------------------------------
+
+/**
+ * The requestor-facing half: owns the inbound ResponsePort the
+ * requestor binds to, one request lane shared across channels, and
+ * the per-channel request credits.
+ */
+class Crossbar::FrontPort : public SimObject
+{
+  public:
+    FrontPort(Simulator &sim, const std::string &name,
+              Crossbar &xbar, unsigned index)
+        : SimObject(sim, name), xbar_(xbar), index_(index),
+          gate_(name + ".port", *this),
+          reqCredits_(xbar.numChannels(), kCredits),
+          respInbox_(*this, "resp",
+                     [this](Tick t, Packet *p, std::uint64_t a) {
+                         return handleResp(t, p, a);
+                     }),
+          creditInbox_(*this, "credit",
+                       [this](Tick t, Packet *p, std::uint64_t a) {
+                           return handleCredit(t, p, a);
+                       }),
+          stats_(*this)
+    {
+    }
+
+    ResponsePort &gate() { return gate_; }
+    ShardInbox &respInbox() { return respInbox_; }
+    ShardInbox &creditInbox() { return creditInbox_; }
+
+    bool
+    idle() const
+    {
+        if (!respInbox_.empty() || !creditInbox_.empty())
+            return false;
+        if (waitingRetry_)
+            return false;
+        for (unsigned c : reqCredits_)
+            if (c != kCredits)
+                return false;
+        return true;
+    }
+
+    void
+    serialize(ckpt::CkptOut &out) const override
+    {
+        out.putU64("req_busy_until", reqBusyUntil_);
+        out.putBool("waiting_retry", waitingRetry_);
+        out.putU64("waiting_channel", waitingChannel_);
+        std::vector<std::uint64_t> credits(reqCredits_.begin(),
+                                           reqCredits_.end());
+        out.putU64Vec("req_credits", credits);
+        respInbox_.serialize(out, "resp_inbox");
+        creditInbox_.serialize(out, "credit_inbox");
+    }
+
+    void
+    unserialize(ckpt::CkptIn &in) override
+    {
+        reqBusyUntil_ = in.getU64("req_busy_until");
+        waitingRetry_ = in.getBool("waiting_retry");
+        waitingChannel_ =
+            static_cast<unsigned>(in.getU64("waiting_channel"));
+        const auto &credits = in.getU64Vec("req_credits");
+        DC_ASSERT(credits.size() == reqCredits_.size(),
+                  "%s: credit vector shape changed", name().c_str());
+        for (std::size_t i = 0; i < credits.size(); ++i)
+            reqCredits_[i] = static_cast<unsigned>(credits[i]);
+        respInbox_.unserialize(in, "resp_inbox");
+        creditInbox_.unserialize(in, "credit_inbox");
+    }
+
+  private:
+    class Gate : public ResponsePort
+    {
+      public:
+        Gate(std::string name, FrontPort &front)
+            : ResponsePort(std::move(name)), front_(front)
+        {
+        }
+
+        bool
+        recvTimingReq(Packet *pkt) override
+        {
+            return front_.handleReq(pkt);
+        }
+
+        void recvRespRetry() override { front_.respInbox_.resume(); }
+
+      private:
+        FrontPort &front_;
+    };
+
+    /** Request from the local requestor: route, charge, forward. */
+    bool handleReq(Packet *pkt);
+
+    /** Response arriving from channel @p arg, due now. */
+    bool handleResp(Tick when, Packet *pkt, std::uint64_t arg);
+
+    /** Request credit returned by channel @p arg. */
+    bool
+    handleCredit(Tick when, Packet *pkt, std::uint64_t arg)
+    {
+        (void)when;
+        DC_ASSERT(pkt == nullptr, "credit message carries a packet");
+        unsigned ch = static_cast<unsigned>(arg);
+        DC_ASSERT(reqCredits_[ch] < kCredits,
+                  "%s: credit overflow on channel %u", name().c_str(),
+                  ch);
+        ++reqCredits_[ch];
+        if (waitingRetry_ && waitingChannel_ == ch) {
+            waitingRetry_ = false;
+            gate_.sendReqRetry();
+        }
+        return true;
+    }
+
+    struct FrontStats
+    {
+        explicit FrontStats(FrontPort &front)
+            : reqsForwarded(&front.statGroup(), "reqs_forwarded",
+                            "requests forwarded to a channel"),
+              reqStalls(&front.statGroup(), "req_stalls",
+                        "requests refused for lack of credit")
+        {
+        }
+
+        stats::Scalar reqsForwarded;
+        stats::Scalar reqStalls;
+    };
+
+    friend class Crossbar;
+
+    Crossbar &xbar_;
+    const unsigned index_;
+    Gate gate_;
+
+    /** When this front's request lane frees up. */
+    Tick reqBusyUntil_ = 0;
+    std::vector<unsigned> reqCredits_;
+    bool waitingRetry_ = false;
+    unsigned waitingChannel_ = 0;
+
+    ShardInbox respInbox_;
+    ShardInbox creditInbox_;
+    FrontStats stats_;
+};
+
+// --------------------------------------------------------------------
+// ChannelPort — controller-shard half of the crossbar
+// --------------------------------------------------------------------
+
+/**
+ * The controller-facing half: owns the RequestPort bound to the
+ * channel's controller, the channel's response lane, and the per-front
+ * response credits.
+ */
+class Crossbar::ChannelPort : public SimObject
+{
+  public:
+    ChannelPort(Simulator &sim, const std::string &name,
+                Crossbar &xbar, unsigned index)
+        : SimObject(sim, name), xbar_(xbar), index_(index),
+          ctrlPort_(name + ".port", *this),
+          reqInbox_(*this, "req",
+                    [this](Tick t, Packet *p, std::uint64_t a) {
+                        return handleReq(t, p, a);
+                    }),
+          creditInbox_(*this, "credit",
+                       [this](Tick t, Packet *p, std::uint64_t a) {
+                           return handleCredit(t, p, a);
+                       }),
+          stats_(*this)
+    {
+    }
+
+    RequestPort &ctrlPort() { return ctrlPort_; }
+    ShardInbox &reqInbox() { return reqInbox_; }
+    ShardInbox &creditInbox() { return creditInbox_; }
+
+    /** Called once per front port attached (fronts follow channels). */
+    void
+    addFront()
+    {
+        respCredits_.push_back(kCredits);
+    }
+
+    bool
+    idle() const
+    {
+        if (!reqInbox_.empty() || !creditInbox_.empty())
+            return false;
+        if (respBlocked_)
+            return false;
+        for (unsigned c : respCredits_)
+            if (c != kCredits)
+                return false;
+        return true;
+    }
+
+    void
+    serialize(ckpt::CkptOut &out) const override
+    {
+        out.putU64("resp_busy_until", respBusyUntil_);
+        out.putBool("resp_blocked", respBlocked_);
+        out.putU64("resp_blocked_front", respBlockedFront_);
+        std::vector<std::uint64_t> credits(respCredits_.begin(),
+                                           respCredits_.end());
+        out.putU64Vec("resp_credits", credits);
+        reqInbox_.serialize(out, "req_inbox");
+        creditInbox_.serialize(out, "credit_inbox");
+    }
+
+    void
+    unserialize(ckpt::CkptIn &in) override
+    {
+        respBusyUntil_ = in.getU64("resp_busy_until");
+        respBlocked_ = in.getBool("resp_blocked");
+        respBlockedFront_ =
+            static_cast<unsigned>(in.getU64("resp_blocked_front"));
+        const auto &credits = in.getU64Vec("resp_credits");
+        DC_ASSERT(credits.size() == respCredits_.size(),
+                  "%s: credit vector shape changed", name().c_str());
+        for (std::size_t i = 0; i < credits.size(); ++i)
+            respCredits_[i] = static_cast<unsigned>(credits[i]);
+        reqInbox_.unserialize(in, "req_inbox");
+        creditInbox_.unserialize(in, "credit_inbox");
+    }
+
+  private:
+    class CtrlPort : public RequestPort
+    {
+      public:
+        CtrlPort(std::string name, ChannelPort &channel)
+            : RequestPort(std::move(name)), channel_(channel)
+        {
+        }
+
+        bool
+        recvTimingResp(Packet *pkt) override
+        {
+            return channel_.handleResp(pkt);
+        }
+
+        void recvReqRetry() override { channel_.reqInbox_.resume(); }
+
+      private:
+        ChannelPort &channel_;
+    };
+
+    /** Request from front @p arg, due now: offer to the controller. */
+    bool
+    handleReq(Tick when, Packet *pkt, std::uint64_t arg)
+    {
+        (void)when;
+        if (!ctrlPort_.sendTimingReq(pkt))
+            return false;
+        // Controller accepted: the front may send another request on
+        // this channel.
+        unsigned front = static_cast<unsigned>(arg);
+        xbar_.postMsg(shardId(), xbar_.fronts_[front]->shardId(),
+                      curTick() + xbar_.cfg_.responseLatency,
+                      xbar_.fronts_[front]->creditInbox(), nullptr,
+                      index_);
+        return true;
+    }
+
+    /** Response from the controller: route back to its front. */
+    bool
+    handleResp(Packet *pkt)
+    {
+        unsigned front = xbar_.routeFront(pkt->requestorId());
+        if (respCredits_[front] == 0) {
+            TRACE(XBar, "%s: block %s, no credit for front %u",
+                  name().c_str(), pkt->toString().c_str(), front);
+            DC_ASSERT(!respBlocked_,
+                      "%s: second response while one is blocked",
+                      name().c_str());
+            respBlocked_ = true;
+            respBlockedFront_ = front;
+            ++stats_.respStalls;
+            return false;
+        }
+        TRACE(XBar, "%s: forward %s back to front %u", name().c_str(),
+              pkt->toString().c_str(), front);
+        --respCredits_[front];
+        Tick now = curTick();
+        respBusyUntil_ = std::max(respBusyUntil_, now) +
+                         xbar_.occupancy(pkt->size());
+        ++stats_.respsForwarded;
+        xbar_.postMsg(shardId(), xbar_.fronts_[front]->shardId(),
+                      respBusyUntil_ + xbar_.cfg_.responseLatency,
+                      xbar_.fronts_[front]->respInbox(), pkt, index_);
+        return true;
+    }
+
+    /** Response credit returned by front @p arg. */
+    bool
+    handleCredit(Tick when, Packet *pkt, std::uint64_t arg)
+    {
+        (void)when;
+        DC_ASSERT(pkt == nullptr, "credit message carries a packet");
+        unsigned front = static_cast<unsigned>(arg);
+        DC_ASSERT(respCredits_[front] < kCredits,
+                  "%s: credit overflow on front %u", name().c_str(),
+                  front);
+        ++respCredits_[front];
+        if (respBlocked_ && respBlockedFront_ == front) {
+            respBlocked_ = false;
+            ctrlPort_.sendRespRetry();
+        }
+        return true;
+    }
+
+    struct ChannelStats
+    {
+        explicit ChannelStats(ChannelPort &channel)
+            : respsForwarded(&channel.statGroup(), "resps_forwarded",
+                             "responses forwarded to a front port"),
+              respStalls(&channel.statGroup(), "resp_stalls",
+                         "responses refused for lack of credit")
+        {
+        }
+
+        stats::Scalar respsForwarded;
+        stats::Scalar respStalls;
+    };
+
+    friend class Crossbar;
+
+    Crossbar &xbar_;
+    const unsigned index_;
+    CtrlPort ctrlPort_;
+
+    /** When this channel's response lane frees up. */
+    Tick respBusyUntil_ = 0;
+    std::vector<unsigned> respCredits_;
+    bool respBlocked_ = false;
+    unsigned respBlockedFront_ = 0;
+
+    ShardInbox reqInbox_;
+    ShardInbox creditInbox_;
+    ChannelStats stats_;
+};
+
+bool
+Crossbar::FrontPort::handleReq(Packet *pkt)
+{
+    unsigned ch = xbar_.routeChannel(pkt->addr());
+    if (reqCredits_[ch] == 0) {
+        TRACE(XBar, "%s: block %s, no credit for channel %u",
+              name().c_str(), pkt->toString().c_str(), ch);
+        DC_ASSERT(!waitingRetry_,
+                  "%s: second request while one is blocked",
+                  name().c_str());
+        waitingRetry_ = true;
+        waitingChannel_ = ch;
+        ++stats_.reqStalls;
+        return false;
+    }
+    TRACE(XBar, "%s: forward %s to channel %u", name().c_str(),
+          pkt->toString().c_str(), ch);
+    --reqCredits_[ch];
+    Tick now = curTick();
+    reqBusyUntil_ =
+        std::max(reqBusyUntil_, now) + xbar_.occupancy(pkt->size());
+    ++stats_.reqsForwarded;
+    xbar_.postMsg(shardId(), xbar_.channels_[ch]->shardId(),
+                  reqBusyUntil_ + xbar_.cfg_.frontendLatency,
+                  xbar_.channels_[ch]->reqInbox(), pkt, index_);
+    return true;
+}
+
+bool
+Crossbar::FrontPort::handleResp(Tick when, Packet *pkt,
+                                       std::uint64_t arg)
+{
+    (void)when;
+    if (!gate_.sendTimingResp(pkt))
+        return false;
+    // The requestor took the response: hand the channel its response
+    // credit back.
+    unsigned ch = static_cast<unsigned>(arg);
+    xbar_.postMsg(shardId(), xbar_.channels_[ch]->shardId(),
+                  curTick() + xbar_.cfg_.frontendLatency,
+                  xbar_.channels_[ch]->creditInbox(), nullptr, index_);
+    return true;
+}
+
+// --------------------------------------------------------------------
+// Crossbar
+// --------------------------------------------------------------------
+
+Crossbar::Crossbar(Simulator &sim, std::string name,
+                   const XBarConfig &cfg)
+    : sim_(sim), name_(std::move(name)), cfg_(cfg)
 {
     if (cfg_.width == 0 || cfg_.clockPeriod == 0)
-        fatal("crossbar '%s': zero width or clock period",
-              this->name().c_str());
-    if (cfg_.layerQueueLimit == 0)
-        fatal("crossbar '%s': layer queue limit must be non-zero",
-              this->name().c_str());
-    stats_ = std::make_unique<XBarStats>(*this);
+        fatal("%s: zero crossbar width or clock", name_.c_str());
+    if (lookahead(cfg_) == 0)
+        fatal("%s: crossbar latencies must be positive",
+              name_.c_str());
 }
 
 Crossbar::~Crossbar() = default;
 
-unsigned
-Crossbar::addCpuSidePort()
+Tick
+Crossbar::lookahead(const XBarConfig &cfg)
 {
-    unsigned idx = static_cast<unsigned>(cpuPorts_.size());
-    cpuPorts_.push_back(std::make_unique<CpuSidePort>(
-        name() + ".cpuSide" + std::to_string(idx), *this, idx));
+    return std::min(cfg.frontendLatency, cfg.responseLatency);
+}
 
-    auto layer = std::make_unique<Layer>(
-        eventq(), name() + ".respLayer" + std::to_string(idx),
-        cfg_.layerQueueLimit);
-    layer->sendFn = [this, idx](Packet *pkt) {
-        return cpuPorts_[idx]->sendTimingResp(pkt);
-    };
-    layer->onSlotFreed = [this, idx] {
-        retryWaiters(respWaiters_[idx], false);
-    };
-    respLayers_.push_back(std::move(layer));
-    respWaiters_.emplace_back().reserve(memPorts_.size());
-    for (auto &waiters : reqWaiters_)
-        waiters.reserve(cpuPorts_.size());
-    return idx;
+void
+Crossbar::addChannel(ResponsePort &ctrl_port, AddrRange range)
+{
+    if (!fronts_.empty())
+        fatal("%s: add all channels before any front port",
+              name_.c_str());
+    for (const AddrRange &r : ranges_) {
+        if (!r.disjoint(range))
+            fatal("%s: range %s overlaps existing range %s",
+                  name_.c_str(), range.toString().c_str(),
+                  r.toString().c_str());
+    }
+    unsigned index = numChannels();
+    auto channel = std::make_unique<ChannelPort>(
+        sim_, name_ + ".ch" + std::to_string(index), *this, index);
+    channel->ctrlPort().bind(ctrl_port);
+    channels_.push_back(std::move(channel));
+    ranges_.push_back(range);
+
+    // Maintain the fast interleaved route: every range must use one
+    // shared interleave with range i answering match i.
+    if (range.numChannels() == 1 || range.intlvMatch() != index) {
+        fastRoute_ = false;
+    } else if (index == 0) {
+        std::uint64_t gran = range.granularity();
+        granShift_ = 0;
+        while ((std::uint64_t(1) << granShift_) < gran)
+            ++granShift_;
+        chanMask_ = range.numChannels() - 1;
+    } else if (ranges_[0].granularity() != range.granularity() ||
+               ranges_[0].numChannels() != range.numChannels()) {
+        fastRoute_ = false;
+    }
 }
 
 ResponsePort &
-Crossbar::cpuSidePort(unsigned idx)
+Crossbar::addFrontPort(const std::vector<RequestorId> &ids)
 {
-    return *cpuPorts_.at(idx);
-}
-
-unsigned
-Crossbar::addMemSidePort(const AddrRange &range)
-{
-    for (const AddrRange &r : ranges_) {
-        if (!r.disjoint(range))
-            fatal("crossbar '%s': range %s overlaps existing range %s",
-                  name().c_str(), range.toString().c_str(),
-                  r.toString().c_str());
+    if (channels_.empty())
+        fatal("%s: no channels to route to", name_.c_str());
+    unsigned index = numFronts();
+    for (RequestorId id : ids) {
+        if (frontByRequestor_.size() <= id)
+            frontByRequestor_.resize(id + 1, ~0u);
+        if (frontByRequestor_[id] != ~0u)
+            fatal("%s: requestor %u already has a front port",
+                  name_.c_str(), unsigned(id));
+        frontByRequestor_[id] = index;
     }
-
-    unsigned idx = static_cast<unsigned>(memPorts_.size());
-    memPorts_.push_back(std::make_unique<MemSidePort>(
-        name() + ".memSide" + std::to_string(idx), *this, idx));
-    ranges_.push_back(range);
-
-    auto layer = std::make_unique<Layer>(
-        eventq(), name() + ".reqLayer" + std::to_string(idx),
-        cfg_.layerQueueLimit);
-    layer->sendFn = [this, idx](Packet *pkt) {
-        return memPorts_[idx]->sendTimingReq(pkt);
-    };
-    layer->onSlotFreed = [this, idx] {
-        retryWaiters(reqWaiters_[idx], true);
-    };
-    reqLayers_.push_back(std::move(layer));
-    reqWaiters_.emplace_back().reserve(cpuPorts_.size());
-    for (auto &waiters : respWaiters_)
-        waiters.reserve(memPorts_.size());
-    return idx;
-}
-
-RequestPort &
-Crossbar::memSidePort(unsigned idx)
-{
-    return *memPorts_.at(idx);
-}
-
-unsigned
-Crossbar::route(Addr addr) const
-{
-    for (std::size_t i = 0; i < ranges_.size(); ++i) {
-        if (ranges_[i].contains(addr))
-            return static_cast<unsigned>(i);
-    }
-    fatal("crossbar '%s': no range covers address %#llx",
-          name().c_str(), static_cast<unsigned long long>(addr));
-}
-
-std::size_t
-Crossbar::queuedPackets() const
-{
-    std::size_t n = 0;
-    for (const auto &layer : reqLayers_)
-        n += layer->size();
-    for (const auto &layer : respLayers_)
-        n += layer->size();
-    return n;
+    auto front = std::make_unique<FrontPort>(
+        sim_, name_ + ".front" + std::to_string(index), *this, index);
+    for (auto &channel : channels_)
+        channel->addFront();
+    fronts_.push_back(std::move(front));
+    return fronts_.back()->gate();
 }
 
 bool
 Crossbar::idle() const
 {
-    for (const auto &layer : reqLayers_) {
-        if (!layer->empty())
+    for (const auto &front : fronts_)
+        if (!front->idle())
             return false;
-    }
-    for (const auto &layer : respLayers_) {
-        if (!layer->empty())
+    for (const auto &channel : channels_)
+        if (!channel->idle())
             return false;
-    }
     return true;
+}
+
+unsigned
+Crossbar::routeChannel(Addr addr) const
+{
+    if (fastRoute_ && !channels_.empty()) {
+        unsigned ch =
+            static_cast<unsigned>((addr >> granShift_) & chanMask_);
+        if (ch < numChannels() && ranges_[ch].contains(addr))
+            return ch;
+    }
+    for (unsigned i = 0; i < numChannels(); ++i)
+        if (ranges_[i].contains(addr))
+            return i;
+    fatal("%s: address %#llx maps to no channel", name_.c_str(),
+          static_cast<unsigned long long>(addr));
+}
+
+unsigned
+Crossbar::routeFront(RequestorId id) const
+{
+    if (id >= frontByRequestor_.size() || frontByRequestor_[id] == ~0u)
+        fatal("%s: response for unknown requestor %u", name_.c_str(),
+              unsigned(id));
+    return frontByRequestor_[id];
 }
 
 Tick
-Crossbar::occupancyFor(const Packet *pkt) const
+Crossbar::occupancy(unsigned size) const
 {
-    return cfg_.clockPeriod *
-           divCeil<std::uint64_t>(pkt->size(), cfg_.width);
-}
-
-bool
-Crossbar::handleReq(Packet *pkt, unsigned src)
-{
-    unsigned dst = route(pkt->addr());
-    Layer &layer = *reqLayers_[dst];
-    if (layer.full()) {
-        TRACE(XBar, "%s: block %s from port %u, req layer %u busy",
-              name().c_str(), pkt->toString().c_str(), src, dst);
-        ++stats_->reqRetries;
-        auto &waiters = reqWaiters_[dst];
-        if (std::find(waiters.begin(), waiters.end(), src) ==
-            waiters.end())
-            waiters.push_back(src);
-        return false;
-    }
-
-    TRACE(XBar, "%s: forward %s from port %u to layer %u",
-          name().c_str(), pkt->toString().c_str(), src, dst);
-    if (auto *ct = obs::chromeTracer())
-        ct->instant(name(), "req port " + std::to_string(src) +
-                                " -> mem " + std::to_string(dst),
-                    curTick());
-
-    auto *rs = new RouteState;
-    rs->srcPort = src;
-    pkt->pushSenderState(rs);
-
-    ++stats_->reqPackets;
-    stats_->bytesForwarded += pkt->size();
-    layer.admit(pkt, occupancyFor(pkt), cfg_.frontendLatency);
-    return true;
-}
-
-bool
-Crossbar::handleResp(Packet *pkt, unsigned mem_idx)
-{
-    auto *rs = static_cast<RouteState *>(pkt->senderState());
-    DC_ASSERT(rs != nullptr, "response without route state");
-    unsigned src = rs->srcPort;
-
-    Layer &layer = *respLayers_[src];
-    if (layer.full()) {
-        TRACE(XBar, "%s: block %s from mem %u, resp layer %u busy",
-              name().c_str(), pkt->toString().c_str(), mem_idx, src);
-        auto &waiters = respWaiters_[src];
-        if (std::find(waiters.begin(), waiters.end(), mem_idx) ==
-            waiters.end())
-            waiters.push_back(mem_idx);
-        return false;
-    }
-
-    TRACE(XBar, "%s: forward %s from mem %u back to port %u",
-          name().c_str(), pkt->toString().c_str(), mem_idx, src);
-
-    pkt->popSenderState();
-    delete rs;
-
-    ++stats_->respPackets;
-    stats_->bytesForwarded += pkt->size();
-    layer.admit(pkt, occupancyFor(pkt), cfg_.responseLatency);
-    return true;
+    std::uint64_t beats = (size + cfg_.width - 1) / cfg_.width;
+    if (beats == 0)
+        beats = 1;
+    return cfg_.clockPeriod * beats;
 }
 
 void
-Crossbar::retryWaiters(std::vector<unsigned> &waiters, bool cpu_side)
+Crossbar::postMsg(unsigned from_shard, unsigned to_shard, Tick when,
+                  ShardInbox &box, Packet *pkt, std::uint64_t arg)
 {
-    if (waiters.empty())
-        return;
-    unsigned idx = waiters.front();
-    waiters.erase(waiters.begin());
-    if (cpu_side)
-        cpuPorts_[idx]->sendReqRetry();
-    else
-        memPorts_[idx]->sendRespRetry();
+    if (sim_.sharded()) {
+        sim_.shardEngine().post(from_shard, to_shard, when, box, pkt,
+                                arg);
+    } else {
+        box.deliver(when, pkt, arg);
+    }
 }
 
 } // namespace dramctrl

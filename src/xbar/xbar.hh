@@ -1,47 +1,87 @@
 /**
  * @file
- * Transaction-level crossbar with address interleaving.
+ * Credit-based memory crossbar with address interleaving.
  *
  * The paper's multi-channel systems (Section II-F, Figure 1) put the
  * channel interleaving outside the controllers, in a crossbar: each
- * mem-side port owns a (typically interleaved) AddrRange, and requests
- * route by address. Each destination has a request layer and each
- * source a response layer; a layer serialises packets at the crossbar's
- * width and clock, models the forwarding latency, bounds its queue, and
- * propagates back pressure both ways — so a slow channel stalls exactly
- * the requestors that target it.
+ * channel owns a (typically interleaved) AddrRange, and requests
+ * route by address. This is the one crossbar model: it serves the
+ * sharded multi-channel presets, the closed-loop cache hierarchy and
+ * the examples alike.
+ *
+ * The crossbar is split at the point where a shard boundary may cut
+ * it:
+ *
+ *  - A FrontPort lives on the requestor's shard. It models the front
+ *    layer's serialisation (one request lane per front port) and pays
+ *    the frontend latency on the way to a channel.
+ *  - A ChannelPort lives on its controller's shard. It models the
+ *    response lane of that channel and pays the response latency on
+ *    the way back.
+ *  - All traffic between the two sides — requests, responses and the
+ *    flow-control credits that replace synchronous retries — travels
+ *    as messages: through ShardedEngine::post() when the simulator is
+ *    sharded (applied at window barriers in the engine's
+ *    deterministic merge order), straight into the receiving inbox
+ *    when it is not.
+ *
+ * Back pressure is credit based. Each front port holds kCredits
+ * tokens per channel; a request consumes one and the channel returns
+ * it (with response latency) once the controller accepted the packet.
+ * Each channel holds kCredits tokens per front port; a response
+ * consumes one and the front returns it (with frontend latency) once
+ * the requestor accepted the packet. A side with no credit refuses its
+ * local peer exactly like a plain port would, so generators, caches
+ * and controllers see the ordinary timing-port protocol, unchanged.
+ *
+ * Responses route back by requestor id, never by state pushed onto
+ * the packet, so a checkpoint of in-flight packets needs nothing from
+ * the crossbar. Each front port declares the ids it answers for: a
+ * generator's front its own id, a shared cache's front the ids of
+ * every requestor behind it.
+ *
+ * The minimum latency of any message is min(frontendLatency,
+ * responseLatency) — the lookahead to configure the simulator's shards
+ * with (see lookahead()).
+ *
+ * Construction order matters: add every channel first (inside that
+ * channel's ShardScope), then every front port (inside its
+ * requestor's shard scope); addFrontPort() needs the channel count
+ * for credit sizing and addChannel() fatals once a front exists.
  */
 
 #ifndef DRAMCTRL_XBAR_XBAR_H
 #define DRAMCTRL_XBAR_XBAR_H
 
+#include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "mem/addr_range.hh"
-#include "mem/packet.hh"
 #include "mem/port.hh"
-#include "sim/pool.hh"
 #include "sim/ring_buffer.hh"
+#include "sim/shard.hh"
 #include "sim/sim_object.hh"
-#include "sim/simulator.hh"
+#include "sim/types.hh"
 #include "stats/stats.hh"
 
 namespace dramctrl {
 
+class Simulator;
+
+/** Crossbar parameters (one lane per direction per port). */
 struct XBarConfig
 {
     /** Crossbar clock period. */
     Tick clockPeriod = fromNs(1.0);
-    /** Bytes moved per clock on a layer. */
+    /** Datapath width in bytes per crossbar cycle. */
     unsigned width = 16;
-    /** Pipeline latency added to every forwarded request. */
+    /** Latency of any front-side -> channel-side message. */
     Tick frontendLatency = fromNs(3.0);
-    /** Pipeline latency added to every forwarded response. */
+    /** Latency of any channel-side -> front-side message. */
     Tick responseLatency = fromNs(3.0);
-    /** Packets a layer may hold before pushing back. */
-    unsigned layerQueueLimit = 2;
 };
 
 /**
@@ -54,176 +94,153 @@ std::vector<AddrRange> interleavedRanges(Addr base,
                                          std::uint64_t granularity,
                                          unsigned channels);
 
-class Crossbar : public SimObject
+/**
+ * Ordered inbound queue of one crossbar link, owned by a SimObject on
+ * the receiving shard. deliver() inserts the message sorted by due
+ * tick and keeps a wake-up event scheduled for the head; the handler
+ * is then invoked on the owner's shard at exactly the due tick. A
+ * handler returning false stalls the queue (the head entry stays put)
+ * until the owner calls resume().
+ *
+ * With a sharded engine, deliver() runs at each barrier on the
+ * executor that runs the owner's shard, in (due tick, sender shard,
+ * send order) order, while other executors fill their own shards'
+ * inboxes; it touches only the owner's queue and this inbox. When the
+ * simulator is unsharded, the crossbar calls it directly. The queue
+ * grows to its high-water mark and never shrinks, so a steady state
+ * delivers without allocating.
+ */
+class ShardInbox : public ShardMailbox
 {
   public:
-    Crossbar(Simulator &sim, std::string name, XBarConfig cfg);
-    ~Crossbar() override;
+    /** Invoked on the owner's shard; false = stall until resume(). */
+    using Handler = std::function<bool(Tick, Packet *, std::uint64_t)>;
 
-    /**
-     * Create a new cpu-side (requestor-facing) port.
-     * @return its index, used to retrieve the port for binding.
-     */
-    unsigned addCpuSidePort();
-    ResponsePort &cpuSidePort(unsigned idx);
+    ShardInbox(SimObject &owner, const std::string &name,
+               Handler handler);
 
-    /**
-     * Create a new mem-side port responsible for @p range.
-     * @return its index.
-     */
-    unsigned addMemSidePort(const AddrRange &range);
-    RequestPort &memSidePort(unsigned idx);
+    /** Deschedules the wake-up and frees still-queued packets. */
+    ~ShardInbox() override;
 
-    const XBarConfig &config() const { return cfg_; }
+    void deliver(Tick when, Packet *pkt, std::uint64_t arg) override;
 
-    /** Index of the mem-side port covering @p addr; fatal if none. */
-    unsigned route(Addr addr) const;
+    /** Clear a stall and re-pump pending entries. */
+    void resume();
 
-    /** True when no packet is held in any layer. */
-    bool idle() const;
+    bool empty() const { return entries_.empty(); }
+    bool stalled() const { return stalled_; }
 
-    /**
-     * Packets currently buffered across every layer — the in-flight
-     * crossbar occupancy the introspection endpoint reports.
-     */
-    std::size_t queuedPackets() const;
-
-    struct XBarStats
-    {
-        explicit XBarStats(Crossbar &xbar);
-
-        stats::Scalar reqPackets;
-        stats::Scalar respPackets;
-        stats::Scalar reqRetries;
-        stats::Scalar bytesForwarded;
-    };
-
-    const XBarStats &xbarStats() const { return *stats_; }
+    /** Checkpoint the queued entries under @p prefix-scoped keys. */
+    void serialize(ckpt::CkptOut &out, const std::string &prefix) const;
+    void unserialize(ckpt::CkptIn &in, const std::string &prefix);
 
   private:
+    struct Entry
+    {
+        Tick when;
+        Packet *pkt;
+        std::uint64_t arg;
+    };
+
+    void pump();
+    void scheduleWake();
+
+    SimObject &owner_;
+    Handler handler_;
+    RingBuffer<Entry> entries_;
+    bool stalled_ = false;
+    EventFunctionWrapper wakeEvent_;
+};
+
+/**
+ * Channel count, address map and routing fabric between front-side
+ * requestors and per-channel memory controllers. Not a SimObject
+ * itself — it owns one FrontPort / ChannelPort SimObject per attached
+ * port, each living on the shard that was current when it was added.
+ */
+class Crossbar
+{
+  public:
+    /** Request tokens per (front, channel) and response tokens per
+     *  (channel, front): the in-flight cap of each direction. */
+    static constexpr unsigned kCredits = 4;
+
+    Crossbar(Simulator &sim, std::string name, const XBarConfig &cfg);
+    ~Crossbar();
+
+    Crossbar(const Crossbar &) = delete;
+    Crossbar &operator=(const Crossbar &) = delete;
+
+    /** Minimum message latency: the engine lookahead to use. */
+    static Tick lookahead(const XBarConfig &cfg);
+
+    const std::string &name() const { return name_; }
+
     /**
-     * One serialising pipeline stage. Packets are admitted with a
-     * computed delivery tick and sent in order; a refused send stalls
-     * the layer until the peer's retry.
+     * Attach channel @p range served by @p ctrl_port. Call inside the
+     * channel's ShardScope; must precede every addFrontPort(). Fatal
+     * when @p range overlaps a channel already attached.
      */
-    class Layer
+    void addChannel(ResponsePort &ctrl_port, AddrRange range);
+
+    /**
+     * Create the front port that answers responses for every
+     * requestor in @p ids and return the ResponsePort to bind the
+     * requestor's RequestPort to. Call inside the requestor's
+     * ShardScope. Fatal when an id already has a front.
+     */
+    ResponsePort &addFrontPort(const std::vector<RequestorId> &ids);
+
+    unsigned numChannels() const
     {
-      public:
-        Layer(EventQueue &eq, std::string name, unsigned queue_limit);
-        ~Layer();
-
-        bool full() const { return queue_.full(); }
-        bool empty() const { return queue_.empty(); }
-        std::size_t size() const { return queue_.size(); }
-
-        /** Admit a packet; the caller must have checked full(). */
-        void admit(Packet *pkt, Tick occupancy, Tick latency);
-
-        /** Forwarding hook: sendTimingReq or sendTimingResp. */
-        std::function<bool(Packet *)> sendFn;
-        /** Invoked whenever the layer frees a slot. */
-        std::function<void()> onSlotFreed;
-
-        /** Peer retry received. */
-        void retry();
-
-      private:
-        void trySend();
-
-        struct Entry
-        {
-            Tick deliverAt = 0;
-            Packet *pkt = nullptr;
-        };
-
-        EventQueue &eq_;
-        std::string name_;
-        /** Sized to the queue limit once, at construction. */
-        RingBuffer<Entry> queue_;
-        /** Serialisation horizon of admitted packets. */
-        Tick busyUntil_ = 0;
-        bool waitingForRetry_ = false;
-        EventFunctionWrapper sendEvent_;
-    };
-
-    /** Route-back breadcrumb pushed on the request path. */
-    struct RouteState : Packet::SenderState, Pooled<RouteState>
+        return static_cast<unsigned>(channels_.size());
+    }
+    unsigned numFronts() const
     {
-        unsigned srcPort;
-    };
+        return static_cast<unsigned>(fronts_.size());
+    }
 
-    class CpuSidePort : public ResponsePort
-    {
-      public:
-        CpuSidePort(std::string name, Crossbar &xbar, unsigned idx)
-            : ResponsePort(std::move(name)), xbar_(xbar), idx_(idx)
-        {}
+    /** No queued message, no stall, every credit back home. */
+    bool idle() const;
 
-        bool recvTimingReq(Packet *pkt) override
-        {
-            return xbar_.handleReq(pkt, idx_);
-        }
+    /** Channel index serving @p addr; fatals when unmapped. */
+    unsigned routeChannel(Addr addr) const;
 
-        void recvRespRetry() override
-        {
-            xbar_.respLayers_[idx_]->retry();
-        }
+  private:
+    class FrontPort;
+    class ChannelPort;
 
-      private:
-        Crossbar &xbar_;
-        unsigned idx_;
-    };
+    /** Front-port index for requestor @p id; fatals when unknown. */
+    unsigned routeFront(RequestorId id) const;
 
-    class MemSidePort : public RequestPort
-    {
-      public:
-        MemSidePort(std::string name, Crossbar &xbar, unsigned idx)
-            : RequestPort(std::move(name)), xbar_(xbar), idx_(idx)
-        {}
+    /** Ticks a packet of @p size bytes occupies a crossbar lane. */
+    Tick occupancy(unsigned size) const;
 
-        bool recvTimingResp(Packet *pkt) override
-        {
-            return xbar_.handleResp(pkt, idx_);
-        }
+    /**
+     * Send @p pkt / @p arg to @p box on @p to_shard, due @p when.
+     * Routes through the sharded engine when one exists, else
+     * delivers directly (same queue, same ordering).
+     */
+    void postMsg(unsigned from_shard, unsigned to_shard, Tick when,
+                 ShardInbox &box, Packet *pkt, std::uint64_t arg);
 
-        void recvReqRetry() override
-        {
-            xbar_.reqLayers_[idx_]->retry();
-        }
-
-      private:
-        Crossbar &xbar_;
-        unsigned idx_;
-    };
-
-    bool handleReq(Packet *pkt, unsigned src);
-    bool handleResp(Packet *pkt, unsigned mem_idx);
-
-    /** Serialisation time of @p pkt on a layer. */
-    Tick occupancyFor(const Packet *pkt) const;
-
-    void retryWaiters(std::vector<unsigned> &waiters, bool cpu_side);
-
+    Simulator &sim_;
+    std::string name_;
     XBarConfig cfg_;
 
-    std::vector<std::unique_ptr<CpuSidePort>> cpuPorts_;
-    std::vector<std::unique_ptr<MemSidePort>> memPorts_;
+    std::vector<std::unique_ptr<ChannelPort>> channels_;
+    std::vector<std::unique_ptr<FrontPort>> fronts_;
     std::vector<AddrRange> ranges_;
-
-    std::vector<std::unique_ptr<Layer>> reqLayers_;  // per mem port
-    std::vector<std::unique_ptr<Layer>> respLayers_; // per cpu port
+    /** requestorId -> front index (dense, grows as fronts attach). */
+    std::vector<unsigned> frontByRequestor_;
 
     /**
-     * Sources waiting on a full request layer, per mem port, oldest
-     * first. A port waits at most once per list, so each list is
-     * reserved to the port count as ports are added and never grows
-     * while simulating.
+     * Fast interleaved route: all ranges share one (granularity,
+     * channel-count) interleave and range i matches channel i.
      */
-    std::vector<std::vector<unsigned>> reqWaiters_;
-    /** Mem ports waiting on a full response layer, per cpu port. */
-    std::vector<std::vector<unsigned>> respWaiters_;
-
-    std::unique_ptr<XBarStats> stats_;
+    bool fastRoute_ = true;
+    unsigned granShift_ = 0;
+    Addr chanMask_ = 0;
 };
 
 } // namespace dramctrl

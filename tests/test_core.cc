@@ -150,6 +150,89 @@ TEST(TimingCoreTest, MemStallsAccumulateUnderPressure)
     EXPECT_GT(core.coreStats().memStallCycles.value(), 0.0);
 }
 
+/** Pass-through port pair that logs the requestor of every write. */
+class WriteIdTap
+{
+  public:
+    WriteIdTap() : cpuSide_(*this), memSide_(*this) {}
+
+    ResponsePort &cpuSide() { return cpuSide_; }
+    RequestPort &memSide() { return memSide_; }
+
+    std::vector<RequestorId> writeIds;
+
+  private:
+    struct CpuSide : ResponsePort
+    {
+        explicit CpuSide(WriteIdTap &tap)
+            : ResponsePort("tap.cpuSide"), tap_(tap)
+        {}
+
+        bool
+        recvTimingReq(Packet *pkt) override
+        {
+            bool write = pkt->isWrite();
+            RequestorId id = pkt->requestorId();
+            if (!tap_.memSide_.sendTimingReq(pkt))
+                return false;
+            if (write)
+                tap_.writeIds.push_back(id);
+            return true;
+        }
+
+        void recvRespRetry() override { tap_.memSide_.sendRespRetry(); }
+
+        WriteIdTap &tap_;
+    };
+
+    struct MemSide : RequestPort
+    {
+        explicit MemSide(WriteIdTap &tap)
+            : RequestPort("tap.memSide"), tap_(tap)
+        {}
+
+        bool
+        recvTimingResp(Packet *pkt) override
+        {
+            return tap_.cpuSide_.sendTimingResp(pkt);
+        }
+
+        void recvReqRetry() override { tap_.cpuSide_.sendReqRetry(); }
+
+        WriteIdTap &tap_;
+    };
+
+    CpuSide cpuSide_;
+    MemSide memSide_;
+};
+
+TEST(TimingCoreTest, WritebacksCarryTheEvictingRequestor)
+{
+    // A tiny L1 under canneal evicts dirty blocks: each writeback
+    // carries the id of the fill that evicted it, here core 3's.
+    Simulator sim;
+    CacheConfig l1;
+    l1.size = 1024;
+    Cache cache(sim, "l1", l1);
+    DRAMCtrlConfig mcfg = testutil::noRefreshConfig();
+    DRAMCtrl ctrl(sim, "ctrl", mcfg,
+                  AddrRange(0, mcfg.org.channelCapacity));
+    WriteIdTap tap;
+    cache.memSidePort().bind(tap.cpuSide());
+    tap.memSide().bind(ctrl.port());
+
+    CoreConfig ccfg;
+    ccfg.numOps = 5000;
+    TimingCore core(sim, "core", ccfg, workloads::canneal(), 3);
+    core.dcachePort().bind(cache.cpuSidePort());
+
+    harness::runUntil(sim, [&] { return core.done(); });
+    ASSERT_GT(cache.cacheStats().writebacks.value(), 0.0);
+    EXPECT_EQ(tap.writeIds,
+              std::vector<RequestorId>(tap.writeIds.size(), 3));
+    EXPECT_FALSE(tap.writeIds.empty());
+}
+
 TEST(TimingCoreTest, ValidatesConfig)
 {
     setThrowOnError(true);
@@ -188,6 +271,23 @@ TEST(MultiCoreSystemTest, RejectsOpSizeNotDividingTheL1Block)
     wl.opSize = 0;
     EXPECT_THROW(harness::MultiCoreSystem(cfg, wl), std::runtime_error);
     setThrowOnError(false);
+}
+
+TEST(MultiCoreSystemTest, ThreeCoresRunCannealToCompletion)
+{
+    // One channel split three ways is not a whole number of cache
+    // blocks per core: the slices must still start block aligned, or
+    // an op straddles an L1 block.
+    harness::MultiCoreConfig cfg;
+    cfg.numCores = 3;
+    cfg.channels = 1;
+    cfg.ctrl = presets::ddr3_1333();
+    cfg.opsPerCore = 3000;
+    harness::MultiCoreSystem sys(cfg, workloads::canneal());
+    sys.runToCompletion();
+    for (unsigned i = 0; i < 3; ++i)
+        EXPECT_TRUE(sys.core(i).done()) << "core " << i;
+    EXPECT_TRUE(sys.l2().idle());
 }
 
 TEST(MultiCoreSystemTest, RunsToCompletionAndReportsMetrics)

@@ -136,8 +136,7 @@ TEST(MultiChannelTest, FourChannelSystemConservesTraffic)
         for (unsigned ch = 0; ch < 4; ++ch) {
             ctrls.push_back(std::make_unique<DRAMCtrl>(
                 sim, "ctrl" + std::to_string(ch), cfg, ranges[ch]));
-            xbar.memSidePort(xbar.addMemSidePort(ranges[ch]))
-                .bind(ctrls.back()->port());
+            xbar.addChannel(ctrls.back()->port(), ranges[ch]);
         }
 
         GenConfig gc;
@@ -147,7 +146,7 @@ TEST(MultiChannelTest, FourChannelSystemConservesTraffic)
         gc.numRequests = 2000;
         gc.seed = 31;
         RandomGen gen(sim, "gen", gc, 0);
-        gen.port().bind(xbar.cpuSidePort(xbar.addCpuSidePort()));
+        gen.port().bind(xbar.addFrontPort({0}));
 
         harness::runUntil(sim, [&] { return gen.done(); });
         ASSERT_TRUE(gen.done());
@@ -180,8 +179,7 @@ TEST(MultiChannelTest, SixteenChannelHmcStyleSystemWorks)
     for (unsigned ch = 0; ch < 16; ++ch) {
         vaults.push_back(std::make_unique<DRAMCtrl>(
             sim, "vault" + std::to_string(ch), cfg, ranges[ch]));
-        xbar.memSidePort(xbar.addMemSidePort(ranges[ch]))
-            .bind(vaults.back()->port());
+        xbar.addChannel(vaults.back()->port(), ranges[ch]);
     }
 
     GenConfig gc;
@@ -192,7 +190,7 @@ TEST(MultiChannelTest, SixteenChannelHmcStyleSystemWorks)
     gc.numRequests = 4000;
     gc.seed = 41;
     RandomGen gen(sim, "gen", gc, 0);
-    gen.port().bind(xbar.cpuSidePort(xbar.addCpuSidePort()));
+    gen.port().bind(xbar.addFrontPort({0}));
 
     harness::runUntil(sim, [&] { return gen.done(); });
     ASSERT_TRUE(gen.done());

@@ -188,8 +188,7 @@ TEST(LatencyAttr, SpansSurviveTheCrossbar)
     for (unsigned ch = 0; ch < 2; ++ch) {
         auto ctrl = std::make_unique<DRAMCtrl>(
             sim, "ctrl" + std::to_string(ch), cfg, ranges[ch]);
-        unsigned idx = xbar.addMemSidePort(ranges[ch]);
-        xbar.memSidePort(idx).bind(ctrl->port());
+        xbar.addChannel(ctrl->port(), ranges[ch]);
         ctrls.push_back(std::move(ctrl));
     }
 
@@ -200,8 +199,7 @@ TEST(LatencyAttr, SpansSurviveTheCrossbar)
     gcfg.minITT = fromNs(3.0);
     gcfg.maxITT = fromNs(6.0);
     RandomGen gen(sim, "gen", gcfg, 0);
-    unsigned cpu = xbar.addCpuSidePort();
-    gen.port().bind(xbar.cpuSidePort(cpu));
+    gen.port().bind(xbar.addFrontPort({0}));
 
     harness::runUntil(sim, [&] { return gen.done(); });
     ASSERT_TRUE(gen.done());

@@ -80,9 +80,8 @@ TEST(QosSystemTest, PrioritisedGeneratorSeesLowerLatency)
         DRAMCtrl ctrl(sim, "ctrl", cfg,
                       AddrRange(0, cfg.org.channelCapacity));
         Crossbar xbar(sim, "xbar", XBarConfig{});
-        xbar.memSidePort(xbar.addMemSidePort(
-                             AddrRange(0, cfg.org.channelCapacity)))
-            .bind(ctrl.port());
+        xbar.addChannel(ctrl.port(),
+                        AddrRange(0, cfg.org.channelCapacity));
 
         std::vector<std::unique_ptr<RandomGen>> gens;
         for (unsigned g = 0; g < 2; ++g) {
@@ -97,7 +96,7 @@ TEST(QosSystemTest, PrioritisedGeneratorSeesLowerLatency)
                 sim, "gen" + std::to_string(g), gc,
                 static_cast<RequestorId>(g)));
             gens.back()->port().bind(
-                xbar.cpuSidePort(xbar.addCpuSidePort()));
+                xbar.addFrontPort({static_cast<RequestorId>(g)}));
         }
         harness::runUntil(sim, [&] {
             return gens[0]->done() && gens[1]->done();

@@ -26,7 +26,7 @@
 #include "sim/simulator.hh"
 #include "trafficgen/linear_gen.hh"
 #include "trafficgen/random_gen.hh"
-#include "xbar/sharded_xbar.hh"
+#include "xbar/xbar.hh"
 
 namespace dramctrl {
 namespace {

@@ -65,9 +65,10 @@ class TestRequestor : public SimObject
      * @return the packet id for matching the response.
      */
     std::uint64_t
-    inject(Tick when, MemCmd cmd, Addr addr, unsigned size = 64)
+    inject(Tick when, MemCmd cmd, Addr addr, unsigned size = 64,
+           RequestorId requestor = 0)
     {
-        auto *pkt = new Packet(cmd, addr, size, 0);
+        auto *pkt = new Packet(cmd, addr, size, requestor);
         script_.push_back(Scripted{when, pkt});
         if (!injectEvent_.scheduled() ||
             injectEvent_.when() > std::max(curTick(), when))

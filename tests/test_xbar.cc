@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the crossbar: routing, channel interleaving, response
- * route-back, latency accounting, contention and back pressure.
+ * route-back by requestor id, latency accounting, credit back
+ * pressure and contention.
  */
 
 #include <gtest/gtest.h>
@@ -26,7 +27,8 @@ class XbarSystem
 {
   public:
     explicit XbarSystem(std::uint64_t granularity = 64,
-                        XBarConfig xcfg = XBarConfig{})
+                        XBarConfig xcfg = XBarConfig{},
+                        std::vector<RequestorId> ids = {0})
     {
         DRAMCtrlConfig cfg = testutil::bareTimingConfig();
         xbar = std::make_unique<Crossbar>(sim, "xbar", xcfg);
@@ -35,12 +37,20 @@ class XbarSystem
         for (unsigned ch = 0; ch < 2; ++ch) {
             ctrls.push_back(std::make_unique<DRAMCtrl>(
                 sim, "ctrl" + std::to_string(ch), cfg, ranges[ch]));
-            unsigned idx = xbar->addMemSidePort(ranges[ch]);
-            xbar->memSidePort(idx).bind(ctrls.back()->port());
+            xbar->addChannel(ctrls.back()->port(), ranges[ch]);
         }
         req = std::make_unique<TestRequestor>(sim, "req");
-        unsigned src = xbar->addCpuSidePort();
-        req->port().bind(xbar->cpuSidePort(src));
+        req->port().bind(xbar->addFrontPort(ids));
+    }
+
+    /** Scalar @p stat of crossbar port @p port ("front0", "ch1"). */
+    double
+    stat(const std::string &port, const std::string &stat)
+    {
+        const stats::Group *g =
+            sim.rootStats().findChild("xbar." + port);
+        EXPECT_NE(g, nullptr) << port;
+        return g != nullptr ? g->find(stat)->sampleValue() : -1.0;
     }
 
     Simulator sim;
@@ -49,19 +59,28 @@ class XbarSystem
     std::unique_ptr<TestRequestor> req;
 };
 
+/** A memory-side port that is never sent to. */
+class IdleResponder : public ResponsePort
+{
+  public:
+    IdleResponder() : ResponsePort("idle") {}
+    bool recvTimingReq(Packet *) override { return false; }
+    void recvRespRetry() override {}
+};
+
 TEST(XbarTest, RoutesByInterleavedAddress)
 {
     XbarSystem sys;
-    EXPECT_EQ(sys.xbar->route(0), 0u);
-    EXPECT_EQ(sys.xbar->route(64), 1u);
-    EXPECT_EQ(sys.xbar->route(128), 0u);
+    EXPECT_EQ(sys.xbar->routeChannel(0), 0u);
+    EXPECT_EQ(sys.xbar->routeChannel(64), 1u);
+    EXPECT_EQ(sys.xbar->routeChannel(128), 0u);
 }
 
 TEST(XbarTest, UnmappedAddressIsFatal)
 {
     setThrowOnError(true);
     XbarSystem sys;
-    EXPECT_THROW(sys.xbar->route(1ULL << 60), std::runtime_error);
+    EXPECT_THROW(sys.xbar->routeChannel(1ULL << 60), std::runtime_error);
     setThrowOnError(false);
 }
 
@@ -70,8 +89,9 @@ TEST(XbarTest, OverlappingRangeRejected)
     setThrowOnError(true);
     Simulator sim;
     Crossbar xbar(sim, "xbar", XBarConfig{});
-    xbar.addMemSidePort(AddrRange(0, 4096));
-    EXPECT_THROW(xbar.addMemSidePort(AddrRange(2048, 4096)),
+    IdleResponder a, b;
+    xbar.addChannel(a, AddrRange(0, 4096));
+    EXPECT_THROW(xbar.addChannel(b, AddrRange(2048, 4096)),
                  std::runtime_error);
     setThrowOnError(false);
 }
@@ -121,25 +141,59 @@ TEST(XbarTest, StatsCountForwardedTraffic)
     for (unsigned i = 0; i < 6; ++i)
         sys.req->inject(0, MemCmd::ReadReq, i * 64);
     sys.sim.run(fromUs(10));
-    const auto &s = sys.xbar->xbarStats();
-    EXPECT_EQ(s.reqPackets.value(), 6.0);
-    EXPECT_EQ(s.respPackets.value(), 6.0);
-    EXPECT_EQ(s.bytesForwarded.value(), 2 * 6 * 64.0);
+    EXPECT_EQ(sys.stat("front0", "reqs_forwarded"), 6.0);
+    EXPECT_EQ(sys.stat("front0", "req_stalls"), 0.0);
+    // Line interleaving answered three reads from each channel.
+    EXPECT_EQ(sys.stat("ch0", "resps_forwarded"), 3.0);
+    EXPECT_EQ(sys.stat("ch1", "resps_forwarded"), 3.0);
+    EXPECT_TRUE(sys.xbar->idle());
 }
 
-TEST(XbarTest, LayerContentionSerialises)
+TEST(XbarTest, CreditExhaustionStallsRequests)
 {
-    // A tiny layer queue and a wide packet stream to one channel:
+    // More requests to one channel than the front holds credits for:
     // the requestor must observe retries, and everything completes.
-    XBarConfig xcfg;
-    xcfg.layerQueueLimit = 1;
-    XbarSystem sys(64, xcfg);
+    XbarSystem sys;
     for (unsigned i = 0; i < 10; ++i)
         sys.req->inject(0, MemCmd::ReadReq, i * 128); // all channel 0
     sys.sim.run(fromUs(50));
     EXPECT_TRUE(sys.req->allResponded());
     EXPECT_GT(sys.req->retries(), 0u);
-    EXPECT_GT(sys.xbar->xbarStats().reqRetries.value(), 0.0);
+    EXPECT_GT(sys.stat("front0", "req_stalls"), 0.0);
+    EXPECT_EQ(sys.stat("front0", "reqs_forwarded"), 10.0);
+    EXPECT_TRUE(sys.xbar->idle());
+}
+
+TEST(XbarTest, FrontAnswersForEveryDeclaredRequestor)
+{
+    // One port speaking for three requestors, like a shared cache:
+    // every response comes back to it, whichever id it carries.
+    XbarSystem sys(64, XBarConfig{}, {3, 0, 7});
+    for (unsigned i = 0; i < 6; ++i)
+        sys.req->inject(0, MemCmd::ReadReq, i * 64, 64,
+                        static_cast<RequestorId>(i % 2 ? 3 : 7));
+    sys.req->inject(0, MemCmd::ReadReq, 6 * 64);
+    sys.sim.run(fromUs(10));
+    EXPECT_TRUE(sys.req->allResponded());
+    EXPECT_EQ(sys.req->responses().size(), 7u);
+}
+
+TEST(XbarTest, DuplicateRequestorIdIsFatal)
+{
+    setThrowOnError(true);
+    XbarSystem sys(64, XBarConfig{}, {0, 1});
+    EXPECT_THROW(sys.xbar->addFrontPort({2, 1}), std::runtime_error);
+    EXPECT_THROW(sys.xbar->addFrontPort({4, 4}), std::runtime_error);
+    setThrowOnError(false);
+}
+
+TEST(XbarTest, ResponseForUnknownRequestorIsFatal)
+{
+    setThrowOnError(true);
+    XbarSystem sys;
+    sys.req->inject(0, MemCmd::ReadReq, 0, 64, 5);
+    EXPECT_THROW(sys.sim.run(fromUs(10)), std::runtime_error);
+    setThrowOnError(false);
 }
 
 TEST(XbarTest, ManyRequestorsShareChannels)
@@ -153,8 +207,7 @@ TEST(XbarTest, ManyRequestorsShareChannels)
     for (unsigned ch = 0; ch < 2; ++ch) {
         ctrls.push_back(std::make_unique<DRAMCtrl>(
             sim, "ctrl" + std::to_string(ch), cfg, ranges[ch]));
-        xbar.memSidePort(xbar.addMemSidePort(ranges[ch]))
-            .bind(ctrls.back()->port());
+        xbar.addChannel(ctrls.back()->port(), ranges[ch]);
     }
     std::vector<std::unique_ptr<LinearGen>> gens;
     for (unsigned g = 0; g < 4; ++g) {
@@ -168,7 +221,7 @@ TEST(XbarTest, ManyRequestorsShareChannels)
             sim, "gen" + std::to_string(g), gc,
             static_cast<RequestorId>(g)));
         gens.back()->port().bind(
-            xbar.cpuSidePort(xbar.addCpuSidePort()));
+            xbar.addFrontPort({static_cast<RequestorId>(g)}));
     }
     harness::runUntil(sim, [&] {
         return std::all_of(gens.begin(), gens.end(),
