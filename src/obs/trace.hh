@@ -37,7 +37,7 @@ namespace obs {
 enum class TraceChannel : unsigned {
     DRAMCtrl,    ///< event-based controller decisions
     CycleCtrl,   ///< cycle-based comparator decisions
-    XBar,        ///< crossbar routing and layer back pressure
+    XBar,        ///< crossbar routing and credit back pressure
     Port,        ///< port-level refused sends and retries
     PacketQueue, ///< response-queue delivery and stalls
     EventQ,      ///< every serviced kernel event (very verbose)

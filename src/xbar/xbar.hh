@@ -128,7 +128,6 @@ class ShardInbox : public ShardMailbox
     void resume();
 
     bool empty() const { return entries_.empty(); }
-    bool stalled() const { return stalled_; }
 
     /** Checkpoint the queued entries under @p prefix-scoped keys. */
     void serialize(ckpt::CkptOut &out, const std::string &prefix) const;
@@ -161,8 +160,10 @@ class ShardInbox : public ShardMailbox
 class Crossbar
 {
   public:
-    /** Request tokens per (front, channel) and response tokens per
-     *  (channel, front): the in-flight cap of each direction. */
+    /**
+     * Request tokens per (front, channel) and response tokens per
+     * (channel, front): the in-flight cap of each direction.
+     */
     static constexpr unsigned kCredits = 4;
 
     Crossbar(Simulator &sim, std::string name, const XBarConfig &cfg);

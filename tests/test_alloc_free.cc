@@ -151,7 +151,7 @@ TEST(SteadyStateAlloc, CounterSeesAllocations)
 TEST(SteadyStateAlloc, ClosedLoopCommitsWithoutAllocating)
 {
     // The fig8/fig9 closed loop: four timing cores on canneal, private
-    // L1s, a shared L2, two plain crossbars and one closed-page
+    // L1s, a shared L2, two credit crossbars and one closed-page
     // DDR3-1333 channel on the event model.
     constexpr std::uint64_t kWarmOps = 40'000;
     constexpr std::uint64_t kMeasuredOps = 80'000;

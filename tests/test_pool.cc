@@ -2,7 +2,9 @@
  * @file
  * Tests for the freelist object pools: slot reuse, counter accounting,
  * the Pooled mixin's new/delete routing, and the headline property —
- * a warmed-up simulation performs no fresh allocations at all.
+ * a warmed-up simulation performs no fresh allocations at all. Also
+ * the ring buffer's growing insert, which keeps crossbar inboxes
+ * allocation-free once they reach their high-water mark.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +15,7 @@
 #include "harness/testbench.hh"
 #include "mem/packet.hh"
 #include "sim/pool.hh"
+#include "sim/ring_buffer.hh"
 #include "trafficgen/random_gen.hh"
 #include "test_util.hh"
 
@@ -24,6 +27,45 @@ struct Payload
     std::uint64_t a;
     std::uint64_t b;
 };
+
+std::vector<int>
+contents(const RingBuffer<int> &ring)
+{
+    std::vector<int> v;
+    for (std::size_t i = 0; i < ring.size(); ++i)
+        v.push_back(ring[i]);
+    return v;
+}
+
+TEST(RingBufferTest, InsertKeepsOrderAcrossWrapAndGrowth)
+{
+    RingBuffer<int> ring; // no slots: the first insert grows it
+    ring.insert(0, 2);
+    ring.insert(0, 0);
+    ring.insert(1, 1);
+    EXPECT_EQ(contents(ring), (std::vector<int>{0, 1, 2}));
+    EXPECT_EQ(ring.capacity(), 4u);
+
+    // Fill the four slots with the front moved off slot 0, so the
+    // back wraps; a full ring doubles before it inserts.
+    ring.pop_front();
+    ring.insert(ring.size(), 3);
+    ring.insert(ring.size(), 4);
+    ASSERT_TRUE(ring.full());
+    ring.insert(2, 9);
+    EXPECT_EQ(ring.capacity(), 8u);
+    EXPECT_EQ(contents(ring), (std::vector<int>{1, 2, 9, 3, 4}));
+
+    // A middle insert that shifts elements across the wrap point.
+    ring.pop_front();
+    ring.pop_front();
+    for (int v : {5, 6, 7, 8})
+        ring.insert(ring.size(), v);
+    ring.insert(1, 0);
+    EXPECT_TRUE(ring.full());
+    EXPECT_EQ(ring.capacity(), 8u);
+    EXPECT_EQ(contents(ring), (std::vector<int>{9, 0, 3, 4, 5, 6, 7, 8}));
+}
 
 TEST(ObjectPoolTest, ReusesFreedSlots)
 {
