@@ -522,7 +522,7 @@ Crossbar::FrontPort::handleReq(Packet *pkt)
 
 bool
 Crossbar::FrontPort::handleResp(Tick when, Packet *pkt,
-                                       std::uint64_t arg)
+                                std::uint64_t arg)
 {
     (void)when;
     if (!gate_.sendTimingResp(pkt))
