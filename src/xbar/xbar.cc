@@ -34,7 +34,8 @@ ShardInbox::ShardInbox(SimObject &owner, const std::string &name,
     : owner_(owner), handler_(std::move(handler)),
       wakeEvent_([this] { pump(); }, owner.name() + "." + name + ".wake")
 {
-    // Room for one peer's credits; insert() grows it past that.
+    // Room for one peer's in-flight packets; insert() grows it past
+    // that.
     entries_.init(Crossbar::kCredits);
 }
 
@@ -145,6 +146,181 @@ ShardInbox::unserialize(ckpt::CkptIn &in, const std::string &prefix)
 }
 
 // --------------------------------------------------------------------
+// CreditPool
+// --------------------------------------------------------------------
+
+namespace {
+
+/**
+ * The credits one crossbar port holds toward its peers: a front's
+ * request credits per channel, or a channel's response credits per
+ * front. Per peer it keeps the credits at home and the due ticks of
+ * the returns still outstanding, in due order (one peer returns in
+ * send order, with one fixed latency).
+ *
+ * A returned credit costs no event. deliver() only records its due
+ * tick, and take() first counts every return due by now. Only a port
+ * stalled on zero credits schedules a wake: at the stalled peer's
+ * earliest outstanding return, or at the return's due tick once it is
+ * delivered. The wake calls the port's retry, so the local peer sees
+ * the ordinary refuse-then-retry protocol.
+ */
+class CreditPool : public ShardMailbox
+{
+  public:
+    CreditPool(SimObject &owner, unsigned peers,
+               std::function<void()> retry)
+        : owner_(owner), retry_(std::move(retry)),
+          wakeEvent_([this] { wake(); }, owner.name() + ".credit.wake")
+    {
+        for (unsigned i = 0; i < peers; ++i)
+            addPeer();
+    }
+
+    ~CreditPool() override
+    {
+        if (wakeEvent_.scheduled())
+            owner_.deschedule(wakeEvent_);
+    }
+
+    /** Track one more peer, every credit home. */
+    void
+    addPeer()
+    {
+        peers_.emplace_back();
+        peers_.back().returns.init(Crossbar::kCredits);
+    }
+
+    /** A credit returned by peer @p arg, home at @p when. */
+    void
+    deliver(Tick when, Packet *pkt, std::uint64_t arg) override
+    {
+        DC_ASSERT(pkt == nullptr, "credit message carries a packet");
+        unsigned peer = static_cast<unsigned>(arg);
+        Peer &p = peers_[peer];
+        DC_ASSERT(p.home + p.returns.size() < Crossbar::kCredits,
+                  "%s: credit overflow from peer %u",
+                  owner_.name().c_str(), peer);
+        DC_ASSERT(p.returns.empty() || p.returns.back() <= when,
+                  "%s: credit from peer %u returned out of order",
+                  owner_.name().c_str(), peer);
+        p.returns.push_back(when);
+        if (stalled_ && stalledPeer_ == peer && !wakeEvent_.scheduled())
+            owner_.schedule(wakeEvent_, when);
+    }
+
+    /**
+     * Spend one credit toward @p peer. With none home, stall until
+     * the retry and return false.
+     */
+    bool
+    take(unsigned peer)
+    {
+        Peer &p = peers_[peer];
+        Tick now = owner_.curTick();
+        while (!p.returns.empty() && p.returns.front() <= now) {
+            p.returns.pop_front();
+            ++p.home;
+        }
+        if (p.home == 0) {
+            DC_ASSERT(!stalled_, "%s: second send while one is stalled",
+                      owner_.name().c_str());
+            stalled_ = true;
+            stalledPeer_ = peer;
+            if (!p.returns.empty())
+                owner_.schedule(wakeEvent_, p.returns.front());
+            return false;
+        }
+        --p.home;
+        return true;
+    }
+
+    /** No stall, and every credit home or due by now. */
+    bool
+    idle() const
+    {
+        if (stalled_)
+            return false;
+        for (const Peer &p : peers_) {
+            if (p.home + p.returns.size() != Crossbar::kCredits)
+                return false;
+            if (!p.returns.empty() && p.returns.back() > owner_.curTick())
+                return false;
+        }
+        return true;
+    }
+
+    void
+    serialize(ckpt::CkptOut &out, const std::string &prefix) const
+    {
+        out.putBool(prefix + ".stalled", stalled_);
+        out.putU64(prefix + ".stalled_peer", stalledPeer_);
+        std::vector<std::uint64_t> home, outstanding, due;
+        for (const Peer &p : peers_) {
+            home.push_back(p.home);
+            outstanding.push_back(p.returns.size());
+            for (std::size_t i = 0; i < p.returns.size(); ++i)
+                due.push_back(p.returns[i]);
+        }
+        out.putU64Vec(prefix + ".home", home);
+        out.putU64Vec(prefix + ".outstanding", outstanding);
+        out.putU64Vec(prefix + ".due", due);
+        out.putEvent(prefix + ".wake", owner_.eventq(), wakeEvent_);
+    }
+
+    void
+    unserialize(ckpt::CkptIn &in, const std::string &prefix)
+    {
+        stalled_ = in.getBool(prefix + ".stalled");
+        stalledPeer_ =
+            static_cast<unsigned>(in.getU64(prefix + ".stalled_peer"));
+        const auto &home = in.getU64Vec(prefix + ".home");
+        const auto &outstanding = in.getU64Vec(prefix + ".outstanding");
+        const auto &due = in.getU64Vec(prefix + ".due");
+        DC_ASSERT(home.size() == peers_.size() &&
+                      outstanding.size() == peers_.size(),
+                  "%s: credit pool shape changed", owner_.name().c_str());
+        std::size_t next = 0;
+        for (std::size_t i = 0; i < peers_.size(); ++i) {
+            Peer &p = peers_[i];
+            DC_ASSERT(home[i] + outstanding[i] <= Crossbar::kCredits &&
+                          next + outstanding[i] <= due.size(),
+                      "%s: credit pool record damaged",
+                      owner_.name().c_str());
+            p.home = static_cast<unsigned>(home[i]);
+            p.returns.clear();
+            for (std::uint64_t j = 0; j < outstanding[i]; ++j)
+                p.returns.push_back(due[next++]);
+        }
+        in.getEvent(prefix + ".wake", owner_.eventq(), wakeEvent_);
+    }
+
+  private:
+    struct Peer
+    {
+        unsigned home = Crossbar::kCredits;
+        /** Due ticks of the returns not yet counted, in due order. */
+        RingBuffer<Tick> returns;
+    };
+
+    void
+    wake()
+    {
+        stalled_ = false;
+        retry_();
+    }
+
+    SimObject &owner_;
+    std::function<void()> retry_;
+    std::vector<Peer> peers_;
+    bool stalled_ = false;
+    unsigned stalledPeer_ = 0;
+    EventFunctionWrapper wakeEvent_;
+};
+
+} // namespace
+
+// --------------------------------------------------------------------
 // FrontPort — requestor-shard half of the crossbar
 // --------------------------------------------------------------------
 
@@ -160,63 +336,36 @@ class Crossbar::FrontPort : public SimObject
               Crossbar &xbar, unsigned index)
         : SimObject(sim, name), xbar_(xbar), index_(index),
           gate_(name + ".port", *this),
-          reqCredits_(xbar.numChannels(), kCredits),
           respInbox_(*this, "resp",
                      [this](Tick t, Packet *p, std::uint64_t a) {
                          return handleResp(t, p, a);
                      }),
-          creditInbox_(*this, "credit",
-                       [this](Tick t, Packet *p, std::uint64_t a) {
-                           return handleCredit(t, p, a);
-                       }),
+          credits_(*this, xbar.numChannels(),
+                   [this] { gate_.sendReqRetry(); }),
           stats_(*this)
     {
     }
 
     ResponsePort &gate() { return gate_; }
     ShardInbox &respInbox() { return respInbox_; }
-    ShardInbox &creditInbox() { return creditInbox_; }
+    CreditPool &credits() { return credits_; }
 
-    bool
-    idle() const
-    {
-        if (!respInbox_.empty() || !creditInbox_.empty())
-            return false;
-        if (waitingRetry_)
-            return false;
-        for (unsigned c : reqCredits_)
-            if (c != kCredits)
-                return false;
-        return true;
-    }
+    bool idle() const { return respInbox_.empty() && credits_.idle(); }
 
     void
     serialize(ckpt::CkptOut &out) const override
     {
         out.putU64("req_busy_until", reqBusyUntil_);
-        out.putBool("waiting_retry", waitingRetry_);
-        out.putU64("waiting_channel", waitingChannel_);
-        std::vector<std::uint64_t> credits(reqCredits_.begin(),
-                                           reqCredits_.end());
-        out.putU64Vec("req_credits", credits);
         respInbox_.serialize(out, "resp_inbox");
-        creditInbox_.serialize(out, "credit_inbox");
+        credits_.serialize(out, "req_credits");
     }
 
     void
     unserialize(ckpt::CkptIn &in) override
     {
         reqBusyUntil_ = in.getU64("req_busy_until");
-        waitingRetry_ = in.getBool("waiting_retry");
-        waitingChannel_ =
-            static_cast<unsigned>(in.getU64("waiting_channel"));
-        const auto &credits = in.getU64Vec("req_credits");
-        DC_ASSERT(credits.size() == reqCredits_.size(),
-                  "%s: credit vector shape changed", name().c_str());
-        for (std::size_t i = 0; i < credits.size(); ++i)
-            reqCredits_[i] = static_cast<unsigned>(credits[i]);
         respInbox_.unserialize(in, "resp_inbox");
-        creditInbox_.unserialize(in, "credit_inbox");
+        credits_.unserialize(in, "req_credits");
     }
 
   private:
@@ -246,24 +395,6 @@ class Crossbar::FrontPort : public SimObject
     /** Response arriving from channel @p arg, due now. */
     bool handleResp(Tick when, Packet *pkt, std::uint64_t arg);
 
-    /** Request credit returned by channel @p arg. */
-    bool
-    handleCredit(Tick when, Packet *pkt, std::uint64_t arg)
-    {
-        (void)when;
-        DC_ASSERT(pkt == nullptr, "credit message carries a packet");
-        unsigned ch = static_cast<unsigned>(arg);
-        DC_ASSERT(reqCredits_[ch] < kCredits,
-                  "%s: credit overflow on channel %u", name().c_str(),
-                  ch);
-        ++reqCredits_[ch];
-        if (waitingRetry_ && waitingChannel_ == ch) {
-            waitingRetry_ = false;
-            gate_.sendReqRetry();
-        }
-        return true;
-    }
-
     struct FrontStats
     {
         explicit FrontStats(FrontPort &front)
@@ -286,12 +417,10 @@ class Crossbar::FrontPort : public SimObject
 
     /** When this front's request lane frees up. */
     Tick reqBusyUntil_ = 0;
-    std::vector<unsigned> reqCredits_;
-    bool waitingRetry_ = false;
-    unsigned waitingChannel_ = 0;
 
     ShardInbox respInbox_;
-    ShardInbox creditInbox_;
+    /** Request credits per channel. */
+    CreditPool credits_;
     FrontStats stats_;
 };
 
@@ -315,65 +444,34 @@ class Crossbar::ChannelPort : public SimObject
                     [this](Tick t, Packet *p, std::uint64_t a) {
                         return handleReq(t, p, a);
                     }),
-          creditInbox_(*this, "credit",
-                       [this](Tick t, Packet *p, std::uint64_t a) {
-                           return handleCredit(t, p, a);
-                       }),
+          credits_(*this, 0, [this] { ctrlPort_.sendRespRetry(); }),
           stats_(*this)
     {
     }
 
     RequestPort &ctrlPort() { return ctrlPort_; }
     ShardInbox &reqInbox() { return reqInbox_; }
-    ShardInbox &creditInbox() { return creditInbox_; }
+    CreditPool &credits() { return credits_; }
 
     /** Called once per front port attached (fronts follow channels). */
-    void
-    addFront()
-    {
-        respCredits_.push_back(kCredits);
-    }
+    void addFront() { credits_.addPeer(); }
 
-    bool
-    idle() const
-    {
-        if (!reqInbox_.empty() || !creditInbox_.empty())
-            return false;
-        if (respBlocked_)
-            return false;
-        for (unsigned c : respCredits_)
-            if (c != kCredits)
-                return false;
-        return true;
-    }
+    bool idle() const { return reqInbox_.empty() && credits_.idle(); }
 
     void
     serialize(ckpt::CkptOut &out) const override
     {
         out.putU64("resp_busy_until", respBusyUntil_);
-        out.putBool("resp_blocked", respBlocked_);
-        out.putU64("resp_blocked_front", respBlockedFront_);
-        std::vector<std::uint64_t> credits(respCredits_.begin(),
-                                           respCredits_.end());
-        out.putU64Vec("resp_credits", credits);
         reqInbox_.serialize(out, "req_inbox");
-        creditInbox_.serialize(out, "credit_inbox");
+        credits_.serialize(out, "resp_credits");
     }
 
     void
     unserialize(ckpt::CkptIn &in) override
     {
         respBusyUntil_ = in.getU64("resp_busy_until");
-        respBlocked_ = in.getBool("resp_blocked");
-        respBlockedFront_ =
-            static_cast<unsigned>(in.getU64("resp_blocked_front"));
-        const auto &credits = in.getU64Vec("resp_credits");
-        DC_ASSERT(credits.size() == respCredits_.size(),
-                  "%s: credit vector shape changed", name().c_str());
-        for (std::size_t i = 0; i < credits.size(); ++i)
-            respCredits_[i] = static_cast<unsigned>(credits[i]);
         reqInbox_.unserialize(in, "req_inbox");
-        creditInbox_.unserialize(in, "credit_inbox");
+        credits_.unserialize(in, "resp_credits");
     }
 
   private:
@@ -409,8 +507,7 @@ class Crossbar::ChannelPort : public SimObject
         unsigned front = static_cast<unsigned>(arg);
         xbar_.postMsg(shardId(), xbar_.fronts_[front]->shardId(),
                       curTick() + xbar_.cfg_.responseLatency,
-                      xbar_.fronts_[front]->creditInbox(), nullptr,
-                      index_);
+                      xbar_.fronts_[front]->credits(), nullptr, index_);
         return true;
     }
 
@@ -419,20 +516,14 @@ class Crossbar::ChannelPort : public SimObject
     handleResp(Packet *pkt)
     {
         unsigned front = xbar_.routeFront(pkt->requestorId());
-        if (respCredits_[front] == 0) {
+        if (!credits_.take(front)) {
             TRACE(XBar, "%s: block %s, no credit for front %u",
                   name().c_str(), pkt->toString().c_str(), front);
-            DC_ASSERT(!respBlocked_,
-                      "%s: second response while one is blocked",
-                      name().c_str());
-            respBlocked_ = true;
-            respBlockedFront_ = front;
             ++stats_.respStalls;
             return false;
         }
         TRACE(XBar, "%s: forward %s back to front %u", name().c_str(),
               pkt->toString().c_str(), front);
-        --respCredits_[front];
         Tick now = curTick();
         respBusyUntil_ = std::max(respBusyUntil_, now) +
                          xbar_.occupancy(pkt->size());
@@ -440,24 +531,6 @@ class Crossbar::ChannelPort : public SimObject
         xbar_.postMsg(shardId(), xbar_.fronts_[front]->shardId(),
                       respBusyUntil_ + xbar_.cfg_.responseLatency,
                       xbar_.fronts_[front]->respInbox(), pkt, index_);
-        return true;
-    }
-
-    /** Response credit returned by front @p arg. */
-    bool
-    handleCredit(Tick when, Packet *pkt, std::uint64_t arg)
-    {
-        (void)when;
-        DC_ASSERT(pkt == nullptr, "credit message carries a packet");
-        unsigned front = static_cast<unsigned>(arg);
-        DC_ASSERT(respCredits_[front] < kCredits,
-                  "%s: credit overflow on front %u", name().c_str(),
-                  front);
-        ++respCredits_[front];
-        if (respBlocked_ && respBlockedFront_ == front) {
-            respBlocked_ = false;
-            ctrlPort_.sendRespRetry();
-        }
         return true;
     }
 
@@ -483,12 +556,10 @@ class Crossbar::ChannelPort : public SimObject
 
     /** When this channel's response lane frees up. */
     Tick respBusyUntil_ = 0;
-    std::vector<unsigned> respCredits_;
-    bool respBlocked_ = false;
-    unsigned respBlockedFront_ = 0;
 
     ShardInbox reqInbox_;
-    ShardInbox creditInbox_;
+    /** Response credits per front. */
+    CreditPool credits_;
     ChannelStats stats_;
 };
 
@@ -496,20 +567,14 @@ bool
 Crossbar::FrontPort::handleReq(Packet *pkt)
 {
     unsigned ch = xbar_.routeChannel(pkt->addr());
-    if (reqCredits_[ch] == 0) {
+    if (!credits_.take(ch)) {
         TRACE(XBar, "%s: block %s, no credit for channel %u",
               name().c_str(), pkt->toString().c_str(), ch);
-        DC_ASSERT(!waitingRetry_,
-                  "%s: second request while one is blocked",
-                  name().c_str());
-        waitingRetry_ = true;
-        waitingChannel_ = ch;
         ++stats_.reqStalls;
         return false;
     }
     TRACE(XBar, "%s: forward %s to channel %u", name().c_str(),
           pkt->toString().c_str(), ch);
-    --reqCredits_[ch];
     Tick now = curTick();
     reqBusyUntil_ =
         std::max(reqBusyUntil_, now) + xbar_.occupancy(pkt->size());
@@ -532,7 +597,7 @@ Crossbar::FrontPort::handleResp(Tick when, Packet *pkt,
     unsigned ch = static_cast<unsigned>(arg);
     xbar_.postMsg(shardId(), xbar_.channels_[ch]->shardId(),
                   curTick() + xbar_.cfg_.frontendLatency,
-                  xbar_.channels_[ch]->creditInbox(), nullptr, index_);
+                  xbar_.channels_[ch]->credits(), nullptr, index_);
     return true;
 }
 
@@ -664,7 +729,7 @@ Crossbar::occupancy(unsigned size) const
 
 void
 Crossbar::postMsg(unsigned from_shard, unsigned to_shard, Tick when,
-                  ShardInbox &box, Packet *pkt, std::uint64_t arg)
+                  ShardMailbox &box, Packet *pkt, std::uint64_t arg)
 {
     if (sim_.sharded()) {
         sim_.shardEngine().post(from_shard, to_shard, when, box, pkt,

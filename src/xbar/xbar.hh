@@ -22,8 +22,8 @@
  *    flow-control credits that replace synchronous retries — travels
  *    as messages: through ShardedEngine::post() when the simulator is
  *    sharded (applied at window barriers in the engine's
- *    deterministic merge order), straight into the receiving inbox
- *    when it is not.
+ *    deterministic merge order), straight into the receiver when it
+ *    is not.
  *
  * Back pressure is credit based. Each front port holds kCredits
  * tokens per channel; a request consumes one and the channel returns
@@ -33,6 +33,15 @@
  * the requestor accepted the packet. A side with no credit refuses its
  * local peer exactly like a plain port would, so generators, caches
  * and controllers see the ordinary timing-port protocol, unchanged.
+ *
+ * The credit rule: a returned credit is home from its due tick on,
+ * and costs no event. Requests and responses land in a ShardInbox
+ * that wakes at their due tick; a credit lands in the port's credit
+ * pool as a due tick only, and the port counts every return due by
+ * now when it next sends. Only a port refused for lack of credit
+ * schedules a wake: at the stalled peer's earliest outstanding
+ * return, or at a return's due tick when it is delivered. The wake
+ * sends the ordinary retry to the local peer.
  *
  * Responses route back by requestor id, never by state pushed onto
  * the packet, so a checkpoint of in-flight packets needs nothing from
@@ -201,7 +210,11 @@ class Crossbar
         return static_cast<unsigned>(fronts_.size());
     }
 
-    /** No queued message, no stall, every credit back home. */
+    /**
+     * No queued request or response, no stall, and every credit home:
+     * a return whose due tick has passed counts as home, even though
+     * no event has counted it yet; one still in flight does not.
+     */
     bool idle() const;
 
     /** Channel index serving @p addr; fatals when unmapped. */
@@ -223,7 +236,7 @@ class Crossbar
      * delivers directly (same queue, same ordering).
      */
     void postMsg(unsigned from_shard, unsigned to_shard, Tick when,
-                 ShardInbox &box, Packet *pkt, std::uint64_t arg);
+                 ShardMailbox &box, Packet *pkt, std::uint64_t arg);
 
     Simulator &sim_;
     std::string name_;

@@ -6,8 +6,9 @@
  * one piece and running 0 -> T_ckpt, saving, restoring into a freshly
  * built system and continuing to T_end produce byte-identical stats
  * JSON and identical command logs — for every DRAM preset, every
- * traffic pattern, both controller models, and fuzzer-drawn
- * configurations. Damaged snapshots (bit flips, truncation, config
+ * traffic pattern, both controller models, fuzzer-drawn
+ * configurations, and a crossbar split while a port is stalled on
+ * credits. Damaged snapshots (bit flips, truncation, config
  * mismatch) must fail with a clear fatal() naming the problem, never
  * crash or restore silently. Warm-start sweep rows must equal the
  * cold-path rows.
@@ -27,6 +28,7 @@
 #include "dram/dram_presets.hh"
 #include "dram/plugin/plugin.hh"
 #include "exec/sweep.hh"
+#include "harness/multichannel.hh"
 #include "harness/testbench.hh"
 #include "sim/logging.hh"
 #include "sim/random.hh"
@@ -325,6 +327,90 @@ TEST(CkptCycle, ckpt_cycle_partly_decomposed_transactions_resume)
  * chain (or vice versa) must fail with a clear fatal(), never restore
  * silently with dangling plugin state.
  */
+/**
+ * One channel behind the crossbar (one shard, so no sharded engine)
+ * and three generators that inject faster than the front ports'
+ * request lanes drain: the fronts keep running out of credits.
+ */
+std::unique_ptr<harness::MultiChannelSystem>
+buildCreditBoundSystem()
+{
+    harness::MultiChannelConfig mcfg;
+    mcfg.channels = 1;
+    mcfg.ctrl = presets::byName("ddr3_1600");
+    mcfg.ctrl.writeLowThreshold = 0.0;
+    mcfg.ctrl.check();
+    auto mc = std::make_unique<harness::MultiChannelSystem>(mcfg);
+
+    GenConfig gc;
+    gc.windowSize = 1ULL << 20;
+    gc.readPct = 60;
+    gc.minITT = gc.maxITT = fromNs(2.0);
+    gc.numRequests = kRequests;
+    for (unsigned i = 0; i < 3; ++i) {
+        GenConfig g = gc;
+        g.startAddr = i * gc.windowSize;
+        g.seed = kSeed + i;
+        mc->addGen<RandomGen>(g);
+    }
+    return mc;
+}
+
+/**
+ * True when some front port of @p snapshot is stalled on a credit
+ * pool that still holds returns in flight.
+ */
+bool
+hasStalledPoolWithReturns(const std::string &snapshot)
+{
+    std::istringstream is(snapshot);
+    std::ostringstream os;
+    ckpt::dumpJson(is, os);
+    const std::string json = os.str();
+    const std::regex section(
+        R"(\{"name": "mem_xbar\.front\d+"[^}]*\})");
+    for (auto it = std::sregex_iterator(json.begin(), json.end(),
+                                        section);
+         it != std::sregex_iterator(); ++it) {
+        const std::string body = it->str();
+        if (body.find(R"("req_credits.stalled": true)") !=
+                std::string::npos &&
+            std::regex_search(body,
+                              std::regex(R"("req_credits\.due": \[\d)")))
+            return true;
+    }
+    return false;
+}
+
+TEST(CkptMultiChannel, ckpt_crossbar_split_while_stalled_on_credits)
+{
+    auto ref = buildCreditBoundSystem();
+    std::vector<CmdLogger> &refLog = ref->attachCmdLoggers();
+    ref->runToCompletion();
+    std::ostringstream refStats;
+    ref->sim().dumpStatsJson(refStats);
+
+    auto pre = buildCreditBoundSystem();
+    std::vector<CmdLogger> &preLog = pre->attachCmdLoggers();
+    pre->sim().run(kCkptAt);
+    const std::string snapshot = ckpt::saveToString(pre->sim());
+    EXPECT_TRUE(hasStalledPoolWithReturns(snapshot));
+
+    auto post = buildCreditBoundSystem();
+    std::vector<CmdLogger> &postLog = post->attachCmdLoggers();
+    ckpt::restoreFromString(post->sim(), snapshot);
+    EXPECT_EQ(post->sim().curTick(), kCkptAt);
+    post->runToCompletion();
+    std::ostringstream postStats;
+    post->sim().dumpStatsJson(postStats);
+
+    EXPECT_EQ(postStats.str(), refStats.str());
+    std::vector<CmdRecord> joined = preLog[0].log();
+    joined.insert(joined.end(), postLog[0].log().begin(),
+                  postLog[0].log().end());
+    expectSameLog(joined, refLog[0].log());
+}
+
 TEST(CkptPlugin, ckpt_plugin_chain_mismatch_is_fatal)
 {
     BuiltSystem pre = buildSystem(presets::byName("ddr3_1333"),

@@ -2,12 +2,14 @@
  * @file
  * Tests for the crossbar: routing, channel interleaving, response
  * route-back by requestor id, latency accounting, credit back
- * pressure and contention.
+ * pressure and contention, and the events credits cost.
  */
 
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
 #include "dram/dram_ctrl.hh"
 #include "harness/testbench.hh"
@@ -66,6 +68,152 @@ class IdleResponder : public ResponsePort
     IdleResponder() : ResponsePort("idle") {}
     bool recvTimingReq(Packet *) override { return false; }
     void recvRespRetry() override {}
+};
+
+/** Records the name and tick of every serviced crossbar event. */
+class XbarEventLog : public EventQueueProfiler
+{
+  public:
+    explicit XbarEventLog(Simulator &sim) : sim_(sim)
+    {
+        sim.eventq().setProfiler(this);
+    }
+
+    ~XbarEventLog() override { sim_.eventq().setProfiler(nullptr); }
+
+    struct Entry
+    {
+        std::string name;
+        Tick when;
+    };
+
+    void
+    record(const Event &ev, double) override
+    {
+        // Not ev.when(): an inbox wake may have rescheduled itself.
+        if (ev.name().rfind("xbar.", 0) == 0)
+            entries.push_back({ev.name(), sim_.curTick()});
+    }
+
+    /** The entries named @p name, in service order. */
+    std::vector<Entry>
+    named(const std::string &name) const
+    {
+        std::vector<Entry> out;
+        for (const Entry &e : entries)
+            if (e.name == name)
+                out.push_back(e);
+        return out;
+    }
+
+    std::vector<Entry> entries;
+
+  private:
+    Simulator &sim_;
+};
+
+/**
+ * A requestor port that holds a refused packet, records the tick of
+ * every retry and resends the packet then.
+ */
+class RetryingRequestor : public RequestPort
+{
+  public:
+    explicit RetryingRequestor(Simulator &sim)
+        : RequestPort("probe_req"), sim_(sim)
+    {
+    }
+
+    ~RetryingRequestor() override { delete blocked_; }
+
+    /** Send @p pkt now; false when it was refused (and is held). */
+    bool
+    send(Packet *pkt)
+    {
+        if (sendTimingReq(pkt))
+            return true;
+        blocked_ = pkt;
+        return false;
+    }
+
+    bool
+    recvTimingResp(Packet *pkt) override
+    {
+        ++responses;
+        delete pkt;
+        return true;
+    }
+
+    void
+    recvReqRetry() override
+    {
+        retryTicks.push_back(sim_.curTick());
+        Packet *pkt = blocked_;
+        blocked_ = nullptr;
+        send(pkt);
+    }
+
+    std::vector<Tick> retryTicks;
+    unsigned responses = 0;
+
+  private:
+    Simulator &sim_;
+    Packet *blocked_ = nullptr;
+};
+
+/**
+ * A memory that accepts every request and answers only when told,
+ * holding a refused response for the retry (whose ticks it records).
+ */
+class ScriptedMemory : public ResponsePort
+{
+  public:
+    explicit ScriptedMemory(Simulator &sim)
+        : ResponsePort("probe_mem"), sim_(sim)
+    {
+    }
+
+    ~ScriptedMemory() override
+    {
+        for (Packet *pkt : held_)
+            delete pkt;
+    }
+
+    bool
+    recvTimingReq(Packet *pkt) override
+    {
+        held_.push_back(pkt);
+        return true;
+    }
+
+    /** Answer every held request, in arrival order, from now on. */
+    void
+    respondAll()
+    {
+        while (!held_.empty()) {
+            Packet *pkt = held_.front();
+            if (!pkt->isResponse())
+                pkt->makeResponse();
+            if (!sendTimingResp(pkt))
+                return; // the retry resumes here
+            held_.erase(held_.begin());
+        }
+    }
+
+    void
+    recvRespRetry() override
+    {
+        retryTicks.push_back(sim_.curTick());
+        respondAll();
+    }
+
+    std::size_t held() const { return held_.size(); }
+
+    std::vector<Tick> retryTicks;
+
+  private:
+    Simulator &sim_;
+    std::vector<Packet *> held_;
 };
 
 TEST(XbarTest, RoutesByInterleavedAddress)
@@ -161,6 +309,114 @@ TEST(XbarTest, CreditExhaustionStallsRequests)
     EXPECT_GT(sys.req->retries(), 0u);
     EXPECT_GT(sys.stat("front0", "req_stalls"), 0.0);
     EXPECT_EQ(sys.stat("front0", "reqs_forwarded"), 10.0);
+    EXPECT_TRUE(sys.xbar->idle());
+}
+
+TEST(XbarTest, RoundTripWithCreditsHomeRunsOnlyArrivalEvents)
+{
+    // Credits cost no event while the sender has one: a round trip is
+    // the request's arrival at the channel and the response's arrival
+    // at the front, and the two returned credits are counted lazily.
+    XbarSystem sys;
+    XbarEventLog log(sys.sim);
+    sys.req->inject(0, MemCmd::ReadReq, 0);
+    sys.sim.run(fromUs(10));
+
+    EXPECT_TRUE(sys.req->allResponded());
+    ASSERT_EQ(log.entries.size(), 2u);
+    EXPECT_EQ(log.entries[0].name, "xbar.ch0.req.wake");
+    EXPECT_EQ(log.entries[1].name, "xbar.front0.resp.wake");
+    EXPECT_TRUE(sys.xbar->idle());
+}
+
+TEST(XbarTest, StalledFrontIsRetriedWhenItsFirstCreditIsDue)
+{
+    // Five reads to channel 0 at tick 0: four spend the front's
+    // credits, the fifth is refused. One wake, at the tick the first
+    // credit comes home, retries it.
+    XBarConfig xcfg;
+    XbarSystem sys(64, xcfg);
+    RetryingRequestor probe(sys.sim);
+    probe.bind(sys.xbar->addFrontPort({1}));
+    XbarEventLog log(sys.sim);
+    for (unsigned i = 0; i < Crossbar::kCredits; ++i)
+        EXPECT_TRUE(probe.send(
+            new Packet(MemCmd::ReadReq, i * 128, 64, 1)));
+    EXPECT_FALSE(probe.send(new Packet(
+        MemCmd::ReadReq, Crossbar::kCredits * 128, 64, 1)));
+    sys.sim.run(fromUs(10));
+
+    // The controller took the first read when it arrived; its credit
+    // is home one response latency later: 4 ns lane + 3 ns + 3 ns.
+    auto arrivals = log.named("xbar.ch0.req.wake");
+    ASSERT_FALSE(arrivals.empty());
+    Tick first_due = arrivals.front().when + xcfg.responseLatency;
+    EXPECT_EQ(first_due, fromNs(10));
+    EXPECT_EQ(probe.retryTicks, std::vector<Tick>{first_due});
+    auto wakes = log.named("xbar.front1.credit.wake");
+    ASSERT_EQ(wakes.size(), 1u);
+    EXPECT_EQ(wakes[0].when, first_due);
+
+    EXPECT_EQ(probe.responses, Crossbar::kCredits + 1);
+    EXPECT_EQ(sys.stat("front1", "req_stalls"), 1.0);
+    EXPECT_TRUE(sys.xbar->idle());
+}
+
+TEST(XbarTest, StalledChannelIsRetriedWhenItsFirstCreditIsDue)
+{
+    // A memory answers five held reads at once: four responses spend
+    // the channel's credits toward the front, the fifth is refused.
+    // One wake, at the tick the front's first credit comes home,
+    // retries it.
+    Simulator sim;
+    XBarConfig xcfg;
+    Crossbar xbar(sim, "xbar", xcfg);
+    ScriptedMemory mem(sim);
+    xbar.addChannel(mem, AddrRange(0, 1 << 20));
+    TestRequestor req(sim, "req");
+    req.port().bind(xbar.addFrontPort({0}));
+    for (unsigned i = 0; i <= Crossbar::kCredits; ++i)
+        req.inject(0, MemCmd::ReadReq, i * 64);
+    sim.run(fromUs(1));
+    ASSERT_EQ(mem.held(), Crossbar::kCredits + 1);
+
+    XbarEventLog log(sim);
+    mem.respondAll();
+    EXPECT_EQ(mem.held(), 1u);
+    sim.run(fromUs(2));
+
+    // The front handed the first response on when it arrived; its
+    // credit is home one frontend latency later.
+    auto arrivals = log.named("xbar.front0.resp.wake");
+    ASSERT_FALSE(arrivals.empty());
+    Tick first_due = arrivals.front().when + xcfg.frontendLatency;
+    EXPECT_EQ(first_due, fromUs(1) + fromNs(10));
+    EXPECT_EQ(mem.retryTicks, std::vector<Tick>{first_due});
+    auto wakes = log.named("xbar.ch0.credit.wake");
+    ASSERT_EQ(wakes.size(), 1u);
+    EXPECT_EQ(wakes[0].when, first_due);
+
+    EXPECT_EQ(mem.held(), 0u);
+    EXPECT_TRUE(req.allResponded());
+    EXPECT_TRUE(xbar.idle());
+}
+
+TEST(XbarTest, IdleCountsACreditHomeOnceItsReturnIsDue)
+{
+    XbarSystem sys;
+    XBarConfig xcfg;
+    auto id = sys.req->inject(0, MemCmd::ReadReq, 0);
+    // Bare DRAM latency plus 3 ns and 4 lane cycles each way.
+    Tick responded = fromNs(13.75 + 13.75 + 6) + 2 * fromNs(3 + 4);
+    sys.sim.run(responded);
+    EXPECT_EQ(sys.req->responseTick(id), responded);
+
+    // The front's response credit is still in flight to the channel.
+    EXPECT_FALSE(sys.xbar->idle());
+    sys.sim.run(responded + xcfg.frontendLatency - 1);
+    EXPECT_FALSE(sys.xbar->idle());
+    // Due now: home, though no event has counted it.
+    sys.sim.run(responded + xcfg.frontendLatency);
     EXPECT_TRUE(sys.xbar->idle());
 }
 
