@@ -95,6 +95,8 @@ class TestRequestor : public SimObject
 
     unsigned outstanding() const { return outstanding_; }
     unsigned retries() const { return retries_; }
+    /** Ticks at which the port was sent a retry. */
+    const std::vector<Tick> &retryTicks() const { return retryTicks_; }
 
   private:
     struct Scripted
@@ -145,6 +147,7 @@ class TestRequestor : public SimObject
     void
     retry()
     {
+        retryTicks_.push_back(curTick());
         Packet *pkt = blocked_;
         blocked_ = nullptr;
         ++outstanding_;
@@ -176,6 +179,7 @@ class TestRequestor : public SimObject
     Packet *blocked_ = nullptr;
     unsigned outstanding_ = 0;
     unsigned retries_ = 0;
+    std::vector<Tick> retryTicks_;
     EventFunctionWrapper injectEvent_;
 };
 

@@ -81,6 +81,9 @@ class XbarEventLog : public EventQueueProfiler
 
     ~XbarEventLog() override { sim_.eventq().setProfiler(nullptr); }
 
+    XbarEventLog(const XbarEventLog &) = delete;
+    XbarEventLog &operator=(const XbarEventLog &) = delete;
+
     struct Entry
     {
         std::string name;
@@ -110,55 +113,6 @@ class XbarEventLog : public EventQueueProfiler
 
   private:
     Simulator &sim_;
-};
-
-/**
- * A requestor port that holds a refused packet, records the tick of
- * every retry and resends the packet then.
- */
-class RetryingRequestor : public RequestPort
-{
-  public:
-    explicit RetryingRequestor(Simulator &sim)
-        : RequestPort("probe_req"), sim_(sim)
-    {
-    }
-
-    ~RetryingRequestor() override { delete blocked_; }
-
-    /** Send @p pkt now; false when it was refused (and is held). */
-    bool
-    send(Packet *pkt)
-    {
-        if (sendTimingReq(pkt))
-            return true;
-        blocked_ = pkt;
-        return false;
-    }
-
-    bool
-    recvTimingResp(Packet *pkt) override
-    {
-        ++responses;
-        delete pkt;
-        return true;
-    }
-
-    void
-    recvReqRetry() override
-    {
-        retryTicks.push_back(sim_.curTick());
-        Packet *pkt = blocked_;
-        blocked_ = nullptr;
-        send(pkt);
-    }
-
-    std::vector<Tick> retryTicks;
-    unsigned responses = 0;
-
-  private:
-    Simulator &sim_;
-    Packet *blocked_ = nullptr;
 };
 
 /**
@@ -336,14 +290,9 @@ TEST(XbarTest, StalledFrontIsRetriedWhenItsFirstCreditIsDue)
     // credit comes home, retries it.
     XBarConfig xcfg;
     XbarSystem sys(64, xcfg);
-    RetryingRequestor probe(sys.sim);
-    probe.bind(sys.xbar->addFrontPort({1}));
     XbarEventLog log(sys.sim);
-    for (unsigned i = 0; i < Crossbar::kCredits; ++i)
-        EXPECT_TRUE(probe.send(
-            new Packet(MemCmd::ReadReq, i * 128, 64, 1)));
-    EXPECT_FALSE(probe.send(new Packet(
-        MemCmd::ReadReq, Crossbar::kCredits * 128, 64, 1)));
+    for (unsigned i = 0; i <= Crossbar::kCredits; ++i)
+        sys.req->inject(0, MemCmd::ReadReq, i * 128);
     sys.sim.run(fromUs(10));
 
     // The controller took the first read when it arrived; its credit
@@ -352,13 +301,13 @@ TEST(XbarTest, StalledFrontIsRetriedWhenItsFirstCreditIsDue)
     ASSERT_FALSE(arrivals.empty());
     Tick first_due = arrivals.front().when + xcfg.responseLatency;
     EXPECT_EQ(first_due, fromNs(10));
-    EXPECT_EQ(probe.retryTicks, std::vector<Tick>{first_due});
-    auto wakes = log.named("xbar.front1.credit.wake");
+    EXPECT_EQ(sys.req->retryTicks(), std::vector<Tick>{first_due});
+    auto wakes = log.named("xbar.front0.credit.wake");
     ASSERT_EQ(wakes.size(), 1u);
     EXPECT_EQ(wakes[0].when, first_due);
 
-    EXPECT_EQ(probe.responses, Crossbar::kCredits + 1);
-    EXPECT_EQ(sys.stat("front1", "req_stalls"), 1.0);
+    EXPECT_TRUE(sys.req->allResponded());
+    EXPECT_EQ(sys.stat("front0", "req_stalls"), 1.0);
     EXPECT_TRUE(sys.xbar->idle());
 }
 
