@@ -1,18 +1,20 @@
 #!/usr/bin/env sh
-# Regenerate the golden-stats regression corpus (tests/golden/*.json)
-# and the closed-loop figure references (bench/baselines/fig8_*.txt,
-# bench/baselines/fig9_*.txt).
+# Regenerate every reference that tier-1 diffs: the golden-stats
+# corpus (tests/golden/*.json), the figure references
+# (bench/baselines/*.txt) and the CLI references
+# (tests/cli_reference/*.out).
 #
 # Usage: tools/regen_golden.sh [build-dir]
 #
 # Runs the golden_* tests with GOLDEN_REGEN=1, which makes each case
-# rewrite its reference file instead of comparing against it. When the
-# build also holds the fig8_fullsystem and fig9_mem_exploration bench
-# binaries, their output replaces the two figure references that CI's
+# rewrite its reference file instead of comparing against it; then
+# tests/figure_reference.sh and tests/cli_reference.sh with --regen.
+# fig8_fullsystem's output replaces the reference that CI's
 # "Closed-loop figure identity" step diffs against. Review the
-# resulting diff under tests/golden/ and bench/baselines/ like any
-# other code change: fig8's host_time column and host-saving line are
-# wall-clock measurements and change on every run.
+# resulting diff under tests/golden/, bench/baselines/ and
+# tests/cli_reference/ like any other code change: fig8's host_time
+# column and host-saving line are wall-clock measurements and change on
+# every run.
 set -eu
 
 BUILD_DIR="${1:-build}"
@@ -28,11 +30,15 @@ fi
 GOLDEN_REGEN=1 "$TESTS_BIN" --gtest_filter='*golden_*' >/dev/null
 echo "golden corpus regenerated under tests/golden/"
 
-for fig in fig8_fullsystem fig9_mem_exploration; do
-    if [ -x "$BUILD_DIR/bench/$fig" ]; then
-        "$BUILD_DIR/bench/$fig" > "$ROOT/bench/baselines/$fig.txt"
-        echo "bench/baselines/$fig.txt regenerated"
-    fi
-done
+WORK=$(mktemp -d)
+trap 'rm -rf "$WORK"' EXIT
+sh "$ROOT/tests/figure_reference.sh" "$BUILD_DIR/bench" "$WORK/fig" \
+    --regen
+"$BUILD_DIR/bench/fig8_fullsystem" \
+    > "$ROOT/bench/baselines/fig8_fullsystem.txt"
+echo "figure references regenerated under bench/baselines/"
+sh "$ROOT/tests/cli_reference.sh" "$BUILD_DIR/tools" "$WORK/cli" --regen
+echo "CLI references regenerated under tests/cli_reference/"
+
 git -C "$ROOT" status --short tests/golden/ bench/baselines/ \
-    2>/dev/null || true
+    tests/cli_reference/ 2>/dev/null || true
