@@ -8,11 +8,11 @@
 namespace dramctrl {
 namespace obs {
 
-namespace {
+namespace detail {
+thread_local ChromeTraceWriter *chromeTracer = nullptr;
+} // namespace detail
 
-// Per thread, like the trace-point sinks: a batch worker's packets
-// never feed an exporter installed by another thread.
-thread_local ChromeTraceWriter *g_chromeTracer = nullptr;
+namespace {
 
 /** Ticks (ps) to trace-format microseconds, exact to 1e-6 us. */
 void
@@ -39,13 +39,7 @@ writeJsonString(std::ostream &os, const std::string &s)
 void
 setChromeTracer(ChromeTraceWriter *writer)
 {
-    g_chromeTracer = writer;
-}
-
-ChromeTraceWriter *
-chromeTracer()
-{
-    return g_chromeTracer;
+    detail::chromeTracer = writer;
 }
 
 unsigned
