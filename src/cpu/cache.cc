@@ -77,6 +77,9 @@ Cache::Cache(Simulator &sim, std::string name, const CacheConfig &cfg)
     for (Mshr &mshr : mshrs_)
         mshr.targets.reserve(cfg_.targetsPerMshr);
     memReqQueue_.init(2 * cfg_.mshrs);
+    // Room for every parked target of a fill at once, so a steady
+    // state answers without growing the queue.
+    respQueue_.reserve(cfg_.mshrs * cfg_.targetsPerMshr);
     stats_ = std::make_unique<CacheStats>(*this);
 }
 

@@ -41,6 +41,9 @@ class RespPacketQueue
     /** Hook this up to the owning port's recvRespRetry(). */
     void retry();
 
+    /** Size the storage for @p n queued responses up front. */
+    void reserve(std::size_t n) { queue_.reserve(n); }
+
     bool empty() const { return head_ == queue_.size(); }
     std::size_t size() const { return queue_.size() - head_; }
 

@@ -40,6 +40,16 @@ class Event
     static constexpr Priority kResponsePriority = -20;
     /** DRAM refresh preempts normal request processing at a tick. */
     static constexpr Priority kRefreshPriority = -10;
+    /**
+     * Wakes of cross-shard mailboxes: a message or credit due at a
+     * tick is taken in before the ordinary events of that tick. A
+     * sharded run schedules these wakes at window barriers, and which
+     * barrier a message meets depends on the run() horizon, so
+     * arrival events never take their order from scheduling: each one
+     * gets a fixed place among its queue's arrival events when it is
+     * built (EventQueue::fixArrivalOrder()).
+     */
+    static constexpr Priority kArrivalPriority = -5;
     /** Default priority for ordinary model events. */
     static constexpr Priority kDefaultPriority = 0;
     /**

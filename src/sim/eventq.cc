@@ -71,6 +71,16 @@ EventQueue::removeAt(std::size_t slot)
 }
 
 void
+EventQueue::takeSeq(Event &ev)
+{
+    if (ev.priority_ != Event::kArrivalPriority)
+        ev.seq_ = nextSeq_++;
+    else if (ev.seq_ == 0)
+        panic("arrival event '%s' scheduled without a fixed order",
+              ev.name().c_str());
+}
+
+void
 EventQueue::schedule(Event &ev, Tick when)
 {
     if (ev.scheduled_)
@@ -83,10 +93,20 @@ EventQueue::schedule(Event &ev, Tick when)
               static_cast<unsigned long long>(curTick_));
 
     ev.when_ = when;
-    ev.seq_ = nextSeq_++;
+    takeSeq(ev);
     ev.scheduled_ = true;
     heap_.push_back(&ev);
     siftUp(heap_.size() - 1);
+}
+
+void
+EventQueue::fixArrivalOrder(Event &ev)
+{
+    if (ev.priority_ != Event::kArrivalPriority || ev.scheduled_ ||
+        ev.seq_ != 0)
+        panic("fixArrivalOrder() on '%s', which is not a new arrival "
+              "event", ev.name().c_str());
+    ev.seq_ = nextArrivalSeq_++;
 }
 
 void
@@ -115,7 +135,7 @@ EventQueue::reschedule(Event &ev, Tick when)
     // back of its new tick/priority class, like deschedule+schedule)
     // and sift from the current slot.
     ev.when_ = when;
-    ev.seq_ = nextSeq_++;
+    takeSeq(ev);
     siftDown(ev.heapSlot_);
     siftUp(ev.heapSlot_);
 }

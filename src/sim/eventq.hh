@@ -42,7 +42,10 @@ class EventQueueProfiler
  * allocation (the backing vector only grows to the agenda's high-water
  * mark). Ordering is (when, priority, seq): two events at the same tick
  * and priority run in schedule order, and rescheduling re-enters the
- * event at the back of its tick/priority class.
+ * event at the back of its tick/priority class. Arrival events
+ * (Event::kArrivalPriority) are the exception: their seq is fixed when
+ * they are built, so same-tick arrivals run in build order however they
+ * were scheduled.
  */
 class EventQueue
 {
@@ -67,6 +70,14 @@ class EventQueue
 
     /** Move an already- or not-yet-scheduled event to @p when. */
     void reschedule(Event &ev, Tick when);
+
+    /**
+     * Give @p ev, an unscheduled Event::kArrivalPriority event, its
+     * fixed place among this queue's arrival events: after every
+     * arrival event given one before it. Call once, when @p ev is
+     * built, and before it is first scheduled.
+     */
+    void fixArrivalOrder(Event &ev);
 
     /** Current simulated time. */
     Tick curTick() const { return curTick_; }
@@ -136,6 +147,12 @@ class EventQueue
         return a->seq_ < b->seq_;
     }
 
+    /**
+     * Stamp @p ev with its place in its tick/priority class: the next
+     * schedule-order number, or the fixed one of an arrival event.
+     */
+    void takeSeq(Event &ev);
+
     /** Move heap_[slot] up while it precedes its parent. */
     void siftUp(std::size_t slot);
     /** Move heap_[slot] down while a child precedes it. */
@@ -146,6 +163,8 @@ class EventQueue
     std::vector<Event *> heap_;
     Tick curTick_ = 0;
     std::uint64_t nextSeq_ = 0;
+    /** Seq of the next arrival event to be built; 0 means unset. */
+    std::uint64_t nextArrivalSeq_ = 1;
     std::uint64_t numServiced_ = 0;
     EventQueueProfiler *profiler_ = nullptr;
 };

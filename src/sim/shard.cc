@@ -128,7 +128,12 @@ ShardedEngine::executeEpoch(unsigned id)
             // Every executor finished reading this outbox before the
             // epoch began, so the sender can reuse it.
             outbox_[s].clear();
-            sim_.shardQueue(s).simulate(windowEnd_);
+            // Service the window's events but leave the clock at the
+            // last of them (not at the window end): a run to
+            // exhaustion then ends where the last event ran.
+            EventQueue &q = sim_.shardQueue(s);
+            while (q.nextTick() <= windowEnd_)
+                q.serviceOne();
         }
         // Delivery reads every outbox: wait until all shards have
         // finished posting. The release half publishes this
@@ -242,8 +247,14 @@ ShardedEngine::run(Tick until)
         // every posted message has been delivered, and t_next is the
         // earliest event over all shards.
         if (t_next == kMaxTick) {
-            if (until != kMaxTick)
-                advanceAll(until);
+            if (until == kMaxTick) {
+                // Exhausted: end where the last event ran, on any
+                // shard.
+                until = 0;
+                for (unsigned s = 0; s < sim_.numShards(); ++s)
+                    until = std::max(until, sim_.shardQueue(s).curTick());
+            }
+            advanceAll(until);
             break;
         }
         if (until != kMaxTick && t_next > until) {
@@ -251,9 +262,12 @@ ShardedEngine::run(Tick until)
             break;
         }
 
+        // The window is [t_next, t_next + lookahead): a message posted
+        // in it is due at t_next + lookahead or later, a tick no shard
+        // has run yet when the message is delivered.
         DC_ASSERT(t_next < kMaxTick - lookahead_,
                   "event tick too close to the end of time");
-        Tick window_end = t_next + lookahead_;
+        Tick window_end = t_next + lookahead_ - 1;
         if (window_end > until)
             window_end = until;
 

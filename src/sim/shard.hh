@@ -4,17 +4,19 @@
  *
  * A sharded Simulator partitions its model objects over several event
  * queues ("shards"); each shard runs its own slice of the agenda. The
- * engine advances all shards in lock-stepped windows:
+ * engine advances all shards in lock-stepped, half-open windows:
  *
- *   window_end = min(until, min_over_shards(nextTick) + lookahead)
+ *   [t_next, min(until + 1, t_next + lookahead))
  *
- * where the lookahead is the minimum latency of any cross-shard
- * interaction. Every cross-shard effect travels as a message posted
- * during window execution and applied only at the barrier between
- * windows. Because every message carries latency >= lookahead, a
- * message sent inside a window can never be due before that window's
- * end, so applying it at the barrier is always causally safe (the
- * classic conservative-synchronisation argument, CMB-style).
+ * where t_next is the earliest event over all shards and the lookahead
+ * is the minimum latency of any cross-shard interaction. Every
+ * cross-shard effect travels as a message posted during window
+ * execution and applied only at the barrier between windows. Because
+ * every message carries latency >= lookahead, a message sent inside a
+ * window is due after that window's last tick, so applying it at the
+ * barrier is always causally safe (the classic conservative-
+ * synchronisation argument, CMB-style): its target has not yet run the
+ * tick it is due at.
  *
  * Each window has two phases on a team of executors; executor e runs
  * the shards s with s % width == e. In the run phase every executor
@@ -34,11 +36,13 @@
  * byte-identical results; a single-threaded run of the sharded engine
  * IS the reference ordering, not an approximation of it.
  *
- * That guarantee covers thread counts for one sequence of run()
- * calls. It does not yet cover different run() horizons: a sharded
- * run advanced in other steps, or stopped, checkpointed and restored,
- * can end with different statistics (known cases in
- * docs/CHECKPOINT.md §3).
+ * The same holds for run() horizons: a sharded run advanced in other
+ * steps, or stopped, checkpointed and restored, ends with the same
+ * results. A horizon moves the barriers, so nothing may depend on the
+ * barrier a message meets: a message always reaches its target before
+ * the tick it is due at, and the wake a delivery schedules is an
+ * arrival event (Event::kArrivalPriority), whose order among the
+ * tick's other arrivals is fixed when it is built.
  */
 
 #ifndef DRAMCTRL_SIM_SHARD_H
@@ -121,9 +125,11 @@ class ShardedEngine
               Packet *pkt, std::uint64_t arg);
 
     /**
-     * Advance every shard to @p until (finite horizons only reach
-     * exactly @p until; kMaxTick runs to global exhaustion). All
-     * shards are left at a common tick with no message in flight.
+     * Advance every shard to @p until. A finite horizon ends at
+     * exactly @p until. kMaxTick runs to global exhaustion and ends at
+     * the tick of the last event serviced on any shard, as a single
+     * queue would (or where the run started, if no event ran). All
+     * shards are left at that common tick with no message in flight.
      *
      * @return the common final tick.
      */

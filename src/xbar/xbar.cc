@@ -32,8 +32,10 @@ interleavedRanges(Addr base, std::uint64_t total_size,
 ShardInbox::ShardInbox(SimObject &owner, const std::string &name,
                        Handler handler)
     : owner_(owner), handler_(std::move(handler)),
-      wakeEvent_([this] { pump(); }, owner.name() + "." + name + ".wake")
+      wakeEvent_([this] { pump(); }, owner.name() + "." + name + ".wake",
+                 Event::kArrivalPriority)
 {
+    owner.eventq().fixArrivalOrder(wakeEvent_);
     // Room for one peer's in-flight packets; insert() grows it past
     // that.
     entries_.init(Crossbar::kCredits);
@@ -56,13 +58,16 @@ ShardInbox::~ShardInbox()
 void
 ShardInbox::deliver(Tick when, Packet *pkt, std::uint64_t arg)
 {
-    // Keep entries sorted by due tick; equal ticks preserve delivery
-    // order (insert after them), which is the engine's deterministic
-    // merge order — so the pump drains equal-tick entries exactly as
-    // they were merged. Messages mostly arrive in due order, so the
-    // scan from the back usually stops at once.
+    // Keep entries sorted by (due tick, sender), then by delivery
+    // order. Which barrier delivers a message depends on the run()
+    // horizon, so delivery order only breaks ties within one sender,
+    // whose messages always arrive in send order. Messages mostly
+    // arrive in due order, so the scan from the back usually stops at
+    // once.
     std::size_t pos = entries_.size();
-    while (pos > 0 && entries_[pos - 1].when > when)
+    while (pos > 0 && (entries_[pos - 1].when > when ||
+                       (entries_[pos - 1].when == when &&
+                        entries_[pos - 1].arg > arg)))
         --pos;
     entries_.insert(pos, Entry{when, pkt, arg});
     if (!stalled_)
@@ -171,8 +176,10 @@ class CreditPool : public ShardMailbox
     CreditPool(SimObject &owner, unsigned peers,
                std::function<void()> retry)
         : owner_(owner), retry_(std::move(retry)),
-          wakeEvent_([this] { wake(); }, owner.name() + ".credit.wake")
+          wakeEvent_([this] { wake(); }, owner.name() + ".credit.wake",
+                     Event::kArrivalPriority)
     {
+        owner.eventq().fixArrivalOrder(wakeEvent_);
         for (unsigned i = 0; i < peers; ++i)
             addPeer();
     }

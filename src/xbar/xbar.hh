@@ -106,18 +106,21 @@ std::vector<AddrRange> interleavedRanges(Addr base,
 /**
  * Ordered inbound queue of one crossbar link, owned by a SimObject on
  * the receiving shard. deliver() inserts the message sorted by due
- * tick and keeps a wake-up event scheduled for the head; the handler
- * is then invoked on the owner's shard at exactly the due tick. A
- * handler returning false stalls the queue (the head entry stays put)
- * until the owner calls resume().
+ * tick, then by @p arg (the crossbar passes the sender's index), and
+ * keeps an arrival event (Event::kArrivalPriority) scheduled for the
+ * head; the handler is then invoked on the owner's shard at exactly
+ * the due tick. A handler returning false stalls the queue (the head
+ * entry stays put) until the owner calls resume().
  *
  * With a sharded engine, deliver() runs at each barrier on the
- * executor that runs the owner's shard, in (due tick, sender shard,
- * send order) order, while other executors fill their own shards'
- * inboxes; it touches only the owner's queue and this inbox. When the
- * simulator is unsharded, the crossbar calls it directly. The queue
- * grows to its high-water mark and never shrinks, so a steady state
- * delivers without allocating.
+ * executor that runs the owner's shard, while other executors fill
+ * their own shards' inboxes; it touches only the owner's queue and
+ * this inbox. When the simulator is unsharded, the crossbar calls it
+ * directly. Neither the barrier a message meets nor the order of
+ * deliveries decides when an entry is handled: only its due tick, its
+ * sender, and the order the sender sent in. The queue grows to its
+ * high-water mark and never shrinks, so a steady state delivers
+ * without allocating.
  */
 class ShardInbox : public ShardMailbox
 {

@@ -411,6 +411,76 @@ TEST(CkptMultiChannel, ckpt_crossbar_split_while_stalled_on_credits)
     expectSameLog(joined, refLog[0].log());
 }
 
+/**
+ * System preset @p preset, sharded one channel per shard, with one
+ * random generator per channel: 12800 requests in all, 6 ns apart.
+ */
+std::unique_ptr<harness::MultiChannelSystem>
+buildPresetSystem(const std::string &preset, unsigned threads)
+{
+    harness::MultiChannelConfig mcfg =
+        harness::systemPresetByName(preset);
+    mcfg.ctrl.writeLowThreshold = 0.0;
+    mcfg.ctrl.check();
+    mcfg.simThreads = threads;
+    auto mc = std::make_unique<harness::MultiChannelSystem>(mcfg);
+    harness::Stimulus s;
+    s.readPct = 50;
+    s.requests = 12800;
+    s.seed = kSeed;
+    mc->addStimulus(s);
+    return mc;
+}
+
+class CkptSystem : public testing::TestWithParam<std::string>
+{
+};
+
+TEST_P(CkptSystem, SplitRunMatchesUninterrupted)
+{
+    const std::string &preset = GetParam();
+    auto ref = buildPresetSystem(preset, 1);
+    std::vector<CmdLogger> &refLog = ref->attachCmdLoggers();
+    const Tick end = ref->runToCompletion();
+    std::ostringstream refStats;
+    ref->sim().dumpStatsJson(refStats);
+
+    // Off the 1 us poll grid and on it, each before the first poll
+    // that finds the run drained; the second split runs both halves
+    // at four sim-threads.
+    const Tick splits[] = {fromNs(333.3), fromNs(777.7), fromUs(1.0)};
+    ASSERT_GT(end, fromUs(1.0)) << "run drained before the last split";
+    for (Tick at : splits) {
+        const unsigned threads = at == splits[1] ? 4 : 1;
+        auto pre = buildPresetSystem(preset, threads);
+        std::vector<CmdLogger> &preLog = pre->attachCmdLoggers();
+        pre->sim().run(at);
+        const std::string snapshot = ckpt::saveToString(pre->sim());
+
+        auto post = buildPresetSystem(preset, threads);
+        std::vector<CmdLogger> &postLog = post->attachCmdLoggers();
+        ckpt::restoreFromString(post->sim(), snapshot);
+        EXPECT_EQ(post->runToCompletion(), end);
+        std::ostringstream postStats;
+        post->sim().dumpStatsJson(postStats);
+        EXPECT_EQ(postStats.str(), refStats.str())
+            << "split at " << at << " ticks";
+        for (unsigned ch = 0; ch < refLog.size(); ++ch) {
+            std::vector<CmdRecord> joined = preLog[ch].log();
+            joined.insert(joined.end(), postLog[ch].log().begin(),
+                          postLog[ch].log().end());
+            expectSameLog(joined, refLog[ch].log());
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SystemPresets, CkptSystem,
+    testing::ValuesIn(harness::systemPresetNames()),
+    [](const testing::TestParamInfo<std::string> &info) {
+        return "ckpt_" + info.param;
+    });
+
 TEST(CkptPlugin, ckpt_plugin_chain_mismatch_is_fatal)
 {
     BuiltSystem pre = buildSystem(presets::byName("ddr3_1333"),

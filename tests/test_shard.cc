@@ -122,9 +122,10 @@ TEST(ShardEngine, PingPongCountsAndTiming)
     EXPECT_EQ(r.b, 6u);
     EXPECT_EQ(r.a, 5u);
     EXPECT_EQ(r.messages, 11u);
-    // The last token lands at 11 * delay; the run ends at that final
-    // window's boundary, one lookahead later.
-    EXPECT_EQ(r.finalTick, 12 * delay);
+    // The last token lands at 11 * delay. A run to exhaustion ends at
+    // the tick of the last event serviced on any shard, as a single
+    // queue would, whatever the window boundaries.
+    EXPECT_EQ(r.finalTick, 11 * delay);
 }
 
 TEST(ShardEngine, ThreadCountInvariant)
@@ -144,6 +145,108 @@ TEST(ShardEngine, FiniteHorizonReachesExactly)
     Tick end = sim.run(fromNs(123.0));
     EXPECT_EQ(end, fromNs(123.0));
     EXPECT_EQ(sim.shardQueue(1).curTick(), fromNs(123.0));
+}
+
+// --------------------------------------------------------------------
+// Independence of run() horizons
+// --------------------------------------------------------------------
+
+/** Logs, by name, each arrival its inbox hands it. */
+class LoggingReceiver : public SimObject
+{
+  public:
+    LoggingReceiver(Simulator &sim, std::string name,
+                    std::vector<std::string> &log)
+        : SimObject(sim, std::move(name)), log_(log),
+          inbox_(*this, "in",
+                 [this](Tick t, Packet *p, std::uint64_t a) {
+                     (void)p;
+                     (void)a;
+                     log_.push_back(this->name() + "@" +
+                                    std::to_string(t));
+                     return true;
+                 })
+    {
+    }
+
+    ShardInbox &inbox() { return inbox_; }
+
+  private:
+    std::vector<std::string> &log_;
+    ShardInbox inbox_;
+};
+
+/** Posts one message to @p to at @p at, due at @p due. */
+class OneShotSender : public SimObject
+{
+  public:
+    OneShotSender(Simulator &sim, std::string name, LoggingReceiver &to,
+                  Tick at, Tick due)
+        : SimObject(sim, std::move(name)), to_(to), due_(due),
+          fire_(
+              [this] {
+                  simulator().shardEngine().post(shardId(),
+                                                 to_.shardId(), due_,
+                                                 to_.inbox(), nullptr, 0);
+              },
+              this->name() + ".fire")
+    {
+        schedule(fire_, at);
+    }
+
+  private:
+    LoggingReceiver &to_;
+    Tick due_;
+    EventFunctionWrapper fire_;
+};
+
+/**
+ * Two inboxes on shard 0, each sent one message due at the same tick:
+ * from shard 2 at 17 ns and from shard 1 at 20 ns. In one window the
+ * barrier merges them shard 1 first; a horizon between the two sends
+ * delivers shard 2's at an earlier barrier. Either way the inboxes
+ * must run in one order.
+ */
+std::vector<std::string>
+runTwoInboxes(const std::vector<Tick> &horizons)
+{
+    const Tick lookahead = fromNs(4.0);
+    const Tick due = fromNs(40.0);
+    Simulator sim("two_inboxes");
+    sim.configureShards(3, lookahead);
+    std::vector<std::string> log;
+    LoggingReceiver a(sim, "a", log);
+    LoggingReceiver b(sim, "b", log);
+    std::unique_ptr<OneShotSender> to_b, to_a;
+    {
+        Simulator::ShardScope scope(sim, 1);
+        to_b = std::make_unique<OneShotSender>(sim, "to_b", b,
+                                               fromNs(20.0), due);
+    }
+    {
+        Simulator::ShardScope scope(sim, 2);
+        to_a = std::make_unique<OneShotSender>(sim, "to_a", a,
+                                               fromNs(17.0), due);
+    }
+    for (Tick h : horizons)
+        sim.run(h);
+    sim.run(kMaxTick);
+    return log;
+}
+
+TEST(ShardEngine, SameTickInboxOrderDoesNotDependOnTheHorizon)
+{
+    const std::vector<std::string> ref = runTwoInboxes({});
+    ASSERT_EQ(ref.size(), 2u);
+    EXPECT_EQ(ref[0], "a@40000");
+    EXPECT_EQ(ref[1], "b@40000");
+    for (double ns = 1.0; ns < 40.0; ns += 1.0)
+        EXPECT_EQ(runTwoInboxes({fromNs(ns)}), ref)
+            << "horizon at " << ns << " ns";
+    std::vector<Tick> every_ns;
+    for (double ns = 1.0; ns < 40.0; ns += 1.0)
+        every_ns.push_back(fromNs(ns));
+    EXPECT_EQ(runTwoInboxes(every_ns), ref);
 }
 
 // --------------------------------------------------------------------
@@ -535,6 +638,64 @@ TEST(ShardCkpt, ShardCountMismatchIsFatal)
                  std::runtime_error);
     setThrowOnError(false);
 }
+
+/**
+ * Stats JSON and merged command log of system preset @p preset (one
+ * random generator per channel, 12800 requests in all) advanced to
+ * 2.5 us in @p step-long run() calls, at @p threads sim-threads.
+ */
+SysResult
+runPresetChunked(const std::string &preset, Tick step, unsigned threads)
+{
+    harness::MultiChannelConfig cfg = harness::systemPresetByName(preset);
+    cfg.ctrl.writeLowThreshold = 0.0;
+    cfg.ctrl.check();
+    cfg.simThreads = threads;
+    harness::MultiChannelSystem sys(cfg);
+    auto &loggers = sys.attachCmdLoggers();
+    harness::Stimulus s;
+    s.readPct = 50;
+    s.requests = 12800;
+    sys.addStimulus(s);
+
+    const Tick horizon = fromUs(2.5);
+    for (Tick t = step; t < horizon; t += step)
+        sys.sim().run(t);
+    SysResult r;
+    r.finalTick = sys.sim().run(horizon);
+    std::ostringstream os;
+    sys.sim().dumpStatsJson(os);
+    r.statsJson = os.str();
+    r.cmdLog = mergedCmdLog(loggers);
+    return r;
+}
+
+class ShardHorizon : public testing::TestWithParam<std::string>
+{
+};
+
+TEST_P(ShardHorizon, ChunkedRunsMatchOneRun)
+{
+    const SysResult ref = runPresetChunked(GetParam(), fromUs(2.5), 1);
+    for (double step_ns : {1000.0, 770.0, 333.3}) {
+        for (unsigned threads : {1u, 4u}) {
+            SysResult r =
+                runPresetChunked(GetParam(), fromNs(step_ns), threads);
+            EXPECT_EQ(r.finalTick, ref.finalTick);
+            EXPECT_EQ(r.statsJson, ref.statsJson)
+                << step_ns << " ns steps, " << threads << " threads";
+            EXPECT_EQ(r.cmdLog, ref.cmdLog)
+                << step_ns << " ns steps, " << threads << " threads";
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SystemPresets, ShardHorizon,
+    testing::ValuesIn(harness::systemPresetNames()),
+    [](const testing::TestParamInfo<std::string> &info) {
+        return info.param;
+    });
 
 TEST(ShardSystem, SingleChannelUnshardedStillWorks)
 {
