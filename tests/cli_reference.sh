@@ -97,20 +97,26 @@ cksum < ch4.dtrc > ch4_capture_file.out
 check ch4_capture_file
 run ch4_replay --channels 4 --pattern trace --trace-in ch4.dtrc --json
 
-# Single-channel checkpoint splits at 12.345 us.
+# Checkpoint splits: split NAME NS ARGS... splits at NS ns.
 # (Shell variables are global, so this one must not reuse run's name.)
 split() {
     base=$1
-    shift
+    at=$2
+    shift 2
     run "${base}_full" "$@" --json
-    run "${base}_save" "$@" --ckpt-at 12345 --ckpt-out "$base.ckpt"
+    run "${base}_save" "$@" --ckpt-at "$at" --ckpt-out "$base.ckpt"
     run "${base}_restore" "$@" --ckpt-restore "$base.ckpt" --json
     same "${base}_restore" "${base}_full"
 }
-split ckpt_random
-split ckpt_cycle --model cycle
-split ckpt_dram_plugins --pattern dram --plugins ecc,prac,refmgr \
+# Single-channel splits at 12.345 us.
+split ckpt_random 12345
+split ckpt_cycle 12345 --model cycle
+split ckpt_dram_plugins 12345 --pattern dram --plugins ecc,prac,refmgr \
     --power-down
+# Sharded splits: hmc_stack_16 inside its run (which ends at 5.0 us),
+# and hbm2_stack_4 off the 1 us grid, at four sim-threads.
+split ckpt_hmc_stack_16 2500 --preset hmc_stack_16 --requests 6400
+split ckpt_hbm2_stack_4 4321 --preset hbm2_stack_4 --sim-threads 4
 
 # A split at or after the end of the run is refused: hmc_stack_16 with
 # 6400 requests completes at 5.0 us, so 5.5 us must exit 1 and write
