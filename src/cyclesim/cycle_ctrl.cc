@@ -54,6 +54,23 @@ CycleDRAMCtrl::CtrlStats::CtrlStats(CycleDRAMCtrl &ctrl)
 {
 }
 
+const char *
+CycleDRAMCtrl::unsupportedFeature(const DRAMCtrlConfig &cfg)
+{
+    if (cfg.pagePolicy == PagePolicy::OpenAdaptive ||
+        cfg.pagePolicy == PagePolicy::ClosedAdaptive)
+        return toString(cfg.pagePolicy);
+    if (cfg.enableSelfRefresh)
+        return "self-refresh";
+    if (cfg.enablePowerDown)
+        return "power-down";
+    if (cfg.perRankRefresh)
+        return "per-rank refresh";
+    if (cfg.hasPlugin("refmgr-pb"))
+        return "refmgr-pb";
+    return nullptr;
+}
+
 CycleDRAMCtrl::CycleDRAMCtrl(Simulator &sim, std::string name,
                              DRAMCtrlConfig config, AddrRange range,
                              unsigned cmd_queue_depth)
@@ -78,23 +95,9 @@ CycleDRAMCtrl::CycleDRAMCtrl(Simulator &sim, std::string name,
                                   cfg_.timing.tCK);
         refreshCountdown_ = ct_.tREFI;
     }
-    if (cfg_.pagePolicy != PagePolicy::Open &&
-        cfg_.pagePolicy != PagePolicy::Closed)
-        fatal("cycle-based controller '%s' supports only the open and "
-              "closed page policies",
-              this->name().c_str());
-    // Low-power states and staggered refresh are event-model features;
-    // refuse them rather than silently simulating without them.
-    const std::pair<bool, const char *> unsupported[] = {
-        {cfg_.enableSelfRefresh, "enableSelfRefresh (self-refresh)"},
-        {cfg_.enablePowerDown, "enablePowerDown (power-down)"},
-        {cfg_.perRankRefresh, "perRankRefresh (per-rank refresh)"},
-    };
-    for (const auto &[enabled, option] : unsupported) {
-        if (enabled)
-            fatal("cycle-based controller '%s' does not support %s",
-                  this->name().c_str(), option);
-    }
+    if (const char *feature = unsupportedFeature(cfg_))
+        fatal("cycle-based controller '%s' does not support %s",
+              this->name().c_str(), feature);
     if (range_.localSize() != cfg_.org.channelCapacity)
         fatal("controller '%s': address range provides %llu bytes but "
               "the DRAM organisation has %llu",
@@ -111,8 +114,7 @@ CycleDRAMCtrl::CycleDRAMCtrl(Simulator &sim, std::string name,
         grpNextCol_.assign(total_groups, 0);
         grpNextAct_.assign(total_groups, 0);
     }
-    plugins_ = plugin::buildChain(cfg_, statGroup(), true,
-                                  this->name());
+    plugins_ = plugin::buildChain(cfg_, statGroup(), this->name());
     pracPlugin_ = plugins_.prac();
 
     stats_ = std::make_unique<CtrlStats>(*this);

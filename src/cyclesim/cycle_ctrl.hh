@@ -86,11 +86,8 @@ class CycleDRAMCtrl : public MemCtrlBase
     /**
      * @param sim the owning simulator
      * @param name instance name
-     * @param config same structure the event model takes; only the
-     *               Open and Closed page policies are supported (the
-     *               adaptive variants are the event model's own), and
-     *               power-down, self-refresh and per-rank refresh are
-     *               rejected
+     * @param config same structure the event model takes; fatal when
+     *               it uses a feature unsupportedFeature() names
      * @param range the address range this controller responds to
      * @param cmd_queue_depth per-bank command queue entries
      */
@@ -98,6 +95,12 @@ class CycleDRAMCtrl : public MemCtrlBase
                   DRAMCtrlConfig config, AddrRange range,
                   unsigned cmd_queue_depth = 8);
     ~CycleDRAMCtrl() override;
+
+    /**
+     * The one declaration of what this comparator cannot simulate: the
+     * first feature of @p cfg it lacks, by name, or nullptr.
+     */
+    static const char *unsupportedFeature(const DRAMCtrlConfig &cfg);
 
     ResponsePort &port() override { return port_; }
     const DRAMCtrlConfig &config() const override { return cfg_; }

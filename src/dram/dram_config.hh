@@ -303,8 +303,8 @@ struct DRAMCtrlConfig
      * enabled, the DRAM enters power-down after powerDownDelay of bus
      * idleness with all banks precharged; the first access afterwards
      * pays tXP, and the time spent powered down feeds the power model
-     * (IDD2P instead of IDD2N). Event model only, as is self-refresh:
-     * the cycle comparator rejects both.
+     * (IDD2P instead of IDD2N). Event model only, as is self-refresh
+     * (CycleDRAMCtrl::unsupportedFeature()).
      */
     bool enablePowerDown = false;
     /** Idle time before entering power-down. */
@@ -348,8 +348,7 @@ struct DRAMCtrlConfig
      * Refresh ranks independently, staggered by tREFI/ranks, instead
      * of the paper's controller-wide refresh. Other ranks keep
      * serving while one refreshes — the standard multi-rank
-     * optimisation (event model only; the cycle comparator refreshes
-     * controller-wide, like DRAMSim2, and rejects this option).
+     * optimisation (event model only: CycleDRAMCtrl::unsupportedFeature()).
      */
     bool perRankRefresh = false;
 

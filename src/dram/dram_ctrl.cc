@@ -213,8 +213,7 @@ DRAMCtrl::DRAMCtrl(Simulator &sim, std::string name,
     rdKeys_.reserve(cfg_.readBufferSize);
     wrKeys_.reserve(cfg_.writeBufferSize);
 
-    plugins_ = plugin::buildChain(cfg_, statGroup(), false,
-                                  this->name());
+    plugins_ = plugin::buildChain(cfg_, statGroup(), this->name());
     refMgr_ = plugins_.refreshManager();
     pracPlugin_ = plugins_.prac();
 

@@ -375,7 +375,7 @@ PluginChain::unserialize(ckpt::CkptIn &in)
 
 PluginChain
 buildChain(const DRAMCtrlConfig &cfg, stats::Group &stat_parent,
-           bool cycle_model, const std::string &owner)
+           const std::string &owner)
 {
     PluginChain chain;
     for (const PluginSpec &spec : cfg.plugins) {
@@ -385,17 +385,9 @@ buildChain(const DRAMCtrlConfig &cfg, stats::Group &stat_parent,
         } else if (spec.kind == "prac") {
             chain.add(std::make_unique<PracPlugin>(spec, cfg.org,
                                                    stat_parent));
-        } else if (spec.kind == "refmgr") {
+        } else if (spec.kind == "refmgr" || spec.kind == "refmgr-pb") {
             chain.add(std::make_unique<RefreshManager>(
-                spec, cfg.org, stat_parent, false));
-        } else if (spec.kind == "refmgr-pb") {
-            if (cycle_model)
-                fatal("%s: the refmgr-pb plugin is event model only "
-                      "(the cycle comparator refreshes all banks, "
-                      "like DRAMSim2)",
-                      owner.c_str());
-            chain.add(std::make_unique<RefreshManager>(
-                spec, cfg.org, stat_parent, true));
+                spec, cfg.org, stat_parent, spec.kind == "refmgr-pb"));
         } else {
             fatal("%s: unknown plugin kind '%s'", owner.c_str(),
                   spec.kind.c_str());

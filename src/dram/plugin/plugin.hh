@@ -399,11 +399,9 @@ class PluginChain
 
 /**
  * Build the chain cfg.plugins describes, parenting plugin statistics
- * under @p stat_parent. @p cycle_model rejects event-only plugins
- * (refmgr-pb) with a fatal() naming @p owner.
+ * under @p stat_parent. An unknown kind is a fatal() naming @p owner.
  */
-PluginChain buildChain(const DRAMCtrlConfig &cfg,
-                       stats::Group &stat_parent, bool cycle_model,
+PluginChain buildChain(const DRAMCtrlConfig &cfg, stats::Group &stat_parent,
                        const std::string &owner);
 
 /**

@@ -4,6 +4,7 @@
 #include <memory>
 
 #include "ckpt/ckpt.hh"
+#include "cyclesim/cycle_ctrl.hh"
 #include "dram/dram_ctrl.hh"
 #include "dram/dram_presets.hh"
 #include "dram/plugin/plugin.hh"
@@ -203,11 +204,16 @@ checkSpec(const SweepSpec &spec, std::string *err)
         std::string perr;
         if (!plugin::parsePluginList(spec.plugins, probe, perr))
             return reject(perr);
-        if (probe.hasPlugin("refmgr-pb") &&
-            std::find(spec.models.begin(), spec.models.end(),
-                      harness::CtrlModel::Cycle) != spec.models.end())
-            return reject("refmgr-pb is event-model-only; drop the "
-                          "cycle model axis");
+    }
+    for (const SweepPoint &pt : expandGrid(spec)) {
+        const char *f = pt.model == harness::CtrlModel::Cycle
+                            ? cyclesim::CycleDRAMCtrl::unsupportedFeature(
+                                  configOf(pt, spec))
+                            : nullptr;
+        if (f != nullptr)
+            return reject(formatString(
+                "the cycle model does not support %s (preset %s); drop "
+                "the cycle model axis", f, pt.preset.c_str()));
     }
     if (spec.presets.empty() || spec.patterns.empty() ||
         spec.pages.empty() || spec.mappings.empty() ||

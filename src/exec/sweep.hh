@@ -48,7 +48,6 @@ struct SweepSpec
     /**
      * Controller plugin chain applied to every point, as the csv list
      * parsePluginList() accepts ("ecc,prac,refmgr"). Empty = none.
-     * Per-bank refresh ("refmgr-pb") needs an all-Event model axis.
      */
     std::string plugins;
 
@@ -143,8 +142,9 @@ SweepRow runSweepPoint(const SweepPoint &point, const SweepSpec &spec);
 
 /**
  * Validate @p spec without running anything: preset names, the sweep
- * axes, warm-up and plugin combinations, and every pattern and read
- * percentage through harness::checkStimulus().
+ * axes, warm-up and plugin combinations, every pattern and read
+ * percentage through harness::checkStimulus(), and every cycle-model
+ * point through cyclesim::CycleDRAMCtrl::unsupportedFeature().
  * @return false and fill @p err with the first offending name.
  */
 bool checkSpec(const SweepSpec &spec, std::string *err);

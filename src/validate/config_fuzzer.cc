@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "cyclesim/cycle_ctrl.hh"
 #include "dram/dram_presets.hh"
 #include "sim/logging.hh"
 
@@ -73,17 +74,19 @@ sampleCase(Random &rng, const FuzzerOptions &opts)
                                         AddrMapping::RoCoRaBaCh};
     cfg.addrMapping = pick(rng, kMaps);
 
-    if (opts.cycleCompatible) {
-        // The cycle comparator only implements the two plain policies.
-        static const PagePolicy kPages[] = {PagePolicy::Open,
-                                            PagePolicy::Closed};
-        cfg.pagePolicy = pick(rng, kPages);
-    } else {
-        static const PagePolicy kPages[] = {
-            PagePolicy::Open, PagePolicy::OpenAdaptive,
-            PagePolicy::Closed, PagePolicy::ClosedAdaptive};
-        cfg.pagePolicy = pick(rng, kPages);
-    }
+    // Cycle-compatible samples draw nothing unsupportedFeature() refuses.
+    auto mayUse = [&opts](auto with) {
+        DRAMCtrlConfig probe;
+        with(probe);
+        return !opts.cycleCompatible ||
+               !cyclesim::CycleDRAMCtrl::unsupportedFeature(probe);
+    };
+    std::vector<PagePolicy> pages;
+    for (PagePolicy p : {PagePolicy::Open, PagePolicy::OpenAdaptive,
+                         PagePolicy::Closed, PagePolicy::ClosedAdaptive})
+        if (mayUse([p](auto &c) { c.pagePolicy = p; }))
+            pages.push_back(p);
+    cfg.pagePolicy = pages[rng.uniform(0, pages.size() - 1)];
 
     static const unsigned kMaxRow[] = {0, 4, 16};
     cfg.maxAccessesPerRow = pick(rng, kMaxRow);
@@ -107,14 +110,13 @@ sampleCase(Random &rng, const FuzzerOptions &opts)
     cfg.frontendLatency = fromNs(pick(rng, kStaticNs));
     cfg.backendLatency = fromNs(pick(rng, kStaticNs));
 
-    if (!opts.cycleCompatible) {
-        // Event-model-only features: low-power states and staggered
-        // per-rank refresh have no cycle-model counterpart.
+    if (mayUse([](auto &c) { c.enablePowerDown = true; })) {
         cfg.enablePowerDown = rng.chance(0.3);
         if (cfg.enablePowerDown)
             cfg.enableSelfRefresh = rng.chance(0.3);
-        cfg.perRankRefresh = rng.chance(0.5);
     }
+    if (mayUse([](auto &c) { c.perRankRefresh = true; }))
+        cfg.perRankRefresh = rng.chance(0.5);
 
     if (opts.withPlugins) {
         // Random plugin chain. Error rates span "never fires" to
@@ -139,11 +141,11 @@ sampleCase(Random &rng, const FuzzerOptions &opts)
             prac.pracThreshold = pick(rng, kThresh);
             cfg.plugins.push_back(prac);
         }
-        // Per-bank refresh is event-only and needs a live refresh
-        // schedule free of the per-rank stagger and low-power states.
-        bool pbOk = !opts.cycleCompatible && cfg.timing.tREFI != 0 &&
-                    !cfg.perRankRefresh && !cfg.enablePowerDown &&
-                    !cfg.enableSelfRefresh;
+        // Per-bank refresh needs refresh, without stagger or low power.
+        bool pbOk =
+            mayUse([](auto &c) { c.plugins.push_back({"refmgr-pb"}); }) &&
+            cfg.timing.tREFI != 0 && !cfg.perRankRefresh &&
+            !cfg.enablePowerDown && !cfg.enableSelfRefresh;
         switch (rng.uniform(0, 3)) {
           case 0: {
             PluginSpec mgr;

@@ -41,15 +41,14 @@ struct FuzzerOptions
     /** Override for the per-run request count (0 keeps the sample). */
     std::uint64_t numRequests = 0;
     /**
-     * Keep the sample inside what the cycle comparator supports
-     * (Open/Closed page policy). Always wanted for differential runs;
-     * switch off to fuzz the event model alone against the checker.
+     * Draw what the differential run compares: nothing the cycle model
+     * refuses, FR-FCFS only, deep buffers. Switch off to fuzz the event
+     * model alone against the checker.
      */
     bool cycleCompatible = true;
     /**
      * Also draw a random plugin chain (ECC geometry/error rate, PRAC
-     * thresholds, refresh managers) for each case. Per-bank refresh
-     * only appears in event-only samples — the cycle model rejects it.
+     * thresholds, refresh managers) for each case.
      */
     bool withPlugins = false;
     /**

@@ -145,59 +145,71 @@ TEST_F(CycleCtrlTest, ClosedPageAutoPrecharges)
     EXPECT_EQ(ctrl->ctrlStats().readRowHits.value(), 0.0);
 }
 
-TEST_F(CycleCtrlTest, AdaptivePoliciesRejected)
+/**
+ * The fatal() message of building a cycle controller on @p cfg, or ""
+ * when it builds.
+ */
+std::string
+cycleCtorFatal(const DRAMCtrlConfig &cfg)
 {
     setThrowOnError(true);
-    Simulator s;
-    DRAMCtrlConfig cfg = testutil::bareTimingConfig();
-    cfg.pagePolicy = PagePolicy::OpenAdaptive;
-    EXPECT_THROW(CycleDRAMCtrl(s, "ctrl", cfg,
-                               AddrRange(0, cfg.org.channelCapacity)),
-                 std::runtime_error);
-    setThrowOnError(false);
-}
-
-/**
- * Low-power states and per-rank refresh are event-model features: the
- * cycle model refuses them with a fatal naming the option instead of
- * silently simulating without them.
- */
-TEST_F(CycleCtrlTest, LowPowerAndPerRankRefreshRejected)
-{
-    auto construct = [](const DRAMCtrlConfig &cfg) {
+    std::string what;
+    try {
         Simulator s;
         CycleDRAMCtrl ctrl(s, "ctrl", cfg,
                            AddrRange(0, cfg.org.channelCapacity));
-    };
-    auto fatalMessage = [&](const DRAMCtrlConfig &cfg) {
-        try {
-            construct(cfg);
-        } catch (const std::runtime_error &e) {
-            return std::string(e.what());
-        }
-        return std::string();
-    };
+    } catch (const std::runtime_error &e) {
+        what = e.what();
+    }
+    setThrowOnError(false);
+    return what;
+}
 
-    setThrowOnError(true);
+/**
+ * The page-policy rows of CycleDRAMCtrl::unsupportedFeature(): the
+ * adaptive policies are the event model's own.
+ */
+TEST_F(CycleCtrlTest, AdaptivePoliciesRejected)
+{
+    DRAMCtrlConfig cfg = testutil::bareTimingConfig();
+    for (PagePolicy p :
+         {PagePolicy::OpenAdaptive, PagePolicy::ClosedAdaptive}) {
+        cfg.pagePolicy = p;
+        EXPECT_STREQ(CycleDRAMCtrl::unsupportedFeature(cfg), toString(p));
+        EXPECT_NE(cycleCtorFatal(cfg).find(toString(p)),
+                  std::string::npos)
+            << toString(p);
+    }
+}
+
+/**
+ * The low-power and per-rank refresh rows: the cycle model refuses
+ * them with a fatal naming the feature instead of silently simulating
+ * without them. (The refmgr-pb row is PluginChainTest's.)
+ */
+TEST_F(CycleCtrlTest, LowPowerAndPerRankRefreshRejected)
+{
     DRAMCtrlConfig power_down = testutil::bareTimingConfig();
     power_down.enablePowerDown = true;
-    EXPECT_THROW(construct(power_down), std::runtime_error);
-    EXPECT_NE(fatalMessage(power_down).find("enablePowerDown"),
-              std::string::npos);
-
     DRAMCtrlConfig self_refresh = power_down;
     self_refresh.enableSelfRefresh = true;
     self_refresh.selfRefreshDelay = fromUs(1);
-    EXPECT_THROW(construct(self_refresh), std::runtime_error);
-    EXPECT_NE(fatalMessage(self_refresh).find("enableSelfRefresh"),
-              std::string::npos);
-
     DRAMCtrlConfig per_rank = testutil::bareTimingConfig();
     per_rank.perRankRefresh = true;
-    EXPECT_THROW(construct(per_rank), std::runtime_error);
-    EXPECT_NE(fatalMessage(per_rank).find("perRankRefresh"),
-              std::string::npos);
-    setThrowOnError(false);
+
+    const std::pair<DRAMCtrlConfig, const char *> rows[] = {
+        {power_down, "power-down"},
+        {self_refresh, "self-refresh"},
+        {per_rank, "per-rank refresh"},
+    };
+    for (const auto &[cfg, feature] : rows) {
+        EXPECT_STREQ(CycleDRAMCtrl::unsupportedFeature(cfg), feature);
+        EXPECT_NE(cycleCtorFatal(cfg).find(feature), std::string::npos)
+            << feature;
+    }
+    EXPECT_EQ(CycleDRAMCtrl::unsupportedFeature(
+                  testutil::bareTimingConfig()),
+              nullptr);
 }
 
 TEST_F(CycleCtrlTest, RefreshHappensUnderLoad)

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "dram/dram_presets.hh"
 #include "exec/batch_runner.hh"
 #include "exec/sweep.hh"
 #include "exec/thread_pool.hh"
@@ -235,6 +236,64 @@ TEST_P(CheckSpec, Verdict)
     EXPECT_EQ(err.empty(), GetParam().accepted) << err;
     // The error text is optional for the caller.
     EXPECT_EQ(checkSpec(spec, nullptr), GetParam().accepted);
+}
+
+/**
+ * Every row of CycleDRAMCtrl::unsupportedFeature() on a cycle axis is
+ * refused up front, naming the feature; the same grid on the event
+ * model alone is accepted.
+ */
+TEST(CheckSpecCycleAxis, RefusesEveryFeatureTheCycleModelLacks)
+{
+    using harness::CtrlModel;
+    auto verdict = [](const SweepSpec &spec, const char *feature) {
+        SweepSpec cycle = spec;
+        cycle.models = {CtrlModel::Event, CtrlModel::Cycle};
+        std::string err;
+        EXPECT_FALSE(checkSpec(cycle, &err)) << feature;
+        EXPECT_NE(err.find(feature), std::string::npos) << err;
+        SweepSpec event = spec;
+        event.models = {CtrlModel::Event};
+        EXPECT_TRUE(checkSpec(event, &err)) << feature << ": " << err;
+    };
+
+    for (PagePolicy p :
+         {PagePolicy::OpenAdaptive, PagePolicy::ClosedAdaptive}) {
+        SweepSpec spec;
+        spec.pages = {PagePolicy::Open, p};
+        verdict(spec, toString(p));
+    }
+    SweepSpec plugins;
+    plugins.plugins = "ecc,refmgr-pb";
+    verdict(plugins, "refmgr-pb");
+
+    // The low-power and per-rank rows come from a preset (a config
+    // file's, on the command line): register one for each.
+    const std::pair<const char *, std::function<void(DRAMCtrlConfig &)>>
+        rows[] = {
+            {"self-refresh",
+             [](DRAMCtrlConfig &c) {
+                 c.enablePowerDown = true;
+                 c.enableSelfRefresh = true;
+             }},
+            {"power-down",
+             [](DRAMCtrlConfig &c) { c.enablePowerDown = true; }},
+            {"per-rank refresh",
+             [](DRAMCtrlConfig &c) { c.perRankRefresh = true; }},
+        };
+    for (const auto &[feature, with] : rows) {
+        presets::registerPreset("test_cycle_probe", [with = with] {
+            DRAMCtrlConfig cfg = presets::ddr3_1333();
+            with(cfg);
+            return cfg;
+        });
+        SweepSpec spec;
+        spec.presets = {"ddr3_1333", "test_cycle_probe"};
+        verdict(spec, feature);
+    }
+    // Later tests see the probe name as a plain preset.
+    presets::registerPreset("test_cycle_probe",
+                            [] { return presets::ddr3_1333(); });
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -35,7 +35,9 @@
 #include <string>
 #include <vector>
 
+#include "cyclesim/cycle_ctrl.hh"
 #include "dram/cmd_log.hh"
+#include "dram/dram_ctrl.hh"
 #include "dram/dram_presets.hh"
 #include "dram/plugin/plugin.hh"
 #include "dram/protocol_checker.hh"
@@ -97,7 +99,7 @@ TEST(PluginChainTest, BuildMatchesConfigOrder)
     ASSERT_TRUE(plugin::parsePluginList("prac,ecc,refmgr-pb", cfg, err));
 
     stats::Group root("ctrl");
-    PluginChain chain = plugin::buildChain(cfg, root, false, "ctrl");
+    PluginChain chain = plugin::buildChain(cfg, root, "ctrl");
     ASSERT_EQ(chain.size(), 3u);
     EXPECT_STREQ(chain.plugins()[0]->kind(), "prac");
     EXPECT_STREQ(chain.plugins()[1]->kind(), "ecc");
@@ -142,20 +144,31 @@ TEST(PluginChainTest, TwoRefreshManagersAreFatal)
     setThrowOnError(false);
 }
 
+/**
+ * The refmgr-pb row of CycleDRAMCtrl::unsupportedFeature(): the cycle
+ * comparator refuses the plugin by name, the event model runs it.
+ */
 TEST(PluginChainTest, PerBankRefreshRejectedOnCycleModel)
 {
     DRAMCtrlConfig cfg = presets::ddr3_1333();
     std::string err;
     ASSERT_TRUE(plugin::parsePluginList("refmgr-pb", cfg, err));
-    stats::Group root("ctrl");
+    const AddrRange range(0, cfg.org.channelCapacity);
     setThrowOnError(true);
-    EXPECT_THROW(plugin::buildChain(cfg, root, /*cycle_model=*/true,
-                                    "cycle_ctrl"),
-                 std::runtime_error);
-    setThrowOnError(false);
+    std::string what;
+    try {
+        Simulator sim;
+        cyclesim::CycleDRAMCtrl ctrl(sim, "cycle_ctrl", cfg, range);
+    } catch (const std::runtime_error &e) {
+        what = e.what();
+    }
+    EXPECT_NE(what.find("refmgr-pb"), std::string::npos) << what;
     // The event model accepts the same chain.
-    PluginChain chain = plugin::buildChain(cfg, root, false, "ctrl");
-    EXPECT_EQ(chain.size(), 1u);
+    EXPECT_NO_THROW({
+        Simulator sim;
+        DRAMCtrl ctrl(sim, "ctrl", cfg, range);
+    });
+    setThrowOnError(false);
 }
 
 // ------------------------------------------------------- ECC plugin

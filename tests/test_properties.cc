@@ -104,8 +104,9 @@ TEST_P(ControllerProperties, InvariantsHoldUnderRandomTraffic)
     EXPECT_EQ(Packet::liveCount(), live_before);
 }
 
-// The cycle model supports only the non-adaptive page policies, so the
-// cross-product is instantiated separately per model.
+// The cycle model refuses the adaptive page policies
+// (CycleDRAMCtrl::unsupportedFeature()), so the cross-product is
+// instantiated separately per model.
 INSTANTIATE_TEST_SUITE_P(
     EventModel, ControllerProperties,
     ::testing::Combine(

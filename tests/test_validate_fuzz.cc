@@ -10,11 +10,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
+#include "cyclesim/cycle_ctrl.hh"
 #include "dram/cmd_log.hh"
 #include "dram/dram_ctrl.hh"
+#include "dram/dram_presets.hh"
 #include "dram/protocol_checker.hh"
 #include "sim/random.hh"
 #include "sim/simulator.hh"
@@ -213,6 +216,47 @@ TEST(ValidateFuzz, SampledConfigsAreValidAndQueueSafe)
         EXPECT_GE(fc.cfg.writeBufferSize, worst);
         EXPECT_LE(fc.stream.windowSize, fc.cfg.org.channelCapacity);
     }
+}
+
+/**
+ * The fuzzer's cycle-compatible carve-outs consult
+ * CycleDRAMCtrl::unsupportedFeature(): no cycle-compatible sample may
+ * be refused by it, with or without plugins, from either preset pool,
+ * while event-only samples still draw every feature it names.
+ */
+TEST(ValidateFuzz, CycleCompatibleSamplesAreNeverRefusedByTheCycleModel)
+{
+    std::vector<std::string> drawn;
+    for (bool cycle : {true, false}) {
+        for (bool plugins : {false, true}) {
+            for (bool all_standards : {false, true}) {
+                FuzzerOptions fopts;
+                fopts.cycleCompatible = cycle;
+                fopts.withPlugins = plugins;
+                if (all_standards)
+                    fopts.standards = presets::names();
+                for (std::uint64_t seed = 1; seed <= 2000; ++seed) {
+                    Random rng(seed);
+                    FuzzCase fc = sampleCase(rng, fopts);
+                    const char *f =
+                        cyclesim::CycleDRAMCtrl::unsupportedFeature(
+                            fc.cfg);
+                    if (cycle)
+                        EXPECT_EQ(f, nullptr)
+                            << f << " in seed " << seed << ": "
+                            << summarize(fc);
+                    else if (f != nullptr)
+                        drawn.push_back(f);
+                }
+            }
+        }
+    }
+    for (const char *feature :
+         {"open_adaptive", "closed_adaptive", "self-refresh",
+          "power-down", "per-rank refresh"})
+        EXPECT_NE(std::find(drawn.begin(), drawn.end(), feature),
+                  drawn.end())
+            << "no event-only sample drew " << feature;
 }
 
 } // namespace

@@ -291,9 +291,8 @@ main(int argc, char **argv)
     DiffOptions dopts;
     dopts.bandwidthRelTol = opt.toleranceBw;
     dopts.latencyRelTol = opt.toleranceLat;
-    // The per-bank-refresh faults live in event-only plugin territory:
-    // the cycle model rejects refmgr-pb, so those runs audit the event
-    // model alone against the armed checker.
+    // The cycle model refuses refmgr-pb: per-bank-refresh faults audit
+    // the event model alone against the armed checker.
     bool perBankFault =
         opt.injectMode == "trfcpb" || opt.injectMode == "refpb";
     if (opt.injectMode == "trcd")
