@@ -137,6 +137,13 @@ tool fuzz_cli fuzz_verbose --runs 8 --seed 1 --verbose
 tool fuzz_cli fuzz_repro_trcd --repro tests/repros/injected_trcd_fault.json
 tool fuzz_cli fuzz_repro_clean --repro tests/repros/clean_baseline.json
 
+# A grid with a point the cycle model cannot run is refused before any
+# job runs: exit 1, naming the feature.
+both sweep_cli sweep_cycle_refused --preset ddr3_1333 \
+    --page open,open_adaptive --model both --requests 200
+both dramctrl_cli runs_cycle_refused --preset ddr3_1333 --model cycle \
+    --runs 3 --page open_adaptive
+
 # Every tool's --help.
 both dramctrl_cli help_dramctrl_cli --help
 both sweep_cli help_sweep_cli --help
