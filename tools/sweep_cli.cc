@@ -106,7 +106,11 @@ parseArgs(int argc, char **argv, SweepCliOptions &opt)
                    for (const std::string &s : splitCsv(v))
                        spec.ittNs.push_back(parseDouble("--itt-ns", s));
                }),
-        custom("--model", "NAME", "event|cycle|both (default event)",
+        custom("--model", "NAME",
+               "event|cycle|both (default event); a grid\n"
+               "with a point the cycle model cannot run\n"
+               "exits 1 before any run (the one list:\n"
+               "docs/STANDARDS.md section 8)",
                [&spec](const std::string &m) {
                    using harness::CtrlModel;
                    if (m == "event")
@@ -134,8 +138,7 @@ parseArgs(int argc, char **argv, SweepCliOptions &opt)
              "from the shared snapshot (needs --warmup)"),
         text("--plugins", "LIST", spec.plugins,
              "controller plugin chain applied to every\n"
-             "point (csv of ecc|prac|refmgr|refmgr-pb;\n"
-             "refmgr-pb needs --model event)"),
+             "point (csv of ecc|prac|refmgr|refmgr-pb)"),
         integer("--stride", "BYTES", spec.strideBytes,
                 "dram-pattern stride (default 256)"),
         integer("--banks", "N", spec.banks,
