@@ -38,13 +38,6 @@ RespPacketQueue::schedSendResp(Packet *pkt, Tick when)
               pkt->toString().c_str());
     DC_ASSERT(when >= eventq_.curTick(), "response in the past");
 
-    // Reuse the slots of delivered entries before the vector would
-    // grow, so storage follows the queue's occupancy, not the length
-    // of a busy period that never drains it.
-    if (head_ > 0 && queue_.size() == queue_.capacity()) {
-        queue_.erase(queue_.begin(), queue_.begin() + head_);
-        head_ = 0;
-    }
     // Insert keeping time order; equal ticks keep push order.
     auto it = std::find_if(queue_.begin() + head_, queue_.end(),
                            [when](const Entry &e) { return e.when > when; });
