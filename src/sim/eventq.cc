@@ -132,8 +132,9 @@ EventQueue::reschedule(Event &ev, Tick when)
               static_cast<unsigned long long>(curTick_));
 
     // In place: take a fresh sequence number (a reschedule joins the
-    // back of its new tick/priority class, like deschedule+schedule)
-    // and sift from the current slot.
+    // back of its new tick/priority class, like deschedule+schedule;
+    // an arrival event keeps its fixed place) and sift from the
+    // current slot.
     ev.when_ = when;
     takeSeq(ev);
     siftDown(ev.heapSlot_);

@@ -151,7 +151,7 @@ TEST(ShardEngine, FiniteHorizonReachesExactly)
 // Independence of run() horizons
 // --------------------------------------------------------------------
 
-/** Logs, by name, each arrival its inbox hands it. */
+/** Logs each arrival its inbox hands it, as name@tick/arg. */
 class LoggingReceiver : public SimObject
 {
   public:
@@ -161,9 +161,9 @@ class LoggingReceiver : public SimObject
           inbox_(*this, "in",
                  [this](Tick t, Packet *p, std::uint64_t a) {
                      (void)p;
-                     (void)a;
                      log_.push_back(this->name() + "@" +
-                                    std::to_string(t));
+                                    std::to_string(t) + "/" +
+                                    std::to_string(a));
                      return true;
                  })
     {
@@ -176,7 +176,7 @@ class LoggingReceiver : public SimObject
     ShardInbox inbox_;
 };
 
-/** Posts one message to @p to at @p at, due at @p due. */
+/** Posts one message to @p to at @p at, due at @p due; arg: its shard. */
 class OneShotSender : public SimObject
 {
   public:
@@ -187,7 +187,8 @@ class OneShotSender : public SimObject
               [this] {
                   simulator().shardEngine().post(shardId(),
                                                  to_.shardId(), due_,
-                                                 to_.inbox(), nullptr, 0);
+                                                 to_.inbox(), nullptr,
+                                                 shardId());
               },
               this->name() + ".fire")
     {
@@ -201,14 +202,14 @@ class OneShotSender : public SimObject
 };
 
 /**
- * Two inboxes on shard 0, each sent one message due at the same tick:
- * from shard 2 at 17 ns and from shard 1 at 20 ns. In one window the
- * barrier merges them shard 1 first; a horizon between the two sends
- * delivers shard 2's at an earlier barrier. Either way the inboxes
- * must run in one order.
+ * Two messages due at the same tick, to inboxes a and b on shard 0 or
+ * (@p one_inbox) both to a: from shard 2 at 17 ns and from shard 1 at
+ * 20 ns. In one window the barrier merges them shard 1 first; a
+ * horizon between the two sends delivers shard 2's at an earlier
+ * barrier. Either way they must be handled in one order.
  */
 std::vector<std::string>
-runTwoInboxes(const std::vector<Tick> &horizons)
+runSameTickArrivals(const std::vector<Tick> &horizons, bool one_inbox)
 {
     const Tick lookahead = fromNs(4.0);
     const Tick due = fromNs(40.0);
@@ -220,8 +221,8 @@ runTwoInboxes(const std::vector<Tick> &horizons)
     std::unique_ptr<OneShotSender> to_b, to_a;
     {
         Simulator::ShardScope scope(sim, 1);
-        to_b = std::make_unique<OneShotSender>(sim, "to_b", b,
-                                               fromNs(20.0), due);
+        to_b = std::make_unique<OneShotSender>(
+            sim, "to_b", one_inbox ? a : b, fromNs(20.0), due);
     }
     {
         Simulator::ShardScope scope(sim, 2);
@@ -236,17 +237,23 @@ runTwoInboxes(const std::vector<Tick> &horizons)
 
 TEST(ShardEngine, SameTickInboxOrderDoesNotDependOnTheHorizon)
 {
-    const std::vector<std::string> ref = runTwoInboxes({});
-    ASSERT_EQ(ref.size(), 2u);
-    EXPECT_EQ(ref[0], "a@40000");
-    EXPECT_EQ(ref[1], "b@40000");
-    for (double ns = 1.0; ns < 40.0; ns += 1.0)
-        EXPECT_EQ(runTwoInboxes({fromNs(ns)}), ref)
-            << "horizon at " << ns << " ns";
-    std::vector<Tick> every_ns;
-    for (double ns = 1.0; ns < 40.0; ns += 1.0)
-        every_ns.push_back(fromNs(ns));
-    EXPECT_EQ(runTwoInboxes(every_ns), ref);
+    // Two inboxes run in the order they were built; one inbox hands
+    // same-tick entries over in sender order.
+    for (bool one_inbox : {false, true}) {
+        const std::vector<std::string> ref =
+            runSameTickArrivals({}, one_inbox);
+        const std::vector<std::string> want =
+            one_inbox ? std::vector<std::string>{"a@40000/1", "a@40000/2"}
+                      : std::vector<std::string>{"a@40000/2", "b@40000/1"};
+        EXPECT_EQ(ref, want);
+        std::vector<Tick> every_ns;
+        for (double ns = 1.0; ns < 40.0; ns += 1.0) {
+            EXPECT_EQ(runSameTickArrivals({fromNs(ns)}, one_inbox), ref)
+                << "horizon at " << ns << " ns";
+            every_ns.push_back(fromNs(ns));
+        }
+        EXPECT_EQ(runSameTickArrivals(every_ns, one_inbox), ref);
+    }
 }
 
 // --------------------------------------------------------------------
