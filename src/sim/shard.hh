@@ -8,26 +8,35 @@
  *
  *   [t_next, min(until + 1, t_next + lookahead))
  *
- * where t_next is the earliest event over all shards and the lookahead
- * is the minimum latency of any cross-shard interaction. Every
- * cross-shard effect travels as a message posted during window
- * execution and applied only at the barrier between windows. Because
- * every message carries latency >= lookahead, a message sent inside a
- * window is due after that window's last tick, so applying it at the
- * barrier is always causally safe (the classic conservative-
- * synchronisation argument, CMB-style): its target has not yet run the
- * tick it is due at.
+ * where the lookahead is the minimum latency of any cross-shard
+ * interaction and t_next is a lower bound on the earliest event over
+ * all shards. Every cross-shard effect travels as a message posted
+ * during a window and delivered after the barrier that ends it.
+ * Because every message carries latency >= lookahead, a message sent
+ * inside a window is due after that window's last tick, so delivering
+ * it after the barrier is always causally safe (the classic
+ * conservative-synchronisation argument, CMB-style): its target has
+ * not yet run the tick it is due at.
  *
- * Each window has two phases on a team of executors; executor e runs
- * the shards s with s % width == e. In the run phase every executor
- * simulates its shards to the window end. Once all have finished,
- * each executor delivers the messages bound for its own shards, in
- * (delivery tick, sender shard, per-sender send order) order, and
- * reports its shards' earliest next event. A delivery touches only its
- * target's shard and event sequence numbers are per queue, so this
- * per-target order is all that the results depend on: it is the
- * order a single global sort by (tick, target, sender, send order)
- * would give each target.
+ * A team of executors runs the windows; executor e runs the shards s
+ * with s % width == e. Each window has one barrier. An executor runs
+ * its shards to the window end and publishes a bound on the next
+ * window's start: the earliest of its shards' next events and of the
+ * due ticks of the messages they posted. It crosses the barrier, takes
+ * the minimum of all bounds (every executor gets the same one),
+ * delivers the messages bound for its own shards and runs the next
+ * window at once. The bound may be early (a delivery need not schedule
+ * anything), which costs an empty window, but it is never late.
+ *
+ * Messages go into outboxes keyed by (window parity, sender executor,
+ * receiver executor). Each has one writer and one reader, which
+ * empties it: the parity lets a sender run the next window while the
+ * receivers still read this one's, and the barrier keeps it from
+ * getting further ahead. An executor delivers in (due tick, sender
+ * shard, send order) order. A delivery touches only its target's shard
+ * and event sequence numbers are per queue, so this per-target order
+ * is all that the results depend on: it is the order a single global
+ * sort by (tick, target, sender, send order) would give each target.
  *
  * The upshot: the sequence of windows, the events run inside each
  * shard, and the delivery order into every shard are all pure
@@ -67,13 +76,14 @@ class ThreadPool;
 } // namespace exec
 
 /**
- * Receiving end of a cross-shard link. deliver() is invoked at a
- * barrier, on the executor that runs the target shard, with all
- * shards quiescent at a common tick <= @p when; the implementation
- * typically enqueues the payload and (re)schedules a wake-up event on
- * its owner's shard queue at @p when. Other executors deliver to
- * their own shards at the same time, so deliver() must touch only
- * state on its target shard, and must not post.
+ * Receiving end of a cross-shard link. deliver() runs after the barrier
+ * that ends the window the message was posted in, on the executor that
+ * runs the target shard, with that shard at a tick before @p when. The
+ * other executors deliver to their own shards, or already run their
+ * next window, at the same time, so deliver() must touch only state on
+ * its target shard and must not post. It typically enqueues the
+ * payload and (re)schedules a wake-up event on its owner's shard queue
+ * at @p when; it must schedule nothing earlier.
  */
 class ShardMailbox
 {
@@ -119,7 +129,7 @@ class ShardedEngine
      * Post a cross-shard message from @p from (the currently executing
      * shard) for delivery to @p box at @p when. Must satisfy
      * when >= senderNow + lookahead; the engine asserts it. Wait-free:
-     * each shard appends to its own outbox.
+     * each executor appends to its own outboxes.
      */
     void post(unsigned from, unsigned to, Tick when, ShardMailbox &box,
               Packet *pkt, std::uint64_t arg);
@@ -145,52 +155,57 @@ class ShardedEngine
     struct Msg
     {
         Tick when;
+        std::uint32_t from;
         std::uint32_t to;
+        /** Send order: a count of the sending executor's posts. */
+        std::uint64_t seq;
         ShardMailbox *box;
         Packet *pkt;
         std::uint64_t arg;
     };
 
-    /** Merge key of one message: its tick and place in the outboxes. */
-    struct MsgRef
+    /** The outbox of one (parity, sender, receiver), on its own line. */
+    struct alignas(64) Outbox
     {
-        Tick when;
-        std::uint32_t from;
-        /** Index in outbox_[from], i.e. the sender's send order. */
-        std::uint32_t pos;
+        std::vector<Msg> msgs;
     };
 
-    /**
-     * One executor's merge scratch and epoch results, a cache line
-     * apart: executors write their own entries concurrently.
-     */
+    /** What an executor publishes at the barrier, on its own line. */
+    struct alignas(64) Slot
+    {
+        /** Windows the executor has finished. */
+        std::atomic<std::uint64_t> done{0};
+        /** Per window parity: its bound on the next window's start. */
+        Tick bound[2] = {kMaxTick, kMaxTick};
+    };
+
+    /** One executor's own state, a cache line apart from the others. */
     struct alignas(64) Executor
     {
-        std::vector<MsgRef> inbound;
-        /** Earliest next event over this executor's shards. */
-        Tick nextTick = kMaxTick;
-        /** Messages this executor delivered in the last epoch. */
+        /** Windows run; the low bit is the parity its shards post in. */
+        std::uint64_t windows = 0;
+        std::uint64_t sent = 0;
+        /** Earliest due tick its shards posted in this window. */
+        Tick minDue = kMaxTick;
         std::uint64_t delivered = 0;
+        std::vector<Msg> inbound;
     };
 
-    /**
-     * One epoch on every executor: the run phase to @p window_end when
-     * @p run_phase, then delivery.
-     *
-     * @return the earliest next event over all shards.
-     */
-    Tick runEpoch(bool run_phase, Tick window_end);
+    Outbox &outbox(std::uint64_t parity, unsigned from, unsigned to)
+    {
+        return outboxes_[((parity & 1) * width_ + from) * width_ + to];
+    }
 
-    /** Executor @p id's share of the current epoch. */
-    void executeEpoch(unsigned id);
+    /** Executor @p id's share of run(): windows, barriers, delivery. */
+    void runWindows(unsigned id);
 
-    /** Deliver the posted messages bound for executor @p id's shards. */
-    void deliverInbound(unsigned id);
+    /** Deliver @p in, sorted, and empty it. */
+    void deliverSorted(std::vector<Msg> &in);
 
     /** Advance every shard's clock to @p until (no events due). */
     void advanceAll(Tick until);
 
-    /** Spawn the worker team on first parallel epoch. */
+    /** Spawn the worker team on the first parallel run. */
     void ensureWorkers();
 
     /** Long-running loop each pool worker executes. */
@@ -199,12 +214,8 @@ class ShardedEngine
     Simulator &sim_;
     const Tick lookahead_;
 
-    /**
-     * Per-sender-shard outboxes; only shard i's executor writes
-     * outbox_[i]. Kept after delivery until that executor's next run
-     * phase (or the end of run()), since every executor reads them.
-     */
-    std::vector<std::vector<Msg>> outbox_;
+    std::vector<Outbox> outboxes_;
+    std::vector<Slot> slots_;
     std::vector<Executor> executors_;
 
     std::uint64_t windows_ = 0;
@@ -216,13 +227,11 @@ class ShardedEngine
     std::unique_ptr<exec::ThreadPool> pool_;
     bool workersStarted_ = false;
 
-    /** Epoch state: a new epoch publishes these to the workers. */
-    bool runPhase_ = false;
-    Tick windowEnd_ = 0;
-    std::atomic<std::uint64_t> epoch_{0};
-    /** Executors still in the run phase; delivery waits for zero. */
-    std::atomic<unsigned> running_{0};
-    /** Workers still in the epoch; the coordinator waits for zero. */
+    /** Run state: a new run publishes these to the workers. */
+    Tick startTick_ = 0;
+    Tick until_ = 0;
+    std::atomic<std::uint64_t> runs_{0};
+    /** Workers still in the run; the coordinator waits for zero. */
     std::atomic<unsigned> pending_{0};
     std::atomic<bool> stop_{false};
     std::atomic<unsigned> parked_{0};

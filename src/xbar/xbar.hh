@@ -21,9 +21,9 @@
  *  - All traffic between the two sides — requests, responses and the
  *    flow-control credits that replace synchronous retries — travels
  *    as messages: through ShardedEngine::post() when the simulator is
- *    sharded (applied at window barriers in the engine's
- *    deterministic merge order), straight into the receiver when it
- *    is not.
+ *    sharded (delivered after the barrier that ends the window, in
+ *    the engine's deterministic merge order), straight into the
+ *    receiver when it is not.
  *
  * Back pressure is credit based. Each front port holds kCredits
  * tokens per channel; a request consumes one and the channel returns
@@ -112,10 +112,10 @@ std::vector<AddrRange> interleavedRanges(Addr base,
  * the due tick. A handler returning false stalls the queue (the head
  * entry stays put) until the owner calls resume().
  *
- * With a sharded engine, deliver() runs at each barrier on the
+ * With a sharded engine, deliver() runs after each barrier on the
  * executor that runs the owner's shard, while other executors fill
- * their own shards' inboxes; it touches only the owner's queue and
- * this inbox. When the simulator is unsharded, the crossbar calls it
+ * their own shards' inboxes or run their next window; it touches only
+ * the owner's queue and this inbox. When the simulator is unsharded, the crossbar calls it
  * directly. Neither the barrier a message meets nor the order of
  * deliveries decides when an entry is handled: only its due tick, its
  * sender, and the order the sender sent in. The queue grows to its

@@ -369,6 +369,7 @@ struct MergeResult
     std::vector<std::vector<Delivery>> logs;
     std::uint64_t messages;
     std::uint64_t windows;
+    Tick end;
 };
 
 constexpr unsigned kMergeShards = 7;
@@ -376,7 +377,7 @@ constexpr unsigned kPreRunSender = 5;
 
 MergeResult
 runMergeOrder(unsigned threads, Tick lookahead,
-              const std::vector<Tick> &rounds)
+              const std::vector<Tick> &rounds, Tick until = kMaxTick)
 {
     Simulator sim("merge");
     sim.configureShards(kMergeShards, lookahead);
@@ -394,8 +395,8 @@ runMergeOrder(unsigned threads, Tick lookahead,
     // messages, but delivered at the barrier before any window.
     senders[kPreRunSender]->send(3, rounds[0] + lookahead);
 
-    sim.run(kMaxTick);
     MergeResult r;
+    r.end = sim.run(until);
     for (const RecordingMailbox &box : boxes)
         r.logs.push_back(box.log);
     r.messages = sim.shardEngine().numMessages();
@@ -443,6 +444,46 @@ TEST(ShardEngine, SameTickMergeOrderAtAnyWidth)
         EXPECT_EQ(r.messages, ref.messages) << threads << " threads";
         EXPECT_EQ(r.windows, ref.windows) << threads << " threads";
         EXPECT_EQ(r.logs, ref.logs) << threads << " threads";
+    }
+}
+
+TEST(ShardEngine, RunLeavesNoMessageInFlight)
+{
+    // The round fires in the run's last window, [10 ns, 11 ns], and its
+    // messages are due after the horizon: run() must still have put
+    // them in their mailboxes when it returns.
+    const Tick lookahead = fromNs(4.0);
+    const Tick until = fromNs(11.0);
+    MergeResult ref = runMergeOrder(1, lookahead, {fromNs(10.0)}, until);
+    EXPECT_EQ(ref.messages, 1 + 4 * kMergeShards);
+    for (unsigned threads : {1u, 2u, 3u, 4u, 8u}) {
+        MergeResult r =
+            runMergeOrder(threads, lookahead, {fromNs(10.0)}, until);
+        EXPECT_EQ(r.end, until) << threads << " threads";
+        std::uint64_t logged = 0;
+        for (const std::vector<Delivery> &log : r.logs)
+            logged += log.size();
+        EXPECT_EQ(logged, ref.messages) << threads << " threads";
+        EXPECT_EQ(r.logs, ref.logs) << threads << " threads";
+    }
+}
+
+TEST(ShardEngine, SilentTailKeepsTheEndTick)
+{
+    // A RecordingMailbox schedules nothing, as a credit returning to a
+    // pool that is not stalled does. The last round's messages are due
+    // after the last event, so the next window may start at a tick
+    // where nothing runs; a run to exhaustion still ends at the tick
+    // of the last event serviced.
+    const Tick lookahead = fromNs(4.0);
+    const std::vector<Tick> rounds = {fromNs(10.0), fromNs(30.0)};
+    MergeResult ref = runMergeOrder(1, lookahead, rounds);
+    EXPECT_EQ(ref.end, rounds.back());
+    for (unsigned threads : {1u, 2u, 3u, 4u, 8u}) {
+        MergeResult r = runMergeOrder(threads, lookahead, rounds);
+        EXPECT_EQ(r.end, rounds.back()) << threads << " threads";
+        EXPECT_EQ(r.windows, ref.windows) << threads << " threads";
+        EXPECT_EQ(r.messages, ref.messages) << threads << " threads";
     }
 }
 
