@@ -20,6 +20,7 @@
 
 #include "bench_util.hh"
 #include "cpu/workload.hh"
+#include "harness/multichannel.hh"
 
 using namespace dramctrl;
 using namespace dramctrl::bench;
@@ -57,7 +58,7 @@ runSystem(harness::CtrlModel model, const WorkloadProfile &wl)
     r.simSeconds = toSeconds(end);
     r.ipc = sys.aggregateIPC();
     r.l2MissNs = sys.l2MissLatencyNs();
-    r.busUtil = sys.avgBusUtil();
+    r.busUtil = sys.mem().avgBusUtil();
     r.hostSeconds = std::chrono::duration<double>(t1 - t0).count();
     return r;
 }

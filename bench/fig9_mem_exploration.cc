@@ -28,6 +28,7 @@
 #include "cpu/workload.hh"
 #include "dram/dram_ctrl.hh"
 #include "exec/batch_runner.hh"
+#include "harness/multichannel.hh"
 
 using namespace dramctrl;
 using namespace dramctrl::bench;
@@ -80,13 +81,13 @@ runTech(const std::string &preset, unsigned channels)
     TechResult r;
     r.ipc = sys.aggregateIPC();
     r.l2MissNs = sys.l2MissLatencyNs();
-    r.busUtil = sys.avgBusUtil();
-    r.bandwidthGBs = sys.totalBandwidthGBs();
+    r.busUtil = sys.mem().avgBusUtil();
+    r.bandwidthGBs = sys.mem().totalBandwidthGBs();
 
     // Aggregate the latency breakdown over the channels, weighted by
     // serviced read bursts.
     double bursts = 0, q = 0, svc = 0;
-    for (unsigned ch = 0; ch < sys.numChannels(); ++ch) {
+    for (unsigned ch = 0; ch < sys.mem().numChannels(); ++ch) {
         auto &ctrl = dynamic_cast<DRAMCtrl &>(sys.ctrl(ch));
         const auto &s = ctrl.ctrlStats();
         double b = s.readBursts.value() - s.servicedByWrQ.value();

@@ -1,6 +1,7 @@
 #include "harness/multichannel.hh"
 
 #include <algorithm>
+#include <numeric>
 
 #include "dram/dram_presets.hh"
 #include "sim/logging.hh"
@@ -18,8 +19,8 @@ MultiChannelSystem::MultiChannelSystem(const MultiChannelConfig &cfg)
 
     // One shard per channel; the crossbar's cheapest cross-shard hop
     // bounds how far shards may drift apart.
-    sim_.configureShards(cfg_.channels,
-                         Crossbar::lookahead(cfg_.xbar));
+    const XBarConfig xbar_cfg;
+    sim_.configureShards(cfg_.channels, Crossbar::lookahead(xbar_cfg));
     sim_.setSimThreads(cfg_.simThreads);
 
     std::uint64_t total_mem =
@@ -28,7 +29,7 @@ MultiChannelSystem::MultiChannelSystem(const MultiChannelConfig &cfg)
                                     ? cfg_.interleaveGranularity
                                     : 64;
 
-    xbar_ = std::make_unique<Crossbar>(sim_, "mem_xbar", cfg_.xbar);
+    xbar_ = std::make_unique<Crossbar>(sim_, "mem_xbar", xbar_cfg);
     auto ranges = interleavedRanges(0, total_mem, granularity,
                                     cfg_.channels);
     for (unsigned ch = 0; ch < cfg_.channels; ++ch) {
@@ -96,6 +97,16 @@ MultiChannelSystem::finishCapture()
 }
 
 bool
+MultiChannelSystem::idle() const
+{
+    return std::all_of(ctrls_.begin(), ctrls_.end(),
+                       [](const std::unique_ptr<MemCtrlBase> &c) {
+                           return c->idle();
+                       }) &&
+           xbar_->idle();
+}
+
+bool
 MultiChannelSystem::drained() const
 {
     bool gens_done = std::all_of(
@@ -106,14 +117,7 @@ MultiChannelSystem::drained() const
         [](const std::unique_ptr<TracePlayer> &p) {
             return p->done();
         });
-    if (!gens_done || !players_done)
-        return false;
-    bool ctrls_idle = std::all_of(
-        ctrls_.begin(), ctrls_.end(),
-        [](const std::unique_ptr<MemCtrlBase> &c) {
-            return c->idle();
-        });
-    return ctrls_idle && xbar_->idle();
+    return gens_done && players_done && idle();
 }
 
 Tick
@@ -135,6 +139,24 @@ MultiChannelSystem::attachCmdLoggers()
             ctrls_[ch]->setCmdLogger(&(*cmdLoggers_)[ch]);
     }
     return *cmdLoggers_;
+}
+
+double
+MultiChannelSystem::totalBandwidthGBs() const
+{
+    double total = 0;
+    for (const auto &ctrl : ctrls_)
+        total += ctrl->achievedBandwidthGBs();
+    return total;
+}
+
+double
+MultiChannelSystem::avgBusUtil() const
+{
+    double total = 0;
+    for (const auto &ctrl : ctrls_)
+        total += ctrl->busUtilisation();
+    return total / static_cast<double>(ctrls_.size());
 }
 
 double
@@ -166,6 +188,142 @@ MultiChannelSystem::responses() const
     for (const auto &player : players_)
         total += player->responses();
     return total;
+}
+
+MultiCoreConfig::MultiCoreConfig()
+{
+    // Table II defaults.
+    l1.size = 64 * 1024;
+    l1.assoc = 2;
+    l1.blockSize = 64;
+    l1.hitLatency = fromNs(2.0);
+    l1.mshrs = 6;
+    l1.targetsPerMshr = 8;
+
+    l2.size = 512 * 1024;
+    l2.assoc = 8;
+    l2.blockSize = 64;
+    l2.hitLatency = fromNs(12.0);
+    l2.mshrs = 16;
+    l2.targetsPerMshr = 8;
+}
+
+namespace {
+
+/** Check the closed loop's shape; return its memory side. */
+MultiChannelConfig
+memorySide(const MultiCoreConfig &cfg, const WorkloadProfile &workload)
+{
+    if (cfg.numCores == 0 || cfg.channels == 0)
+        fatal("multi-core system needs at least one core and channel");
+    // An op that straddles an L1 block would reach the cache as one
+    // access to two blocks. Aligned ops of a size dividing the block
+    // never do; a zero size is the core's to reject.
+    if (workload.opSize != 0 && cfg.l1.blockSize % workload.opSize != 0)
+        fatal("multi-core system: op size %u does not divide the L1 "
+              "block size %u",
+              workload.opSize, cfg.l1.blockSize);
+
+    MultiChannelConfig mem;
+    mem.channels = cfg.channels;
+    mem.ctrl = cfg.ctrl;
+    mem.model = cfg.model;
+    mem.interleaveGranularity = cfg.l2.blockSize;
+    return mem;
+}
+
+} // namespace
+
+MultiCoreSystem::MultiCoreSystem(const MultiCoreConfig &cfg,
+                                 const WorkloadProfile &workload)
+    : mem_(memorySide(cfg, workload))
+{
+    Simulator &sim = mem_.sim();
+    Simulator::ShardScope scope(sim, 0);
+
+    std::uint64_t total_mem = mem_.totalCapacity();
+    // Each core's slice starts on a cache-block boundary, so an
+    // aligned op never straddles an L1 or L2 block.
+    std::uint64_t slice = total_mem / cfg.numCores;
+    slice -= slice % std::max(cfg.l1.blockSize, cfg.l2.blockSize);
+
+    // Clamp each core's working set into its slice of physical memory.
+    WorkloadProfile wl = workload;
+    wl.footprintBytes = std::min(wl.footprintBytes, slice);
+
+    // Shared L2 between the L1-L2 crossbar and the memory crossbar.
+    // Its fills and writebacks carry the id of the core they serve,
+    // so its memory-side front answers for every core.
+    l2_ = std::make_unique<Cache>(sim, "l2", cfg.l2);
+    std::vector<RequestorId> core_ids(cfg.numCores);
+    std::iota(core_ids.begin(), core_ids.end(), RequestorId{0});
+    l2_->memSidePort().bind(mem_.xbar().addFrontPort(core_ids));
+
+    l1ToL2_ = std::make_unique<Crossbar>(sim, "l1_xbar", XBarConfig{});
+    l1ToL2_->addChannel(l2_->cpuSidePort(), AddrRange(0, total_mem));
+
+    // Cores and their private L1 data caches.
+    coreClock_ = std::make_unique<CoreClock>(sim.eventq(), "cpu_clock",
+                                             cfg.core.clockPeriod);
+    for (unsigned i = 0; i < cfg.numCores; ++i) {
+        auto l1 = std::make_unique<Cache>(
+            sim, "l1d" + std::to_string(i), cfg.l1);
+        l1->memSidePort().bind(
+            l1ToL2_->addFrontPort({static_cast<RequestorId>(i)}));
+
+        CoreConfig core_cfg = cfg.core;
+        core_cfg.numOps = cfg.opsPerCore;
+        core_cfg.memBase = slice * i;
+        core_cfg.seed = cfg.seed + i * 7919;
+
+        auto core = std::make_unique<TimingCore>(
+            sim, "core" + std::to_string(i), core_cfg, wl,
+            static_cast<RequestorId>(i), coreClock_.get());
+        core->dcachePort().bind(l1->cpuSidePort());
+
+        l1s_.push_back(std::move(l1));
+        cores_.push_back(std::move(core));
+    }
+}
+
+Tick
+MultiCoreSystem::runToCompletion(Tick max_ticks)
+{
+    auto done = [this] {
+        return std::all_of(cores_.begin(), cores_.end(),
+                           [](const std::unique_ptr<TimingCore> &c) {
+                               return c->done();
+                           });
+    };
+    runUntil(sim(), done, fromUs(5.0), max_ticks);
+
+    // The cores stop at their op budget with memory accesses still in
+    // flight; drain the hierarchy so every packet is delivered before
+    // any teardown or measurement.
+    auto drained = [this] {
+        return l2_->idle() &&
+               std::all_of(l1s_.begin(), l1s_.end(),
+                           [](const std::unique_ptr<Cache> &c) {
+                               return c->idle();
+                           }) &&
+               l1ToL2_->idle() && mem_.idle();
+    };
+    return runUntil(sim(), drained, fromUs(1.0), fromUs(1000.0));
+}
+
+double
+MultiCoreSystem::aggregateIPC() const
+{
+    double total = 0;
+    for (const auto &core : cores_)
+        total += core->ipc();
+    return total;
+}
+
+double
+MultiCoreSystem::l2MissLatencyNs() const
+{
+    return l2_->avgMissLatencyNs();
 }
 
 namespace {

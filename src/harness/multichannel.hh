@@ -1,15 +1,17 @@
 /**
  * @file
- * Sharded multi-channel system assembly.
+ * Sharded multi-channel system assembly: the one memory side.
  *
  * MultiChannelSystem is the scaling counterpart of the testbench's
- * SingleChannelSystem: N synthetic generators drive M channel
- * controllers through a Crossbar, with each channel (its
- * controller plus its half of the crossbar) bound to its own
- * simulation shard. Generators are distributed round-robin over the
- * channel shards. With --sim-threads > 1 the shards execute on a
- * worker team under the conservative windowed engine; the results are
- * byte-identical at every thread count (see sim/shard.hh).
+ * SingleChannelSystem: a Crossbar interleaving over M channel
+ * controllers, with each channel (its controller plus its half of the
+ * crossbar) bound to its own simulation shard. N synthetic generators
+ * drive it, distributed round-robin over the channel shards.
+ * MultiCoreSystem puts the Section IV closed loop (cores, L1s, a
+ * shared L2) in front of the same memory side instead, on shard 0.
+ * With --sim-threads > 1 the shards execute on a worker team under
+ * the conservative windowed engine; the results are byte-identical at
+ * every thread count (see sim/shard.hh).
  */
 
 #ifndef DRAMCTRL_HARNESS_MULTICHANNEL_H
@@ -20,6 +22,9 @@
 #include <string>
 #include <vector>
 
+#include "cpu/cache.hh"
+#include "cpu/timing_core.hh"
+#include "cpu/workload.hh"
 #include "dram/cmd_log.hh"
 #include "harness/testbench.hh"
 #include "mem/mem_ctrl_iface.hh"
@@ -38,7 +43,6 @@ struct MultiChannelConfig
     unsigned channels = 2;
     DRAMCtrlConfig ctrl;
     CtrlModel model = CtrlModel::Event;
-    XBarConfig xbar;
     /** Channel interleaving granularity (0 = one 64 B block). */
     std::uint64_t interleaveGranularity = 0;
     /** Worker threads for the sharded engine (1 = sequential). */
@@ -47,7 +51,7 @@ struct MultiChannelConfig
 
 /**
  * N generators -> crossbar -> one controller per channel,
- * one shard per channel.
+ * one shard per channel. The crossbar runs at XBarConfig's defaults.
  */
 class MultiChannelSystem
 {
@@ -114,7 +118,10 @@ class MultiChannelSystem
         return static_cast<unsigned>(players_.size());
     }
 
-    /** All generators done, controllers drained, crossbar idle. */
+    /** Controllers drained and crossbar idle. */
+    bool idle() const;
+
+    /** All generators done and idle(). */
     bool drained() const;
 
     /** Run until drained() (or the tick budget is spent). */
@@ -126,13 +133,11 @@ class MultiChannelSystem
      */
     std::vector<CmdLogger> &attachCmdLoggers();
 
-    double
-    totalBandwidthGBs() const
-    {
-        return harness::totalBandwidthGBs(ctrls_);
-    }
+    /** Achieved DRAM bandwidth summed over the channels, GByte/s. */
+    double totalBandwidthGBs() const;
 
-    double avgBusUtil() const { return harness::avgBusUtil(ctrls_); }
+    /** Bus utilisation averaged over the channels. */
+    double avgBusUtil() const;
 
     /** Mean end-to-end read latency over all generators, ns. */
     double avgReadLatencyNs() const;
@@ -158,6 +163,67 @@ class MultiChannelSystem
     bool captureDone_ = false;
     /** Stable storage: controllers hold pointers into this. */
     std::unique_ptr<std::vector<CmdLogger>> cmdLoggers_;
+};
+
+/** Parameters of the Section IV multi-core system. */
+struct MultiCoreConfig
+{
+    unsigned numCores = 4;
+    CoreConfig core;
+    CacheConfig l1;
+    CacheConfig l2;
+    /**
+     * Channels (each gets one controller of @p ctrl's configuration
+     * and one shard); they interleave at the L2 block size.
+     */
+    unsigned channels = 1;
+    DRAMCtrlConfig ctrl;
+    CtrlModel model = CtrlModel::Event;
+    /** Ops per core. */
+    std::uint64_t opsPerCore = 200'000;
+    std::uint64_t seed = 1;
+
+    MultiCoreConfig();
+};
+
+/**
+ * N cores -> private L1 data caches -> L1-L2 crossbar -> shared L2,
+ * in front of a MultiChannelSystem (memory crossbar, one controller
+ * and one shard per channel). The cores, caches and L1-L2 crossbar
+ * live on shard 0; a one-channel loop runs on a single queue.
+ */
+class MultiCoreSystem
+{
+  public:
+    MultiCoreSystem(const MultiCoreConfig &cfg,
+                    const WorkloadProfile &workload);
+
+    Simulator &sim() { return mem_.sim(); }
+    /** The memory side: crossbar, controllers and shards. */
+    MultiChannelSystem &mem() { return mem_; }
+
+    TimingCore &core(unsigned i) { return *cores_.at(i); }
+    Cache &l1(unsigned i) { return *l1s_.at(i); }
+    Cache &l2() { return *l2_; }
+    MemCtrlBase &ctrl(unsigned ch) { return mem_.ctrl(ch); }
+
+    /** Run until every core committed its ops (or the tick budget). */
+    Tick runToCompletion(Tick max_ticks = fromUs(1000000));
+
+    /** Aggregate instructions per cycle over all cores. */
+    double aggregateIPC() const;
+
+    /** Average L2 miss (fill) latency in ns. */
+    double l2MissLatencyNs() const;
+
+  private:
+    MultiChannelSystem mem_;
+    /** The cores' shared clock; ticks them in index order. */
+    std::unique_ptr<CoreClock> coreClock_;
+    std::vector<std::unique_ptr<TimingCore>> cores_;
+    std::vector<std::unique_ptr<Cache>> l1s_;
+    std::unique_ptr<Crossbar> l1ToL2_;
+    std::unique_ptr<Cache> l2_;
 };
 
 /**

@@ -1,14 +1,15 @@
 /**
  * @file
- * System-assembly helpers shared by the tests, benchmarks and examples.
+ * System-assembly pieces shared by the tests, benchmarks, examples and
+ * tools: the controller factory, the synthetic Stimulus of a run,
+ * runUntil(), and SingleChannelSystem — one traffic generator driving
+ * one controller (either model) directly, the Section III validation
+ * setup.
  *
- * Two canned systems cover the paper's experiments:
- *
- *  - SingleChannelSystem: one traffic generator driving one controller
- *    (either model) directly — the Section III validation setup.
- *  - MultiCoreSystem: N timing cores with private L1s behind a shared
- *    L2, a memory crossbar interleaving over M channels — the
- *    Section IV case-study setup (Figure 1's structure).
+ * The crossbar systems build on one memory side, in multichannel.hh:
+ * MultiChannelSystem (generators or trace players over M channels)
+ * and MultiCoreSystem, the Section IV closed loop of cores and caches
+ * in front of it (Figure 1's structure).
  */
 
 #ifndef DRAMCTRL_HARNESS_TESTBENCH_H
@@ -20,9 +21,6 @@
 #include <type_traits>
 #include <vector>
 
-#include "cpu/cache.hh"
-#include "cpu/timing_core.hh"
-#include "cpu/workload.hh"
 #include "dram/cmd_log.hh"
 #include "dram/dram_ctrl.hh"
 #include "mem/mem_ctrl_iface.hh"
@@ -30,7 +28,6 @@
 #include "sim/simulator.hh"
 #include "trafficgen/base_gen.hh"
 #include "trafficgen/trace.hh"
-#include "xbar/xbar.hh"
 
 namespace dramctrl {
 class TraceWriter;
@@ -85,13 +82,6 @@ std::unique_ptr<MemCtrlBase> makeController(Simulator &sim,
                                             AddrRange range,
                                             CtrlModel model);
 
-/** Bus utilisation averaged over @p ctrls. */
-double avgBusUtil(const std::vector<std::unique_ptr<MemCtrlBase>> &ctrls);
-
-/** Achieved DRAM bandwidth summed over @p ctrls, GByte/s. */
-double totalBandwidthGBs(
-    const std::vector<std::unique_ptr<MemCtrlBase>> &ctrls);
-
 /**
  * Run @p sim in steps of @p step ticks until @p done returns true or
  * @p max_ticks elapse.
@@ -125,9 +115,10 @@ class SingleChannelSystem
 
     /**
      * Record every request the generator gets accepted into the
-     * controller to a .dtrc file, streamed with O(1) memory. Must be
-     * called before addGen(); the file is sealed by finishCapture()
-     * (idempotent, also run at destruction).
+     * controller: a .dtrc target streams with O(1) memory, a .txt
+     * target buffers. Must be called before addGen(). The file is
+     * written or sealed by finishCapture() (idempotent); only a .dtrc
+     * is also sealed at destruction.
      */
     void enableCapture(const std::string &path);
     void finishCapture();
@@ -230,77 +221,6 @@ class SingleChannelSystem
     BaseGen *gen_ = nullptr;
     TracePlayer *player_ = nullptr;
     std::vector<CmdLogger> cmdLoggers_;
-};
-
-/** Parameters of the Section IV multi-core system. */
-struct MultiCoreConfig
-{
-    unsigned numCores = 4;
-    CoreConfig core;
-    CacheConfig l1;
-    CacheConfig l2;
-    /** Channels (each gets one controller of @p ctrl's configuration). */
-    unsigned channels = 1;
-    DRAMCtrlConfig ctrl;
-    CtrlModel model = CtrlModel::Event;
-    /** Channel interleaving granularity (0 = one cache line). */
-    std::uint64_t interleaveGranularity = 0;
-    /** Ops per core. */
-    std::uint64_t opsPerCore = 200'000;
-    std::uint64_t seed = 1;
-
-    MultiCoreConfig();
-};
-
-/**
- * N cores -> private L1 data caches -> L1-L2 crossbar -> shared L2 ->
- * memory crossbar -> one controller per channel.
- */
-class MultiCoreSystem
-{
-  public:
-    MultiCoreSystem(const MultiCoreConfig &cfg,
-                    const WorkloadProfile &workload);
-
-    Simulator &sim() { return sim_; }
-
-    TimingCore &core(unsigned i) { return *cores_.at(i); }
-    Cache &l1(unsigned i) { return *l1s_.at(i); }
-    Cache &l2() { return *l2_; }
-    MemCtrlBase &ctrl(unsigned ch) { return *ctrls_.at(ch); }
-    unsigned numChannels() const
-    {
-        return static_cast<unsigned>(ctrls_.size());
-    }
-
-    /** Run until every core committed its ops (or the tick budget). */
-    Tick runToCompletion(Tick max_ticks = fromUs(1000000));
-
-    /** Aggregate instructions per cycle over all cores. */
-    double aggregateIPC() const;
-
-    /** Average L2 miss (fill) latency in ns. */
-    double l2MissLatencyNs() const;
-
-    double avgBusUtil() const { return harness::avgBusUtil(ctrls_); }
-
-    double
-    totalBandwidthGBs() const
-    {
-        return harness::totalBandwidthGBs(ctrls_);
-    }
-
-  private:
-    MultiCoreConfig cfg_;
-    Simulator sim_;
-    /** The cores' shared clock; ticks them in index order. */
-    std::unique_ptr<CoreClock> coreClock_;
-    std::vector<std::unique_ptr<TimingCore>> cores_;
-    std::vector<std::unique_ptr<Cache>> l1s_;
-    std::unique_ptr<Crossbar> l1ToL2_;
-    std::unique_ptr<Cache> l2_;
-    std::unique_ptr<Crossbar> memXbar_;
-    std::vector<std::unique_ptr<MemCtrlBase>> ctrls_;
 };
 
 } // namespace harness

@@ -27,8 +27,9 @@ class MetricsRegistry;
 
 /**
  * Owns simulated time and the roots of the stats tree. Model objects are
- * constructed by the user (typically via harness::Testbench) and register
- * themselves here; the simulator drives startup and time.
+ * constructed by the user (typically through a harness system builder,
+ * such as harness::SingleChannelSystem or harness::MultiChannelSystem)
+ * and register themselves here; the simulator drives startup and time.
  *
  * A simulator is single-queue by default. configureShards() turns it
  * into a sharded simulator: extra event queues are created and every

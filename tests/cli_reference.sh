@@ -75,6 +75,14 @@ both() {
     check "$name"
 }
 
+# filesum NAME FILE: record FILE's checksum ("missing" when the run
+# wrote no FILE) as NAME.out and compare it.
+filesum() {
+    if [ -e "$2" ]; then cksum < "$2"; else echo "missing $2"; fi \
+        > "$1.out"
+    check "$1"
+}
+
 # same A B: two outputs of this run must be byte-identical.
 same() {
     if ! cmp -s "$1.out" "$2.out"; then
@@ -93,9 +101,17 @@ run ch4_linear_audit --channels 4 --pattern linear --audit
 # A multi-channel capture, its bytes, and its replay.
 run ch4_capture --channels 4 --requests 4000 --trace-capture ch4.dtrc \
     --json
-cksum < ch4.dtrc > ch4_capture_file.out
-check ch4_capture_file
+filesum ch4_capture_file ch4.dtrc
 run ch4_replay --channels 4 --pattern trace --trace-in ch4.dtrc --json
+
+# A capture cut by a checkpoint is written at the split: the merged
+# multi-channel .dtrc, and a single-channel .txt.
+run ch4_capture_ckpt --channels 4 --requests 4000 \
+    --trace-capture ch4_ckpt.dtrc --ckpt-at 2000 --ckpt-out ch4_cap.ckpt
+filesum ch4_capture_ckpt_file ch4_ckpt.dtrc
+run capture_txt_ckpt --requests 4000 --trace-capture cap_ckpt.txt \
+    --ckpt-at 2000 --ckpt-out cap_txt.ckpt
+filesum capture_txt_ckpt_file cap_ckpt.txt
 
 # Checkpoint splits: split NAME NS ARGS... splits at NS ns.
 # (Shell variables are global, so this one must not reuse run's name.)

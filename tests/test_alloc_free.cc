@@ -24,6 +24,7 @@
 
 #include "cpu/workload.hh"
 #include "dram/dram_presets.hh"
+#include "harness/multichannel.hh"
 #include "harness/testbench.hh"
 #include "trafficgen/random_gen.hh"
 

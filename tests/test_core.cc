@@ -16,6 +16,7 @@
 #include "cpu/workload.hh"
 #include "dram/dram_ctrl.hh"
 #include "dram/dram_presets.hh"
+#include "harness/multichannel.hh"
 #include "harness/testbench.hh"
 #include "obs/stats_sampler.hh"
 #include "sim/logging.hh"
@@ -304,9 +305,9 @@ TEST(MultiCoreSystemTest, RunsToCompletionAndReportsMetrics)
     EXPECT_TRUE(sys.core(1).done());
     EXPECT_GT(sys.aggregateIPC(), 0.0);
     EXPECT_GT(sys.l2MissLatencyNs(), 0.0);
-    EXPECT_GE(sys.avgBusUtil(), 0.0);
-    EXPECT_LE(sys.avgBusUtil(), 1.0);
-    EXPECT_EQ(sys.numChannels(), 2u);
+    EXPECT_GE(sys.mem().avgBusUtil(), 0.0);
+    EXPECT_LE(sys.mem().avgBusUtil(), 1.0);
+    EXPECT_EQ(sys.mem().numChannels(), 2u);
 }
 
 TEST(MultiCoreSystemTest, BothControllerModelsComplete)

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "cyclesim/cycle_ctrl.hh"
+#include "harness/multichannel.hh"
 #include "harness/testbench.hh"
 #include "sim/logging.hh"
 #include "trafficgen/linear_gen.hh"

@@ -16,6 +16,7 @@
 #include "trafficgen/dram_gen.hh"
 #include "trafficgen/linear_gen.hh"
 #include "trafficgen/random_gen.hh"
+#include "xbar/xbar.hh"
 #include "test_util.hh"
 
 namespace dramctrl {

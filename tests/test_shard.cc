@@ -20,7 +20,9 @@
 #include <vector>
 
 #include "ckpt/ckpt.hh"
+#include "cpu/workload.hh"
 #include "dram/dram_presets.hh"
+#include "dram/protocol_checker.hh"
 #include "harness/multichannel.hh"
 #include "sim/shard.hh"
 #include "sim/simulator.hh"
@@ -784,6 +786,55 @@ TEST(ShardSystem, RequestsCompleteAndStatsAddUp)
     // controller must have seen traffic.
     for (unsigned ch = 0; ch < sys.numChannels(); ++ch)
         EXPECT_GT(sys.ctrl(ch).achievedBandwidthGBs(), 0.0);
+}
+
+// --------------------------------------------------------------------
+// The closed loop on the sharded memory side
+// --------------------------------------------------------------------
+
+/**
+ * Four canneal cores in front of four ddr3_1600 channels, run to
+ * completion at @p threads; every channel's commands must pass the
+ * protocol checker.
+ */
+SysResult
+runClosedLoop(unsigned threads)
+{
+    harness::MultiCoreConfig cfg;
+    cfg.numCores = 4;
+    cfg.channels = 4;
+    cfg.ctrl = presets::byName("ddr3_1600");
+    cfg.opsPerCore = 10000;
+    cfg.seed = 5;
+    harness::MultiCoreSystem sys(cfg, workloads::canneal());
+    EXPECT_EQ(sys.sim().numShards(), 4u);
+    sys.sim().setSimThreads(threads);
+    auto &loggers = sys.mem().attachCmdLoggers();
+
+    SysResult r;
+    r.finalTick = sys.runToCompletion();
+    for (unsigned i = 0; i < cfg.numCores; ++i)
+        EXPECT_TRUE(sys.core(i).done()) << "core " << i;
+    std::ostringstream os;
+    sys.sim().dumpStatsJson(os);
+    r.statsJson = os.str();
+    r.cmdLog = mergedCmdLog(loggers);
+    for (unsigned ch = 0; ch < loggers.size(); ++ch) {
+        ProtocolChecker checker(cfg.ctrl.org, cfg.ctrl.timing);
+        EXPECT_FALSE(loggers[ch].log().empty()) << "channel " << ch;
+        EXPECT_TRUE(checker.check(loggers[ch].log()).empty())
+            << "channel " << ch;
+    }
+    return r;
+}
+
+TEST(ClosedLoopShard, SameStatsAtOneAndFourThreads)
+{
+    SysResult one = runClosedLoop(1);
+    SysResult four = runClosedLoop(4);
+    EXPECT_EQ(one.finalTick, four.finalTick);
+    EXPECT_EQ(one.statsJson, four.statsJson);
+    EXPECT_EQ(one.cmdLog, four.cmdLog);
 }
 
 } // namespace

@@ -444,6 +444,7 @@ runSystem(const CliOptions &opt, const harness::ResolvedConfig &rc,
                   toSeconds(end) * 1e6);
         }
         ckpt::saveFile(sys.sim(), opt.ckptOut);
+        sys.finishCapture();
         if (!opt.json)
             std::printf("checkpoint:        %s (at %.2f us)\n",
                         opt.ckptOut.c_str(),
