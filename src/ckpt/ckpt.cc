@@ -892,30 +892,6 @@ restoreFromString(Simulator &sim, const std::string &buf)
 // JSON debug dump
 //
 
-namespace {
-
-void
-jsonEscape(std::ostream &os, const std::string &s)
-{
-    os << '"';
-    for (char c : s) {
-        switch (c) {
-          case '"': os << "\\\""; break;
-          case '\\': os << "\\\\"; break;
-          case '\n': os << "\\n"; break;
-          case '\t': os << "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                os << formatString("\\u%04x", c);
-            else
-                os << c;
-        }
-    }
-    os << '"';
-}
-
-} // namespace
-
 void
 dumpJson(std::istream &is, std::ostream &os)
 {
@@ -926,7 +902,7 @@ dumpJson(std::istream &is, std::ostream &os)
     for (std::size_t si = 0; si < in.sections_.size(); ++si) {
         const auto &sec = in.sections_[si];
         os << " {\"name\": ";
-        jsonEscape(os, sec.name);
+        writeJsonEscaped(os, sec.name);
         os << ", \"version\": " << sec.version << ", \"records\": {";
         bool first = true;
         for (const auto &[key, val] : sec.records) {
@@ -934,7 +910,7 @@ dumpJson(std::istream &is, std::ostream &os)
                 os << ",";
             first = false;
             os << "\n   ";
-            jsonEscape(os, key);
+            writeJsonEscaped(os, key);
             os << ": ";
             switch (val.type) {
               case RecordType::U64:
@@ -950,13 +926,13 @@ dumpJson(std::istream &is, std::ostream &os)
                 os << (val.b ? "true" : "false");
                 break;
               case RecordType::Str:
-                jsonEscape(os, val.str);
+                writeJsonEscaped(os, val.str);
                 break;
               case RecordType::Bytes: {
                 std::string hex;
                 for (unsigned char c : val.str)
                     hex += formatString("%02x", c);
-                jsonEscape(os, hex);
+                writeJsonEscaped(os, hex);
                 break;
               }
               case RecordType::U64Vec: {

@@ -22,9 +22,12 @@
  * use, so a file transcribing a preset parses to a byte-identical
  * configuration.
  *
- * Parsing is strict: unknown keys, type mismatches, and malformed
- * JSON are hard errors with messages naming the offending key —
- * misspelling "tRCD" must not silently leave the default in place.
+ * Parsing is strict: unknown keys, type mismatches, counts that are
+ * fractional, negative or too large for their field, durations that
+ * are negative or not finite, and malformed JSON are hard errors with
+ * messages naming the offending section and key — misspelling "tRCD"
+ * must not silently leave the default in place. Each section is one
+ * field table (validate::Field), which both reads and writes it.
  *
  * dumpConfig() emits every knob; its output re-parses (with no preset
  * installed) to a configuration with an identical fingerprint, which

@@ -1,7 +1,10 @@
 #include "harness/multichannel.hh"
 
 #include <algorithm>
+#include <functional>
 #include <numeric>
+#include <queue>
+#include <utility>
 
 #include "dram/dram_presets.hh"
 #include "sim/logging.hh"
@@ -72,26 +75,25 @@ MultiChannelSystem::finishCapture()
     captureDone_ = true;
 
     // Merge the per-generator streams (each tick-sorted by
-    // construction) into one tick-ordered file; ties break towards the
-    // lowest source index, deterministically.
+    // construction) into one tick-ordered file: a min-heap holds each
+    // stream's next (tick, source), so ties break towards the lowest
+    // source index, deterministically.
     TraceWriter writer(capturePath_, kTicksPerSecond,
                        kTraceFlagLiveCapture);
+    using Head = std::pair<Tick, unsigned>;
+    std::priority_queue<Head, std::vector<Head>, std::greater<Head>> heads;
     std::vector<std::size_t> idx(recorders_.size(), 0);
-    for (;;) {
-        int best = -1;
-        for (std::size_t i = 0; i < recorders_.size(); ++i) {
-            const auto &t = recorders_[i]->trace();
-            if (idx[i] >= t.size())
-                continue;
-            if (best < 0 ||
-                t[idx[i]].tick <
-                    recorders_[best]->trace()[idx[best]].tick)
-                best = static_cast<int>(i);
-        }
-        if (best < 0)
-            break;
-        writer.append(recorders_[best]->trace()[idx[best]++],
-                      static_cast<unsigned>(best));
+    for (unsigned src = 0; src < recorders_.size(); ++src) {
+        if (!recorders_[src]->trace().empty())
+            heads.push({recorders_[src]->trace()[0].tick, src});
+    }
+    while (!heads.empty()) {
+        const unsigned src = heads.top().second;
+        heads.pop();
+        const auto &t = recorders_[src]->trace();
+        writer.append(t[idx[src]++], src);
+        if (idx[src] < t.size())
+            heads.push({t[idx[src]].tick, src});
     }
     writer.finish();
 }

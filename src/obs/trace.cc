@@ -138,26 +138,9 @@ JsonlSink::write(Tick tick, TraceChannel ch, const std::string &msg)
         os_ << "null";
     else
         os_ << tick;
-    os_ << ", \"channel\": \"" << toString(ch) << "\", \"msg\": \"";
-    for (char c : msg) {
-        switch (c) {
-          case '"': os_ << "\\\""; break;
-          case '\\': os_ << "\\\\"; break;
-          case '\n': os_ << "\\n"; break;
-          case '\t': os_ << "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                os_ << buf;
-            } else {
-                os_ << c;
-            }
-        }
-    }
-    os_ << "\"}\n";
+    os_ << ", \"channel\": \"" << toString(ch) << "\", \"msg\": ";
+    writeJsonEscaped(os_, msg);
+    os_ << "}\n";
 }
 
 void

@@ -76,14 +76,18 @@ class ThreadPool;
 } // namespace exec
 
 /**
- * Receiving end of a cross-shard link. deliver() runs after the barrier
- * that ends the window the message was posted in, on the executor that
- * runs the target shard, with that shard at a tick before @p when. The
- * other executors deliver to their own shards, or already run their
- * next window, at the same time, so deliver() must touch only state on
- * its target shard and must not post. It typically enqueues the
- * payload and (re)schedules a wake-up event on its owner's shard queue
- * at @p when; it must schedule nothing earlier.
+ * Receiving end of a link between shards. For a message posted through
+ * ShardedEngine::post(), deliver() runs after the barrier that ends the
+ * window the message was posted in, on the executor that runs the
+ * target shard, with that shard at a tick before @p when. The other
+ * executors deliver to their own shards, or already run their next
+ * window, at the same time, so deliver() must touch only state on its
+ * target shard and must not post. It typically enqueues the payload
+ * and (re)schedules a wake-up event on its owner's shard queue at
+ * @p when; it must schedule nothing earlier. A sender on the target's
+ * own shard does not post: it calls deliver() itself when it sends (the
+ * crossbar does), so ShardedEngine::numMessages() counts only messages
+ * that cross shards.
  */
 class ShardMailbox
 {

@@ -1,8 +1,12 @@
 #include "validate/json_io.hh"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
+
+#include "sim/logging.hh"
 
 namespace dramctrl {
 namespace validate {
@@ -10,30 +14,6 @@ namespace validate {
 namespace {
 
 const Json kNull;
-
-void
-appendEscaped(std::string &out, const std::string &s)
-{
-    out += '"';
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    out += '"';
-}
 
 struct Parser
 {
@@ -241,6 +221,28 @@ struct Parser
 
 } // namespace
 
+bool
+Json::wholeNumber(std::uint64_t max, std::uint64_t &out) const
+{
+    if (isUInt_) {
+        out = uint_;
+        return uint_ <= max;
+    }
+    // Only negatives, fractions, exponent forms and numbers past 2^64
+    // parse to a double; of those, a whole number in range passes.
+    if (!(isNumber() && num_ >= 0 && num_ < 0x1p64 &&
+          std::floor(num_) == num_))
+        return false;
+    out = static_cast<std::uint64_t>(num_);
+    return out <= max;
+}
+
+Json::Json(const std::vector<unsigned> &list) : type_(Type::Array)
+{
+    for (unsigned u : list)
+        arr_.push_back(u);
+}
+
 const Json &
 Json::at(std::size_t i) const
 {
@@ -288,7 +290,7 @@ Json::dumpTo(std::string &out, int indent, int depth) const
         out += buf;
         break;
       }
-      case Type::String: appendEscaped(out, str_); break;
+      case Type::String: out += jsonEscaped(str_); break;
       case Type::Array: {
         out += '[';
         bool first = true;
@@ -312,7 +314,7 @@ Json::dumpTo(std::string &out, int indent, int depth) const
                 out += ',';
             first = false;
             newline(depth + 1);
-            appendEscaped(out, k);
+            out += jsonEscaped(k);
             out += indent >= 0 ? ": " : ":";
             v.dumpTo(out, indent, depth + 1);
         }
@@ -347,6 +349,121 @@ parseJson(const std::string &text, Json &out, std::string *err)
             *err = "trailing characters";
         return false;
     }
+    return true;
+}
+
+bool
+failAt(std::string *err, const std::string &where, const std::string &msg)
+{
+    if (err)
+        *err = where + ": " + msg;
+    return false;
+}
+
+namespace {
+
+bool
+mustBe(std::string &why, const char *key, const std::string &what)
+{
+    why = std::string("'") + key + "' must be " + what;
+    return false;
+}
+
+template <typename T>
+bool
+readCount(const Json &v, const char *key, T &out, std::string &why)
+{
+    constexpr std::uint64_t kMax = std::numeric_limits<T>::max();
+    std::uint64_t u = 0;
+    if (!v.isNumber())
+        return mustBe(why, key, "a number");
+    if (!v.wholeNumber(kMax, u))
+        return mustBe(why, key,
+                      "a whole number from 0 to " + std::to_string(kMax));
+    out = static_cast<T>(u);
+    return true;
+}
+
+} // namespace
+
+bool
+readAs(const Json &v, const char *key, unsigned &out, std::string &why)
+{
+    return readCount(v, key, out, why);
+}
+
+bool
+readAs(const Json &v, const char *key, std::uint64_t &out,
+       std::string &why)
+{
+    return readCount(v, key, out, why);
+}
+
+bool
+readAs(const Json &v, const char *key, double &out, std::string &why)
+{
+    if (!v.isNumber())
+        return mustBe(why, key, "a number");
+    out = v.asDouble();
+    return true;
+}
+
+bool
+readAs(const Json &v, const char *key, bool &out, std::string &why)
+{
+    if (v.type() != Json::Type::Bool)
+        return mustBe(why, key, "a boolean");
+    out = v.asBool();
+    return true;
+}
+
+bool
+readAs(const Json &v, const char *key, std::string &out,
+       std::string &why)
+{
+    if (v.type() != Json::Type::String)
+        return mustBe(why, key, "a string");
+    out = v.asString();
+    return true;
+}
+
+bool
+readAs(const Json &v, const char *key, std::vector<unsigned> &out,
+       std::string &why)
+{
+    if (!v.isArray())
+        return mustBe(why, key, "an array");
+    out.clear();
+    for (const Json &e : v.items()) {
+        if (!e.isNumber()) {
+            why = std::string("'") + key + "' entries must be numbers";
+            return false;
+        }
+        constexpr unsigned kMax = std::numeric_limits<unsigned>::max();
+        std::uint64_t u = 0;
+        if (!e.wholeNumber(kMax, u)) {
+            why = std::string("'") + key +
+                  "' entries must be whole numbers from 0 to " +
+                  std::to_string(kMax);
+            return false;
+        }
+        out.push_back(static_cast<unsigned>(u));
+    }
+    return true;
+}
+
+bool
+readNs(const Json &v, const char *key, Tick &out, std::string &why)
+{
+    if (!v.isNumber())
+        return mustBe(why, key, "a number (nanoseconds)");
+    // fromNs() converts ns * 1000 + 0.5 to a tick: it must fit one.
+    const double ns = v.asDouble();
+    if (!(ns >= 0 && ns * kTicksPerNs + 0.5 < 0x1p64))
+        return mustBe(why, key,
+                      "a finite, non-negative number (nanoseconds) "
+                      "below 1.8e16");
+    out = fromNs(ns);
     return true;
 }
 

@@ -13,32 +13,31 @@ namespace {
 
 constexpr const char *kFormat = "dramctrl-fuzz-repro-v2";
 
-Json
-streamParamsToJson(const StreamParams &sp)
-{
-    Json j = Json::object();
-    j.set("numRequests", sp.numRequests);
-    j.set("windowSize", sp.windowSize);
-    j.set("readPct", sp.readPct);
-    j.set("minITT", sp.minITT);
-    j.set("maxITT", sp.maxITT);
-    j.set("mixedSizes", sp.mixedSizes);
-    j.set("blockSize", sp.blockSize);
-    return j;
-}
+const FieldTable<StreamParams> kStreamParamsFields = {
+    {"numRequests", &StreamParams::numRequests},
+    {"windowSize", &StreamParams::windowSize},
+    {"readPct", &StreamParams::readPct},
+    {"minITT", &StreamParams::minITT},
+    {"maxITT", &StreamParams::maxITT},
+    {"mixedSizes", &StreamParams::mixedSizes},
+    {"blockSize", &StreamParams::blockSize},
+};
 
-void
-streamParamsFromJson(const Json &j, StreamParams &sp)
-{
-    sp.numRequests = j["numRequests"].asUInt(sp.numRequests);
-    sp.windowSize = j["windowSize"].asUInt(sp.windowSize);
-    sp.readPct = static_cast<unsigned>(j["readPct"].asUInt(sp.readPct));
-    sp.minITT = j["minITT"].asUInt(sp.minITT);
-    sp.maxITT = j["maxITT"].asUInt(sp.maxITT);
-    sp.mixedSizes = j["mixedSizes"].asBool(sp.mixedSizes);
-    sp.blockSize = static_cast<unsigned>(
-        j["blockSize"].asUInt(sp.blockSize));
-}
+const FieldTable<DiffOptions> kOptionsFields = {
+    {"bandwidthRelTol", &DiffOptions::bandwidthRelTol},
+    {"bandwidthAbsSlackNs", &DiffOptions::bandwidthAbsSlackNs},
+    {"latencyRelTol", &DiffOptions::latencyRelTol},
+    {"latencyAbsSlackNs", &DiffOptions::latencyAbsSlackNs},
+    {"saturationRatio", &DiffOptions::saturationRatio},
+    {"congestionFactor", &DiffOptions::congestionFactor},
+    {"maxTicks", &DiffOptions::maxTicks},
+    {"injectTRCDScale", &DiffOptions::injectTRCDScale},
+    {"injectPracSkip", &DiffOptions::injectPracSkip},
+    {"injectTRFCpbScale", &DiffOptions::injectTRFCpbScale},
+    {"injectRefPbStallFlat", &DiffOptions::injectRefPbStallFlat},
+    {"audit", &DiffOptions::audit},
+    {"runCycle", &DiffOptions::runCycle},
+};
 
 Json
 streamToJson(const RequestStream &stream)
@@ -71,53 +70,6 @@ streamFromJson(const Json &arr, RequestStream &stream)
     }
 }
 
-Json
-optsToJson(const DiffOptions &opts)
-{
-    Json j = Json::object();
-    j.set("bandwidthRelTol", opts.bandwidthRelTol);
-    j.set("bandwidthAbsSlackNs", opts.bandwidthAbsSlackNs);
-    j.set("latencyRelTol", opts.latencyRelTol);
-    j.set("latencyAbsSlackNs", opts.latencyAbsSlackNs);
-    j.set("saturationRatio", opts.saturationRatio);
-    j.set("congestionFactor", opts.congestionFactor);
-    j.set("maxTicks", opts.maxTicks);
-    j.set("injectTRCDScale", opts.injectTRCDScale);
-    j.set("injectPracSkip", opts.injectPracSkip);
-    j.set("injectTRFCpbScale", opts.injectTRFCpbScale);
-    j.set("injectRefPbStallFlat", opts.injectRefPbStallFlat);
-    j.set("audit", opts.audit);
-    j.set("runCycle", opts.runCycle);
-    return j;
-}
-
-void
-optsFromJson(const Json &j, DiffOptions &opts)
-{
-    opts.bandwidthRelTol =
-        j["bandwidthRelTol"].asDouble(opts.bandwidthRelTol);
-    opts.bandwidthAbsSlackNs =
-        j["bandwidthAbsSlackNs"].asDouble(opts.bandwidthAbsSlackNs);
-    opts.latencyRelTol = j["latencyRelTol"].asDouble(opts.latencyRelTol);
-    opts.latencyAbsSlackNs =
-        j["latencyAbsSlackNs"].asDouble(opts.latencyAbsSlackNs);
-    opts.saturationRatio =
-        j["saturationRatio"].asDouble(opts.saturationRatio);
-    opts.congestionFactor =
-        j["congestionFactor"].asDouble(opts.congestionFactor);
-    opts.maxTicks = j["maxTicks"].asUInt(opts.maxTicks);
-    opts.injectTRCDScale =
-        j["injectTRCDScale"].asDouble(opts.injectTRCDScale);
-    opts.injectPracSkip =
-        j["injectPracSkip"].asBool(opts.injectPracSkip);
-    opts.injectTRFCpbScale =
-        j["injectTRFCpbScale"].asDouble(opts.injectTRFCpbScale);
-    opts.injectRefPbStallFlat = static_cast<unsigned>(
-        j["injectRefPbStallFlat"].asUInt(opts.injectRefPbStallFlat));
-    opts.audit = j["audit"].asBool(opts.audit);
-    opts.runCycle = j["runCycle"].asBool(opts.runCycle);
-}
-
 } // namespace
 
 RequestStream
@@ -135,9 +87,10 @@ toJson(const ReproFile &repro)
     j.set("note", repro.note);
     j.set("preset", repro.fc.presetName);
     j.set("config", harness::configToJson(repro.fc.cfg));
-    j.set("streamParams", streamParamsToJson(repro.fc.stream));
+    j.set("streamParams",
+          writeFields(kStreamParamsFields, repro.fc.stream));
     j.set("streamSeed", repro.streamSeed);
-    j.set("options", optsToJson(repro.opts));
+    j.set("options", writeFields(kOptionsFields, repro.opts));
     if (!repro.stream.empty())
         j.set("stream", streamToJson(repro.stream));
     return j;
@@ -162,9 +115,15 @@ fromJson(const Json &j, ReproFile &repro, std::string *err)
     repro.fc.cfg = DRAMCtrlConfig{};
     if (!harness::configFromJson(j["config"], repro.fc.cfg, nullptr, err))
         return false;
-    streamParamsFromJson(j["streamParams"], repro.fc.stream);
+    if (j.has("streamParams") &&
+        !readFields(j["streamParams"], "streamParams", kStreamParamsFields,
+                    repro.fc.stream, err))
+        return false;
     repro.streamSeed = j["streamSeed"].asUInt();
-    optsFromJson(j["options"], repro.opts);
+    if (j.has("options") &&
+        !readFields(j["options"], "options", kOptionsFields, repro.opts,
+                    err))
+        return false;
     if (j.has("stream"))
         streamFromJson(j["stream"], repro.stream);
     return true;

@@ -738,12 +738,11 @@ void
 Crossbar::postMsg(unsigned from_shard, unsigned to_shard, Tick when,
                   ShardMailbox &box, Packet *pkt, std::uint64_t arg)
 {
-    if (sim_.sharded()) {
+    if (from_shard == to_shard)
+        box.deliver(when, pkt, arg);
+    else
         sim_.shardEngine().post(from_shard, to_shard, when, box, pkt,
                                 arg);
-    } else {
-        box.deliver(when, pkt, arg);
-    }
 }
 
 } // namespace dramctrl

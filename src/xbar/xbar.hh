@@ -112,15 +112,16 @@ std::vector<AddrRange> interleavedRanges(Addr base,
  * the due tick. A handler returning false stalls the queue (the head
  * entry stays put) until the owner calls resume().
  *
- * With a sharded engine, deliver() runs after each barrier on the
- * executor that runs the owner's shard, while other executors fill
- * their own shards' inboxes or run their next window; it touches only
- * the owner's queue and this inbox. When the simulator is unsharded, the crossbar calls it
- * directly. Neither the barrier a message meets nor the order of
- * deliveries decides when an entry is handled: only its due tick, its
- * sender, and the order the sender sent in. The queue grows to its
- * high-water mark and never shrinks, so a steady state delivers
- * without allocating.
+ * A message from another shard is delivered after each barrier, on
+ * the executor that runs the owner's shard, while other executors fill
+ * their own shards' inboxes or run their next window; deliver() then
+ * touches only the owner's queue and this inbox. A message from the
+ * owner's own shard (every message, when the simulator is unsharded)
+ * is delivered when it is sent. Neither the barrier a message meets
+ * nor the order of deliveries decides when an entry is handled: only
+ * its due tick, its sender, and the order the sender sent in. The
+ * queue grows to its high-water mark and never shrinks, so a steady
+ * state delivers without allocating.
  */
 class ShardInbox : public ShardMailbox
 {
@@ -235,8 +236,9 @@ class Crossbar
 
     /**
      * Send @p pkt / @p arg to @p box on @p to_shard, due @p when.
-     * Routes through the sharded engine when one exists, else
-     * delivers directly (same queue, same ordering).
+     * Delivers directly when @p box is on the sender's shard (always,
+     * when the simulator is unsharded: every shard id is 0), and
+     * posts through the sharded engine only across shards.
      */
     void postMsg(unsigned from_shard, unsigned to_shard, Tick when,
                  ShardMailbox &box, Packet *pkt, std::uint64_t arg);

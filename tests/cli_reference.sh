@@ -173,4 +173,11 @@ both sweep_cli bad_number_sweep_cli --seeds x
 both fuzz_cli bad_number_fuzz_cli --runs 1x
 both trace_cli bad_number_trace_cli head example.dtrc -n abc
 
+# A config file's count must be a whole number that fits its field: a
+# fractional one exits 1 naming the section and the key.
+printf '{"preset": "ddr3_1333", "organisation": {"banksPerRank": 8.7}}\n' \
+    > fractional_count.json
+both dramctrl_cli bad_count_config --config fractional_count.json \
+    --requests 200
+
 exit $status

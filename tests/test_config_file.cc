@@ -9,8 +9,10 @@
  * round-trip across fuzzer-drawn configurations over every registered
  * preset, locks the committed examples/ddr4.json to the ddr4_2400
  * preset byte-for-byte, and checks that malformed inputs — unknown
- * keys, type mismatches, truncated files, bogus enum values — fail
- * with errors that name the offending section and key.
+ * keys, type mismatches, truncated files, bogus enum values, counts
+ * that are fractional, negative or too large for their field,
+ * durations that are negative or not finite — fail with errors that
+ * name the offending section and key.
  */
 
 #include <gtest/gtest.h>
@@ -197,7 +199,47 @@ INSTANTIATE_TEST_SUITE_P(
         MalformedCase{"not_an_object", R"([1, 2, 3])", "object"},
         MalformedCase{"plugin_without_kind",
                       R"({"plugins": [{"pracThreshold": 4}]})",
-                      "kind"}),
+                      "kind"},
+        // Numbers are refused, not truncated, wrapped or cast.
+        MalformedCase{"count_wraps",
+                      R"({"organisation": {"banksPerRank": 4294967304}})",
+                      "organisation: 'banksPerRank' must be a whole "
+                      "number from 0 to 4294967295"},
+        MalformedCase{"count_fraction",
+                      R"({"organisation": {"banksPerRank": 8.7}})",
+                      "organisation: 'banksPerRank' must be a whole"},
+        MalformedCase{"count_negative",
+                      R"({"controller": {"minWritesPerSwitch": -1}})",
+                      "controller: 'minWritesPerSwitch' must be a whole"},
+        MalformedCase{"buffer_wraps",
+                      R"({"controller": {"readBufferSize": 4294967328}})",
+                      "controller: 'readBufferSize' must be a whole"},
+        MalformedCase{"u64_count_too_large",
+                      R"({"organisation": {"rowBufferSize": 2e20}})",
+                      "organisation: 'rowBufferSize' must be a whole"},
+        MalformedCase{"priority_fraction",
+                      R"({"controller": {"requestorPriorities": [1, 2.5]}})",
+                      "controller: 'requestorPriorities' entries must be "
+                      "whole numbers"},
+        MalformedCase{"plugin_count_fraction",
+                      R"({"plugins": [{"kind": "prac",
+                                       "pracThreshold": 4.5}]})",
+                      "plugins: 'pracThreshold' must be a whole"},
+        MalformedCase{"negative_tRCD",
+                      R"({"timing": {"tRCD": -5}})",
+                      "timing: 'tRCD' must be a finite, non-negative"},
+        MalformedCase{"negative_tRFCsb",
+                      R"({"timing": {"tRFCsb": -5}})",
+                      "timing: 'tRFCsb' must be a finite, non-negative"},
+        MalformedCase{"negative_tCCD_L",
+                      R"({"timing": {"tCCD_L": -1}})",
+                      "timing: 'tCCD_L' must be a finite, non-negative"},
+        MalformedCase{"infinite_duration",
+                      R"({"controller": {"tXS": 1e999}})",
+                      "controller: 'tXS' must be a finite, non-negative"},
+        MalformedCase{"duration_past_a_tick",
+                      R"({"plugins": [{"kind": "prac", "tRFM": 2e16}]})",
+                      "plugins: 'tRFM' must be a finite, non-negative"}),
     [](const ::testing::TestParamInfo<MalformedCase> &info) {
         return info.param.name;
     });

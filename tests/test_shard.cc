@@ -788,6 +788,39 @@ TEST(ShardSystem, RequestsCompleteAndStatsAddUp)
         EXPECT_GT(sys.ctrl(ch).achievedBandwidthGBs(), 0.0);
 }
 
+/**
+ * Cross-shard messages of a two-channel system (two shards) whose one
+ * generator, on channel 0's shard, sends every request to channel
+ * @p ch: the interleave step is a whole channel.
+ */
+std::uint64_t
+messagesToChannel(unsigned ch)
+{
+    harness::MultiChannelConfig cfg;
+    cfg.channels = 2;
+    cfg.ctrl = presets::byName("ddr3_1600");
+    cfg.interleaveGranularity = cfg.ctrl.org.channelCapacity;
+    harness::MultiChannelSystem sys(cfg);
+    GenConfig gc;
+    gc.startAddr = ch * cfg.ctrl.org.channelCapacity;
+    gc.windowSize = 1ULL << 20;
+    gc.numRequests = 100;
+    sys.addGen<RandomGen>(gc);
+    sys.runToCompletion();
+    EXPECT_TRUE(sys.gen(0).done());
+    EXPECT_GT(sys.ctrl(ch).achievedBandwidthGBs(), 0.0);
+    EXPECT_EQ(sys.ctrl(1 - ch).achievedBandwidthGBs(), 0.0);
+    return sys.sim().shardEngine().numMessages();
+}
+
+TEST(ShardSystem, OnlyCrossShardMessagesAreCounted)
+{
+    // Same shard: the crossbar delivers without the engine.
+    EXPECT_EQ(messagesToChannel(0), 0u);
+    // Other shard: at least each request and each response crosses.
+    EXPECT_GE(messagesToChannel(1), 200u);
+}
+
 // --------------------------------------------------------------------
 // The closed loop on the sharded memory side
 // --------------------------------------------------------------------

@@ -130,6 +130,37 @@ TEST(ValidateRepro, MisspeltConfigKeyIsRejected)
     EXPECT_NE(err.find("unknown key 'tRDC'"), std::string::npos) << err;
 }
 
+TEST(ValidateRepro, MisspeltOrMistypedStreamOrOptionKeyIsRejected)
+{
+    struct Case
+    {
+        const char *section;
+        const char *key;
+        Json value;
+        const char *expect;
+    };
+    const Case cases[] = {
+        {"streamParams", "numRequest", Json(5), "unknown key 'numRequest'"},
+        {"streamParams", "readPct", Json(70.5),
+         "'readPct' must be a whole number"},
+        {"options", "audit", Json("yes"), "'audit' must be a boolean"},
+        {"options", "maxTick", Json(5), "unknown key 'maxTick'"},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.key);
+        Json j = toJson(unusualRepro());
+        Json section = j[c.section];
+        section.set(c.key, c.value);
+        j.set(c.section, section);
+        ReproFile back;
+        std::string err;
+        EXPECT_FALSE(fromJson(j, back, &err));
+        EXPECT_NE(err.find(std::string(c.section) + ": " + c.expect),
+                  std::string::npos)
+            << err;
+    }
+}
+
 TEST(ValidateRepro, VersionOneFileNamesTheExpectedFormat)
 {
     Json j = toJson(unusualRepro());

@@ -218,9 +218,7 @@ parseArgs(int argc, char **argv, CliOptions &opt)
              "checkpoint target (default ckpt.bin)"),
         text("--ckpt-restore", "P", opt.ckptRestore,
              "restore checkpoint P (same config flags!)\n"
-             "before simulating to completion; only\n"
-             "a single-channel restore is byte-identical\n"
-             "to the uninterrupted run (see\n"
+             "before simulating to completion (see\n"
              "docs/CHECKPOINT.md)"),
         text("--ckpt-json", "PATH", opt.ckptJson,
              "print checkpoint PATH as JSON and exit"),
