@@ -18,8 +18,8 @@ namespace validate {
 namespace {
 
 /**
- * Sink interposer: counts commands by kind, then hands the record to
- * the online checker.
+ * Sink interposer: counts commands by kind and keeps the launch of the
+ * last column command, then hands the record to the online checker.
  */
 class CountingSink : public CmdSink
 {
@@ -37,6 +37,8 @@ class CountingSink : public CmdSink
           case DRAMCmd::Wr: ++wrs_; break;
           default: break;
         }
+        if (rec.cmd == DRAMCmd::Rd || rec.cmd == DRAMCmd::Wr)
+            lastColumn_ = std::max(lastColumn_, rec.tick);
         if (checker_)
             checker_->onCmdRecord(rec);
     }
@@ -44,12 +46,15 @@ class CountingSink : public CmdSink
     std::uint64_t acts() const { return acts_; }
     std::uint64_t rds() const { return rds_; }
     std::uint64_t wrs() const { return wrs_; }
+    /** Launch tick of the latest RD or WR seen. */
+    Tick lastColumn() const { return lastColumn_; }
 
   private:
     ProtocolChecker *checker_;
     std::uint64_t acts_ = 0;
     std::uint64_t rds_ = 0;
     std::uint64_t wrs_ = 0;
+    Tick lastColumn_ = 0;
 };
 
 template <typename CtrlT>
@@ -95,9 +100,13 @@ runModel(const FuzzCase &fc, const RequestStream &stream,
     checker.finish();
 
     mr.completed = player.done();
-    mr.completionTick = player.lastResponseTick()
-                            ? player.lastResponseTick()
-                            : end;
+    // Completion is the end of the last data burst on the DRAM bus,
+    // so a write-only stream is measured by its service, not by when
+    // the controller accepted its last write.
+    mr.completionTick =
+        sink.rds() + sink.wrs() > 0
+            ? sink.lastColumn() + fc.cfg.timing.tCL + fc.cfg.timing.tBURST
+            : end;
     mr.responses = player.responses();
     mr.spurious = player.spuriousResponses();
     mr.duplicates = player.duplicateResponses();

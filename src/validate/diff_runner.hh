@@ -118,6 +118,10 @@ struct DiffOptions
 struct ModelResult
 {
     bool completed = false;
+    /**
+     * End of the last data burst: the latest RD or WR launch plus tCL
+     * and tBURST (the end of the run when no column command issued).
+     */
     Tick completionTick = 0;
     std::uint64_t responses = 0;
     std::uint64_t spurious = 0;

@@ -1,6 +1,8 @@
 #include "validate/repro.hh"
 
+#include <algorithm>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 
 #include "harness/config_file.hh"
@@ -12,6 +14,11 @@ namespace validate {
 namespace {
 
 constexpr const char *kFormat = "dramctrl-fuzz-repro-v2";
+
+const std::string kTopLevelKeys[] = {
+    "format",       "note",       "preset",  "config",
+    "streamParams", "streamSeed", "options", "stream",
+};
 
 const FieldTable<StreamParams> kStreamParamsFields = {
     {"numRequests", &StreamParams::numRequests},
@@ -55,19 +62,29 @@ streamToJson(const RequestStream &stream)
     return arr;
 }
 
-void
-streamFromJson(const Json &arr, RequestStream &stream)
+/** Read the compact rows [gap, addr, size, isRead] into @p stream. */
+bool
+streamFromJson(const Json &arr, RequestStream &stream, std::string *err)
 {
+    if (!arr.isArray())
+        return failAt(err, "stream", "must be an array of rows");
     stream.reqs.clear();
     stream.reqs.reserve(arr.size());
-    for (const Json &row : arr.items()) {
+    std::string why;
+    for (std::size_t i = 0; i < arr.size(); ++i) {
+        const Json &row = arr.at(i);
+        const std::string where = "stream[" + std::to_string(i) + "]";
+        if (!row.isArray() || row.size() != 4)
+            return failAt(err, where, "must be [gap, addr, size, isRead]");
         StreamRequest r;
-        r.gap = row.at(0).asUInt();
-        r.addr = row.at(1).asUInt();
-        r.size = static_cast<unsigned>(row.at(2).asUInt(64));
-        r.isRead = row.at(3).asBool(true);
+        if (!readAs(row.at(0), "gap", r.gap, why) ||
+            !readAs(row.at(1), "addr", r.addr, why) ||
+            !readAs(row.at(2), "size", r.size, why) ||
+            !readAs(row.at(3), "isRead", r.isRead, why))
+            return failAt(err, where, why);
         stream.reqs.push_back(r);
     }
+    return true;
 }
 
 } // namespace
@@ -110,8 +127,18 @@ fromJson(const Json &j, ReproFile &repro, std::string *err)
                    "' (expected '" + kFormat + "')";
         return false;
     }
-    repro.note = j["note"].asString();
-    repro.fc.presetName = j["preset"].asString();
+    for (const auto &kv : j.members()) {
+        if (std::find(std::begin(kTopLevelKeys), std::end(kTopLevelKeys),
+                      kv.first) == std::end(kTopLevelKeys))
+            return failAt(err, "top level", "unknown key '" + kv.first + "'");
+    }
+    std::string why;
+    if ((j.has("note") && !readAs(j["note"], "note", repro.note, why)) ||
+        (j.has("preset") &&
+         !readAs(j["preset"], "preset", repro.fc.presetName, why)) ||
+        (j.has("streamSeed") &&
+         !readAs(j["streamSeed"], "streamSeed", repro.streamSeed, why)))
+        return failAt(err, "top level", why);
     repro.fc.cfg = DRAMCtrlConfig{};
     if (!harness::configFromJson(j["config"], repro.fc.cfg, nullptr, err))
         return false;
@@ -119,13 +146,12 @@ fromJson(const Json &j, ReproFile &repro, std::string *err)
         !readFields(j["streamParams"], "streamParams", kStreamParamsFields,
                     repro.fc.stream, err))
         return false;
-    repro.streamSeed = j["streamSeed"].asUInt();
     if (j.has("options") &&
         !readFields(j["options"], "options", kOptionsFields, repro.opts,
                     err))
         return false;
-    if (j.has("stream"))
-        streamFromJson(j["stream"], repro.stream);
+    if (j.has("stream") && !streamFromJson(j["stream"], repro.stream, err))
+        return false;
     return true;
 }
 

@@ -143,7 +143,6 @@ StreamPlayer::recvResp(Packet *pkt)
     DC_ASSERT(pkt->isResponse(), "player received %s",
               pkt->toString().c_str());
     ++responses_;
-    lastResponseTick_ = curTick();
 
     auto it = std::find_if(inflight_.begin(), inflight_.end(),
                            [&](const auto &e) {

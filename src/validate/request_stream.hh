@@ -112,8 +112,6 @@ class StreamPlayer : public SimObject
         return completions_;
     }
 
-    Tick lastResponseTick() const { return lastResponseTick_; }
-
     std::uint64_t readResponses() const { return readResponses_; }
 
     /** Mean end-to-end read latency in nanoseconds. */
@@ -154,7 +152,6 @@ class StreamPlayer : public SimObject
     std::uint64_t mismatched_ = 0;
     std::uint64_t readResponses_ = 0;
     Tick totReadLatency_ = 0;
-    Tick lastResponseTick_ = 0;
 
     std::vector<Tick> completions_;
     /** Packet id -> stream index of in-flight requests. */

@@ -153,6 +153,14 @@ tool fuzz_cli fuzz_verbose --runs 8 --seed 1 --verbose
 tool fuzz_cli fuzz_repro_trcd --repro tests/repros/injected_trcd_fault.json
 tool fuzz_cli fuzz_repro_clean --repro tests/repros/clean_baseline.json
 
+# A repro is read as strictly as a config file: a copy of the clean
+# baseline with a misspelt top-level key and a first stream row of
+# [1.5, "x"] exits 1 naming the key.
+sed -e 's/"streamSeed"/"streamSed"/' -e 's/^      2814,$/      1.5, "x"/' \
+    -e '/^      1799152,$/d' -e '/^      32,$/d' -e '/^      true$/d' \
+    tests/repros/clean_baseline.json > bad_repro.json
+both fuzz_cli bad_repro_key --repro bad_repro.json
+
 # A grid with a point the cycle model cannot run is refused before any
 # job runs: exit 1, naming the feature.
 both sweep_cli sweep_cycle_refused --preset ddr3_1333 \

@@ -161,6 +161,67 @@ TEST(ValidateRepro, MisspeltOrMistypedStreamOrOptionKeyIsRejected)
     }
 }
 
+TEST(ValidateRepro, TopLevelKeysAndStreamRowsAreChecked)
+{
+    Json row = Json::array();
+    row.push(Json(2814));
+    row.push(Json(1799152));
+    row.push(Json(32));
+    row.push(Json(true));
+    struct Case
+    {
+        const char *key;
+        int rowIndex; ///< row entry to replace, or -1: set key itself
+        Json value;
+        const char *expect;
+    };
+    const Case cases[] = {
+        {"streamSed", -1, Json(5), "top level: unknown key 'streamSed'"},
+        {"streamSeed", -1, Json(1.5),
+         "top level: 'streamSeed' must be a whole number"},
+        {"note", -1, Json(3), "top level: 'note' must be a string"},
+        {"stream", 0, Json(1.5), "stream[0]: 'gap' must be a whole number"},
+        {"stream", 1, Json("x"), "stream[0]: 'addr' must be a number"},
+        {"stream", 2, Json(-64), "stream[0]: 'size' must be a whole number"},
+        {"stream", 3, Json(1), "stream[0]: 'isRead' must be a boolean"},
+        {"stream", 4, Json(1), "stream[0]: must be [gap, addr, size, isRead]"},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.expect);
+        Json j = toJson(unusualRepro());
+        if (c.rowIndex < 0) {
+            j.set(c.key, c.value);
+        } else {
+            Json bad = Json::array();
+            for (int i = 0; i < 4; ++i)
+                bad.push(i == c.rowIndex ? c.value : row.at(i));
+            if (c.rowIndex == 4)
+                bad.push(c.value);
+            Json rows = Json::array();
+            rows.push(bad);
+            rows.push(row);
+            j.set(c.key, rows);
+        }
+        ReproFile back;
+        std::string err;
+        EXPECT_FALSE(fromJson(j, back, &err));
+        EXPECT_NE(err.find(c.expect), std::string::npos) << err;
+    }
+
+    Json rows = Json::array();
+    rows.push(row);
+    Json j = toJson(unusualRepro());
+    j.set("stream", rows);
+    ReproFile back;
+    std::string err;
+    ASSERT_TRUE(fromJson(j, back, &err)) << err;
+    ASSERT_EQ(back.stream.size(), 1u);
+    EXPECT_EQ(back.stream.reqs[0].gap, 2814u);
+    EXPECT_EQ(back.stream.reqs[0].addr, 1799152u);
+    EXPECT_EQ(back.stream.reqs[0].size, 32u);
+    EXPECT_TRUE(back.stream.reqs[0].isRead);
+}
+
 TEST(ValidateRepro, VersionOneFileNamesTheExpectedFormat)
 {
     Json j = toJson(unusualRepro());
