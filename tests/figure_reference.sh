@@ -1,8 +1,9 @@
 #!/usr/bin/env sh
 # Paper-accuracy figure references (`ctest -R figure_reference`).
 #
-# Runs every figure program that prints only simulated results and
-# compares its output with bench/baselines/<program>.txt, byte for
+# Runs every figure program that prints only simulated results (the
+# paper's figures and the supplementary benches EXPERIMENTS.md cites)
+# and compares its output with bench/baselines/<program>.txt, byte for
 # byte. fig8_fullsystem is not among them: it prints host time, so CI
 # diffs its simulated columns instead.
 #
@@ -26,7 +27,9 @@ status=0
 
 for fig in fig3_bw_open_read fig4_bw_open_mixed fig5_bw_closed_write \
     fig6_lat_linear_open fig7_lat_mixed_closed power_correlation \
-    fig9_mem_exploration; do
+    fig9_mem_exploration latency_load_curve ablation_addr_mapping \
+    ablation_page_policy ablation_powerdown ablation_qos \
+    ablation_queue_depth ablation_write_drain; do
     "$BENCH/$fig" > "$WORK/$fig.txt"
     if [ -n "$REGEN" ]; then
         cp "$WORK/$fig.txt" "$REF/$fig.txt"
