@@ -32,6 +32,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <memory>
 #include <string>
 
@@ -211,6 +212,9 @@ handleFailure(const FuzzCliOptions &opt, std::uint64_t run,
             }
             obs::removeSink(&traceSink);
             std::printf("  trace: %s.trace\n", base.c_str());
+        } else {
+            std::printf("  trace: FAILED to open %s.trace\n",
+                        base.c_str());
         }
         obs::setChannelMask(saved);
     }
@@ -287,6 +291,13 @@ main(int argc, char **argv)
         return replayRepro(opt);
     if (opt.runs == 0 && opt.durationS <= 0)
         fatal("--runs 0 needs --duration-s");
+    // Create --out-dir up front: a failing case's repro and trace
+    // must not be lost to a missing directory at the end of a run.
+    std::error_code ec;
+    std::filesystem::create_directories(opt.outDir, ec);
+    if (ec)
+        fatal("--out-dir: cannot create '%s': %s", opt.outDir.c_str(),
+              ec.message().c_str());
 
     DiffOptions dopts;
     dopts.bandwidthRelTol = opt.toleranceBw;
