@@ -58,24 +58,10 @@ main()
             cfg.minWritesPerSwitch = 1;
         };
         PointResult r = runLinearPoint(pc);
-
-        // 95th percentile from the histogram snapshot.
-        std::uint64_t total = 0;
-        for (const auto &[lo, n] : r.latencyBuckets)
-            total += n;
-        double p95 = 0;
-        std::uint64_t acc = 0;
-        for (const auto &[lo, n] : r.latencyBuckets) {
-            acc += n;
-            if (acc >= static_cast<std::uint64_t>(0.95 * total)) {
-                p95 = lo;
-                break;
-            }
-        }
-
         std::printf("%7.2f/%.2f %9.1f%% %12.1f %12.0f %12.1f\n",
                     k.high, k.low, 100 * r.busUtil,
-                    r.avgReadLatencyNs, p95, r.wrPerTurnaround);
+                    r.avgReadLatencyNs, r.p95ReadLatencyNs,
+                    r.wrPerTurnaround);
     }
 
     std::printf("\nexpected: tiny drain batches pay a bus turnaround "

@@ -19,7 +19,7 @@
 #include "harness/testbench.hh"
 #include "power/micron_power.hh"
 #include "sim/logging.hh"
-#include "stats/histogram.hh"
+#include "stats/tick_histogram.hh"
 #include "trafficgen/dram_gen.hh"
 #include "trafficgen/linear_gen.hh"
 #include "trafficgen/random_gen.hh"
@@ -59,9 +59,11 @@ struct PointResult
     double rowHitRate = 0;
     PowerInputs powerIn;
     DRAMCtrlConfig cfg;
-    /** Read latency histogram snapshot (ns). */
+    /** Read latency distribution on TickHistogram's quarter-octave
+     *  grid: (lower edge in ns, samples), empty quarters left out. */
     std::vector<std::pair<double, std::uint64_t>> latencyBuckets;
     unsigned latencyModes = 0;
+    double p95ReadLatencyNs = 0;
     /** Mean writes drained per write episode (event model only). */
     double wrPerTurnaround = 0;
 };
@@ -109,14 +111,34 @@ measurePoint(harness::SingleChannelSystem &tb, BaseGen &gen,
             tb.eventCtrl().ctrlStats().wrPerTurnAround.value();
     }
 
-    const auto &h = gen.genStats().readLatencyHist;
-    for (std::size_t i = 0; i < h.numBuckets(); ++i) {
-        if (h.bucketCount(i) > 0)
-            r.latencyBuckets.emplace_back(h.bucketLow(i),
-                                          h.bucketCount(i));
+    const stats::TickHistogram &h = gen.genStats().readLatencyHist;
+    for (unsigned q = 0; q < stats::TickHistogram::kNumQuarters; ++q) {
+        if (std::uint64_t n = h.quarterCount(q))
+            r.latencyBuckets.emplace_back(
+                toNs(stats::TickHistogram::quarterLow(q)), n);
     }
-    r.latencyModes = h.numModes(0.02);
+    r.latencyModes = h.numModes();
+    r.p95ReadLatencyNs = h.percentile(95);
     return r;
+}
+
+/** Print a point's read latency distribution, one bar per quarter. */
+inline void
+printDistribution(const char *label, const PointResult &r)
+{
+    std::printf("--- %s: mean %.1f ns, modes %u\n", label,
+                r.avgReadLatencyNs, r.latencyModes);
+    std::uint64_t total = 0;
+    for (const auto &[lo, n] : r.latencyBuckets)
+        total += n;
+    for (const auto &[lo, n] : r.latencyBuckets) {
+        double pct = 100.0 * static_cast<double>(n) /
+                     static_cast<double>(total);
+        std::printf("%8.1f ns %7.2f%% |", lo, pct);
+        for (int i = 0; i < static_cast<int>(pct); ++i)
+            std::printf("#");
+        std::printf("\n");
+    }
 }
 
 /** Run one validation point with the DRAM-aware generator. */

@@ -17,28 +17,6 @@
 using namespace dramctrl;
 using namespace dramctrl::bench;
 
-namespace {
-
-void
-printDistribution(const char *label, const PointResult &r)
-{
-    std::printf("--- %s: mean %.1f ns, modes %u\n", label,
-                r.avgReadLatencyNs, r.latencyModes);
-    std::uint64_t total = 0;
-    for (const auto &[lo, n] : r.latencyBuckets)
-        total += n;
-    for (const auto &[lo, n] : r.latencyBuckets) {
-        double pct = 100.0 * static_cast<double>(n) /
-                     static_cast<double>(total);
-        std::printf("%8.0f ns %7.2f%% |", lo, pct);
-        for (int i = 0; i < static_cast<int>(pct); ++i)
-            std::printf("#");
-        std::printf("\n");
-    }
-}
-
-} // namespace
-
 int
 main()
 {

@@ -48,7 +48,9 @@ namespace ckpt {
 // stats sections include the per-stage latency histograms.
 // Version 3: the crossbar ports store credit pools (credits home plus
 // the due ticks of returns in flight) instead of credit inboxes.
-constexpr std::uint32_t kFormatVersion = 3;
+// Version 4: the generators' latency histograms are tick histograms
+// (the controller's duplicate read-latency histogram is gone).
+constexpr std::uint32_t kFormatVersion = 4;
 
 /** CRC32 (IEEE 802.3 polynomial) of @p len bytes at @p data. */
 std::uint32_t crc32(const void *data, std::size_t len);

@@ -65,8 +65,6 @@ DRAMCtrl::CtrlStats::CtrlStats(DRAMCtrl &ctrl)
                       "reads serviced per bus turnaround"),
       wrPerTurnAround(&ctrl.statGroup(), "wrPerTurnAround",
                       "writes drained per write episode"),
-      readLatencyHist(&ctrl.statGroup(), "readLatencyHist",
-                      "controller read latency distribution (ns)", 48),
       lat(&ctrl.statGroup(), "lat", "read"),
       perBankRdBursts(&ctrl.statGroup(), "perBankRdBursts",
                       "read bursts per bank",
@@ -1377,12 +1375,9 @@ DRAMCtrl::doDRAMAccess(DRAMPacket *pkt)
         stats_->totSvcLat += static_cast<double>(data_done - curTick());
         stats_->totMemAccLat += static_cast<double>(data_done -
                                                     pkt->entryTime);
-        stats_->readLatencyHist.sample(
-            toNs(data_done - pkt->entryTime + cfg_.frontendLatency +
-                 cfg_.backendLatency));
-
         // Attribution span: the stamps above decompose exactly the
-        // latency readLatencyHist just sampled. For a chopped packet
+        // controller's read latency, data_done - entryTime plus the
+        // static front/back-end latency. For a chopped packet
         // every burst overwrites the span; the burst that completes
         // the response (the last one, since data_done is monotonic on
         // the shared bus) is the one the requestor sees.

@@ -34,7 +34,6 @@
 #include "sim/ring_buffer.hh"
 #include "sim/sim_object.hh"
 #include "sim/simulator.hh"
-#include "stats/histogram.hh"
 #include "stats/latency_attr.hh"
 #include "stats/stats.hh"
 
@@ -124,12 +123,11 @@ class DRAMCtrl : public MemCtrlBase
         stats::Average rdPerTurnAround;
         /** Writes drained per write episode. */
         stats::Average wrPerTurnAround;
-        /** End-to-end controller read latency distribution (ns). */
-        stats::Histogram readLatencyHist;
         /**
          * Read latency attribution: per-stage histograms under the
          * "lat" child group whose stages sum exactly to the
-         * end-to-end latency readLatencyHist measures.
+         * controller's end-to-end read latency, itself the "total"
+         * histogram.
          */
         stats::StageLatencyStats lat;
         stats::Vector perBankRdBursts;

@@ -164,20 +164,18 @@ MultiChannelSystem::avgBusUtil() const
 double
 MultiChannelSystem::avgReadLatencyNs() const
 {
-    // Weight each generator by its responded-read count so the mean
-    // matches a pooled sample.
-    double weighted = 0, reads = 0;
+    // Pool the samples: total ticks over total reads.
+    Tick ticks = 0;
+    std::uint64_t reads = 0;
     for (const auto &gen : gens_) {
-        double n = gen->genStats().readLatencyHist.count();
-        weighted += gen->avgReadLatencyNs() * n;
-        reads += n;
+        ticks += gen->genStats().readLatencyHist.sumTicks();
+        reads += gen->genStats().readLatencyHist.count();
     }
     for (const auto &player : players_) {
-        double n = static_cast<double>(player->readResponses());
-        weighted += player->avgReadLatencyNs() * n;
-        reads += n;
+        ticks += player->totReadLatency();
+        reads += player->readResponses();
     }
-    return reads > 0 ? weighted / reads : 0;
+    return reads > 0 ? toNs(ticks) / static_cast<double>(reads) : 0;
 }
 
 std::uint64_t

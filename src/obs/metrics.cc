@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "sim/logging.hh"
-#include "stats/histogram.hh"
 #include "stats/stats.hh"
 #include "stats/tick_histogram.hh"
 
@@ -89,18 +88,6 @@ void
 flattenStat(std::vector<MetricSample> &out, const std::string &path,
             const stats::Stat *stat)
 {
-    if (auto *h = dynamic_cast<const stats::Histogram *>(stat)) {
-        out.push_back({path + ".count", stat->desc(),
-                       static_cast<double>(h->count()), true});
-        out.push_back({path + ".mean", stat->desc(), h->mean(), false});
-        out.push_back({path + ".p50", stat->desc(), h->percentile(50),
-                       false});
-        out.push_back({path + ".p95", stat->desc(), h->percentile(95),
-                       false});
-        out.push_back({path + ".p99", stat->desc(), h->percentile(99),
-                       false});
-        return;
-    }
     if (auto *th = dynamic_cast<const stats::TickHistogram *>(stat)) {
         out.push_back({path + ".count", stat->desc(),
                        static_cast<double>(th->count()), true});

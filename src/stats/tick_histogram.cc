@@ -25,6 +25,63 @@ TickHistogram::mean() const
            static_cast<double>(count_);
 }
 
+std::uint64_t
+TickHistogram::quarterCount(unsigned q) const
+{
+    std::uint64_t n = 0;
+    for (unsigned i = q << kQuarterBits; i < (q + 1) << kQuarterBits; ++i)
+        n += buckets_[i];
+    return n;
+}
+
+unsigned
+TickHistogram::numModes() const
+{
+    constexpr double kMinPeakFrac = 0.02;
+    constexpr double kValleyRatio = 0.5;
+    if (count_ == 0)
+        return 0;
+
+    std::array<double, kNumQuarters> q;
+    for (unsigned i = 0; i < kNumQuarters; ++i)
+        q[i] = static_cast<double>(quarterCount(i));
+    double min_peak =
+        std::max(1.0, kMinPeakFrac * static_cast<double>(count_));
+
+    // Significant local maxima of the quarter profile.
+    std::vector<unsigned> maxima;
+    for (unsigned i = 0; i < kNumQuarters; ++i) {
+        if (q[i] < min_peak)
+            continue;
+        double left = i > 0 ? q[i - 1] : -1;
+        double right = i + 1 < kNumQuarters ? q[i + 1] : -1;
+        if (q[i] >= left && q[i] > right)
+            maxima.push_back(i);
+    }
+    if (maxima.empty())
+        return 1;
+
+    // Merge adjacent maxima unless the valley between them is deep
+    // enough relative to the smaller peak.
+    unsigned modes = 1;
+    double prev_peak = q[maxima.front()];
+    unsigned prev_idx = maxima.front();
+    for (std::size_t m = 1; m < maxima.size(); ++m) {
+        double peak = q[maxima[m]];
+        double valley = peak;
+        for (unsigned i = prev_idx + 1; i < maxima[m]; ++i)
+            valley = std::min(valley, q[i]);
+        if (valley < kValleyRatio * std::min(prev_peak, peak)) {
+            ++modes;
+            prev_peak = peak;
+        } else {
+            prev_peak = std::max(prev_peak, peak);
+        }
+        prev_idx = maxima[m];
+    }
+    return modes;
+}
+
 double
 TickHistogram::percentileTicks(double p) const
 {
@@ -136,7 +193,8 @@ TickHistogram::ckptRestore(ckpt::CkptIn &in, const std::string &key)
         fatal("checkpoint tick-histogram '%s' has a malformed bucket "
               "record", key.c_str());
 
-    // Overwrite, never accumulate (same contract as Histogram).
+    // Overwrite, never accumulate: a restore after a warmup phase must
+    // not add the snapshot's bins on top of already-counted samples.
     std::fill(buckets_.begin(), buckets_.end(), 0);
     count_ = meta[0];
     sumTicks_ = meta[1];

@@ -1,22 +1,23 @@
 /**
  * @file
- * Integer log-linear histogram for per-request hot paths.
+ * Integer log-linear histogram: the one histogram of the simulator.
  *
- * stats::Histogram is a fine general-purpose instrument, but its
- * sample path runs double arithmetic (moments, self-scaling bucket
- * indexing) — too heavy for code that fires seven times per serviced
- * read (see latency_attr.hh). TickHistogram trades a little bucket
- * resolution for an all-integer sample path: values are bucketed
- * log-linearly (every power-of-two octave split into 16 linear
- * sub-buckets, HDR-histogram style), so recording a sample is a
- * bit-scan, a shift, and three adds — no divides, no doubles.
+ * Every latency distribution (the controllers' per-stage attribution,
+ * the generators' end-to-end and crossbar latencies, the paper's
+ * Figures 6 and 7) is a TickHistogram. Its sample path is all-integer
+ * because it fires seven times per serviced read (see
+ * latency_attr.hh): values are bucketed log-linearly (every
+ * power-of-two octave split into 16 linear sub-buckets, HDR-histogram
+ * style), so recording a sample is a bit-scan, a shift, and three
+ * adds — no divides, no doubles.
  *
  * Resolution: exact below 32 ticks, then a relative bucket width of
  * 1/16 (6.25%); percentiles interpolate linearly inside a bucket and
- * clamp to the observed min/max, same contract as Histogram. Samples
- * are raw ticks; all reporting accessors convert to nanoseconds so
- * dumps, the metrics registry and the sampler read in the same unit
- * as every other latency statistic.
+ * clamp to the observed min/max. Mode counting reads a coarser, fixed
+ * grid of quarter octaves (numModes()), the same for every model.
+ * Samples are raw ticks; all reporting accessors convert to
+ * nanoseconds so dumps, the metrics registry and the sampler read in
+ * the same unit as every other latency statistic.
  */
 
 #ifndef DRAMCTRL_STATS_TICK_HISTOGRAM_H
@@ -77,6 +78,22 @@ class TickHistogram : public Stat
     }
 
     /**
+     * The grid numModes() reads and the latency figures print: native
+     * buckets merged 4 to 1, so quarter q holds buckets 4q..4q+3 — a
+     * quarter of an octave from 16 ticks up, 4 ticks wide below. A
+     * fixed grid, so two distributions are compared on the same bins.
+     */
+    static constexpr unsigned kQuarterBits = 2;
+    static constexpr unsigned kNumQuarters = kNumBuckets >> kQuarterBits;
+
+    /** Inclusive lower tick bound of quarter @p q. */
+    static constexpr Tick
+    quarterLow(unsigned q)
+    {
+        return bucketLow(q << kQuarterBits);
+    }
+
+    /**
      * Record @p n samples of @p t ticks. All-integer, hot-path safe;
      * for the default n = 1 the multiply folds away.
      */
@@ -99,16 +116,32 @@ class TickHistogram : public Stat
     Tick maxTicks() const { return maxT_; }
     std::uint64_t sumTicks() const { return sumTicks_; }
 
+    /** Samples in native bucket @p idx. */
+    std::uint64_t bucketCount(unsigned idx) const { return buckets_[idx]; }
+
+    /** Samples in quarter @p q of the mode grid. */
+    std::uint64_t quarterCount(unsigned q) const;
+
     /** Mean sample in nanoseconds. */
     double mean() const;
 
     /**
      * The value (ns) below which @p p percent of the samples fall,
      * linearly interpolated inside the containing bucket and clamped
-     * to [minTicks, maxTicks] — the same contract as
-     * Histogram::percentile, at log-linear resolution.
+     * to [minTicks, maxTicks].
      */
     double percentile(double p) const;
+
+    /**
+     * Count the distinct modes on the quarter-octave grid; the
+     * event model's write-drain read latency (paper Fig. 7) reports 2.
+     *
+     * Local maxima holding at least 2% of the samples are candidate
+     * modes; two candidates count as distinct only when the deepest
+     * valley between them falls below half the smaller peak (a
+     * prominence test, robust against broad noisy humps).
+     */
+    unsigned numModes() const;
 
     void dump(std::ostream &os, const std::string &prefix) const override;
     void dumpJson(std::ostream &os) const override;

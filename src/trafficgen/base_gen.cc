@@ -14,22 +14,14 @@ BaseGen::GenStats::GenStats(BaseGen &gen)
                     "responses received"),
       retries(&gen.statGroup(), "retries",
               "requests initially refused downstream"),
-      totReadLatency(&gen.statGroup(), "totReadLatency",
-                     "total end-to-end read latency (ticks)"),
       readLatencyHist(&gen.statGroup(), "readLatencyHist",
-                      "end-to-end read latency distribution (ns)", 64),
+                      "end-to-end read latency distribution (ns)"),
       avgReadLatencyNs(&gen.statGroup(), "avgReadLatencyNs",
                        "average end-to-end read latency (ns)",
-                       [this] {
-                           double n = readLatencyHist.count();
-                           return n > 0 ? toNs(static_cast<Tick>(
-                                              totReadLatency.value())) / n
-                                        : 0.0;
-                       }),
+                       [this] { return readLatencyHist.mean(); }),
       xbarLatencyHist(&gen.statGroup(), "xbarLatencyHist",
                       "end-to-end latency outside the controller span "
-                      "(ns)",
-                      32)
+                      "(ns)")
 {
 }
 
@@ -224,8 +216,7 @@ BaseGen::recvTimingResp(Packet *pkt)
 
     if (pkt->cmd() == MemCmd::ReadResp) {
         Tick lat = curTick() - pkt->injectedTick();
-        stats_->totReadLatency += static_cast<double>(lat);
-        stats_->readLatencyHist.sample(toNs(lat));
+        stats_->readLatencyHist.sample(lat);
 
         // The controller's span decomposes the time from queue entry to
         // response launch; anything beyond that is interconnect and
@@ -245,7 +236,7 @@ BaseGen::recvTimingResp(Packet *pkt)
                       static_cast<unsigned long long>(inner),
                       static_cast<unsigned long long>(lat),
                       pkt->toString().c_str());
-            stats_->xbarLatencyHist.sample(toNs(lat - inner));
+            stats_->xbarLatencyHist.sample(lat - inner);
         }
     }
     delete pkt;

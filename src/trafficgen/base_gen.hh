@@ -19,8 +19,8 @@
 #include "mem/port.hh"
 #include "sim/random.hh"
 #include "sim/sim_object.hh"
-#include "stats/histogram.hh"
 #include "stats/stats.hh"
+#include "stats/tick_histogram.hh"
 
 namespace dramctrl {
 
@@ -79,16 +79,16 @@ class BaseGen : public SimObject
         stats::Scalar bytesSent;
         stats::Scalar recvResponses;
         stats::Scalar retries;
-        stats::Scalar totReadLatency;
-        stats::Histogram readLatencyHist;
+        /** End-to-end read latency, injection to response. */
+        stats::TickHistogram readLatencyHist;
         stats::Formula avgReadLatencyNs;
         /**
          * End-to-end latency not covered by the controller's span:
          * crossbar traversal, response-queue residency and port
-         * retries. Sampled (in ns) only for responses that carry a
-         * valid attribution span.
+         * retries. Sampled only for responses that carry a valid
+         * attribution span.
          */
-        stats::Histogram xbarLatencyHist;
+        stats::TickHistogram xbarLatencyHist;
     };
 
     const GenStats &genStats() const { return *stats_; }

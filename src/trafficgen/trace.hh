@@ -233,6 +233,8 @@ class TracePlayer : public SimObject
     std::uint64_t injected() const { return next_; }
     std::uint64_t responses() const { return responses_; }
     std::uint64_t readResponses() const { return readResponses_; }
+    /** End-to-end latency summed over the read responses, ticks. */
+    Tick totReadLatency() const { return totReadLatency_; }
 
     /** Mean end-to-end read latency in nanoseconds. */
     double avgReadLatencyNs() const;

@@ -211,8 +211,8 @@ TEST(LatencyAttr, SpansSurviveTheCrossbar)
     const auto &gs = gen.genStats();
     EXPECT_EQ(gs.xbarLatencyHist.count(), 500u);
     XBarConfig xcfg;
-    EXPECT_GE(gs.xbarLatencyHist.minSample(),
-              toNs(xcfg.frontendLatency + xcfg.responseLatency));
+    EXPECT_GE(gs.xbarLatencyHist.minTicks(),
+              xcfg.frontendLatency + xcfg.responseLatency);
 }
 
 TEST(LatencyAttr, StageStatsRejectInconsistentSpans)

@@ -76,9 +76,9 @@ TEST(Metrics, AttachedStatsTreeIsFlattened)
     EXPECT_TRUE(reads->isCounter);
 
     // Histograms flatten into digest leaves.
-    EXPECT_NE(find("mem_ctrl.readLatencyHist.count"), nullptr);
-    EXPECT_NE(find("mem_ctrl.readLatencyHist.p50"), nullptr);
-    EXPECT_NE(find("mem_ctrl.readLatencyHist.p99"), nullptr);
+    EXPECT_NE(find("mem_ctrl.lat.total.count"), nullptr);
+    EXPECT_NE(find("mem_ctrl.lat.total.p50"), nullptr);
+    EXPECT_NE(find("mem_ctrl.lat.total.p99"), nullptr);
     // The attribution stages are part of the same namespace.
     EXPECT_NE(find("mem_ctrl.lat.queueing.p95"), nullptr);
     EXPECT_NE(find("mem_ctrl.lat.total.mean"), nullptr);

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the statistics framework: scalar/average/vector/
- * formula semantics, group trees, dumping, reset, and the self-scaling
+ * formula semantics, group trees, dumping, reset, and the tick
  * histogram (including the bimodality detector used by the Fig. 7
  * reproduction).
  */
@@ -12,8 +12,8 @@
 
 #include "ckpt/ckpt.hh"
 #include "sim/logging.hh"
-#include "stats/histogram.hh"
 #include "stats/stats.hh"
+#include "stats/tick_histogram.hh"
 
 namespace dramctrl {
 namespace {
@@ -139,105 +139,112 @@ TEST(GroupTest, ResetAllRecursesAndRunsCallbacks)
     EXPECT_EQ(callbacks, 1);
 }
 
-TEST(HistogramTest, BasicMoments)
+TEST(TickHistogramTest, MeanMinMax)
 {
     Group g("g");
-    Histogram h(&g, "h", "hist", 16);
-    h.sample(10);
-    h.sample(20);
-    h.sample(30);
+    TickHistogram h(&g, "h", "hist");
+    h.sample(fromNs(10));
+    h.sample(fromNs(20));
+    h.sample(fromNs(30));
     EXPECT_EQ(h.count(), 3u);
     EXPECT_DOUBLE_EQ(h.mean(), 20.0);
-    EXPECT_NEAR(h.stddev(), 10.0, 1e-9);
-    EXPECT_EQ(h.minSample(), 10.0);
-    EXPECT_EQ(h.maxSample(), 30.0);
+    EXPECT_EQ(h.minTicks(), fromNs(10));
+    EXPECT_EQ(h.maxTicks(), fromNs(30));
+    EXPECT_EQ(h.sumTicks(), fromNs(60));
 }
 
-TEST(HistogramTest, GrowsBucketsToCoverRange)
+TEST(TickHistogramTest, PercentilesAreMonotoneAndClamped)
 {
     Group g("g");
-    Histogram h(&g, "h", "hist", 8);
-    EXPECT_EQ(h.bucketSize(), 1.0);
-    h.sample(1000);
-    EXPECT_GE(h.bucketSize() * static_cast<double>(h.numBuckets()),
-              1000.0);
-    // All mass still accounted for after folding.
-    std::uint64_t total = 0;
-    for (std::size_t i = 0; i < h.numBuckets(); ++i)
-        total += h.bucketCount(i);
-    EXPECT_EQ(total, 1u);
-}
-
-TEST(HistogramTest, FoldingPreservesCounts)
-{
-    Group g("g");
-    Histogram h(&g, "h", "hist", 8);
-    for (int i = 0; i < 100; ++i)
-        h.sample(static_cast<double>(i % 7));
-    h.sample(500); // force several folds
-    std::uint64_t total = 0;
-    for (std::size_t i = 0; i < h.numBuckets(); ++i)
-        total += h.bucketCount(i);
-    EXPECT_EQ(total, 101u);
-    EXPECT_EQ(h.count(), 101u);
-}
-
-TEST(HistogramTest, CdfIsMonotonic)
-{
-    Group g("g");
-    Histogram h(&g, "h", "hist", 32);
+    TickHistogram h(&g, "h", "hist");
     for (int i = 0; i < 1000; ++i)
-        h.sample(static_cast<double>(i % 97));
-    double prev = 0;
-    for (double v = 0; v <= 100; v += 5) {
-        double c = h.cdfAt(v);
-        EXPECT_GE(c, prev);
-        prev = c;
+        h.sample(fromNs(3 + i % 97));
+    double prev = h.percentile(0);
+    EXPECT_DOUBLE_EQ(prev, 3.0); // the minimum, not the bucket edge
+    for (double p = 5; p <= 100; p += 5) {
+        double v = h.percentile(p);
+        EXPECT_GE(v, prev) << "p" << p;
+        prev = v;
     }
-    EXPECT_NEAR(h.cdfAt(1000), 1.0, 1e-12);
+    EXPECT_DOUBLE_EQ(h.percentile(100), 99.0); // clamped to the maximum
+    EXPECT_NEAR(h.percentile(50), 51.0, 51.0 / 16);
 }
 
-TEST(HistogramTest, UnimodalDistributionHasOneMode)
+TEST(TickHistogramTest, BucketEdgesAtOctaveBoundaries)
+{
+    using TH = TickHistogram;
+    // Exact below 32 ticks.
+    EXPECT_EQ(TH::indexOf(31), 31u);
+    EXPECT_EQ(TH::bucketLow(31), 31u);
+    EXPECT_EQ(TH::bucketWidth(31), 1u);
+    // 32 opens the first octave of 2-tick buckets, 64 of 4-tick ones.
+    EXPECT_EQ(TH::indexOf(32), 32u);
+    EXPECT_EQ(TH::indexOf(33), 32u);
+    EXPECT_EQ(TH::bucketWidth(32), 2u);
+    EXPECT_EQ(TH::indexOf(63), 47u);
+    EXPECT_EQ(TH::indexOf(64), 48u);
+    EXPECT_EQ(TH::bucketLow(48), 64u);
+    EXPECT_EQ(TH::bucketWidth(48), 4u);
+    EXPECT_EQ(TH::indexOf(~Tick{0}), TH::kNumBuckets - 1);
+
+    // Each value lies in its bucket, on both sides of every octave
+    // edge, and the bucket after it starts where it ends.
+    for (unsigned k = 1; k < 64; ++k) {
+        for (Tick t : {(Tick{1} << k) - 1, Tick{1} << k,
+                       (Tick{1} << k) + 1}) {
+            unsigned i = TH::indexOf(t);
+            EXPECT_LE(TH::bucketLow(i), t) << t;
+            EXPECT_LT(t - TH::bucketLow(i), TH::bucketWidth(i)) << t;
+            if (i + 1 < TH::kNumBuckets) {
+                EXPECT_EQ(TH::bucketLow(i + 1),
+                          TH::bucketLow(i) + TH::bucketWidth(i));
+            }
+        }
+    }
+
+    // The mode grid: from 16 ticks up, four quarters per octave.
+    for (unsigned q = 4; q + 1 < TH::kNumQuarters; ++q) {
+        Tick octave = TH::bucketLow((q << TH::kQuarterBits) & ~15u);
+        EXPECT_EQ(TH::quarterLow(q + 1) - TH::quarterLow(q), octave / 4)
+            << "quarter " << q;
+    }
+}
+
+TEST(TickHistogramTest, ResetClearsEverything)
 {
     Group g("g");
-    Histogram h(&g, "h", "hist", 32);
-    // A tight cluster around 50.
+    TickHistogram h(&g, "h", "hist");
+    h.sample(fromNs(100));
+    h.reset();
+    EXPECT_EQ(h.count(), 0u);
+    EXPECT_EQ(h.sumTicks(), 0u);
+    EXPECT_EQ(h.mean(), 0.0);
+    EXPECT_EQ(h.maxTicks(), 0u);
+    EXPECT_EQ(h.bucketCount(TickHistogram::indexOf(fromNs(100))), 0u);
+    EXPECT_EQ(h.numModes(), 0u);
+}
+
+TEST(TickHistogramTest, UnimodalDistributionHasOneMode)
+{
+    Group g("g");
+    TickHistogram h(&g, "h", "hist");
+    // A tight cluster around 50 ns.
     for (int i = 0; i < 1000; ++i)
-        h.sample(45.0 + (i % 10));
+        h.sample(fromNs(45 + i % 10));
     EXPECT_EQ(h.numModes(), 1u);
 }
 
-TEST(HistogramTest, BimodalDistributionHasTwoModes)
+TEST(TickHistogramTest, BimodalDistributionHasTwoModes)
 {
     Group g("g");
-    Histogram h(&g, "h", "hist", 32);
+    TickHistogram h(&g, "h", "hist");
     // Two well-separated clusters, like the write-drain read latency
     // distribution of the paper's Figure 7.
     for (int i = 0; i < 500; ++i)
-        h.sample(40.0 + (i % 5));
+        h.sample(fromNs(40 + i % 5));
     for (int i = 0; i < 500; ++i)
-        h.sample(400.0 + (i % 5));
+        h.sample(fromNs(400 + i % 5));
     EXPECT_EQ(h.numModes(), 2u);
-}
-
-TEST(HistogramTest, ResetClearsEverything)
-{
-    Group g("g");
-    Histogram h(&g, "h", "hist", 8);
-    h.sample(100);
-    h.reset();
-    EXPECT_EQ(h.count(), 0u);
-    EXPECT_EQ(h.bucketSize(), 1.0);
-    EXPECT_EQ(h.mean(), 0.0);
-}
-
-TEST(HistogramTest, NegativeSamplePanics)
-{
-    setThrowOnError(true);
-    Group g("g");
-    Histogram h(&g, "h", "hist", 8);
-    EXPECT_THROW(h.sample(-1.0), std::runtime_error);
-    setThrowOnError(false);
 }
 
 /** Round-trip one stat through a single-section checkpoint. */
@@ -300,50 +307,38 @@ TEST(StatsCkpt, AverageRestorePreservesSumAndCount)
     EXPECT_EQ(b.value(), 20.0); // (10+20+30)/3: count restored too
 }
 
-TEST(StatsCkpt, HistogramRestoreDoesNotDoubleCountWarmupBins)
+TEST(StatsCkpt, TickHistogramRestoreDoesNotDoubleCountWarmupBins)
 {
     Group g("g");
-    Histogram a(&g, "s", "src", 8);
+    TickHistogram a(&g, "s", "src");
     for (int i = 0; i < 100; ++i)
-        a.sample(40.0 + (i % 5));
+        a.sample(fromNs(40 + i % 5));
     const std::string buf = saveStat(a);
 
     // The restore target has already seen samples (the double-count
     // hazard of --ckpt-restore after a warmup run): restore must
     // overwrite the bins, not add to them.
     Group g2("g");
-    Histogram b(&g2, "s", "dst", 8);
+    TickHistogram b(&g2, "s", "dst");
     for (int i = 0; i < 1000; ++i)
-        b.sample(200.0);
+        b.sample(fromNs(200));
     restoreStat(b, buf);
 
     EXPECT_EQ(b.count(), 100u);
-    EXPECT_EQ(b.mean(), a.mean());
-    EXPECT_EQ(b.stddev(), a.stddev());
-    EXPECT_EQ(b.bucketSize(), a.bucketSize());
-    EXPECT_EQ(b.minSample(), a.minSample());
-    EXPECT_EQ(b.maxSample(), a.maxSample());
-    ASSERT_EQ(b.numBuckets(), a.numBuckets());
+    EXPECT_EQ(b.sumTicks(), a.sumTicks());
+    EXPECT_EQ(b.minTicks(), a.minTicks());
+    EXPECT_EQ(b.maxTicks(), a.maxTicks());
     std::uint64_t total = 0;
-    for (std::size_t i = 0; i < b.numBuckets(); ++i) {
+    for (unsigned i = 0; i < TickHistogram::kNumBuckets; ++i) {
         EXPECT_EQ(b.bucketCount(i), a.bucketCount(i)) << "bucket " << i;
         total += b.bucketCount(i);
     }
     EXPECT_EQ(total, 100u); // no stale bins left behind
-}
 
-TEST(StatsCkpt, HistogramBucketCountMismatchIsFatal)
-{
-    Group g("g");
-    Histogram a(&g, "s", "src", 8);
-    a.sample(1.0);
-    const std::string buf = saveStat(a);
-
-    Group g2("g");
-    Histogram b(&g2, "s", "dst", 16); // different configuration
-    setThrowOnError(true);
-    EXPECT_THROW(restoreStat(b, buf), std::runtime_error);
-    setThrowOnError(false);
+    // A second restore must not double anything either.
+    restoreStat(b, buf);
+    EXPECT_EQ(b.count(), 100u);
+    EXPECT_EQ(b.percentile(99), a.percentile(99));
 }
 
 TEST(StatsCkpt, VectorRestoreOverwritesEveryLane)

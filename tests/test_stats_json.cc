@@ -11,8 +11,8 @@
 
 #include "dram/dram_ctrl.hh"
 #include "sim/simulator.hh"
-#include "stats/histogram.hh"
 #include "stats/stats.hh"
+#include "stats/tick_histogram.hh"
 #include "test_util.hh"
 
 namespace dramctrl {
@@ -92,9 +92,9 @@ TEST(StatsJsonTest, AverageAndVector)
 TEST(StatsJsonTest, HistogramFields)
 {
     Group g("g");
-    Histogram h(&g, "hist", "", 8);
-    h.sample(3);
-    h.sample(5);
+    TickHistogram h(&g, "hist", "");
+    h.sample(fromNs(3));
+    h.sample(fromNs(5));
 
     std::ostringstream os;
     g.dumpJson(os);
