@@ -164,7 +164,6 @@ MultiChannelSystem::avgBusUtil() const
 double
 MultiChannelSystem::avgReadLatencyNs() const
 {
-    // Pool the samples: total ticks over total reads.
     Tick ticks = 0;
     std::uint64_t reads = 0;
     for (const auto &gen : gens_) {

@@ -139,7 +139,8 @@ class MultiChannelSystem
     /** Bus utilisation averaged over the channels. */
     double avgBusUtil() const;
 
-    /** Mean end-to-end read latency over all generators, ns. */
+    /** Mean end-to-end latency over every read of every generator
+     *  and trace player, ns. */
     double avgReadLatencyNs() const;
 
     /** Responses received, summed over generators and players. */
