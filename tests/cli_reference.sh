@@ -153,8 +153,8 @@ tool fuzz_cli fuzz_verbose --runs 8 --seed 1 --verbose
 tool fuzz_cli fuzz_repro_trcd --repro tests/repros/injected_trcd_fault.json
 tool fuzz_cli fuzz_repro_clean --repro tests/repros/clean_baseline.json
 
-# A failing fuzz case writes its repro under --out-dir, which the
-# driver creates: the nested out/fuzz does not exist beforehand.
+# A failing fuzz case writes its repro under --out-dir, which fuzz_cli
+# creates: the nested out/fuzz does not exist beforehand.
 tool fuzz_cli fuzz_inject_out_dir --runs 1 --seed 1 --inject-bug \
     --out-dir out/fuzz
 filesum fuzz_inject_out_dir_repro out/fuzz/fuzz_fail_0.json
