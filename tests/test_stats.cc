@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <vector>
 
 #include "ckpt/ckpt.hh"
 #include "sim/logging.hh"
@@ -210,6 +211,54 @@ TEST(TickHistogramTest, BucketEdgesAtOctaveBoundaries)
     }
 }
 
+TEST(TickHistogramTest, CoversTheWholeTickRange)
+{
+    // The grid is fixed and spans every Tick: a sample far above the
+    // rest needs no regrid and loses no mass.
+    Group g("g");
+    TickHistogram h(&g, "h", "hist");
+    const Tick big = Tick{1} << 62;
+    h.sample(1);
+    h.sample(big);
+    EXPECT_EQ(h.bucketCount(TickHistogram::indexOf(1)), 1u);
+    EXPECT_EQ(h.bucketCount(TickHistogram::indexOf(big)), 1u);
+    std::uint64_t total = 0;
+    for (unsigned i = 0; i < TickHistogram::kNumBuckets; ++i)
+        total += h.bucketCount(i);
+    EXPECT_EQ(total, 2u);
+    EXPECT_EQ(h.maxTicks(), big);
+    EXPECT_DOUBLE_EQ(h.percentile(100), toNs(big));
+    EXPECT_DOUBLE_EQ(h.percentile(0), toNs(1));
+}
+
+TEST(TickHistogramTest, QuarterGridPreservesCounts)
+{
+    Group g("g");
+    TickHistogram h(&g, "h", "hist");
+    for (Tick t = 0; t < 5000; t += 7)
+        h.sample(t);
+    h.sample(fromNs(500)); // one far sample in a sparse quarter
+
+    // Each quarter holds its four native buckets, and no sample is
+    // lost or counted twice by the merge.
+    std::uint64_t total = 0;
+    for (unsigned q = 0; q < TickHistogram::kNumQuarters; ++q) {
+        std::uint64_t native = 0;
+        for (unsigned i = 0; i < 4; ++i)
+            native += h.bucketCount(4 * q + i);
+        EXPECT_EQ(h.quarterCount(q), native) << "quarter " << q;
+        total += h.quarterCount(q);
+    }
+    EXPECT_EQ(total, h.count());
+
+    // A sample lands in the quarter whose bounds enclose it.
+    for (Tick t : {Tick{0}, Tick{17}, Tick{4999}, fromNs(500)}) {
+        unsigned q = TickHistogram::indexOf(t) >> TickHistogram::kQuarterBits;
+        EXPECT_LE(TickHistogram::quarterLow(q), t) << t;
+        EXPECT_LT(t, TickHistogram::quarterLow(q + 1)) << t;
+    }
+}
+
 TEST(TickHistogramTest, ResetClearsEverything)
 {
     Group g("g");
@@ -339,6 +388,53 @@ TEST(StatsCkpt, TickHistogramRestoreDoesNotDoubleCountWarmupBins)
     restoreStat(b, buf);
     EXPECT_EQ(b.count(), 100u);
     EXPECT_EQ(b.percentile(99), a.percentile(99));
+}
+
+/** A checkpoint holding one tick-histogram record "s". */
+std::string
+tickHistogramRecord(const std::vector<std::uint64_t> &meta,
+                    const std::vector<std::uint64_t> &buckets)
+{
+    std::ostringstream os;
+    {
+        ckpt::CkptOut out(os);
+        out.beginSection("stats");
+        out.putU64Vec("s.meta", meta);
+        out.putU64Vec("s.buckets", buckets);
+        out.endSection();
+    }
+    return os.str();
+}
+
+TEST(StatsCkpt, TickHistogramBucketOffTheGridIsFatal)
+{
+    // A record written on another grid names a bucket this one lacks.
+    const std::string buf = tickHistogramRecord(
+        {1, 1, 1, 1}, {TickHistogram::kNumBuckets, 1});
+    Group g("g");
+    TickHistogram h(&g, "s", "dst");
+    setThrowOnError(true);
+    EXPECT_THROW(restoreStat(h, buf), std::runtime_error);
+    setThrowOnError(false);
+
+    // The last bucket of the grid restores.
+    restoreStat(h, tickHistogramRecord(
+                       {1, 1, 1, 1}, {TickHistogram::kNumBuckets - 1, 1}));
+    EXPECT_EQ(h.bucketCount(TickHistogram::kNumBuckets - 1), 1u);
+}
+
+TEST(StatsCkpt, TickHistogramMalformedRecordIsFatal)
+{
+    Group g("g");
+    TickHistogram h(&g, "s", "dst");
+    setThrowOnError(true);
+    // meta must be {count, sumTicks, min, max}.
+    EXPECT_THROW(restoreStat(h, tickHistogramRecord({1, 1, 1}, {1, 1})),
+                 std::runtime_error);
+    // buckets are [index, count] pairs.
+    EXPECT_THROW(restoreStat(h, tickHistogramRecord({1, 1, 1, 1}, {1})),
+                 std::runtime_error);
+    setThrowOnError(false);
 }
 
 TEST(StatsCkpt, VectorRestoreOverwritesEveryLane)
