@@ -109,11 +109,15 @@ run ch4_replay --channels 4 --pattern trace --trace-in ch4.dtrc --json
 run ch4_capture_ckpt --channels 4 --requests 4000 \
     --trace-capture ch4_ckpt.dtrc --ckpt-at 2000 --ckpt-out ch4_cap.ckpt
 filesum ch4_capture_ckpt_file ch4_ckpt.dtrc
+filesum ch4_capture_ckpt_ckpt ch4_cap.ckpt
 run capture_txt_ckpt --requests 4000 --trace-capture cap_ckpt.txt \
     --ckpt-at 2000 --ckpt-out cap_txt.ckpt
 filesum capture_txt_ckpt_file cap_ckpt.txt
+filesum capture_txt_ckpt_ckpt cap_txt.ckpt
 
-# Checkpoint splits: split NAME NS ARGS... splits at NS ns.
+# Checkpoint splits: split NAME NS ARGS... splits at NS ns. The saved
+# checkpoint's checksum is pinned too, so a change to what a
+# checkpoint holds, or to the order it is written in, shows here.
 # (Shell variables are global, so this one must not reuse run's name.)
 split() {
     base=$1
@@ -121,6 +125,7 @@ split() {
     shift 2
     run "${base}_full" "$@" --json
     run "${base}_save" "$@" --ckpt-at "$at" --ckpt-out "$base.ckpt"
+    filesum "${base}_ckpt" "$base.ckpt"
     run "${base}_restore" "$@" --ckpt-restore "$base.ckpt" --json
     same "${base}_restore" "${base}_full"
 }
