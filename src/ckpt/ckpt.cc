@@ -226,7 +226,7 @@ CkptOut::CkptOut(std::ostream &os) : os_(os)
 }
 
 void
-CkptOut::beginSection(const std::string &name, std::uint32_t version)
+CkptOut::beginSection(const std::string &name)
 {
     if (inSection_)
         panic("checkpoint section '%s' opened inside '%s'",
@@ -234,7 +234,6 @@ CkptOut::beginSection(const std::string &name, std::uint32_t version)
     if (name.empty() || name.size() > 0xFFFF)
         panic("bad checkpoint section name '%s'", name.c_str());
     sectionName_ = name;
-    sectionVersion_ = version;
     payload_.clear();
     inSection_ = true;
 }
@@ -249,7 +248,7 @@ CkptOut::endSection()
     appendU32(header, kSectionMagic);
     appendU16(header, static_cast<std::uint16_t>(sectionName_.size()));
     header += sectionName_;
-    appendU32(header, sectionVersion_);
+    appendU32(header, 1); // section version
     appendU64(header, payload_.size());
     appendU32(header, crc32(payload_.data(), payload_.size()));
 
@@ -280,13 +279,6 @@ CkptOut::putU64(const std::string &key, std::uint64_t v)
 }
 
 void
-CkptOut::putI64(const std::string &key, std::int64_t v)
-{
-    record(RecordType::I64, key);
-    appendU64(payload_, static_cast<std::uint64_t>(v));
-}
-
-void
 CkptOut::putF64(const std::string &key, double v)
 {
     record(RecordType::F64, key);
@@ -298,23 +290,6 @@ CkptOut::putBool(const std::string &key, bool v)
 {
     record(RecordType::Bool, key);
     appendU8(payload_, v ? 1 : 0);
-}
-
-void
-CkptOut::putStr(const std::string &key, const std::string &v)
-{
-    record(RecordType::Str, key);
-    appendU32(payload_, static_cast<std::uint32_t>(v.size()));
-    payload_ += v;
-}
-
-void
-CkptOut::putBytes(const std::string &key, const void *data,
-                  std::size_t len)
-{
-    record(RecordType::Bytes, key);
-    appendU32(payload_, static_cast<std::uint32_t>(len));
-    payload_.append(static_cast<const char *>(data), len);
 }
 
 void
@@ -337,32 +312,6 @@ CkptOut::putF64Vec(const std::string &key,
         appendF64(payload_, x);
 }
 
-void
-CkptOut::putEvent(const std::string &key, const EventQueue &eq,
-                  const Event &ev)
-{
-    if (ev.scheduled())
-        putU64Vec(key, {1, ev.when(), eq.orderOf(ev)});
-    else
-        putU64Vec(key, {0, 0, 0});
-}
-
-void
-CkptOut::putPacket(const std::string &key, const Packet *pkt)
-{
-    if (pkt == nullptr) {
-        putU64Vec(key, {0});
-        return;
-    }
-    const stats::LatencySpan &sp = pkt->span();
-    putU64Vec(key,
-              {1, pkt->id(), static_cast<std::uint64_t>(pkt->cmd()),
-               pkt->addr(), pkt->size(), pkt->requestorId(),
-               pkt->injectedTick(), sp.valid ? std::uint64_t(1) : 0,
-               sp.enqueue, sp.pick, sp.bankReady, sp.issue,
-               sp.burstStart, sp.done, sp.staticLat});
-}
-
 //
 // CkptIn
 //
@@ -381,9 +330,9 @@ CkptIn::CkptIn(std::istream &is)
     if (cur.u32() != kFileMagic)
         fatal("checkpoint has bad magic: not a checkpoint file");
     std::uint32_t version = cur.u32();
-    if (version > kFormatVersion)
-        fatal("checkpoint format version %u is newer than this "
-              "build reads (%u)", version, kFormatVersion);
+    if (version != kFormatVersion)
+        fatal("checkpoint format version %u cannot be restored: this "
+              "build reads version %u only", version, kFormatVersion);
 
     std::string last = "<file header>";
     while (cur.pos < cur.size) {
@@ -518,12 +467,6 @@ CkptIn::CkptIn(std::istream &is)
     }
 }
 
-bool
-CkptIn::hasSection(const std::string &name) const
-{
-    return sectionIndex_.count(name) != 0;
-}
-
 void
 CkptIn::openSection(const std::string &name)
 {
@@ -534,162 +477,22 @@ CkptIn::openSection(const std::string &name)
     cur_ = &sections_[it->second];
 }
 
-std::uint32_t
-CkptIn::sectionVersion() const
-{
-    if (cur_ == nullptr)
-        panic("sectionVersion() with no open checkpoint section");
-    return cur_->version;
-}
-
-const CkptIn::Value *
-CkptIn::find(const std::string &key) const
-{
-    if (cur_ == nullptr)
-        panic("checkpoint get('%s') with no open section",
-              key.c_str());
-    auto it = cur_->index.find(key);
-    if (it == cur_->index.end())
-        return nullptr;
-    return &cur_->records[it->second].second;
-}
-
 const CkptIn::Value &
 CkptIn::lookup(const std::string &key, RecordType type) const
 {
-    const Value *v = find(key);
-    if (v == nullptr)
+    if (cur_ == nullptr)
+        panic("checkpoint read of '%s' with no open section",
+              key.c_str());
+    auto it = cur_->index.find(key);
+    if (it == cur_->index.end())
         fatal("checkpoint section '%s': missing key '%s'",
               cur_->name.c_str(), key.c_str());
+    const Value *v = &cur_->records[it->second].second;
     if (v->type != type)
         fatal("checkpoint section '%s': key '%s' is %s, expected %s",
               cur_->name.c_str(), key.c_str(), typeName(v->type),
               typeName(type));
     return *v;
-}
-
-bool
-CkptIn::has(const std::string &key) const
-{
-    return find(key) != nullptr;
-}
-
-std::uint64_t
-CkptIn::getU64(const std::string &key) const
-{
-    return lookup(key, RecordType::U64).u64;
-}
-
-std::int64_t
-CkptIn::getI64(const std::string &key) const
-{
-    return lookup(key, RecordType::I64).i64;
-}
-
-double
-CkptIn::getF64(const std::string &key) const
-{
-    return lookup(key, RecordType::F64).f64;
-}
-
-bool
-CkptIn::getBool(const std::string &key) const
-{
-    return lookup(key, RecordType::Bool).b;
-}
-
-const std::string &
-CkptIn::getStr(const std::string &key) const
-{
-    return lookup(key, RecordType::Str).str;
-}
-
-const std::string &
-CkptIn::getBytes(const std::string &key) const
-{
-    return lookup(key, RecordType::Bytes).str;
-}
-
-const std::vector<std::uint64_t> &
-CkptIn::getU64Vec(const std::string &key) const
-{
-    return lookup(key, RecordType::U64Vec).u64vec;
-}
-
-const std::vector<double> &
-CkptIn::getF64Vec(const std::string &key) const
-{
-    return lookup(key, RecordType::F64Vec).f64vec;
-}
-
-std::uint64_t
-CkptIn::getOrU64(const std::string &key, std::uint64_t def) const
-{
-    const Value *v = find(key);
-    return v != nullptr && v->type == RecordType::U64 ? v->u64 : def;
-}
-
-double
-CkptIn::getOrF64(const std::string &key, double def) const
-{
-    const Value *v = find(key);
-    return v != nullptr && v->type == RecordType::F64 ? v->f64 : def;
-}
-
-bool
-CkptIn::getOrBool(const std::string &key, bool def) const
-{
-    const Value *v = find(key);
-    return v != nullptr && v->type == RecordType::Bool ? v->b : def;
-}
-
-void
-CkptIn::getEvent(const std::string &key, EventQueue &eq, Event &ev)
-{
-    const auto &vec = getU64Vec(key);
-    if (vec.size() != 3)
-        fatal("checkpoint section '%s': key '%s' is not an event "
-              "record", cur_->name.c_str(), key.c_str());
-    if (ev.scheduled())
-        panic("checkpoint restore of already-scheduled event '%s'",
-              ev.name().c_str());
-    if (vec[0] != 0)
-        deferred_.push_back({vec[2], vec[1], &eq, &ev});
-}
-
-Packet *
-CkptIn::getPacket(const std::string &key) const
-{
-    const auto &vec = getU64Vec(key);
-    if (vec.empty())
-        fatal("checkpoint section '%s': key '%s' is not a packet "
-              "record", cur_->name.c_str(), key.c_str());
-    if (vec[0] == 0)
-        return nullptr;
-    if (vec.size() != 15)
-        fatal("checkpoint section '%s': key '%s' is not a packet "
-              "record", cur_->name.c_str(), key.c_str());
-
-    // Mint the packet under its original id, then put the thread's id
-    // counter back (the "sim" section owns the counter's final value).
-    std::uint64_t counter = Packet::nextId();
-    Packet::setNextId(vec[1]);
-    auto *pkt = new Packet(static_cast<MemCmd>(vec[2]), vec[3],
-                           static_cast<unsigned>(vec[4]),
-                           static_cast<RequestorId>(vec[5]));
-    Packet::setNextId(counter);
-    pkt->setInjectedTick(vec[6]);
-    stats::LatencySpan sp;
-    sp.valid = vec[7] != 0;
-    sp.enqueue = vec[8];
-    sp.pick = vec[9];
-    sp.bankReady = vec[10];
-    sp.issue = vec[11];
-    sp.burstStart = vec[12];
-    sp.done = vec[13];
-    sp.staticLat = vec[14];
-    pkt->setSpan(sp);
-    return pkt;
 }
 
 void
@@ -714,26 +517,148 @@ CkptIn::finalizeEvents()
 }
 
 //
-// Fingerprint helpers
+// Io
 //
 
 void
-putCheck(CkptOut &out, const std::string &key, std::uint64_t value)
+Io::flag(const std::string &key, bool &v)
 {
-    out.putU64(key, value);
+    if (in_ != nullptr)
+        v = in_->lookup(key, RecordType::Bool).b;
+    else
+        out_->putBool(key, v);
 }
 
 void
-verifyCheck(CkptIn &in, const std::string &key, std::uint64_t value,
-            const char *what)
+Io::f64(const std::string &key, double &v)
 {
-    std::uint64_t stored = in.getU64(key);
-    if (stored != value)
-        fatal("checkpoint %s mismatch: snapshot has %016llx, the "
-              "restoring system computes %016llx — restore into an "
-              "identically configured system", what,
-              static_cast<unsigned long long>(stored),
+    if (in_ != nullptr)
+        v = in_->lookup(key, RecordType::F64).f64;
+    else
+        out_->putF64(key, v);
+}
+
+void
+Io::lanes(const std::string &key, std::vector<double> &v)
+{
+    if (in_ == nullptr) {
+        out_->putF64Vec(key, v);
+        return;
+    }
+    const auto &saved = in_->lookup(key, RecordType::F64Vec).f64vec;
+    if (saved.size() != v.size())
+        badShape(key, formatString("holds %zu entries, expected %zu",
+                                   saved.size(), v.size()));
+    v = saved;
+}
+
+void
+Io::check(const std::string &key, std::uint64_t value,
+          const std::string &what)
+{
+    if (in_ == nullptr) {
+        out_->putU64(key, value);
+        return;
+    }
+    std::uint64_t saved = in_->lookup(key, RecordType::U64).u64;
+    if (saved != value)
+        fatal("checkpoint section '%s': %s mismatch at key '%s': the "
+              "snapshot has %016llx, the restoring system computes "
+              "%016llx — restore into an identically configured system",
+              in_->cur_->name.c_str(), what.c_str(), key.c_str(),
+              static_cast<unsigned long long>(saved),
               static_cast<unsigned long long>(value));
+}
+
+void
+Io::packet(const std::string &key, Packet *&pkt)
+{
+    if (in_ == nullptr) {
+        if (pkt == nullptr) {
+            out_->putU64Vec(key, {0});
+            return;
+        }
+        const stats::LatencySpan &sp = pkt->span();
+        out_->putU64Vec(
+            key, {1, pkt->id(), static_cast<std::uint64_t>(pkt->cmd()),
+                  pkt->addr(), pkt->size(), pkt->requestorId(),
+                  pkt->injectedTick(), sp.valid ? std::uint64_t(1) : 0,
+                  sp.enqueue, sp.pick, sp.bankReady, sp.issue,
+                  sp.burstStart, sp.done, sp.staticLat});
+        return;
+    }
+
+    const auto &vec = words(key);
+    if (vec.size() == 1 && vec[0] == 0) {
+        pkt = nullptr;
+        return;
+    }
+    if (vec.size() != 15)
+        badShape(key, formatString("holds %zu words, not a packet",
+                                   vec.size()));
+    // Mint the packet under its original id, then put the thread's id
+    // counter back (the "sim" section owns the counter's final value).
+    std::uint64_t counter = Packet::nextId();
+    Packet::setNextId(vec[1]);
+    pkt = new Packet(static_cast<MemCmd>(vec[2]), vec[3],
+                     static_cast<unsigned>(vec[4]),
+                     static_cast<RequestorId>(vec[5]));
+    Packet::setNextId(counter);
+    pkt->setInjectedTick(vec[6]);
+    stats::LatencySpan sp;
+    sp.valid = vec[7] != 0;
+    sp.enqueue = vec[8];
+    sp.pick = vec[9];
+    sp.bankReady = vec[10];
+    sp.issue = vec[11];
+    sp.burstStart = vec[12];
+    sp.done = vec[13];
+    sp.staticLat = vec[14];
+    pkt->setSpan(sp);
+}
+
+void
+Io::event(const std::string &key, EventQueue &eq, Event &ev)
+{
+    if (in_ == nullptr) {
+        if (ev.scheduled())
+            out_->putU64Vec(key, {1, ev.when(), eq.orderOf(ev)});
+        else
+            out_->putU64Vec(key, {0, 0, 0});
+        return;
+    }
+    const auto &vec = words(key);
+    if (vec.size() != 3)
+        badShape(key, formatString("holds %zu words, not an event",
+                                   vec.size()));
+    if (ev.scheduled())
+        panic("checkpoint restore of already-scheduled event '%s'",
+              ev.name().c_str());
+    if (vec[0] != 0)
+        in_->deferred_.push_back({vec[2], vec[1], &eq, &ev});
+}
+
+const std::vector<std::uint64_t> &
+Io::words(const std::string &key) const
+{
+    return in_->lookup(key, RecordType::U64Vec).u64vec;
+}
+
+const std::vector<std::uint64_t> &
+Io::pairWords(const std::string &key) const
+{
+    const auto &w = words(key);
+    if (w.size() % 2 != 0)
+        badShape(key, formatString("holds %zu words, not [key, value] "
+                                   "pairs", w.size()));
+    return w;
+}
+
+void
+Io::badShape(const std::string &key, const std::string &problem) const
+{
+    fatal("checkpoint section '%s': key '%s' %s",
+          in_->cur_->name.c_str(), key.c_str(), problem.c_str());
 }
 
 //
@@ -743,23 +668,55 @@ verifyCheck(CkptIn &in, const std::string &key, std::uint64_t value,
 namespace {
 
 void
-saveStatsGroup(CkptOut &out, const stats::Group &g,
-               const std::string &prefix)
-{
-    for (const stats::Stat *s : g.statList())
-        s->ckptSave(out, prefix + s->name());
-    for (const stats::Group *c : g.children())
-        saveStatsGroup(out, *c, prefix + c->name() + ".");
-}
-
-void
-restoreStatsGroup(CkptIn &in, stats::Group &g,
-                  const std::string &prefix)
+checkpointStats(Io &io, stats::Group &g, const std::string &prefix)
 {
     for (stats::Stat *s : g.statList())
-        s->ckptRestore(in, prefix + s->name());
+        s->checkpoint(io, prefix + s->name());
     for (stats::Group *c : g.children())
-        restoreStatsGroup(in, *c, prefix + c->name() + ".");
+        checkpointStats(io, *c, prefix + c->name() + ".");
+}
+
+/**
+ * The engine's own state: time, service counts and the packet-id
+ * counter. Saves only happen with the engine quiesced at a barrier, so
+ * every shard sits at a common tick; the service counts still differ
+ * per shard.
+ */
+void
+checkpointEngine(Io &io, Simulator &sim)
+{
+    const unsigned shards = sim.numShards();
+    std::vector<std::uint64_t> ticks, serviced;
+    for (unsigned s = 0; s < shards; ++s) {
+        ticks.push_back(sim.shardQueue(s).curTick());
+        serviced.push_back(sim.shardQueue(s).numEventsServiced());
+    }
+    std::uint64_t next_id = Packet::nextId();
+    io.tick("curTick", ticks[0]);
+    io.u64("numServiced", serviced[0]);
+    io.u64("nextPacketId", next_id);
+    io.check("objectCount", sim.objects().size(), "simulated object count");
+    if (shards > 1) {
+        io.lanes("shardTicks", ticks);
+        io.lanes("shardServiced", serviced);
+    }
+    if (io.restoring()) {
+        // Time first: deferred events re-schedule against the restored
+        // tick, and components may sanity-check against curTick().
+        for (unsigned s = 0; s < shards; ++s)
+            sim.shardQueue(s).restoreState(ticks[s], serviced[s]);
+        Packet::setNextId(next_id);
+    }
+}
+
+/** Every section of @p sim, in the stream's order. */
+void
+checkpointAll(Io &io, Simulator &sim)
+{
+    io.section("sim", [&] { checkpointEngine(io, sim); });
+    io.section("stats", [&] { checkpointStats(io, sim.rootStats(), ""); });
+    for (SimObject *obj : sim.objects())
+        io.section(obj->name(), [&] { obj->checkpoint(io); });
 }
 
 } // namespace
@@ -768,35 +725,8 @@ void
 save(Simulator &sim, std::ostream &os)
 {
     CkptOut out(os);
-
-    out.beginSection("sim");
-    out.putTick("curTick", sim.curTick());
-    out.putU64("numServiced", sim.eventq().numEventsServiced());
-    out.putU64("nextPacketId", Packet::nextId());
-    out.putU64("objectCount", sim.objects().size());
-    // Per-shard clocks and service counts. Saves only happen with the
-    // engine quiesced at a barrier, so every shard sits at a common
-    // tick; the service counts still differ per shard.
-    if (sim.numShards() > 1) {
-        std::vector<std::uint64_t> ticks, serviced;
-        for (unsigned s = 0; s < sim.numShards(); ++s) {
-            ticks.push_back(sim.shardQueue(s).curTick());
-            serviced.push_back(sim.shardQueue(s).numEventsServiced());
-        }
-        out.putU64Vec("shardTicks", ticks);
-        out.putU64Vec("shardServiced", serviced);
-    }
-    out.endSection();
-
-    out.beginSection("stats");
-    saveStatsGroup(out, sim.rootStats(), "");
-    out.endSection();
-
-    for (SimObject *obj : sim.objects()) {
-        out.beginSection(obj->name());
-        obj->serialize(out);
-        out.endSection();
-    }
+    Io io(out);
+    checkpointAll(io, sim);
 }
 
 void
@@ -812,42 +742,8 @@ restore(Simulator &sim, std::istream &is)
               "simulator (nothing run, nothing scheduled)");
 
     CkptIn in(is);
-
-    in.openSection("sim");
-    // Time first: deferred events re-schedule against the restored
-    // tick, and components may sanity-check against curTick().
-    if (in.has("shardTicks")) {
-        const auto &ticks = in.getU64Vec("shardTicks");
-        const auto &serviced = in.getU64Vec("shardServiced");
-        if (ticks.size() != sim.numShards())
-            fatal("checkpoint holds %zu shards but the restoring "
-                  "simulator has %u — rebuild with the same channel "
-                  "count", ticks.size(), sim.numShards());
-        for (unsigned s = 0; s < sim.numShards(); ++s)
-            sim.shardQueue(s).restoreState(ticks[s], serviced[s]);
-    } else {
-        if (sim.numShards() > 1)
-            fatal("unsharded checkpoint cannot restore into a "
-                  "sharded simulator");
-        sim.eventq().restoreState(in.getTick("curTick"),
-                                  in.getU64("numServiced"));
-    }
-    Packet::setNextId(in.getU64("nextPacketId"));
-    if (in.getU64("objectCount") != sim.objects().size())
-        fatal("checkpoint holds %llu objects but the restoring "
-              "simulator has %zu",
-              static_cast<unsigned long long>(
-                  in.getU64("objectCount")),
-              sim.objects().size());
-
-    in.openSection("stats");
-    restoreStatsGroup(in, sim.rootStats(), "");
-
-    for (SimObject *obj : sim.objects()) {
-        in.openSection(obj->name());
-        obj->unserialize(in);
-    }
-
+    Io io(in);
+    checkpointAll(io, sim);
     in.finalizeEvents();
     sim.markStartupDone();
 }

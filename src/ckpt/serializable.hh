@@ -3,7 +3,7 @@
  * The interface every stateful component implements to take part in
  * checkpointing.
  *
- * Kept deliberately tiny (two forward-declared visitor types, no other
+ * Kept deliberately tiny (one forward-declared visitor type, no other
  * includes) so that base headers like sim_object.hh can inherit from
  * Serializable without pulling the checkpoint machinery into every
  * translation unit.
@@ -15,34 +15,34 @@
 namespace dramctrl {
 namespace ckpt {
 
-class CkptOut;
-class CkptIn;
+class Io;
 
 /**
  * A component that can write its dynamic state into a checkpoint and
- * later reconstruct it. The contract is strict determinism: after
- * unserialize() the component must behave byte-for-byte like the
- * instance serialize() was called on, provided it was constructed with
- * an identical configuration (serializers record a configuration
- * fingerprint and fatal() on mismatch rather than continue silently).
+ * later reconstruct it. The contract is strict determinism: after a
+ * restore the component must behave byte-for-byte like the instance
+ * that was saved, provided it was constructed with an identical
+ * configuration (walks record a configuration fingerprint with
+ * Io::check(), which fatal()s on a mismatch rather than continue
+ * silently).
  *
- * Both methods default to no-ops so purely structural objects (ports,
- * crossbars, recorders whose state is diagnostic only) need no code.
+ * The default walk names nothing, so purely structural objects
+ * (ports, crossbars, recorders whose state is diagnostic only) need no
+ * code.
  */
 class Serializable
 {
   public:
     virtual ~Serializable() = default;
 
-    /** Write all dynamic state into the currently open section. */
-    virtual void serialize(CkptOut &out) const { (void)out; }
-
     /**
-     * Read the state written by serialize(). Called on a freshly
-     * constructed object (same configuration, nothing scheduled).
-     * Event reconstruction is deferred: see CkptIn::getEvent().
+     * Name every piece of dynamic state to @p io, which writes it into
+     * the open section when saving and reads it back when restoring.
+     * A restore runs on a freshly constructed object (same
+     * configuration, nothing scheduled), and event reconstruction is
+     * deferred: see Io::event().
      */
-    virtual void unserialize(CkptIn &in) { (void)in; }
+    virtual void checkpoint(Io &io) { (void)io; }
 };
 
 } // namespace ckpt

@@ -167,16 +167,18 @@ CycleDRAMCtrl::startup()
 }
 
 void
-CycleDRAMCtrl::serialize(ckpt::CkptOut &out) const
+CycleDRAMCtrl::checkpoint(ckpt::Io &io)
 {
-    ckpt::putCheck(out, "cfgHash", ckpt::fnv1a(cfg_.describe()));
+    io.check("cfgHash", ckpt::fnv1a(cfg_.describe()),
+             "cycle controller configuration");
 
     // Transactions are referenced from both the transaction queue and
-    // the command rings; build a dedup table (transaction-queue order
-    // first, then command-ring scan) so each is written exactly once
-    // and references become table indices.
-    std::vector<const CycleTransaction *> table;
-    auto indexOf = [&table](const CycleTransaction *t) -> std::uint64_t {
+    // the command rings; a dedup table (transaction-queue order first,
+    // then command-ring scan) holds each exactly once, and references
+    // become table indices. A restore builds the table first, then
+    // points the queue and the rings into it.
+    std::vector<CycleTransaction *> table;
+    auto indexOf = [&table](CycleTransaction *t) -> std::uint64_t {
         for (std::size_t i = 0; i < table.size(); ++i) {
             if (table[i] == t)
                 return i;
@@ -184,7 +186,14 @@ CycleDRAMCtrl::serialize(ckpt::CkptOut &out) const
         table.push_back(t);
         return table.size() - 1;
     };
-    for (const CycleTransaction *t : transQueue_)
+    auto entry = [&](std::uint64_t idx) {
+        if (idx >= table.size())
+            fatal("checkpoint of '%s' references transaction %llu of %zu",
+                  name().c_str(), static_cast<unsigned long long>(idx),
+                  table.size());
+        return table[idx];
+    };
+    for (CycleTransaction *t : transQueue_)
         indexOf(t);
     for (unsigned r = 0; r < cmdQueue_.numRanks(); ++r) {
         for (unsigned b = 0; b < cmdQueue_.numBanks(); ++b) {
@@ -196,238 +205,95 @@ CycleDRAMCtrl::serialize(ckpt::CkptOut &out) const
         }
     }
 
-    out.putU64("transCount", table.size());
-    for (std::size_t i = 0; i < table.size(); ++i) {
-        const CycleTransaction *t = table[i];
-        out.putPacket(formatString("trans%zu.pkt", i), t->pkt);
-        out.putU64Vec(formatString("trans%zu.f", i),
-                      {t->isRead ? std::uint64_t(1) : 0, t->entryTime,
-                       t->localAddr, t->size, t->burstsTotal,
-                       t->burstsQueued, t->burstsDone, t->pickTime,
-                       t->issueTime});
+    std::uint64_t trans_count = table.size();
+    io.u64("transCount", trans_count);
+    for (std::size_t i = 0; i < trans_count; ++i) {
+        if (io.restoring())
+            table.push_back(new CycleTransaction);
+        CycleTransaction &t = *table[i];
+        io.packet(formatString("trans%zu.pkt", i), t.pkt);
+        io.fields(formatString("trans%zu.f", i), t.isRead, t.entryTime,
+                  t.localAddr, t.size, t.burstsTotal, t.burstsQueued,
+                  t.burstsDone, t.pickTime, t.issueTime);
+        if (io.restoring() && t.burstsQueued < t.burstsTotal)
+            decodeNextBurst(t);
     }
 
     std::vector<std::uint64_t> tq;
-    tq.reserve(transQueue_.size());
-    for (const CycleTransaction *t : transQueue_)
+    for (CycleTransaction *t : transQueue_)
         tq.push_back(indexOf(t));
-    out.putU64Vec("transQueue", tq);
+    io.list("transQueue", tq);
+    if (io.restoring()) {
+        for (std::uint64_t idx : tq)
+            transQueue_.push_back(entry(idx));
+    }
 
+    // One row per queued command; its transaction as index + 1 (0 =
+    // none).
+    struct Slot
+    {
+        Command cmd;
+        std::uint64_t trans;
+    };
     for (unsigned r = 0; r < cmdQueue_.numRanks(); ++r) {
         for (unsigned b = 0; b < cmdQueue_.numBanks(); ++b) {
             const auto &q = cmdQueue_.at(r, b);
-            std::vector<std::uint64_t> flat;
-            flat.reserve(q.size() * 7);
-            for (std::size_t i = 0; i < q.size(); ++i) {
-                const Command &cmd = q[i];
-                flat.push_back(static_cast<std::uint64_t>(cmd.type));
-                flat.push_back(cmd.rank);
-                flat.push_back(cmd.bank);
-                flat.push_back(cmd.row);
-                flat.push_back(cmd.col);
-                flat.push_back(cmd.autoPrecharge ? 1 : 0);
-                flat.push_back(cmd.trans ? indexOf(cmd.trans) + 1 : 0);
-            }
-            out.putU64Vec(formatString("cmdq.%u.%u", r, b), flat);
-        }
-    }
-
-    out.putU64Vec("tailRows", tailRows_);
-
-    std::vector<std::uint64_t> bank_state;
-    bank_state.reserve(banks_.size() * 5);
-    for (const CycleBankState &bs : banks_) {
-        bank_state.push_back(bs.openRow);
-        bank_state.push_back(bs.nextActivate);
-        bank_state.push_back(bs.nextPrecharge);
-        bank_state.push_back(bs.nextRead);
-        bank_state.push_back(bs.nextWrite);
-    }
-    out.putU64Vec("banks", bank_state);
-
-    std::vector<std::uint64_t> rank_next_act;
-    rank_next_act.reserve(rankState_.size());
-    for (std::size_t r = 0; r < rankState_.size(); ++r) {
-        const CycleRankState &rs = rankState_[r];
-        rank_next_act.push_back(rs.nextActAnyBank);
-        std::vector<std::uint64_t> window;
-        window.reserve(rs.actWindow.size());
-        for (std::size_t i = 0; i < rs.actWindow.size(); ++i)
-            window.push_back(rs.actWindow[i]);
-        out.putU64Vec(formatString("actWindow.%zu", r), window);
-    }
-    out.putU64Vec("rankNextAct", rank_next_act);
-
-    if (hasBankGroups_) {
-        // Keys only exist for grouped organisations; legacy checkpoint
-        // files stay restorable (and byte-identical) without them.
-        out.putU64Vec("grpNextCol", grpNextCol_);
-        out.putU64Vec("grpNextAct", grpNextAct_);
-        out.putU64("nextColAnyBank", nextColAnyBank_);
-    }
-
-    out.putU64("cycle", cycle_);
-    out.putTick("anchor", anchor_);
-    out.putU64("cyclesTicked", cyclesTicked_);
-    out.putU64("busBusyUntil", busBusyUntil_);
-    out.putBool("lastDataWasRead", lastDataWasRead_);
-    out.putU64("readAllowedAt", readAllowedAt_);
-    out.putU64("refreshCountdown", refreshCountdown_);
-    out.putBool("refreshPending", refreshPending_);
-    out.putU64("refNotBefore", refNotBefore_);
-    out.putU64("nextBankRR", nextBankRR_);
-    out.putBool("retryReq", retryReq_);
-    out.putBool("ticking", ticking_);
-    out.putU64("idleSinceCycle", idleSinceCycle_);
-    out.putTick("windowStart", windowStart_);
-
-    respQueue_.serialize(out);
-    out.putEvent("tickEvent", eventq(), tickEvent_);
-
-    plugins_.serialize(out);
-}
-
-void
-CycleDRAMCtrl::unserialize(ckpt::CkptIn &in)
-{
-    DC_ASSERT(transQueue_.empty() && cmdQueue_.empty(),
-              "checkpoint restore into a non-fresh cycle controller");
-    ckpt::verifyCheck(in, "cfgHash", ckpt::fnv1a(cfg_.describe()),
-                      "cycle controller configuration");
-
-    const std::uint64_t trans_count = in.getU64("transCount");
-    std::vector<CycleTransaction *> table;
-    table.reserve(trans_count);
-    for (std::uint64_t i = 0; i < trans_count; ++i) {
-        auto fields = in.getU64Vec(formatString("trans%llu.f",
-                                                static_cast<unsigned long long>(i)));
-        if (fields.size() != 9)
-            fatal("checkpoint transaction %llu of '%s' has %zu fields, "
-                  "expected 9",
-                  static_cast<unsigned long long>(i), name().c_str(),
-                  fields.size());
-        auto *t = new CycleTransaction;
-        t->pkt = in.getPacket(formatString("trans%llu.pkt",
-                                           static_cast<unsigned long long>(i)));
-        t->isRead = fields[0] != 0;
-        t->entryTime = fields[1];
-        t->localAddr = fields[2];
-        t->size = static_cast<unsigned>(fields[3]);
-        t->burstsTotal = static_cast<unsigned>(fields[4]);
-        t->burstsQueued = static_cast<unsigned>(fields[5]);
-        t->burstsDone = static_cast<unsigned>(fields[6]);
-        t->pickTime = fields[7];
-        t->issueTime = fields[8];
-        if (t->burstsQueued < t->burstsTotal)
-            decodeNextBurst(*t);
-        table.push_back(t);
-    }
-
-    for (std::uint64_t idx : in.getU64Vec("transQueue")) {
-        if (idx >= table.size())
-            fatal("checkpoint transaction queue of '%s' references "
-                  "transaction %llu of %zu",
-                  name().c_str(), static_cast<unsigned long long>(idx),
-                  table.size());
-        transQueue_.push_back(table[idx]);
-    }
-
-    for (unsigned r = 0; r < cmdQueue_.numRanks(); ++r) {
-        for (unsigned b = 0; b < cmdQueue_.numBanks(); ++b) {
-            auto flat = in.getU64Vec(formatString("cmdq.%u.%u", r, b));
-            if (flat.size() % 7 != 0)
-                fatal("checkpoint command ring (%u,%u) of '%s' has %zu "
-                      "words, not a multiple of 7",
-                      r, b, name().c_str(), flat.size());
-            for (std::size_t i = 0; i < flat.size(); i += 7) {
-                Command cmd;
-                cmd.type = static_cast<CmdType>(flat[i]);
-                cmd.rank = static_cast<unsigned>(flat[i + 1]);
-                cmd.bank = static_cast<unsigned>(flat[i + 2]);
-                cmd.row = flat[i + 3];
-                cmd.col = flat[i + 4];
-                cmd.autoPrecharge = flat[i + 5] != 0;
-                const std::uint64_t ref = flat[i + 6];
-                if (ref > table.size())
-                    fatal("checkpoint command ring (%u,%u) of '%s' "
-                          "references transaction %llu of %zu",
-                          r, b, name().c_str(),
-                          static_cast<unsigned long long>(ref),
-                          table.size());
-                cmd.trans = ref ? table[ref - 1] : nullptr;
-                cmdQueue_.push(cmd);
+            std::vector<Slot> slots;
+            for (std::size_t i = 0; i < q.size(); ++i)
+                slots.push_back(
+                    {q[i], q[i].trans ? indexOf(q[i].trans) + 1 : 0});
+            io.rows(formatString("cmdq.%u.%u", r, b), slots, [](Slot &s) {
+                return std::tie(s.cmd.type, s.cmd.rank, s.cmd.bank,
+                                s.cmd.row, s.cmd.col, s.cmd.autoPrecharge,
+                                s.trans);
+            });
+            if (io.restoring()) {
+                for (Slot &s : slots) {
+                    s.cmd.trans = s.trans ? entry(s.trans - 1) : nullptr;
+                    cmdQueue_.push(s.cmd);
+                }
             }
         }
     }
 
-    auto tail_rows = in.getU64Vec("tailRows");
-    if (tail_rows.size() != tailRows_.size())
-        fatal("checkpoint tail-row table of '%s' has %zu entries, this "
-              "organisation has %zu banks",
-              name().c_str(), tail_rows.size(), tailRows_.size());
-    tailRows_ = std::move(tail_rows);
-
-    auto bank_state = in.getU64Vec("banks");
-    if (bank_state.size() != banks_.size() * 5)
-        fatal("checkpoint bank state of '%s' has %zu words, expected %zu",
-              name().c_str(), bank_state.size(), banks_.size() * 5);
-    for (std::size_t i = 0; i < banks_.size(); ++i) {
-        banks_[i].openRow = bank_state[i * 5];
-        banks_[i].nextActivate = bank_state[i * 5 + 1];
-        banks_[i].nextPrecharge = bank_state[i * 5 + 2];
-        banks_[i].nextRead = bank_state[i * 5 + 3];
-        banks_[i].nextWrite = bank_state[i * 5 + 4];
-    }
-
-    auto rank_next_act = in.getU64Vec("rankNextAct");
-    if (rank_next_act.size() != rankState_.size())
-        fatal("checkpoint rank state of '%s' has %zu entries, this "
-              "organisation has %zu ranks",
-              name().c_str(), rank_next_act.size(), rankState_.size());
-    for (std::size_t r = 0; r < rankState_.size(); ++r) {
-        CycleRankState &rs = rankState_[r];
-        rs.nextActAnyBank = rank_next_act[r];
-        auto window = in.getU64Vec(formatString("actWindow.%zu", r));
-        if (window.size() > rs.actWindow.capacity())
-            fatal("checkpoint activation window of '%s' rank %zu has "
-                  "%zu entries, capacity is %zu",
-                  name().c_str(), r, window.size(),
-                  rs.actWindow.capacity());
-        for (std::uint64_t c : window)
-            rs.actWindow.push_back(c);
-    }
+    io.lanes("tailRows", tailRows_);
+    io.table("banks", banks_.size(), [this](std::size_t i) {
+        CycleBankState &bs = banks_[i];
+        return std::tie(bs.openRow, bs.nextActivate, bs.nextPrecharge,
+                        bs.nextRead, bs.nextWrite);
+    });
+    for (std::size_t r = 0; r < rankState_.size(); ++r)
+        io.ring(formatString("actWindow.%zu", r), rankState_[r].actWindow);
+    io.table("rankNextAct", rankState_.size(), [this](std::size_t r) {
+        return std::tie(rankState_[r].nextActAnyBank);
+    });
 
     if (hasBankGroups_) {
-        const auto &grp_col = in.getU64Vec("grpNextCol");
-        const auto &grp_act = in.getU64Vec("grpNextAct");
-        if (grp_col.size() != grpNextCol_.size() ||
-            grp_act.size() != grpNextAct_.size())
-            fatal("checkpoint bank-group lanes of '%s' do not match "
-                  "this organisation", name().c_str());
-        grpNextCol_ = grp_col;
-        grpNextAct_ = grp_act;
-        nextColAnyBank_ = in.getU64("nextColAnyBank");
+        // Keys only exist for grouped organisations.
+        io.lanes("grpNextCol", grpNextCol_);
+        io.lanes("grpNextAct", grpNextAct_);
+        io.u64("nextColAnyBank", nextColAnyBank_);
     }
 
-    cycle_ = in.getU64("cycle");
-    anchor_ = in.getTick("anchor");
-    cyclesTicked_ = in.getU64("cyclesTicked");
-    busBusyUntil_ = in.getU64("busBusyUntil");
-    lastDataWasRead_ = in.getBool("lastDataWasRead");
-    readAllowedAt_ = in.getU64("readAllowedAt");
-    refreshCountdown_ = in.getU64("refreshCountdown");
-    refreshPending_ = in.getBool("refreshPending");
-    refNotBefore_ = in.getU64("refNotBefore");
-    nextBankRR_ = static_cast<unsigned>(in.getU64("nextBankRR"));
-    retryReq_ = in.getBool("retryReq");
-    ticking_ = in.getBool("ticking");
-    idleSinceCycle_ = in.getU64("idleSinceCycle");
-    windowStart_ = in.getTick("windowStart");
+    io.u64("cycle", cycle_);
+    io.tick("anchor", anchor_);
+    io.u64("cyclesTicked", cyclesTicked_);
+    io.u64("busBusyUntil", busBusyUntil_);
+    io.flag("lastDataWasRead", lastDataWasRead_);
+    io.u64("readAllowedAt", readAllowedAt_);
+    io.u64("refreshCountdown", refreshCountdown_);
+    io.flag("refreshPending", refreshPending_);
+    io.u64("refNotBefore", refNotBefore_);
+    io.u64("nextBankRR", nextBankRR_);
+    io.flag("retryReq", retryReq_);
+    io.flag("ticking", ticking_);
+    io.u64("idleSinceCycle", idleSinceCycle_);
+    io.tick("windowStart", windowStart_);
 
-    respQueue_.unserialize(in);
-    in.getEvent("tickEvent", eventq(), tickEvent_);
+    respQueue_.checkpoint(io);
+    io.event("tickEvent", eventq(), tickEvent_);
 
-    plugins_.unserialize(in);
+    plugins_.checkpoint(io);
 }
 
 bool

@@ -119,8 +119,7 @@ class CycleDRAMCtrl : public MemCtrlBase
 
     void startup() override;
 
-    void serialize(ckpt::CkptOut &out) const override;
-    void unserialize(ckpt::CkptIn &in) override;
+    void checkpoint(ckpt::Io &io) override;
 
     /** DRAM clock cycles actually simulated (the model's work unit). */
     std::uint64_t cyclesTicked() const { return cyclesTicked_; }

@@ -283,47 +283,39 @@ DRAMCtrl::startup()
 }
 
 void
-DRAMCtrl::serialize(ckpt::CkptOut &out) const
+DRAMCtrl::checkpoint(ckpt::Io &io)
 {
-    ckpt::putCheck(out, "cfgHash", ckpt::fnv1a(cfg_.describe()));
+    io.check("cfgHash", ckpt::fnv1a(cfg_.describe()),
+             "DRAM controller configuration");
 
     // Bank timing state is already flat rank-major struct-of-arrays,
     // the exact layout the checkpoint format records.
-    std::vector<std::uint64_t> next_act;
-    for (const Rank &rank : ranks_)
-        next_act.push_back(rank.nextActAt);
-    out.putU64Vec("bank.openRow", bankOpenRow_);
-    out.putU64Vec("bank.preAllowedAt", bankPreAllowedAt_);
-    out.putU64Vec("bank.actAllowedAt", bankActAllowedAt_);
-    out.putU64Vec("bank.colAllowedAt", bankColAllowedAt_);
-    out.putU64Vec("bank.rowAccesses",
-                  std::vector<std::uint64_t>(bankRowAccesses_.begin(),
-                                             bankRowAccesses_.end()));
-    out.putU64Vec("rank.nextActAt", next_act);
-    for (std::size_t r = 0; r < ranks_.size(); ++r) {
-        std::vector<std::uint64_t> window;
-        for (std::size_t i = 0; i < ranks_[r].actWindow.size(); ++i)
-            window.push_back(ranks_[r].actWindow[i]);
-        out.putU64Vec("rank.actWindow" + std::to_string(r), window);
-    }
-    out.putU64Vec("starvedHits",
-                  std::vector<std::uint64_t>(starvedHits_.begin(),
-                                             starvedHits_.end()));
+    io.lanes("bank.openRow", bankOpenRow_);
+    io.lanes("bank.preAllowedAt", bankPreAllowedAt_);
+    io.lanes("bank.actAllowedAt", bankActAllowedAt_);
+    io.lanes("bank.colAllowedAt", bankColAllowedAt_);
+    io.lanes("bank.rowAccesses", bankRowAccesses_);
+    io.table("rank.nextActAt", ranks_.size(), [this](std::size_t r) {
+        return std::tie(ranks_[r].nextActAt);
+    });
+    for (std::size_t r = 0; r < ranks_.size(); ++r)
+        io.ring("rank.actWindow" + std::to_string(r), ranks_[r].actWindow);
+    io.lanes("starvedHits", starvedHits_);
     if (hasBankGroups_) {
-        // Bank-group lanes only exist for grouped organisations; the
-        // keys are absent from (and never read out of) legacy
-        // checkpoints, which keeps old files restorable.
-        out.putU64Vec("grp.colAllowedAt", grpColAllowedAt_);
-        out.putU64Vec("grp.nextActAt", grpNextActAt_);
-        out.putTick("nextColAllowedAt", nextColAllowedAt_);
+        // Bank-group lanes only exist for grouped organisations.
+        io.lanes("grp.colAllowedAt", grpColAllowedAt_);
+        io.lanes("grp.nextActAt", grpNextActAt_);
+        io.tick("nextColAllowedAt", nextColAllowedAt_);
     }
 
     // Unique system packets and burst helpers the read queue refers
     // to; queue entries reference them by index (0 = none). Parked
-    // writes were answered on acceptance and carry neither.
-    std::vector<const Packet *> pkts;
+    // writes were answered on acceptance and carry neither. Entries
+    // share these objects, so a restore builds the tables first and
+    // then points the entries into them.
+    std::vector<Packet *> pkts;
     std::unordered_map<const Packet *, std::uint64_t> pkt_idx;
-    std::vector<const BurstHelper *> helpers;
+    std::vector<BurstHelper *> helpers;
     std::unordered_map<const BurstHelper *, std::uint64_t> helper_idx;
     for (const DRAMPacket *dp : readQueue_) {
         if (dp->pkt != nullptr && pkt_idx.emplace(
@@ -333,201 +325,78 @@ DRAMCtrl::serialize(ckpt::CkptOut &out) const
                 dp->burstHelper, helpers.size() + 1).second)
             helpers.push_back(dp->burstHelper);
     }
-    out.putU64("pkts.count", pkts.size());
-    for (std::size_t i = 0; i < pkts.size(); ++i)
-        out.putPacket("pkts." + std::to_string(i), pkts[i]);
-    out.putU64("helpers.count", helpers.size());
-    for (std::size_t i = 0; i < helpers.size(); ++i)
-        out.putU64Vec("helpers." + std::to_string(i),
-                      {helpers[i]->burstCount,
-                       helpers[i]->burstsServiced});
-
-    auto save_queue = [&](const char *prefix,
-                          const std::vector<DRAMPacket *> &queue) {
-        out.putU64(std::string(prefix) + ".count", queue.size());
-        for (std::size_t i = 0; i < queue.size(); ++i) {
-            const DRAMPacket *dp = queue[i];
-            out.putU64Vec(
-                std::string(prefix) + "." + std::to_string(i),
-                {dp->entryTime, dp->readyTime,
-                 dp->isRead ? std::uint64_t(1) : 0, dp->requestorId,
-                 dp->rank, dp->bank, dp->row, dp->col, dp->burstAddr,
-                 dp->lo, dp->hi,
-                 dp->pkt != nullptr ? pkt_idx.at(dp->pkt) : 0,
-                 dp->burstHelper != nullptr
-                     ? helper_idx.at(dp->burstHelper)
-                     : 0});
-        }
-    };
-    save_queue("rq", readQueue_);
-    save_queue("wq", writeQueue_);
-
-    out.putU64("maxReqPriority", maxReqPriority_);
-    out.putBool("busStateWrite", busState_ == BusState::Write);
-    out.putTick("busBusyUntil", busBusyUntil_);
-    out.putTick("nextReqTime", nextReqTime_);
-    out.putTick("nextRdCmdAt", nextRdCmdAt_);
-    out.putTick("nextWrDataAt", nextWrDataAt_);
-    out.putBool("lastBurstWasRead", lastBurstWasRead_);
-    out.putU64("readsThisTime", readsThisTime_);
-    out.putU64("writesThisTime", writesThisTime_);
-    out.putBool("retryReq", retryReq_);
-    out.putTick("nextRefreshAt", nextRefreshAt_);
-    out.putU64Vec("rankRefreshDue",
-                  std::vector<std::uint64_t>(rankRefreshDue_.begin(),
-                                             rankRefreshDue_.end()));
-    out.putTick("refNotBefore", refNotBefore_);
-    out.putTick("poweredDownAt", poweredDownAt_);
-    out.putTick("wakeConstraint", wakeConstraint_);
-    out.putU64("numBanksActive", numBanksActive_);
-    out.putTick("allBanksPreSince", allBanksPreSince_);
-    out.putTick("windowStart", windowStart_);
-    out.putTick("lastQStatUpdate", lastQStatUpdate_);
-
-    respQueue_.serialize(out);
-    out.putEvent("nextReqEvent", eventq(), nextReqEvent_);
-    out.putEvent("refreshEvent", eventq(), refreshEvent_);
-
-    plugins_.serialize(out);
-}
-
-void
-DRAMCtrl::unserialize(ckpt::CkptIn &in)
-{
-    ckpt::verifyCheck(in, "cfgHash", ckpt::fnv1a(cfg_.describe()),
-                      "DRAM controller configuration");
-    DC_ASSERT(readQueue_.empty() && writeQueue_.empty(),
-              "restore into a non-empty controller");
-
-    const unsigned total_banks = cfg_.org.totalBanks();
-    const auto &open_row = in.getU64Vec("bank.openRow");
-    const auto &pre_at = in.getU64Vec("bank.preAllowedAt");
-    const auto &act_at = in.getU64Vec("bank.actAllowedAt");
-    const auto &col_at = in.getU64Vec("bank.colAllowedAt");
-    const auto &row_acc = in.getU64Vec("bank.rowAccesses");
-    if (open_row.size() != total_banks)
-        fatal("checkpoint controller '%s' covers %zu banks, this one "
-              "has %u", name().c_str(), open_row.size(), total_banks);
-    const auto &next_act = in.getU64Vec("rank.nextActAt");
-    for (std::size_t r = 0; r < ranks_.size(); ++r) {
-        Rank &rank = ranks_[r];
-        rank.nextActAt = next_act.at(r);
-        const auto &window =
-            in.getU64Vec("rank.actWindow" + std::to_string(r));
-        rank.actWindow.clear();
-        for (std::uint64_t t : window)
-            rank.actWindow.push_back(t);
-    }
-    for (unsigned flat = 0; flat < total_banks; ++flat) {
-        bankOpenRow_[flat] = open_row[flat];
-        bankPreAllowedAt_[flat] = pre_at.at(flat);
-        bankActAllowedAt_[flat] = act_at.at(flat);
-        bankColAllowedAt_[flat] = col_at.at(flat);
-        bankRowAccesses_[flat] =
-            static_cast<std::uint32_t>(row_acc.at(flat));
-    }
-    const auto &starved = in.getU64Vec("starvedHits");
-    if (starved.size() != starvedHits_.size())
-        fatal("checkpoint controller '%s': starvation map size "
-              "mismatch", name().c_str());
-    for (std::size_t i = 0; i < starved.size(); ++i)
-        starvedHits_[i] = static_cast<std::uint8_t>(starved[i]);
-    if (hasBankGroups_) {
-        const auto &grp_col = in.getU64Vec("grp.colAllowedAt");
-        const auto &grp_act = in.getU64Vec("grp.nextActAt");
-        if (grp_col.size() != grpColAllowedAt_.size() ||
-            grp_act.size() != grpNextActAt_.size())
-            fatal("checkpoint controller '%s': bank-group lane size "
-                  "mismatch", name().c_str());
-        grpColAllowedAt_ = grp_col;
-        grpNextActAt_ = grp_act;
-        nextColAllowedAt_ = in.getTick("nextColAllowedAt");
-    }
-
-    std::vector<Packet *> pkts;
-    std::size_t pkt_count = in.getU64("pkts.count");
+    std::uint64_t pkt_count = pkts.size();
+    io.u64("pkts.count", pkt_count);
+    pkts.resize(pkt_count);
     for (std::size_t i = 0; i < pkt_count; ++i)
-        pkts.push_back(in.getPacket("pkts." + std::to_string(i)));
-    std::vector<BurstHelper *> helpers;
-    std::size_t helper_count = in.getU64("helpers.count");
+        io.packet("pkts." + std::to_string(i), pkts[i]);
+    std::uint64_t helper_count = helpers.size();
+    io.u64("helpers.count", helper_count);
     for (std::size_t i = 0; i < helper_count; ++i) {
-        const auto &h =
-            in.getU64Vec("helpers." + std::to_string(i));
-        if (h.size() != 2)
-            fatal("checkpoint controller '%s': malformed burst "
-                  "helper %zu", name().c_str(), i);
-        auto *helper =
-            new BurstHelper(static_cast<unsigned>(h[0]));
-        helper->burstsServiced = static_cast<unsigned>(h[1]);
-        helpers.push_back(helper);
+        if (io.restoring())
+            helpers.push_back(new BurstHelper(0));
+        io.fields("helpers." + std::to_string(i),
+                  helpers[i]->burstCount, helpers[i]->burstsServiced);
     }
 
-    auto load_queue = [&](const char *prefix,
+    auto walk_queue = [&](const std::string &prefix,
                           std::vector<DRAMPacket *> &queue) {
-        std::size_t count =
-            in.getU64(std::string(prefix) + ".count");
+        std::uint64_t count = queue.size();
+        io.u64(prefix + ".count", count);
         for (std::size_t i = 0; i < count; ++i) {
-            const auto &f = in.getU64Vec(std::string(prefix) + "." +
-                                         std::to_string(i));
-            if (f.size() != 13)
-                fatal("checkpoint controller '%s': malformed queue "
-                      "entry %s.%zu", name().c_str(), prefix, i);
-            auto *dp = new DRAMPacket;
-            dp->entryTime = f[0];
-            dp->readyTime = f[1];
-            dp->isRead = f[2] != 0;
-            dp->requestorId = static_cast<RequestorId>(f[3]);
-            dp->rank = static_cast<unsigned>(f[4]);
-            dp->bank = static_cast<unsigned>(f[5]);
-            dp->row = f[6];
-            dp->col = f[7];
-            dp->burstAddr = f[8];
-            dp->lo = f[9];
-            dp->hi = f[10];
-            dp->pkt = f[11] != 0 ? pkts.at(f[11] - 1) : nullptr;
-            dp->burstHelper =
-                f[12] != 0 ? helpers.at(f[12] - 1) : nullptr;
-            queue.push_back(dp);
-            // Replaying the enqueue bookkeeping against the restored
-            // bank state rebuilds the packed key arrays and the
-            // incremental row-hit/bank counters exactly.
-            noteEnqueued(*dp, dp->isRead);
+            if (io.restoring())
+                queue.push_back(new DRAMPacket);
+            DRAMPacket &dp = *queue[i];
+            std::uint64_t pkt_ref =
+                dp.pkt != nullptr ? pkt_idx.at(dp.pkt) : 0;
+            std::uint64_t helper_ref =
+                dp.burstHelper != nullptr ? helper_idx.at(dp.burstHelper)
+                                          : 0;
+            io.fields(prefix + "." + std::to_string(i), dp.entryTime,
+                      dp.readyTime, dp.isRead, dp.requestorId, dp.rank,
+                      dp.bank, dp.row, dp.col, dp.burstAddr, dp.lo, dp.hi,
+                      pkt_ref, helper_ref);
+            if (io.restoring()) {
+                dp.pkt = pkt_ref != 0 ? pkts.at(pkt_ref - 1) : nullptr;
+                dp.burstHelper =
+                    helper_ref != 0 ? helpers.at(helper_ref - 1) : nullptr;
+                // Replaying the enqueue bookkeeping against the
+                // restored bank state rebuilds the packed key arrays
+                // and the incremental row-hit/bank counters exactly.
+                noteEnqueued(dp, dp.isRead);
+            }
         }
     };
-    load_queue("rq", readQueue_);
-    load_queue("wq", writeQueue_);
+    walk_queue("rq", readQueue_);
+    walk_queue("wq", writeQueue_);
 
-    maxReqPriority_ =
-        static_cast<unsigned>(in.getU64("maxReqPriority"));
-    busState_ = in.getBool("busStateWrite") ? BusState::Write
-                                            : BusState::Read;
-    busBusyUntil_ = in.getTick("busBusyUntil");
-    nextReqTime_ = in.getTick("nextReqTime");
-    nextRdCmdAt_ = in.getTick("nextRdCmdAt");
-    nextWrDataAt_ = in.getTick("nextWrDataAt");
-    lastBurstWasRead_ = in.getBool("lastBurstWasRead");
-    readsThisTime_ =
-        static_cast<unsigned>(in.getU64("readsThisTime"));
-    writesThisTime_ =
-        static_cast<unsigned>(in.getU64("writesThisTime"));
-    retryReq_ = in.getBool("retryReq");
-    nextRefreshAt_ = in.getTick("nextRefreshAt");
-    const auto &due = in.getU64Vec("rankRefreshDue");
-    rankRefreshDue_.assign(due.begin(), due.end());
-    refNotBefore_ = in.getTick("refNotBefore");
-    poweredDownAt_ = in.getTick("poweredDownAt");
-    wakeConstraint_ = in.getTick("wakeConstraint");
-    numBanksActive_ =
-        static_cast<unsigned>(in.getU64("numBanksActive"));
-    allBanksPreSince_ = in.getTick("allBanksPreSince");
-    windowStart_ = in.getTick("windowStart");
-    lastQStatUpdate_ = in.getTick("lastQStatUpdate");
+    io.u64("maxReqPriority", maxReqPriority_);
+    bool bus_write = busState_ == BusState::Write;
+    io.flag("busStateWrite", bus_write);
+    busState_ = bus_write ? BusState::Write : BusState::Read;
+    io.tick("busBusyUntil", busBusyUntil_);
+    io.tick("nextReqTime", nextReqTime_);
+    io.tick("nextRdCmdAt", nextRdCmdAt_);
+    io.tick("nextWrDataAt", nextWrDataAt_);
+    io.flag("lastBurstWasRead", lastBurstWasRead_);
+    io.u64("readsThisTime", readsThisTime_);
+    io.u64("writesThisTime", writesThisTime_);
+    io.flag("retryReq", retryReq_);
+    io.tick("nextRefreshAt", nextRefreshAt_);
+    io.list("rankRefreshDue", rankRefreshDue_);
+    io.tick("refNotBefore", refNotBefore_);
+    io.tick("poweredDownAt", poweredDownAt_);
+    io.tick("wakeConstraint", wakeConstraint_);
+    io.u64("numBanksActive", numBanksActive_);
+    io.tick("allBanksPreSince", allBanksPreSince_);
+    io.tick("windowStart", windowStart_);
+    io.tick("lastQStatUpdate", lastQStatUpdate_);
 
-    respQueue_.unserialize(in);
-    in.getEvent("nextReqEvent", eventq(), nextReqEvent_);
-    in.getEvent("refreshEvent", eventq(), refreshEvent_);
+    respQueue_.checkpoint(io);
+    io.event("nextReqEvent", eventq(), nextReqEvent_);
+    io.event("refreshEvent", eventq(), refreshEvent_);
 
-    plugins_.unserialize(in);
+    plugins_.checkpoint(io);
 }
 
 bool

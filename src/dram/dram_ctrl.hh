@@ -220,8 +220,7 @@ class DRAMCtrl : public MemCtrlBase
 
     void startup() override;
 
-    void serialize(ckpt::CkptOut &out) const override;
-    void unserialize(ckpt::CkptIn &in) override;
+    void checkpoint(ckpt::Io &io) override;
 
   private:
     /** Open-row sentinel: the bank is precharged. */

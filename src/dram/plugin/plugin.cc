@@ -32,11 +32,7 @@ hash01(std::uint64_t x)
 } // namespace
 
 void
-CtrlPlugin::serialize(ckpt::CkptOut &, const std::string &) const
-{}
-
-void
-CtrlPlugin::unserialize(ckpt::CkptIn &, const std::string &)
+CtrlPlugin::checkpoint(ckpt::Io &, const std::string &)
 {}
 
 // ---------------------------------------------------------------- ECC
@@ -210,41 +206,13 @@ PracPlugin::onStatsDump()
 }
 
 void
-PracPlugin::serialize(ckpt::CkptOut &out,
-                      const std::string &prefix) const
+PracPlugin::checkpoint(ckpt::Io &io, const std::string &prefix)
 {
-    std::vector<std::uint64_t> pend(pending_.begin(), pending_.end());
-    out.putU64Vec(prefix + "pending", pend);
-    // One flat [row, count, row, count, ...] vector per bank; the
-    // std::map iteration order makes it deterministic.
-    for (std::size_t flat = 0; flat < counts_.size(); ++flat) {
-        std::vector<std::uint64_t> rows;
-        rows.reserve(counts_[flat].size() * 2);
-        for (const auto &[row, count] : counts_[flat]) {
-            rows.push_back(row);
-            rows.push_back(count);
-        }
-        out.putU64Vec(prefix + "counts" + std::to_string(flat), rows);
-    }
-}
-
-void
-PracPlugin::unserialize(ckpt::CkptIn &in, const std::string &prefix)
-{
-    const auto &pend = in.getU64Vec(prefix + "pending");
-    if (pend.size() != pending_.size())
-        fatal("prac checkpoint has %zu banks, config has %zu",
-              pend.size(), pending_.size());
-    for (std::size_t i = 0; i < pend.size(); ++i)
-        pending_[i] = static_cast<std::uint8_t>(pend[i]);
-    for (std::size_t flat = 0; flat < counts_.size(); ++flat) {
-        counts_[flat].clear();
-        const auto &rows =
-            in.getU64Vec(prefix + "counts" + std::to_string(flat));
-        for (std::size_t i = 0; i + 1 < rows.size(); i += 2)
-            counts_[flat][rows[i]] =
-                static_cast<unsigned>(rows[i + 1]);
-    }
+    io.lanes(prefix + "pending", pending_);
+    // One flat [row, count, row, count, ...] record per bank; the
+    // std::map order makes it deterministic.
+    for (std::size_t flat = 0; flat < counts_.size(); ++flat)
+        io.pairs(prefix + "counts" + std::to_string(flat), counts_[flat]);
 }
 
 // ---------------------------------------------------- refresh manager
@@ -308,17 +276,9 @@ RefreshManager::onCommand(const CmdRecord &rec)
 }
 
 void
-RefreshManager::serialize(ckpt::CkptOut &out,
-                          const std::string &prefix) const
+RefreshManager::checkpoint(ckpt::Io &io, const std::string &prefix)
 {
-    out.putU64(prefix + "rotation", rotation_);
-}
-
-void
-RefreshManager::unserialize(ckpt::CkptIn &in,
-                            const std::string &prefix)
-{
-    rotation_ = static_cast<unsigned>(in.getU64(prefix + "rotation"));
+    io.u64(prefix + "rotation", rotation_);
 }
 
 // ---------------------------------------------------------- the chain
@@ -344,30 +304,14 @@ PluginChain::add(std::unique_ptr<CtrlPlugin> p)
 }
 
 void
-PluginChain::serialize(ckpt::CkptOut &out) const
+PluginChain::checkpoint(ckpt::Io &io)
 {
     for (const auto &p : plugins_) {
         std::string prefix = std::string("plugin.") + p->kind() + ".";
-        out.putU64(prefix + "version", p->ckptVersion());
-        out.putU64(prefix + "enqueues", p->enqueuesSeen_);
-        p->serialize(out, prefix);
-    }
-}
-
-void
-PluginChain::unserialize(ckpt::CkptIn &in)
-{
-    for (const auto &p : plugins_) {
-        std::string prefix = std::string("plugin.") + p->kind() + ".";
-        auto version = in.getU64(prefix + "version");
-        if (version != p->ckptVersion())
-            fatal("checkpoint holds %s plugin state version %llu, "
-                  "this build expects %u",
-                  p->kind(),
-                  static_cast<unsigned long long>(version),
-                  p->ckptVersion());
-        p->enqueuesSeen_ = in.getU64(prefix + "enqueues");
-        p->unserialize(in, prefix);
+        io.check(prefix + "version", p->ckptVersion(),
+                 std::string(p->kind()) + " plugin state version");
+        io.u64(prefix + "enqueues", p->enqueuesSeen_);
+        p->checkpoint(io, prefix);
     }
 }
 

@@ -19,7 +19,7 @@
  * Each plugin owns a stats::Group child of the controller's group, so
  * its counters flow into stats dumps, the golden corpus, the metrics
  * registry and checkpoints like any controller statistic. Non-stat
- * plugin state checkpoints through PluginChain::serialize() inside the
+ * plugin state checkpoints through PluginChain::checkpoint() inside the
  * controller's section, under "plugin.<kind>.*" keys with a per-plugin
  * version tag.
  *
@@ -47,8 +47,7 @@
 namespace dramctrl {
 
 namespace ckpt {
-class CkptOut;
-class CkptIn;
+class Io;
 } // namespace ckpt
 
 class ProtocolChecker;
@@ -96,15 +95,12 @@ class CtrlPlugin
     virtual std::uint32_t ckptVersion() const { return 1; }
 
     /**
-     * Write non-stat state under @p prefix ("plugin.<kind>.") into the
-     * controller section currently open on @p out. Statistics live in
-     * the stats tree and checkpoint there; only extra state (counter
-     * tables, rotation indices, ...) goes here.
+     * Name non-stat state to @p io under @p prefix ("plugin.<kind>."),
+     * inside the controller's section. Statistics live in the stats
+     * tree and checkpoint there; only extra state (counter tables,
+     * rotation indices, ...) goes here.
      */
-    virtual void serialize(ckpt::CkptOut &out,
-                           const std::string &prefix) const;
-    virtual void unserialize(ckpt::CkptIn &in,
-                             const std::string &prefix);
+    virtual void checkpoint(ckpt::Io &io, const std::string &prefix);
 
     /** Requests accepted while this plugin was attached. */
     std::uint64_t enqueuesSeen() const { return enqueuesSeen_; }
@@ -244,10 +240,7 @@ class PracPlugin : public CtrlPlugin
         return static_cast<std::uint64_t>(stats_.mitigations.value());
     }
 
-    void serialize(ckpt::CkptOut &out,
-                   const std::string &prefix) const override;
-    void unserialize(ckpt::CkptIn &in,
-                     const std::string &prefix) override;
+    void checkpoint(ckpt::Io &io, const std::string &prefix) override;
 
   private:
     void clearBank(unsigned flat);
@@ -305,10 +298,7 @@ class RefreshManager : public CtrlPlugin
     void onEnqueue(const EnqueueInfo &e) override;
     void onCommand(const CmdRecord &rec) override;
 
-    void serialize(ckpt::CkptOut &out,
-                   const std::string &prefix) const override;
-    void unserialize(ckpt::CkptIn &in,
-                     const std::string &prefix) override;
+    void checkpoint(ckpt::Io &io, const std::string &prefix) override;
 
   private:
     PluginSpec spec_;
@@ -383,12 +373,11 @@ class PluginChain
     RefreshManager *refreshManager() const { return refMgr_; }
 
     /**
-     * Checkpoint every plugin's state into the section currently open
-     * on @p out, under "plugin.<kind>.*" keys plus a per-plugin
-     * version tag. unserialize() fatal()s on a version mismatch.
+     * Name every plugin's state to @p io, inside the controller's
+     * section, under "plugin.<kind>.*" keys plus a per-plugin version
+     * tag that a restore checks.
      */
-    void serialize(ckpt::CkptOut &out) const;
-    void unserialize(ckpt::CkptIn &in);
+    void checkpoint(ckpt::Io &io);
 
   private:
     std::vector<std::unique_ptr<CtrlPlugin>> plugins_;

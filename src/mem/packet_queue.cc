@@ -85,41 +85,20 @@ RespPacketQueue::trySend()
 }
 
 void
-RespPacketQueue::serialize(ckpt::CkptOut &out) const
+RespPacketQueue::checkpoint(ckpt::Io &io)
 {
-    out.putU64("respq.count", size());
-    std::vector<std::uint64_t> whens;
-    whens.reserve(size());
-    for (std::size_t i = head_; i < queue_.size(); ++i)
-        whens.push_back(queue_[i].when);
-    out.putU64Vec("respq.whens", whens);
-    for (std::size_t i = head_; i < queue_.size(); ++i)
-        out.putPacket("respq.pkt" + std::to_string(i - head_),
-                      queue_[i].pkt);
-    out.putBool("respq.waitingForRetry", waitingForRetry_);
-    out.putEvent("respq.sendEvent", eventq_, sendEvent_);
-}
-
-void
-RespPacketQueue::unserialize(ckpt::CkptIn &in)
-{
-    DC_ASSERT(queue_.empty(), "restore into a non-empty packet queue");
-    std::size_t count = in.getU64("respq.count");
-    const auto &whens = in.getU64Vec("respq.whens");
-    if (whens.size() != count)
-        fatal("checkpoint response queue promises %zu entries but "
-              "lists %zu delivery ticks", count, whens.size());
-    for (std::size_t i = 0; i < count; ++i) {
-        Packet *pkt =
-            in.getPacket("respq.pkt" + std::to_string(i));
-        if (pkt == nullptr)
-            fatal("checkpoint response queue entry %zu has no packet",
-                  i);
-        queue_.push_back(Entry{whens[i], pkt});
-    }
-    head_ = 0;
-    waitingForRetry_ = in.getBool("respq.waitingForRetry");
-    in.getEvent("respq.sendEvent", eventq_, sendEvent_);
+    std::uint64_t count = size();
+    io.u64("respq.count", count);
+    // A restore fills a fresh queue (head_ 0) with the saved entries;
+    // a save walks the live ones in place.
+    queue_.resize(head_ + count);
+    io.table("respq.whens", count, [this](std::size_t i) {
+        return std::tie(queue_[head_ + i].when);
+    });
+    for (std::size_t i = 0; i < count; ++i)
+        io.packet("respq.pkt" + std::to_string(i), queue_[head_ + i].pkt);
+    io.flag("respq.waitingForRetry", waitingForRetry_);
+    io.event("respq.sendEvent", eventq_, sendEvent_);
 }
 
 void

@@ -48,12 +48,11 @@ class RespPacketQueue
     std::size_t size() const { return queue_.size() - head_; }
 
     /**
-     * Checkpoint hooks, called from the owning controller's section
+     * Checkpoint walk, called from the owning controller's section
      * with all keys prefixed "respq." (the queue is a sub-object, not
      * a SimObject with a section of its own).
      */
-    void serialize(ckpt::CkptOut &out) const;
-    void unserialize(ckpt::CkptIn &in);
+    void checkpoint(ckpt::Io &io);
 
   private:
     void trySend();

@@ -256,17 +256,10 @@ MetricsPublisher::sampleAndReschedule()
 }
 
 void
-MetricsPublisher::serialize(ckpt::CkptOut &out) const
+MetricsPublisher::checkpoint(ckpt::Io &io)
 {
-    out.putTick("interval", interval_);
-    out.putEvent("sampleEvent", eventq(), sampleEvent_);
-}
-
-void
-MetricsPublisher::unserialize(ckpt::CkptIn &in)
-{
-    interval_ = in.getTick("interval");
-    in.getEvent("sampleEvent", eventq(), sampleEvent_);
+    io.tick("interval", interval_);
+    io.event("sampleEvent", eventq(), sampleEvent_);
 }
 
 } // namespace obs

@@ -112,8 +112,7 @@ class MetricsPublisher : public SimObject
     /** Refresh gauges and publish a snapshot immediately. */
     void publishNow();
 
-    void serialize(ckpt::CkptOut &out) const override;
-    void unserialize(ckpt::CkptIn &in) override;
+    void checkpoint(ckpt::Io &io) override;
 
   private:
     void sampleAndReschedule();

@@ -125,19 +125,11 @@ StatsSampler::sampleNow()
 }
 
 void
-StatsSampler::serialize(ckpt::CkptOut &out) const
+StatsSampler::checkpoint(ckpt::Io &io)
 {
-    out.putU64("samplesTaken", samplesTaken_);
-    out.putBool("headerWritten", headerWritten_);
-    out.putEvent("sampleEvent", eventq(), sampleEvent_);
-}
-
-void
-StatsSampler::unserialize(ckpt::CkptIn &in)
-{
-    samplesTaken_ = in.getU64("samplesTaken");
-    headerWritten_ = in.getBool("headerWritten");
-    in.getEvent("sampleEvent", eventq(), sampleEvent_);
+    io.u64("samplesTaken", samplesTaken_);
+    io.flag("headerWritten", headerWritten_);
+    io.event("sampleEvent", eventq(), sampleEvent_);
 }
 
 void

@@ -79,8 +79,7 @@ class StatsSampler : public SimObject
      * header is not re-emitted when the restored sink continues an
      * existing file.
      */
-    void serialize(ckpt::CkptOut &out) const override;
-    void unserialize(ckpt::CkptIn &in) override;
+    void checkpoint(ckpt::Io &io) override;
 
   private:
     void processSample();

@@ -37,17 +37,9 @@ class Random
     /** Geometric-ish integer: number of failures before success(p). */
     std::uint64_t geometric(double p);
 
-    /** Raw generator state, for checkpointing. */
-    std::uint64_t rawState() const { return state_; }
-    std::uint64_t rawInc() const { return inc_; }
-
-    /** Restore a stream captured via rawState()/rawInc(). */
-    void
-    setRaw(std::uint64_t state, std::uint64_t inc)
-    {
-        state_ = state;
-        inc_ = inc;
-    }
+    /** Raw generator state words, for checkpointing. */
+    std::uint64_t &rawState() { return state_; }
+    std::uint64_t &rawInc() { return inc_; }
 
   private:
     std::uint64_t state_;

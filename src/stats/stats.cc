@@ -41,60 +41,29 @@ Stat::sampleValue() const
 }
 
 void
-Stat::ckptSave(ckpt::CkptOut &out, const std::string &key) const
+Stat::checkpoint(ckpt::Io &io, const std::string &key)
 {
-    (void)out;
+    (void)io;
     (void)key;
 }
 
 void
-Stat::ckptRestore(ckpt::CkptIn &in, const std::string &key)
+Scalar::checkpoint(ckpt::Io &io, const std::string &key)
 {
-    (void)in;
-    (void)key;
+    io.f64(key, value_);
 }
 
 void
-Scalar::ckptSave(ckpt::CkptOut &out, const std::string &key) const
+Average::checkpoint(ckpt::Io &io, const std::string &key)
 {
-    out.putF64(key, value_);
+    io.f64(key + ".sum", sum_);
+    io.u64(key + ".count", count_);
 }
 
 void
-Scalar::ckptRestore(ckpt::CkptIn &in, const std::string &key)
+Vector::checkpoint(ckpt::Io &io, const std::string &key)
 {
-    value_ = in.getF64(key);
-}
-
-void
-Average::ckptSave(ckpt::CkptOut &out, const std::string &key) const
-{
-    out.putF64(key + ".sum", sum_);
-    out.putU64(key + ".count", count_);
-}
-
-void
-Average::ckptRestore(ckpt::CkptIn &in, const std::string &key)
-{
-    sum_ = in.getF64(key + ".sum");
-    count_ = in.getU64(key + ".count");
-}
-
-void
-Vector::ckptSave(ckpt::CkptOut &out, const std::string &key) const
-{
-    out.putF64Vec(key, values_);
-}
-
-void
-Vector::ckptRestore(ckpt::CkptIn &in, const std::string &key)
-{
-    const auto &v = in.getF64Vec(key);
-    if (v.size() != values_.size())
-        fatal("checkpoint stat '%s' has %zu entries, this vector has "
-              "%zu — configuration mismatch", key.c_str(), v.size(),
-              values_.size());
-    values_ = v;
+    io.lanes(key, values_);
 }
 
 namespace {

@@ -21,8 +21,7 @@
 namespace dramctrl {
 
 namespace ckpt {
-class CkptOut;
-class CkptIn;
+class Io;
 } // namespace ckpt
 
 namespace stats {
@@ -63,19 +62,12 @@ class Stat
     virtual void reset() = 0;
 
     /**
-     * Write this statistic's accumulated state under @p key into the
-     * checkpoint section currently open on @p out. Derived values
+     * Name this statistic's accumulated state to @p io under @p key.
+     * A restore always assigns — never accumulates — so restoring
+     * after a warmup phase cannot double-count samples. Derived values
      * (Formula) have no state and use the no-op default.
      */
-    virtual void ckptSave(ckpt::CkptOut &out,
-                          const std::string &key) const;
-
-    /**
-     * Overwrite this statistic with the state ckptSave() recorded.
-     * Restore always assigns — never accumulates — so restoring after
-     * a warmup phase cannot double-count samples.
-     */
-    virtual void ckptRestore(ckpt::CkptIn &in, const std::string &key);
+    virtual void checkpoint(ckpt::Io &io, const std::string &key);
 
   private:
     std::string name_;
@@ -101,9 +93,7 @@ class Scalar : public Stat
     void dumpJson(std::ostream &os) const override;
     double sampleValue() const override { return value_; }
     void reset() override { value_ = 0; }
-    void ckptSave(ckpt::CkptOut &out,
-                  const std::string &key) const override;
-    void ckptRestore(ckpt::CkptIn &in, const std::string &key) override;
+    void checkpoint(ckpt::Io &io, const std::string &key) override;
 
   private:
     double value_ = 0;
@@ -127,9 +117,7 @@ class Average : public Stat
     void dumpJson(std::ostream &os) const override;
     double sampleValue() const override { return value(); }
     void reset() override { sum_ = 0; count_ = 0; }
-    void ckptSave(ckpt::CkptOut &out,
-                  const std::string &key) const override;
-    void ckptRestore(ckpt::CkptIn &in, const std::string &key) override;
+    void checkpoint(ckpt::Io &io, const std::string &key) override;
 
   private:
     double sum_ = 0;
@@ -156,9 +144,7 @@ class Vector : public Stat
     void dumpJson(std::ostream &os) const override;
     double sampleValue() const override { return total(); }
     void reset() override;
-    void ckptSave(ckpt::CkptOut &out,
-                  const std::string &key) const override;
-    void ckptRestore(ckpt::CkptIn &in, const std::string &key) override;
+    void checkpoint(ckpt::Io &io, const std::string &key) override;
 
   private:
     std::vector<double> values_;

@@ -165,48 +165,12 @@ TickHistogram::reset()
 }
 
 void
-TickHistogram::ckptSave(ckpt::CkptOut &out,
-                        const std::string &key) const
+TickHistogram::checkpoint(ckpt::Io &io, const std::string &key)
 {
-    out.putU64Vec(key + ".meta", {count_, sumTicks_, minT_, maxT_});
+    io.fields(key + ".meta", count_, sumTicks_, minT_, maxT_);
     // Sparse [index, count] pairs: latencies cluster, so almost all
     // of the log-linear index space is empty.
-    std::vector<std::uint64_t> sparse;
-    for (unsigned i = 0; i < kNumBuckets; ++i) {
-        if (buckets_[i] == 0)
-            continue;
-        sparse.push_back(i);
-        sparse.push_back(buckets_[i]);
-    }
-    out.putU64Vec(key + ".buckets", sparse);
-}
-
-void
-TickHistogram::ckptRestore(ckpt::CkptIn &in, const std::string &key)
-{
-    const auto &meta = in.getU64Vec(key + ".meta");
-    if (meta.size() != 4)
-        fatal("checkpoint tick-histogram '%s' has a malformed meta "
-              "record", key.c_str());
-    const auto &sparse = in.getU64Vec(key + ".buckets");
-    if (sparse.size() % 2 != 0)
-        fatal("checkpoint tick-histogram '%s' has a malformed bucket "
-              "record", key.c_str());
-
-    // Overwrite, never accumulate: a restore after a warmup phase must
-    // not add the snapshot's bins on top of already-counted samples.
-    std::fill(buckets_.begin(), buckets_.end(), 0);
-    count_ = meta[0];
-    sumTicks_ = meta[1];
-    minT_ = meta[2];
-    maxT_ = meta[3];
-    for (std::size_t i = 0; i < sparse.size(); i += 2) {
-        if (sparse[i] >= kNumBuckets)
-            fatal("checkpoint tick-histogram '%s' bucket index %llu "
-                  "out of range", key.c_str(),
-                  static_cast<unsigned long long>(sparse[i]));
-        buckets_[static_cast<std::size_t>(sparse[i])] = sparse[i + 1];
-    }
+    io.pairs(key + ".buckets", buckets_);
 }
 
 } // namespace stats

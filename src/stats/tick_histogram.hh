@@ -147,9 +147,7 @@ class TickHistogram : public Stat
     void dumpJson(std::ostream &os) const override;
     double sampleValue() const override { return mean(); }
     void reset() override;
-    void ckptSave(ckpt::CkptOut &out,
-                  const std::string &key) const override;
-    void ckptRestore(ckpt::CkptIn &in, const std::string &key) override;
+    void checkpoint(ckpt::Io &io, const std::string &key) override;
 
   private:
     /** Percentile in ticks (interpolated, clamped). */

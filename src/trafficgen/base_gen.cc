@@ -89,34 +89,16 @@ BaseGen::configHash() const
 }
 
 void
-BaseGen::serialize(ckpt::CkptOut &out) const
+BaseGen::checkpoint(ckpt::Io &io)
 {
-    ckpt::putCheck(out, "cfgHash", configHash());
-    out.putU64("numRequests", cfg_.numRequests);
-    out.putU64Vec("rng", {rng_.rawState(), rng_.rawInc()});
-    out.putU64("sent", sent_);
-    out.putU64("outstanding", outstanding_);
-    out.putBool("throttled", throttled_);
-    out.putPacket("blockedPkt", blockedPkt_);
-    out.putEvent("injectEvent", eventq(), injectEvent_);
-}
-
-void
-BaseGen::unserialize(ckpt::CkptIn &in)
-{
-    ckpt::verifyCheck(in, "cfgHash", configHash(),
-                      "traffic-generator configuration");
-    cfg_.numRequests = in.getU64("numRequests");
-    const auto &rng = in.getU64Vec("rng");
-    if (rng.size() != 2)
-        fatal("checkpoint generator '%s' has a malformed rng record",
-              name().c_str());
-    rng_.setRaw(rng[0], rng[1]);
-    sent_ = in.getU64("sent");
-    outstanding_ = static_cast<unsigned>(in.getU64("outstanding"));
-    throttled_ = in.getBool("throttled");
-    blockedPkt_ = in.getPacket("blockedPkt");
-    in.getEvent("injectEvent", eventq(), injectEvent_);
+    io.check("cfgHash", configHash(), "traffic-generator configuration");
+    io.u64("numRequests", cfg_.numRequests);
+    io.fields("rng", rng_.rawState(), rng_.rawInc());
+    io.u64("sent", sent_);
+    io.u64("outstanding", outstanding_);
+    io.flag("throttled", throttled_);
+    io.packet("blockedPkt", blockedPkt_);
+    io.event("injectEvent", eventq(), injectEvent_);
 }
 
 void

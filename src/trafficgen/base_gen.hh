@@ -96,8 +96,7 @@ class BaseGen : public SimObject
     /** Mean end-to-end read latency in nanoseconds. */
     double avgReadLatencyNs() const;
 
-    void serialize(ckpt::CkptOut &out) const override;
-    void unserialize(ckpt::CkptIn &in) override;
+    void checkpoint(ckpt::Io &io) override;
 
     /**
      * Warm-start hook: raise the request budget by @p extra_requests,

@@ -60,32 +60,16 @@ dramGenShapeHash(const DramGenConfig &cfg)
 } // namespace
 
 void
-DramGen::serialize(ckpt::CkptOut &out) const
+DramGen::checkpoint(ckpt::Io &io)
 {
-    BaseGen::serialize(out);
-    ckpt::putCheck(out, "dramCfgHash", dramGenShapeHash(dcfg_));
-    out.putU64("bankCursor", bankCursor_);
-    out.putU64("byteOffset", byteOffset_);
-    out.putU64("bytesLeftInStride", bytesLeftInStride_);
-    out.putU64("currentRow", currentRow_);
-    out.putU64Vec("nextRow", nextRow_);
-}
-
-void
-DramGen::unserialize(ckpt::CkptIn &in)
-{
-    BaseGen::unserialize(in);
-    ckpt::verifyCheck(in, "dramCfgHash", dramGenShapeHash(dcfg_),
-                      "dram-aware generator configuration");
-    bankCursor_ = static_cast<unsigned>(in.getU64("bankCursor"));
-    byteOffset_ = in.getU64("byteOffset");
-    bytesLeftInStride_ = in.getU64("bytesLeftInStride");
-    currentRow_ = in.getU64("currentRow");
-    const auto &rows = in.getU64Vec("nextRow");
-    if (rows.size() != nextRow_.size())
-        fatal("checkpoint generator '%s' targets %zu banks, this one "
-              "%zu", name().c_str(), rows.size(), nextRow_.size());
-    nextRow_ = rows;
+    BaseGen::checkpoint(io);
+    io.check("dramCfgHash", dramGenShapeHash(dcfg_),
+             "dram-aware generator configuration");
+    io.u64("bankCursor", bankCursor_);
+    io.u64("byteOffset", byteOffset_);
+    io.u64("bytesLeftInStride", bytesLeftInStride_);
+    io.u64("currentRow", currentRow_);
+    io.lanes("nextRow", nextRow_);
 }
 
 Addr

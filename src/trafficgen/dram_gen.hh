@@ -48,8 +48,7 @@ class DramGen : public BaseGen
     /** The row-hit rate this pattern produces under an open page. */
     double expectedOpenPageHitRate() const;
 
-    void serialize(ckpt::CkptOut &out) const override;
-    void unserialize(ckpt::CkptIn &in) override;
+    void checkpoint(ckpt::Io &io) override;
 
   protected:
     Addr nextAddr() override;

@@ -22,17 +22,10 @@ class LinearGen : public BaseGen
     {}
 
     void
-    serialize(ckpt::CkptOut &out) const override
+    checkpoint(ckpt::Io &io) override
     {
-        BaseGen::serialize(out);
-        out.putU64("next", next_);
-    }
-
-    void
-    unserialize(ckpt::CkptIn &in) override
-    {
-        BaseGen::unserialize(in);
-        next_ = in.getU64("next");
+        BaseGen::checkpoint(io);
+        io.u64("next", next_);
     }
 
   protected:

@@ -243,37 +243,23 @@ TracePlayer::avgReadLatencyNs() const
 }
 
 void
-TracePlayer::serialize(ckpt::CkptOut &out) const
+TracePlayer::checkpoint(ckpt::Io &io)
 {
-    ckpt::putCheck(out, "traceLen", source_->fingerprint());
-    out.putU64("next", next_);
-    out.putBool("fetched", curValid_);
-    out.putBool("exhausted", exhausted_);
-    out.putU64("responses", responses_);
-    out.putU64("outstandingReads", outstandingReads_);
-    out.putPacket("blockedPkt", blockedPkt_);
-    out.putTick("blockedIntent", blockedIntent_);
-    out.putTick("slip", slip_);
-    out.putTick("totReadLatency", totReadLatency_);
-    out.putU64("readResponses", readResponses_);
-    out.putEvent("injectEvent", eventq(), injectEvent_);
-}
-
-void
-TracePlayer::unserialize(ckpt::CkptIn &in)
-{
-    ckpt::verifyCheck(in, "traceLen", source_->fingerprint(),
-                      "trace source fingerprint");
-    next_ = in.getU64("next");
-    bool fetched = in.getOrBool("fetched", false);
-    exhausted_ = in.getOrBool("exhausted", false);
-    responses_ = in.getU64("responses");
-    outstandingReads_ = in.getU64("outstandingReads");
-    blockedPkt_ = in.getPacket("blockedPkt");
-    blockedIntent_ = in.getOrU64("blockedIntent", 0);
-    slip_ = in.getTick("slip");
-    totReadLatency_ = in.getTick("totReadLatency");
-    readResponses_ = in.getU64("readResponses");
+    io.check("traceLen", source_->fingerprint(), "trace source fingerprint");
+    io.u64("next", next_);
+    bool fetched = curValid_;
+    io.flag("fetched", fetched);
+    io.flag("exhausted", exhausted_);
+    io.u64("responses", responses_);
+    io.u64("outstandingReads", outstandingReads_);
+    io.packet("blockedPkt", blockedPkt_);
+    io.tick("blockedIntent", blockedIntent_);
+    io.tick("slip", slip_);
+    io.tick("totReadLatency", totReadLatency_);
+    io.u64("readResponses", readResponses_);
+    io.event("injectEvent", eventq(), injectEvent_);
+    if (!io.restoring())
+        return;
 
     // Re-establish the source position: next_ entries dispatched,
     // plus one consumed-but-undelivered entry when blocked or when an
@@ -294,7 +280,6 @@ TracePlayer::unserialize(ckpt::CkptIn &in)
                   "fetched but the trace is exhausted",
                   name().c_str());
     }
-    in.getEvent("injectEvent", eventq(), injectEvent_);
 }
 
 void

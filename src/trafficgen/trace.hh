@@ -239,8 +239,7 @@ class TracePlayer : public SimObject
     /** Mean end-to-end read latency in nanoseconds. */
     double avgReadLatencyNs() const;
 
-    void serialize(ckpt::CkptOut &out) const override;
-    void unserialize(ckpt::CkptIn &in) override;
+    void checkpoint(ckpt::Io &io) override;
 
   private:
     class PlayerPort : public RequestPort

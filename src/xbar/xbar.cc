@@ -115,39 +115,22 @@ ShardInbox::scheduleWake()
 }
 
 void
-ShardInbox::serialize(ckpt::CkptOut &out,
-                      const std::string &prefix) const
+ShardInbox::checkpoint(ckpt::Io &io, const std::string &prefix)
 {
-    out.putBool(prefix + ".stalled", stalled_);
-    std::vector<std::uint64_t> whens, args;
-    whens.reserve(entries_.size());
-    args.reserve(entries_.size());
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
-        whens.push_back(entries_[i].when);
-        args.push_back(entries_[i].arg);
-    }
-    out.putU64Vec(prefix + ".when", whens);
-    out.putU64Vec(prefix + ".arg", args);
+    io.flag(prefix + ".stalled", stalled_);
+    std::vector<std::uint64_t> whens;
     for (std::size_t i = 0; i < entries_.size(); ++i)
-        out.putPacket(prefix + ".pkt" + std::to_string(i),
-                      entries_[i].pkt);
-    out.putEvent(prefix + ".wake", owner_.eventq(), wakeEvent_);
-}
-
-void
-ShardInbox::unserialize(ckpt::CkptIn &in, const std::string &prefix)
-{
-    DC_ASSERT(entries_.empty(), "unserialize into a non-empty inbox");
-    stalled_ = in.getBool(prefix + ".stalled");
-    const auto &whens = in.getU64Vec(prefix + ".when");
-    const auto &args = in.getU64Vec(prefix + ".arg");
-    DC_ASSERT(whens.size() == args.size(), "inbox vector mismatch");
-    for (std::size_t i = 0; i < whens.size(); ++i) {
-        Packet *pkt =
-            in.getPacket(prefix + ".pkt" + std::to_string(i));
-        entries_.insert(i, Entry{whens[i], pkt, args[i]});
-    }
-    in.getEvent(prefix + ".wake", owner_.eventq(), wakeEvent_);
+        whens.push_back(entries_[i].when);
+    io.list(prefix + ".when", whens);
+    // A restore refills the fresh inbox, one entry per saved due tick.
+    for (std::size_t i = entries_.size(); i < whens.size(); ++i)
+        entries_.insert(i, Entry{whens[i], nullptr, 0});
+    io.table(prefix + ".arg", entries_.size(), [this](std::size_t i) {
+        return std::tie(entries_[i].arg);
+    });
+    for (std::size_t i = 0; i < entries_.size(); ++i)
+        io.packet(prefix + ".pkt" + std::to_string(i), entries_[i].pkt);
+    io.event(prefix + ".wake", owner_.eventq(), wakeEvent_);
 }
 
 // --------------------------------------------------------------------
@@ -258,48 +241,44 @@ class CreditPool : public ShardMailbox
     }
 
     void
-    serialize(ckpt::CkptOut &out, const std::string &prefix) const
+    checkpoint(ckpt::Io &io, const std::string &prefix)
     {
-        out.putBool(prefix + ".stalled", stalled_);
-        out.putU64(prefix + ".stalled_peer", stalledPeer_);
-        std::vector<std::uint64_t> home, outstanding, due;
+        io.flag(prefix + ".stalled", stalled_);
+        io.u64(prefix + ".stalled_peer", stalledPeer_);
+        io.table(prefix + ".home", peers_.size(), [this](std::size_t i) {
+            return std::tie(peers_[i].home);
+        });
+        // The returns in flight: a count per peer, then every due
+        // tick, peer by peer.
+        std::vector<std::uint64_t> outstanding, due;
         for (const Peer &p : peers_) {
-            home.push_back(p.home);
             outstanding.push_back(p.returns.size());
             for (std::size_t i = 0; i < p.returns.size(); ++i)
                 due.push_back(p.returns[i]);
         }
-        out.putU64Vec(prefix + ".home", home);
-        out.putU64Vec(prefix + ".outstanding", outstanding);
-        out.putU64Vec(prefix + ".due", due);
-        out.putEvent(prefix + ".wake", owner_.eventq(), wakeEvent_);
-    }
-
-    void
-    unserialize(ckpt::CkptIn &in, const std::string &prefix)
-    {
-        stalled_ = in.getBool(prefix + ".stalled");
-        stalledPeer_ =
-            static_cast<unsigned>(in.getU64(prefix + ".stalled_peer"));
-        const auto &home = in.getU64Vec(prefix + ".home");
-        const auto &outstanding = in.getU64Vec(prefix + ".outstanding");
-        const auto &due = in.getU64Vec(prefix + ".due");
-        DC_ASSERT(home.size() == peers_.size() &&
-                      outstanding.size() == peers_.size(),
-                  "%s: credit pool shape changed", owner_.name().c_str());
-        std::size_t next = 0;
-        for (std::size_t i = 0; i < peers_.size(); ++i) {
-            Peer &p = peers_[i];
-            DC_ASSERT(home[i] + outstanding[i] <= Crossbar::kCredits &&
-                          next + outstanding[i] <= due.size(),
-                      "%s: credit pool record damaged",
-                      owner_.name().c_str());
-            p.home = static_cast<unsigned>(home[i]);
-            p.returns.clear();
-            for (std::uint64_t j = 0; j < outstanding[i]; ++j)
-                p.returns.push_back(due[next++]);
+        io.lanes(prefix + ".outstanding", outstanding);
+        io.list(prefix + ".due", due);
+        if (io.restoring()) {
+            auto damaged = [&] {
+                fatal("checkpoint section '%s': credit pool '%s' holds "
+                      "more than %u credits per peer, or due ticks that "
+                      "do not match its outstanding counts",
+                      owner_.name().c_str(), prefix.c_str(),
+                      Crossbar::kCredits);
+            };
+            std::size_t next = 0;
+            for (std::size_t i = 0; i < peers_.size(); ++i) {
+                Peer &p = peers_[i];
+                if (p.home + outstanding[i] > Crossbar::kCredits ||
+                    outstanding[i] > due.size() - next)
+                    damaged();
+                for (std::uint64_t j = 0; j < outstanding[i]; ++j)
+                    p.returns.push_back(due[next++]);
+            }
+            if (next != due.size())
+                damaged();
         }
-        in.getEvent(prefix + ".wake", owner_.eventq(), wakeEvent_);
+        io.event(prefix + ".wake", owner_.eventq(), wakeEvent_);
     }
 
   private:
@@ -360,19 +339,11 @@ class Crossbar::FrontPort : public SimObject
     bool idle() const { return respInbox_.empty() && credits_.idle(); }
 
     void
-    serialize(ckpt::CkptOut &out) const override
+    checkpoint(ckpt::Io &io) override
     {
-        out.putU64("req_busy_until", reqBusyUntil_);
-        respInbox_.serialize(out, "resp_inbox");
-        credits_.serialize(out, "req_credits");
-    }
-
-    void
-    unserialize(ckpt::CkptIn &in) override
-    {
-        reqBusyUntil_ = in.getU64("req_busy_until");
-        respInbox_.unserialize(in, "resp_inbox");
-        credits_.unserialize(in, "req_credits");
+        io.tick("req_busy_until", reqBusyUntil_);
+        respInbox_.checkpoint(io, "resp_inbox");
+        credits_.checkpoint(io, "req_credits");
     }
 
   private:
@@ -466,19 +437,11 @@ class Crossbar::ChannelPort : public SimObject
     bool idle() const { return reqInbox_.empty() && credits_.idle(); }
 
     void
-    serialize(ckpt::CkptOut &out) const override
+    checkpoint(ckpt::Io &io) override
     {
-        out.putU64("resp_busy_until", respBusyUntil_);
-        reqInbox_.serialize(out, "req_inbox");
-        credits_.serialize(out, "resp_credits");
-    }
-
-    void
-    unserialize(ckpt::CkptIn &in) override
-    {
-        respBusyUntil_ = in.getU64("resp_busy_until");
-        reqInbox_.unserialize(in, "req_inbox");
-        credits_.unserialize(in, "resp_credits");
+        io.tick("resp_busy_until", respBusyUntil_);
+        reqInbox_.checkpoint(io, "req_inbox");
+        credits_.checkpoint(io, "resp_credits");
     }
 
   private:

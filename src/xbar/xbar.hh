@@ -142,9 +142,8 @@ class ShardInbox : public ShardMailbox
 
     bool empty() const { return entries_.empty(); }
 
-    /** Checkpoint the queued entries under @p prefix-scoped keys. */
-    void serialize(ckpt::CkptOut &out, const std::string &prefix) const;
-    void unserialize(ckpt::CkptIn &in, const std::string &prefix);
+    /** Checkpoint walk over the queued entries, keys under @p prefix. */
+    void checkpoint(ckpt::Io &io, const std::string &prefix);
 
   private:
     struct Entry

@@ -35,6 +35,8 @@
 #include "trafficgen/dram_gen.hh"
 #include "trafficgen/linear_gen.hh"
 #include "trafficgen/random_gen.hh"
+#include "trafficgen/trace.hh"
+#include "trafficgen/trace_file.hh"
 #include "validate/config_fuzzer.hh"
 
 namespace dramctrl {
@@ -592,6 +594,193 @@ TEST(CkptDamage, ckpt_bit_flip_sweep_never_restores_silently)
         }
         setThrowOnError(false);
     }
+}
+
+TEST(CkptDamage, ckpt_other_format_version_is_refused)
+{
+    // The version word follows the 4-byte magic, little-endian.
+    std::string old = makeSnapshot();
+    old[4] = 3;
+    std::string msg = restoreExpectingFatal(old);
+    EXPECT_NE(msg.find("version 3"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("version 4"), std::string::npos) << msg;
+}
+
+/**
+ * @p snapshot with the u64-vector record @p key of section @p section
+ * replaced by @p value, the section's length and CRC rewritten to
+ * match: a well-formed stream holding a record of the wrong shape.
+ */
+std::string
+replaceRecord(const std::string &snapshot, const std::string &section,
+              const std::string &key,
+              const std::vector<std::uint64_t> &value)
+{
+    auto read = [&](std::size_t pos, int bytes) {
+        std::uint64_t v = 0;
+        for (int i = 0; i < bytes; ++i)
+            v |= std::uint64_t(static_cast<unsigned char>(
+                     snapshot[pos + i]))
+                 << (8 * i);
+        return v;
+    };
+    auto append = [](std::string &out, std::uint64_t v, int bytes) {
+        for (int i = 0; i < bytes; ++i)
+            out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+    };
+
+    std::size_t pos = 8; // file magic and version
+    while (pos < snapshot.size()) {
+        const std::size_t name_len = read(pos + 4, 2);
+        const std::string name = snapshot.substr(pos + 6, name_len);
+        const std::size_t len_at = pos + 6 + name_len + 4;
+        const std::size_t payload_at = len_at + 12;
+        const std::size_t payload_len = read(len_at, 8);
+        if (name != section) {
+            pos = payload_at + payload_len;
+            continue;
+        }
+        // Walk the records: type, key, value sized by type.
+        std::string payload;
+        std::size_t r = payload_at;
+        while (r < payload_at + payload_len) {
+            const unsigned type = static_cast<unsigned char>(snapshot[r]);
+            const std::size_t key_len = read(r + 1, 2);
+            const std::string rkey = snapshot.substr(r + 3, key_len);
+            std::size_t v = r + 3 + key_len;
+            std::size_t size = type <= 3 ? 8
+                               : type == 4 ? 1
+                               : type <= 6 ? 4 + read(v, 4)
+                                           : 4 + 8 * read(v, 4);
+            if (rkey == key) {
+                payload += snapshot.substr(r, v - r);
+                append(payload, value.size(), 4);
+                for (std::uint64_t x : value)
+                    append(payload, x, 8);
+            } else {
+                payload += snapshot.substr(r, v + size - r);
+            }
+            r = v + size;
+        }
+        std::string out = snapshot.substr(0, len_at);
+        append(out, payload.size(), 8);
+        append(out, ckpt::crc32(payload.data(), payload.size()), 4);
+        return out + payload +
+               snapshot.substr(payload_at + payload_len);
+    }
+    ADD_FAILURE() << "no section '" << section << "'";
+    return snapshot;
+}
+
+TEST(CkptDamage, ckpt_wrong_length_credit_pool_record_names_its_key)
+{
+    auto pre = buildCreditBoundSystem();
+    pre->sim().run(kCkptAt);
+    const std::string bad =
+        replaceRecord(ckpt::saveToString(pre->sim()), "mem_xbar.front0",
+                      "req_credits.home", {1, 1});
+
+    auto post = buildCreditBoundSystem();
+    setThrowOnError(true);
+    std::string message;
+    try {
+        ckpt::restoreFromString(post->sim(), bad);
+    } catch (const std::runtime_error &e) {
+        message = e.what();
+    }
+    setThrowOnError(false);
+    EXPECT_EQ(message.rfind("fatal: ", 0), 0u) << message;
+    EXPECT_NE(message.find("'mem_xbar.front0'"), std::string::npos)
+        << message;
+    EXPECT_NE(message.find("'req_credits.home'"), std::string::npos)
+        << message;
+}
+
+/**
+ * Restore @p build's system from a snapshot taken at @p at and save
+ * it again at once: the bytes must equal the snapshot's. A field that
+ * is saved but not restored, or restored into the wrong place, shows
+ * as a difference.
+ */
+template <typename Build>
+void
+expectResaveIdentical(Build build, Tick at)
+{
+    auto pre = build();
+    pre->sim().run(at);
+    const std::string saved = ckpt::saveToString(pre->sim());
+
+    auto post = build();
+    ckpt::restoreFromString(post->sim(), saved);
+    EXPECT_TRUE(ckpt::saveToString(post->sim()) == saved)
+        << "re-saved checkpoint differs from the restored one";
+}
+
+/** The single-channel system buildSystem() makes, on its own. */
+std::unique_ptr<harness::SingleChannelSystem>
+singleChannel(const DRAMCtrlConfig &cfg, const std::string &pattern,
+              harness::CtrlModel model)
+{
+    return buildSystem(cfg, pattern, model, 60, kRequests, kSeed).tb;
+}
+
+TEST(CkptResave, ckpt_resave_event_and_cycle_models)
+{
+    const DRAMCtrlConfig cfg = presets::byName("ddr3_1333");
+    for (harness::CtrlModel model :
+         {harness::CtrlModel::Event, harness::CtrlModel::Cycle}) {
+        SCOPED_TRACE(harness::toString(model));
+        expectResaveIdentical(
+            [&] { return singleChannel(cfg, "random", model); }, kCkptAt);
+    }
+}
+
+TEST(CkptResave, ckpt_resave_plugin_chain)
+{
+    DRAMCtrlConfig cfg = presets::byName("ddr3_1333");
+    std::string err;
+    ASSERT_TRUE(plugin::parsePluginList("ecc,prac,refmgr-pb", cfg, err))
+        << err;
+    for (PluginSpec &p : cfg.plugins) {
+        p.eccBer = 1e-3;
+        p.pracThreshold = 4;
+    }
+    cfg.timing.tREFI = fromUs(1.0);
+    expectResaveIdentical(
+        [&] {
+            return singleChannel(cfg, "random", harness::CtrlModel::Event);
+        },
+        kCkptAt);
+}
+
+TEST(CkptResave, ckpt_resave_dram_pattern)
+{
+    const DRAMCtrlConfig cfg = presets::byName("ddr4_2400");
+    expectResaveIdentical(
+        [&] { return singleChannel(cfg, "dram", harness::CtrlModel::Event); },
+        kCkptAt);
+}
+
+TEST(CkptResave, ckpt_resave_trace_player)
+{
+    DRAMCtrlConfig cfg = presets::byName("ddr3_1333");
+    cfg.writeLowThreshold = 0.0;
+    cfg.check();
+    expectResaveIdentical(
+        [&] {
+            auto tb = std::make_unique<harness::SingleChannelSystem>(
+                cfg, harness::CtrlModel::Event);
+            tb->addGen<TracePlayer>(makeTracePlayerConfig(
+                std::string(TRACES_DIR) + "/example.dtrc"));
+            return tb;
+        },
+        fromNs(500.0));
+}
+
+TEST(CkptResave, ckpt_resave_sharded_hmc_stack_16)
+{
+    expectResaveIdentical(
+        [] { return buildPresetSystem("hmc_stack_16", 4); }, fromNs(777.7));
 }
 
 TEST(CkptWarmStart, ckpt_warm_rows_equal_cold_rows)

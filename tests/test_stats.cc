@@ -299,14 +299,13 @@ TEST(TickHistogramTest, BimodalDistributionHasTwoModes)
 /** Round-trip one stat through a single-section checkpoint. */
 template <typename StatT>
 std::string
-saveStat(const StatT &stat)
+saveStat(StatT &stat)
 {
     std::ostringstream os;
     {
         ckpt::CkptOut out(os);
-        out.beginSection("stats");
-        stat.ckptSave(out, "s");
-        out.endSection();
+        ckpt::Io io(out);
+        io.section("stats", [&] { stat.checkpoint(io, "s"); });
     }
     return os.str();
 }
@@ -317,8 +316,8 @@ restoreStat(StatT &stat, const std::string &buf)
 {
     std::istringstream is(buf);
     ckpt::CkptIn in(is);
-    in.openSection("stats");
-    stat.ckptRestore(in, "s");
+    ckpt::Io io(in);
+    io.section("stats", [&] { stat.checkpoint(io, "s"); });
 }
 
 TEST(StatsCkpt, ScalarRestoreAssignsNotAccumulates)
@@ -392,16 +391,17 @@ TEST(StatsCkpt, TickHistogramRestoreDoesNotDoubleCountWarmupBins)
 
 /** A checkpoint holding one tick-histogram record "s". */
 std::string
-tickHistogramRecord(const std::vector<std::uint64_t> &meta,
-                    const std::vector<std::uint64_t> &buckets)
+tickHistogramRecord(std::vector<std::uint64_t> meta,
+                    std::vector<std::uint64_t> buckets)
 {
     std::ostringstream os;
     {
         ckpt::CkptOut out(os);
-        out.beginSection("stats");
-        out.putU64Vec("s.meta", meta);
-        out.putU64Vec("s.buckets", buckets);
-        out.endSection();
+        ckpt::Io io(out);
+        io.section("stats", [&] {
+            io.list("s.meta", meta);
+            io.list("s.buckets", buckets);
+        });
     }
     return os.str();
 }

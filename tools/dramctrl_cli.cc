@@ -91,7 +91,7 @@ struct CliOptions
     // Checkpointing (see docs/CHECKPOINT.md).
     double ckptAtNs = 0;        // > 0 = stop and save at this time
     std::string ckptOut = "ckpt.bin";
-    std::string ckptRestore;    // restore before running
+    std::string restoreFrom;    // restore before running
     std::string ckptJson;       // dump a checkpoint as JSON and exit
 };
 
@@ -216,7 +216,7 @@ parseArgs(int argc, char **argv, CliOptions &opt)
              "exits 1 if the run completes by NS"),
         text("--ckpt-out", "PATH", opt.ckptOut,
              "checkpoint target (default ckpt.bin)"),
-        text("--ckpt-restore", "P", opt.ckptRestore,
+        text("--ckpt-restore", "P", opt.restoreFrom,
              "restore checkpoint P (same config flags!)\n"
              "before simulating to completion (see\n"
              "docs/CHECKPOINT.md)"),
@@ -411,8 +411,8 @@ runSystem(const CliOptions &opt, const harness::ResolvedConfig &rc,
         sys.enableCapture(opt.traceCapture);
     sys.addStimulus(opt.stim);
 
-    if (!opt.ckptRestore.empty())
-        ckpt::restoreFile(sys.sim(), opt.ckptRestore);
+    if (!opt.restoreFrom.empty())
+        ckpt::restoreFile(sys.sim(), opt.restoreFrom);
 
     if (!opt.json) {
         std::printf("%s\n", rc.cfg.describe().c_str());
