@@ -2,13 +2,10 @@
 
 #include <cstring>
 
-#if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#define DRAMCTRL_HAVE_MMAP 1
-#endif
 
 #include "ckpt/ckpt.hh"
 #include "sim/logging.hh"
@@ -21,16 +18,10 @@ namespace {
 // set inside L2 while still batching 4096 records per flush.
 constexpr std::size_t kWriterBufferBytes = 64 * 1024;
 
-// The mmap backend releases consumed pages in 8 MiB windows: large
-// enough that madvise cost is noise, small enough that resident
-// memory stays flat while streaming multi-gigabyte traces.
+// The reader releases consumed pages in 8 MiB windows: large enough
+// that madvise cost is noise, small enough that resident memory stays
+// flat while streaming multi-gigabyte traces.
 constexpr std::size_t kReleaseWindowBytes = 8 * 1024 * 1024;
-
-// The read() backend streams through a fixed 1 MiB buffer (a whole
-// number of 16-byte records, so no record straddles a refill).
-constexpr std::size_t kReadChunkBytes = 1024 * 1024;
-
-static_assert(kReadChunkBytes % kTraceRecordSize == 0);
 
 void
 putU32(unsigned char *p, std::uint32_t v)
@@ -224,30 +215,28 @@ TraceWriter::finish()
 // TraceReader
 //
 
-TraceReader::TraceReader(const std::string &path, bool verify_crc,
-                         Backend backend)
+TraceReader::TraceReader(const std::string &path, bool verify_crc)
     : path_(path)
 {
-#ifdef DRAMCTRL_HAVE_MMAP
     fd_ = ::open(path.c_str(), O_RDONLY);
     if (fd_ < 0)
         fatal("cannot open trace file '%s'", path.c_str());
     struct ::stat st;
     if (::fstat(fd_, &st) != 0)
         fatal("cannot stat trace file '%s'", path.c_str());
-    std::uint64_t file_size = static_cast<std::uint64_t>(st.st_size);
-#else
-    std::FILE *probe = std::fopen(path.c_str(), "rb");
-    if (probe == nullptr)
-        fatal("cannot open trace file '%s'", path.c_str());
-    std::fseek(probe, 0, SEEK_END);
-    std::uint64_t file_size =
-        static_cast<std::uint64_t>(std::ftell(probe));
-    std::fclose(probe);
-#endif
+    mapSize_ = static_cast<std::size_t>(st.st_size);
+    constexpr std::size_t min_size = kTraceHeaderSize + kTraceFooterSize;
+    if (mapSize_ < min_size)
+        fatal("trace '%s' is truncated: %zu bytes, need at least %zu "
+              "for header and footer",
+              path.c_str(), mapSize_, min_size);
+    void *m = ::mmap(nullptr, mapSize_, PROT_READ, MAP_PRIVATE, fd_, 0);
+    if (m == MAP_FAILED)
+        fatal("cannot mmap trace file '%s'", path.c_str());
+    map_ = static_cast<const unsigned char *>(m);
+    ::madvise(m, mapSize_, MADV_SEQUENTIAL);
 
-    openBackend(backend);
-    verifyStructure(file_size);
+    verifyStructure();
     if (verify_crc) {
         std::uint32_t computed = computeCrc();
         if (computed != info_.crc)
@@ -260,97 +249,18 @@ TraceReader::TraceReader(const std::string &path, bool verify_crc,
 
 TraceReader::~TraceReader()
 {
-#ifdef DRAMCTRL_HAVE_MMAP
     if (map_ != nullptr)
         ::munmap(const_cast<unsigned char *>(map_), mapSize_);
     if (fd_ >= 0)
         ::close(fd_);
-#endif
 }
 
 void
-TraceReader::openBackend(Backend backend)
+TraceReader::verifyStructure()
 {
-#ifdef DRAMCTRL_HAVE_MMAP
-    if (backend != Backend::Read) {
-        struct ::stat st;
-        if (::fstat(fd_, &st) != 0)
-            fatal("cannot stat trace file '%s'", path_.c_str());
-        mapSize_ = static_cast<std::size_t>(st.st_size);
-        void *m = mapSize_ > 0
-                      ? ::mmap(nullptr, mapSize_, PROT_READ,
-                               MAP_PRIVATE, fd_, 0)
-                      : MAP_FAILED;
-        if (m != MAP_FAILED) {
-            map_ = static_cast<const unsigned char *>(m);
-            ::madvise(const_cast<unsigned char *>(map_), mapSize_,
-                      MADV_SEQUENTIAL);
-            return;
-        }
-        map_ = nullptr;
-        mapSize_ = 0;
-        if (backend == Backend::Mmap)
-            fatal("cannot mmap trace file '%s'", path_.c_str());
-    }
-#else
-    if (backend == Backend::Mmap)
-        fatal("mmap is not available on this platform (trace '%s')",
-              path_.c_str());
-#endif
-    // Portable fallback: stream through a fixed-size buffer.
-    buf_.resize(kReadChunkBytes);
-}
-
-std::size_t
-TraceReader::refill()
-{
-#ifdef DRAMCTRL_HAVE_MMAP
-    ::ssize_t n = ::pread(fd_, buf_.data(), buf_.size(),
-                          static_cast<::off_t>(fileOff_));
-    if (n < 0)
-        fatal("cannot read trace file '%s'", path_.c_str());
-#else
-    std::FILE *f = std::fopen(path_.c_str(), "rb");
-    if (f == nullptr)
-        fatal("cannot open trace file '%s'", path_.c_str());
-    std::fseek(f, static_cast<long>(fileOff_), SEEK_SET);
-    std::size_t n = std::fread(buf_.data(), 1, buf_.size(), f);
-    std::fclose(f);
-#endif
-    fileOff_ += static_cast<std::uint64_t>(n);
-    bufPos_ = 0;
-    bufLen_ = static_cast<std::size_t>(n);
-    return bufLen_;
-}
-
-void
-TraceReader::verifyStructure(std::uint64_t file_size)
-{
-    constexpr std::uint64_t min_size =
-        kTraceHeaderSize + kTraceFooterSize;
-    if (file_size < min_size)
-        fatal("trace '%s' is truncated: %llu bytes, need at least "
-              "%llu for header and footer",
-              path_.c_str(),
-              static_cast<unsigned long long>(file_size),
-              static_cast<unsigned long long>(min_size));
-
-    unsigned char header[kTraceHeaderSize];
-    unsigned char footer[kTraceFooterSize];
-    if (map_ != nullptr) {
-        std::memcpy(header, map_, kTraceHeaderSize);
-        std::memcpy(footer, map_ + file_size - kTraceFooterSize,
-                    kTraceFooterSize);
-    } else {
-        fileOff_ = 0;
-        if (refill() < kTraceHeaderSize)
-            fatal("cannot read trace header of '%s'", path_.c_str());
-        std::memcpy(header, buf_.data(), kTraceHeaderSize);
-        fileOff_ = file_size - kTraceFooterSize;
-        if (refill() < kTraceFooterSize)
-            fatal("cannot read trace footer of '%s'", path_.c_str());
-        std::memcpy(footer, buf_.data(), kTraceFooterSize);
-    }
+    const std::uint64_t file_size = mapSize_;
+    const unsigned char *header = map_;
+    const unsigned char *footer = map_ + file_size - kTraceFooterSize;
 
     if (getU32(header) != kTraceMagic)
         fatal("'%s' is not a .dtrc trace (bad magic %08x)",
@@ -406,27 +316,9 @@ std::uint32_t
 TraceReader::computeCrc()
 {
     const std::uint64_t bytes = info_.recordCount * kTraceRecordSize;
-    std::uint32_t crc = 0xFFFFFFFFu;
-    if (map_ != nullptr) {
-        crc = ckpt::crc32Update(crc, map_ + kTraceHeaderSize,
-                                static_cast<std::size_t>(bytes));
-    } else {
-        std::uint64_t off = kTraceHeaderSize;
-        std::uint64_t left = bytes;
-        while (left > 0) {
-            fileOff_ = off;
-            std::size_t got = refill();
-            std::size_t use = static_cast<std::size_t>(
-                std::min<std::uint64_t>(left, got));
-            if (use == 0)
-                fatal("cannot read trace records of '%s'",
-                      path_.c_str());
-            crc = ckpt::crc32Update(crc, buf_.data(), use);
-            off += use;
-            left -= use;
-        }
-    }
-    return crc ^ 0xFFFFFFFFu;
+    return ckpt::crc32Update(0xFFFFFFFFu, map_ + kTraceHeaderSize,
+                             static_cast<std::size_t>(bytes)) ^
+           0xFFFFFFFFu;
 }
 
 void
@@ -434,17 +326,12 @@ TraceReader::reset()
 {
     pos_ = 0;
     tick_ = 0;
-    bufPos_ = 0;
-    bufLen_ = 0;
-    fileOff_ = kTraceHeaderSize;
-#ifdef DRAMCTRL_HAVE_MMAP
-    if (map_ != nullptr && released_ > 0) {
+    if (released_ > 0) {
         // Rewinding revisits released pages; undo the DONTNEED hint.
         ::madvise(const_cast<unsigned char *>(map_), mapSize_,
                   MADV_SEQUENTIAL);
         released_ = 0;
     }
-#endif
 }
 
 bool
@@ -453,36 +340,21 @@ TraceReader::next(TraceEntry &e, unsigned *src)
     if (pos_ >= info_.recordCount)
         return false;
 
-    if (map_ != nullptr) {
-        std::size_t off = kTraceHeaderSize +
-                          static_cast<std::size_t>(pos_) *
-                              kTraceRecordSize;
-        decodeRecord(map_ + off, tick_, e, src);
-        ++pos_;
-#ifdef DRAMCTRL_HAVE_MMAP
-        // Release fully-consumed windows so resident memory stays
-        // O(1): pages behind the cursor are never touched again.
-        if (off - released_ >= 2 * kReleaseWindowBytes) {
-            std::size_t upto =
-                (off - kReleaseWindowBytes) & ~(kReleaseWindowBytes - 1);
-            if (upto > released_) {
-                ::madvise(const_cast<unsigned char *>(map_) + released_,
-                          upto - released_, MADV_DONTNEED);
-                released_ = upto;
-            }
-        }
-#endif
-        return true;
-    }
-
-    if (bufLen_ - bufPos_ < kTraceRecordSize) {
-        if (refill() < kTraceRecordSize)
-            fatal("trace '%s' ended mid-record (disk error?)",
-                  path_.c_str());
-    }
-    decodeRecord(buf_.data() + bufPos_, tick_, e, src);
-    bufPos_ += kTraceRecordSize;
+    std::size_t off = kTraceHeaderSize +
+                      static_cast<std::size_t>(pos_) * kTraceRecordSize;
+    decodeRecord(map_ + off, tick_, e, src);
     ++pos_;
+    // Release fully-consumed windows so resident memory stays O(1):
+    // pages behind the cursor are never touched again.
+    if (off - released_ >= 2 * kReleaseWindowBytes) {
+        std::size_t upto =
+            (off - kReleaseWindowBytes) & ~(kReleaseWindowBytes - 1);
+        if (upto > released_) {
+            ::madvise(const_cast<unsigned char *>(map_) + released_,
+                      upto - released_, MADV_DONTNEED);
+            released_ = upto;
+        }
+    }
     return true;
 }
 
@@ -566,9 +438,8 @@ makeTracePlayerConfig(const std::string &path, double time_scale,
 //
 
 DtrcTraceSource::DtrcTraceSource(const std::string &path,
-                                 int src_filter, bool verify_crc,
-                                 TraceReader::Backend backend)
-    : reader_(path, verify_crc, backend), srcFilter_(src_filter)
+                                 int src_filter, bool verify_crc)
+    : reader_(path, verify_crc), srcFilter_(src_filter)
 {
 }
 

@@ -134,27 +134,18 @@ class TraceWriter
 };
 
 /**
- * Streaming .dtrc reader. Opens the file, validates its structure
+ * Streaming .dtrc reader. Maps the file, validates its structure
  * (magic, version, sizes, header/footer consistency) and — unless
  * told not to — verifies the record CRC up front, then decodes
  * records one next() call at a time without ever materialising the
- * trace: the mmap backend walks a SEQUENTIAL-advised mapping and
- * releases consumed windows with MADV_DONTNEED, so resident memory
- * stays O(1) however large the file is. A portable read()-chunk
- * backend covers platforms (or filesystems) without mmap; both
- * backends produce bit-identical entry streams.
+ * trace: it walks a SEQUENTIAL-advised mapping and releases consumed
+ * windows with MADV_DONTNEED, so resident memory stays O(1) however
+ * large the file is. A file that cannot be mapped is a fatal().
  */
 class TraceReader
 {
   public:
-    enum class Backend {
-        Auto, ///< mmap when available, read() otherwise
-        Mmap, ///< require the mmap backend (fatal if unavailable)
-        Read, ///< force the portable read() backend
-    };
-
-    explicit TraceReader(const std::string &path, bool verify_crc = true,
-                         Backend backend = Backend::Auto);
+    explicit TraceReader(const std::string &path, bool verify_crc = true);
     ~TraceReader();
 
     TraceReader(const TraceReader &) = delete;
@@ -162,7 +153,6 @@ class TraceReader
 
     const TraceFileInfo &info() const { return info_; }
     const std::string &path() const { return path_; }
-    bool usingMmap() const { return map_ != nullptr; }
 
     /**
      * Decode the next record into @p e (absolute tick) and optionally
@@ -177,26 +167,15 @@ class TraceReader
     std::uint64_t position() const { return pos_; }
 
   private:
-    void openBackend(Backend backend);
-    void verifyStructure(std::uint64_t file_size);
+    void verifyStructure();
     std::uint32_t computeCrc();
-    /** Refill the read()-backend buffer; @return bytes available. */
-    std::size_t refill();
 
     std::string path_;
     TraceFileInfo info_;
     int fd_ = -1;
-
-    // mmap backend.
     const unsigned char *map_ = nullptr; ///< whole-file mapping
     std::size_t mapSize_ = 0;
     std::size_t released_ = 0; ///< bytes already MADV_DONTNEED'd
-
-    // read() backend.
-    std::vector<unsigned char> buf_;
-    std::size_t bufPos_ = 0;
-    std::size_t bufLen_ = 0;
-    std::uint64_t fileOff_ = 0; ///< next file offset to read
 
     std::uint64_t pos_ = 0; ///< records consumed
     Tick tick_ = 0;         ///< running absolute tick
@@ -242,9 +221,7 @@ class DtrcTraceSource : public TraceSource
     /** @param src_filter -1 = every record, else only this source. */
     explicit DtrcTraceSource(const std::string &path,
                              int src_filter = -1,
-                             bool verify_crc = true,
-                             TraceReader::Backend backend =
-                                 TraceReader::Backend::Auto);
+                             bool verify_crc = true);
 
     bool peek(TraceEntry &e) override;
     void advance() override;

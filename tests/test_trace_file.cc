@@ -142,35 +142,6 @@ TEST_F(DtrcFileTest, FormatSniffing)
     EXPECT_EQ(traceFormatForOutput("x"), TraceFormat::Dtrc);
 }
 
-TEST_F(DtrcFileTest, MmapAndReadBackendsIdentical)
-{
-    auto entries = randomStream(11, 2000);
-    saveTraceDtrc(path_, entries);
-
-    TraceReader rd(path_, true, TraceReader::Backend::Read);
-    EXPECT_FALSE(rd.usingMmap());
-    std::vector<TraceEntry> via_read;
-    TraceEntry e;
-    while (rd.next(e))
-        via_read.push_back(e);
-    EXPECT_EQ(via_read, entries);
-
-    TraceReader probe(path_, false);
-    if (probe.usingMmap()) {
-        TraceReader rm(path_, true, TraceReader::Backend::Mmap);
-        EXPECT_TRUE(rm.usingMmap());
-        std::vector<TraceEntry> via_mmap;
-        while (rm.next(e))
-            via_mmap.push_back(e);
-        EXPECT_EQ(via_mmap, via_read);
-
-        // reset() rewinds both backends to the same stream.
-        rm.reset();
-        ASSERT_TRUE(rm.next(e));
-        EXPECT_EQ(e, entries.front());
-    }
-}
-
 TEST_F(DtrcFileTest, TruncatedFileIsFatal)
 {
     saveTraceDtrc(path_, randomStream(5, 100));
