@@ -164,6 +164,11 @@ tool fuzz_cli fuzz_inject_out_dir --runs 1 --seed 1 --inject-bug \
     --out-dir out/fuzz
 filesum fuzz_inject_out_dir_repro out/fuzz/fuzz_fail_0.json
 
+# --trace-capture does not create directories: a prefix in a missing
+# one exits 1 with the fatal line naming the file, before any summary.
+both fuzz_cli fuzz_capture_nodir --runs 1 --seed 1 \
+    --trace-capture nodir/x_
+
 # A repro is read as strictly as a config file: a copy of the clean
 # baseline with a misspelt top-level key and a first stream row of
 # [1.5, "x"] exits 1 naming the key.

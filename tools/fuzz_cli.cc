@@ -30,6 +30,7 @@
  *   fuzz_cli --repro repros/fuzz_fail_42.json
  */
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -420,7 +421,15 @@ main(int argc, char **argv)
     std::uint64_t ran = 0, failed = 0;
     exec::BatchRunner runner(opt.jobs);
 
+    // A capture file that cannot be written (say, into a missing
+    // directory) ends the batch: the jobs still queued return at once,
+    // and the tool exits 1 with the fatal() line, like dramctrl_cli.
+    std::string captureError;
+    std::atomic<bool> stopping{false};
+
     auto worker = [&](std::uint64_t run) {
+        if (stopping.load())
+            return CaseResult{};
         // Per-run derivation (splitmix64 over (master, run)) so case
         // N is reproducible without running cases 0..N-1.
         std::uint64_t cs = exec::deriveSeed(opt.seed, run);
@@ -444,6 +453,8 @@ main(int argc, char **argv)
 
     auto consumeAt = [&](std::uint64_t base_run,
                          const exec::JobOutcome<CaseResult> &out) {
+        if (stopping.load())
+            return;
         std::uint64_t run = base_run + out.index;
         ++ran;
         if (!out.ok) {
@@ -467,10 +478,16 @@ main(int argc, char **argv)
             // Regenerating from (params, seed) here on the main
             // thread keeps the files written in run order whatever
             // --jobs is.
-            captureCaseStream(
-                opt.traceCapture, run,
-                generateStream(out.value.fc.stream,
-                               out.value.streamSeed));
+            try {
+                captureCaseStream(
+                    opt.traceCapture, run,
+                    generateStream(out.value.fc.stream,
+                                   out.value.streamSeed));
+            } catch (const std::runtime_error &e) {
+                captureError = e.what();
+                stopping.store(true);
+                return;
+            }
         }
         bool bad = false;
         if (!out.value.dr.pass) {
@@ -516,7 +533,7 @@ main(int argc, char **argv)
         // Time-boxed mode: waves of one batch per worker, checking
         // the budget between waves.
         std::uint64_t next = opt.firstRun;
-        while (elapsedS() < opt.durationS) {
+        while (!stopping.load() && elapsedS() < opt.durationS) {
             std::uint64_t base = next;
             std::uint64_t wave = opt.jobs;
             runner.run<CaseResult>(
@@ -535,6 +552,10 @@ main(int argc, char **argv)
     publishMetrics(ran, failed);
     if (metricsServer)
         metricsServer->stop();
+    if (stopping.load()) {
+        std::fprintf(stderr, "%s\n", captureError.c_str());
+        return 1;
+    }
 
     // Summary goes to stderr: it carries wall-clock time and the job
     // count, while stdout stays byte-identical whatever --jobs is.
