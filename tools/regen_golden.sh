@@ -9,9 +9,7 @@
 # Runs the golden_* tests with GOLDEN_REGEN=1, which makes each case
 # rewrite its reference file instead of comparing against it; then
 # tests/figure_reference.sh and tests/cli_reference.sh with --regen.
-# fig8_fullsystem's output replaces the reference that CI's
-# "Closed-loop figure identity" step diffs against. Review the
-# resulting diff under tests/golden/, bench/baselines/ and
+# Review the resulting diff under tests/golden/, bench/baselines/ and
 # tests/cli_reference/ like any other code change: fig8's host_time
 # column and host-saving line are wall-clock measurements and change on
 # every run.
@@ -34,8 +32,6 @@ WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
 sh "$ROOT/tests/figure_reference.sh" "$BUILD_DIR/bench" "$WORK/fig" \
     --regen
-"$BUILD_DIR/bench/fig8_fullsystem" \
-    > "$ROOT/bench/baselines/fig8_fullsystem.txt"
 echo "figure references regenerated under bench/baselines/"
 sh "$ROOT/tests/cli_reference.sh" "$BUILD_DIR/tools" "$WORK/cli" --regen
 echo "CLI references regenerated under tests/cli_reference/"
