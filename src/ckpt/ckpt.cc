@@ -120,11 +120,8 @@ typeName(RecordType t)
 {
     switch (t) {
       case RecordType::U64: return "u64";
-      case RecordType::I64: return "i64";
       case RecordType::F64: return "f64";
       case RecordType::Bool: return "bool";
-      case RecordType::Str: return "str";
-      case RecordType::Bytes: return "bytes";
       case RecordType::U64Vec: return "u64vec";
       case RecordType::F64Vec: return "f64vec";
     }
@@ -391,15 +388,12 @@ CkptIn::CkptIn(std::istream &is)
             val.type = type;
             switch (type) {
               case RecordType::U64:
-              case RecordType::I64:
               case RecordType::F64:
                 if (!pc.ok(8))
                     fatal("checkpoint section '%s': key '%s' "
                           "truncated", sec.name.c_str(), key.c_str());
                 if (type == RecordType::F64)
                     val.f64 = pc.f64();
-                else if (type == RecordType::I64)
-                    val.i64 = static_cast<std::int64_t>(pc.u64());
                 else
                     val.u64 = pc.u64();
                 break;
@@ -409,21 +403,6 @@ CkptIn::CkptIn(std::istream &is)
                           "truncated", sec.name.c_str(), key.c_str());
                 val.b = pc.u8() != 0;
                 break;
-              case RecordType::Str:
-              case RecordType::Bytes: {
-                if (!pc.ok(4))
-                    fatal("checkpoint section '%s': key '%s' "
-                          "truncated", sec.name.c_str(), key.c_str());
-                std::uint32_t n = pc.u32();
-                if (!pc.ok(n))
-                    fatal("checkpoint section '%s': key '%s' "
-                          "truncated", sec.name.c_str(), key.c_str());
-                val.str.assign(
-                    reinterpret_cast<const char *>(pc.data + pc.pos),
-                    n);
-                pc.pos += n;
-                break;
-              }
               case RecordType::U64Vec:
               case RecordType::F64Vec: {
                 if (!pc.ok(4))
@@ -812,25 +791,12 @@ dumpJson(std::istream &is, std::ostream &os)
               case RecordType::U64:
                 os << val.u64;
                 break;
-              case RecordType::I64:
-                os << val.i64;
-                break;
               case RecordType::F64:
                 os << formatString("%.17g", val.f64);
                 break;
               case RecordType::Bool:
                 os << (val.b ? "true" : "false");
                 break;
-              case RecordType::Str:
-                writeJsonEscaped(os, val.str);
-                break;
-              case RecordType::Bytes: {
-                std::string hex;
-                for (unsigned char c : val.str)
-                    hex += formatString("%02x", c);
-                writeJsonEscaped(os, hex);
-                break;
-              }
               case RecordType::U64Vec: {
                 os << '[';
                 for (std::size_t i = 0; i < val.u64vec.size(); ++i)

@@ -79,11 +79,8 @@ std::uint64_t fnv1a(const std::string &s);
 /** Tag of one record inside a section payload. */
 enum class RecordType : std::uint8_t {
     U64 = 1,
-    I64 = 2,
     F64 = 3,
     Bool = 4,
-    Str = 5,
-    Bytes = 6,
     U64Vec = 7,
     F64Vec = 8,
 };
@@ -158,10 +155,8 @@ class CkptIn
     {
         RecordType type = RecordType::U64;
         std::uint64_t u64 = 0;
-        std::int64_t i64 = 0;
         double f64 = 0;
         bool b = false;
-        std::string str;
         std::vector<std::uint64_t> u64vec;
         std::vector<double> f64vec;
     };
