@@ -325,11 +325,6 @@ TEST(CkptCycle, ckpt_cycle_partly_decomposed_transactions_resume)
 }
 
 /**
- * Restoring a plugin-bearing snapshot into a system built without the
- * chain (or vice versa) must fail with a clear fatal(), never restore
- * silently with dangling plugin state.
- */
-/**
  * One channel behind the crossbar (one shard, so no sharded engine)
  * and three generators that inject faster than the front ports'
  * request lanes drain: the fronts keep running out of credits.
@@ -483,6 +478,11 @@ INSTANTIATE_TEST_SUITE_P(
         return "ckpt_" + info.param;
     });
 
+/**
+ * Restoring a plugin-bearing snapshot into a system built without the
+ * chain (or vice versa) must fail with a clear fatal(), never restore
+ * silently with dangling plugin state.
+ */
 TEST(CkptPlugin, ckpt_plugin_chain_mismatch_is_fatal)
 {
     BuiltSystem pre = buildSystem(presets::byName("ddr3_1333"),
