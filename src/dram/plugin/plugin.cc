@@ -308,7 +308,9 @@ PluginChain::checkpoint(ckpt::Io &io)
 {
     for (const auto &p : plugins_) {
         std::string prefix = std::string("plugin.") + p->kind() + ".";
-        io.check(prefix + "version", p->ckptVersion(),
+        // Every plugin's state is at version 1; a change to it bumps
+        // the stream's kFormatVersion instead.
+        io.check(prefix + "version", 1,
                  std::string(p->kind()) + " plugin state version");
         io.u64(prefix + "enqueues", p->enqueuesSeen_);
         p->checkpoint(io, prefix);

@@ -91,9 +91,6 @@ class CtrlPlugin
     virtual void onBurstComplete(const BurstInfo &) {}
     virtual void onStatsDump() {}
 
-    /** Version tag written with this plugin's checkpoint state. */
-    virtual std::uint32_t ckptVersion() const { return 1; }
-
     /**
      * Name non-stat state to @p io under @p prefix ("plugin.<kind>."),
      * inside the controller's section. Statistics live in the stats
