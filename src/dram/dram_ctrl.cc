@@ -1417,7 +1417,6 @@ DRAMCtrl::processNextReqEvent()
 
     // Stage 2: service one burst in the current direction.
     touchQueueStats();
-    bool serviced = false;
     if (busState_ == BusState::Read) {
         if (!readQueue_.empty()) {
             auto it = chooseNext(readQueue_);
@@ -1427,7 +1426,6 @@ DRAMCtrl::processNextReqEvent()
             readQueue_.erase(it);
             doDRAMAccess(pkt);
             ++readsThisTime_;
-            serviced = true;
 
             if (pkt->burstHelper) {
                 ++pkt->burstHelper->burstsServiced;
@@ -1457,13 +1455,10 @@ DRAMCtrl::processNextReqEvent()
             writeQueue_.erase(it);
             doDRAMAccess(pkt);
             ++writesThisTime_;
-            serviced = true;
             delete pkt;
             retryBlockedReq();
         }
     }
-
-    (void)serviced;
 
     // Stage 3: decide whether and when to wake up again. Writes parked
     // below the low watermark with no reads pending are intentionally

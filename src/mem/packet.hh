@@ -36,10 +36,10 @@ enum class MemCmd : std::uint8_t {
 const char *memCmdName(MemCmd cmd);
 
 /**
- * Heap-allocated packets come from a freelist pool (see sim/pool.hh):
- * the requestor's `new Packet` and the final `delete` recycle a slot
- * instead of touching malloc, so the steady-state request path is
- * allocation-free. Packet::poolStats() exposes the counters.
+ * Heap-allocated packets come from a per-thread freelist (see
+ * sim/pool.hh): the requestor's `new Packet` and the final `delete`
+ * recycle a slot instead of touching malloc, so the steady-state
+ * request path is allocation-free (tests/test_alloc_free.cc).
  */
 class Packet : public Pooled<Packet>
 {

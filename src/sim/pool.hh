@@ -1,275 +1,28 @@
 /**
  * @file
- * Freelist-based object pools for the hot allocation paths.
+ * Pooled<T>: a mixin whose operator new/delete use a per-thread freelist
+ * of T-sized slots, for the types the steady state creates and destroys
+ * millions of times (packets, controller bursts, transactions). The heap
+ * is only touched while a thread's list grows towards the workload's
+ * high-water mark; after warm-up a `new` is a pointer pop and a `delete`
+ * a push. Array forms, and derived types that are not T-sized, stay on
+ * the global allocator.
  *
- * The simulator's steady state creates and destroys the same few object
- * types (packets, controller-internal bursts, transactions) millions of
- * times. Routing those through a type-segregated freelist means the
- * general-purpose allocator is only touched while a pool grows towards
- * its high-water mark; after warm-up, every allocate() is a pointer pop
- * and every deallocate() a pointer push, and the recycled storage stays
- * hot in cache.
- *
- * The pools are **per thread** (`thread_local`): each thread gets a
- * private freelist with zero synchronisation on the allocation fast
- * path, and the steady-state no-fresh-alloc guarantee holds per
- * thread. The batch engine's shared-nothing jobs allocate and free
- * strictly on one thread; the sharded simulation engine (sim/shard.hh)
- * additionally migrates the occasional object across shard threads
- * (e.g. a packet allocated by a restored checkpoint on the main thread
- * and freed by a generator on its shard's worker). Cross-thread
- * deallocation is therefore permitted: the slot simply joins the
- * freeing thread's freelist. Two consequences keep that safe:
- *
- *  - Chunk storage is immortal. When a pool dies (thread exit), its
- *    chunks move to a process-lifetime quarantine instead of being
- *    freed, so a migrated slot sitting in another thread's freelist
- *    can never dangle.
- *  - inUse is signed: a thread that frees more foreign slots than it
- *    allocated legitimately reads negative, and the cross-thread
- *    aggregate stays exact.
- *
- * Counters are exposed per thread (poolStats()) so tests can assert
- * that a warmed-up simulation performs no fresh (chunk-carving)
- * allocations, and aggregated across threads (aggregatedPoolStats())
- * for whole-batch accounting. Aggregation may only be called while no
- * other thread is allocating (e.g. after a BatchRunner::run returned,
- * which synchronises with its workers).
+ * The list is `thread_local`, so neither path synchronises. An object
+ * deleted on another thread than the one that made it (the sharded
+ * engine, sim/shard.hh, migrates the odd packet) joins the freeing
+ * thread's list. Every slot is its own allocation, so a list can free
+ * its slots when its thread exits.
  */
 
 #ifndef DRAMCTRL_SIM_POOL_H
 #define DRAMCTRL_SIM_POOL_H
 
 #include <cstddef>
-#include <cstdint>
-#include <memory>
-#include <mutex>
 #include <new>
-#include <vector>
 
 namespace dramctrl {
 
-/** Snapshot of one pool's allocation counters. */
-struct PoolStats
-{
-    /** Slots ever carved from chunks — the high-water mark. */
-    std::size_t capacity = 0;
-    /**
-     * Slots currently handed out. Signed: cross-thread frees make a
-     * single thread's count transiently negative; the aggregate over
-     * all threads is always the true live count.
-     */
-    std::int64_t inUse = 0;
-    /** Total allocate() calls. */
-    std::uint64_t totalAllocs = 0;
-    /**
-     * allocate() calls that had to carve fresh storage instead of
-     * recycling the freelist. Flat across a simulation window means the
-     * window ran allocation-free.
-     */
-    std::uint64_t freshAllocs = 0;
-};
-
-namespace detail {
-
-/**
- * Per-type registry of every live thread's pool counters, plus the
- * folded totals of pools whose threads have exited. Guarded by a
- * mutex; only touched on pool construction/destruction and by
- * aggregate(), never on the allocation fast path.
- */
-class PoolStatsRegistry
-{
-  public:
-    void
-    attach(const PoolStats *stats)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        live_.push_back(stats);
-    }
-
-    void
-    detach(const PoolStats *stats)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        for (auto it = live_.begin(); it != live_.end(); ++it) {
-            if (*it == stats) {
-                retired_.capacity += stats->capacity;
-                retired_.inUse += stats->inUse;
-                retired_.totalAllocs += stats->totalAllocs;
-                retired_.freshAllocs += stats->freshAllocs;
-                live_.erase(it);
-                return;
-            }
-        }
-    }
-
-    /**
-     * Sum of the retired totals and every live thread's counters.
-     * Caller must ensure the live threads are quiescent (their
-     * counters are plain fields, synchronised only by thread
-     * join/condvar edges).
-     */
-    PoolStats
-    aggregate() const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        PoolStats sum = retired_;
-        for (const PoolStats *s : live_) {
-            sum.capacity += s->capacity;
-            sum.inUse += s->inUse;
-            sum.totalAllocs += s->totalAllocs;
-            sum.freshAllocs += s->freshAllocs;
-        }
-        return sum;
-    }
-
-  private:
-    mutable std::mutex mutex_;
-    std::vector<const PoolStats *> live_;
-    PoolStats retired_;
-};
-
-/**
- * Process-lifetime store for the chunk storage of pools whose threads
- * have exited. Slots handed to other threads' freelists point into
- * this storage, so it must never be released; the store itself is an
- * immortal heap object (reachable through a static pointer, so leak
- * checkers count it as live).
- */
-inline void
-retainPoolStorage(std::shared_ptr<void> chunks)
-{
-    static std::mutex *mutex = new std::mutex;
-    static auto *store = new std::vector<std::shared_ptr<void>>;
-    std::lock_guard<std::mutex> lock(*mutex);
-    store->push_back(std::move(chunks));
-}
-
-} // namespace detail
-
-/**
- * A growing freelist pool handing out raw storage for objects of type
- * @p T. Storage is carved from geometrically growing chunks and never
- * returned to the system (pool destruction quarantines them — see
- * detail::retainPoolStorage), so recycled slots keep stable addresses
- * for the life of the process even when they migrate across threads.
- */
-template <typename T>
-class ObjectPool
-{
-  public:
-    /** This thread's pool for @p T (created on first use). */
-    static ObjectPool &
-    instance()
-    {
-        static thread_local ObjectPool pool;
-        return pool;
-    }
-
-    ObjectPool() { registry().attach(&stats_); }
-
-    ~ObjectPool()
-    {
-        registry().detach(&stats_);
-        if (!chunks_.empty())
-            detail::retainPoolStorage(std::make_shared<
-                std::vector<std::unique_ptr<Slot[]>>>(
-                std::move(chunks_)));
-    }
-
-    ObjectPool(const ObjectPool &) = delete;
-    ObjectPool &operator=(const ObjectPool &) = delete;
-
-    /** Raw storage for one T; never null (throws bad_alloc instead). */
-    void *
-    allocate()
-    {
-        ++stats_.totalAllocs;
-        ++stats_.inUse;
-        if (freeHead_ != nullptr) {
-            Slot *slot = freeHead_;
-            freeHead_ = slot->next;
-            return static_cast<void *>(slot->storage);
-        }
-        ++stats_.freshAllocs;
-        if (chunkUsed_ == chunkSize_)
-            grow();
-        return static_cast<void *>(
-            chunks_.back()[chunkUsed_++].storage);
-    }
-
-    /** Return storage obtained from allocate() to the freelist. */
-    void
-    deallocate(void *p)
-    {
-        auto *slot = reinterpret_cast<Slot *>(p);
-        slot->next = freeHead_;
-        freeHead_ = slot;
-        --stats_.inUse;
-    }
-
-    const PoolStats &stats() const { return stats_; }
-
-    /**
-     * Counters summed over every thread that ever pooled a T (live
-     * threads plus folded totals of exited ones). Only meaningful
-     * while no other thread is allocating.
-     */
-    static PoolStats
-    aggregatedStats()
-    {
-        return registry().aggregate();
-    }
-
-  private:
-    union Slot
-    {
-        Slot *next;
-        alignas(T) unsigned char storage[sizeof(T)];
-    };
-
-    /**
-     * The process-wide counter registry for T. A function-local
-     * static (not thread_local): constructed before the first pool
-     * attaches, destroyed after the main thread's pool detaches.
-     */
-    static detail::PoolStatsRegistry &
-    registry()
-    {
-        static detail::PoolStatsRegistry reg;
-        return reg;
-    }
-
-    void
-    grow()
-    {
-        chunks_.push_back(std::make_unique<Slot[]>(nextChunk_));
-        chunkSize_ = nextChunk_;
-        chunkUsed_ = 0;
-        stats_.capacity += chunkSize_;
-        // Geometric growth keeps the chunk count logarithmic in the
-        // high-water mark.
-        nextChunk_ *= 2;
-    }
-
-    std::vector<std::unique_ptr<Slot[]>> chunks_;
-    Slot *freeHead_ = nullptr;
-    std::size_t chunkSize_ = 0;
-    std::size_t chunkUsed_ = 0;
-    std::size_t nextChunk_ = 64;
-    PoolStats stats_;
-};
-
-/**
- * Mixin giving a class pooled operator new/delete. Deriving (or
- * defining the two operators in terms of ObjectPool directly) routes
- * every `new T` / `delete t` through the calling thread's freelist
- * with no call-site changes. Array forms intentionally stay on the
- * global allocator. Same-thread new/delete is the fast path the
- * no-fresh-alloc guarantee is stated for; cross-thread delete is safe
- * and migrates the slot (see the file comment).
- */
 template <typename T>
 class Pooled
 {
@@ -279,7 +32,12 @@ class Pooled
     {
         if (size != sizeof(T)) // derived type: not slot-sized
             return ::operator new(size);
-        return ObjectPool<T>::instance().allocate();
+        Freelist &list = freelist();
+        if (list.head == nullptr)
+            list.grow();
+        Slot *slot = list.head;
+        list.head = slot->next;
+        return slot;
     }
 
     static void
@@ -291,22 +49,59 @@ class Pooled
             ::operator delete(p);
             return;
         }
-        ObjectPool<T>::instance().deallocate(p);
+        freelist().push(static_cast<Slot *>(p));
     }
 
-    /**
-     * This thread's pool counters for T, for allocation-regression
-     * tests.
-     */
-    static const PoolStats &poolStats()
+  private:
+    union Slot
     {
-        return ObjectPool<T>::instance().stats();
-    }
+        Slot *next;
+        unsigned char storage[sizeof(T)];
+    };
 
-    /** Counters summed across threads (see ObjectPool). */
-    static PoolStats aggregatedPoolStats()
+    /** One thread's free slots, LIFO. */
+    struct Freelist
     {
-        return ObjectPool<T>::aggregatedStats();
+        static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__,
+                      "a slot from ::operator new may underalign T");
+
+        Freelist() = default;
+        Freelist(const Freelist &) = delete;
+        Freelist &operator=(const Freelist &) = delete;
+        ~Freelist()
+        {
+            while (head != nullptr) {
+                Slot *slot = head;
+                head = slot->next;
+                ::operator delete(slot);
+            }
+        }
+
+        Slot *head = nullptr;
+        std::size_t nextBatch = 64;
+
+        void
+        push(Slot *slot)
+        {
+            slot->next = head;
+            head = slot;
+        }
+
+        /** Batches of 64, 128, 256... slots: few steps, some slack. */
+        void
+        grow()
+        {
+            for (std::size_t i = 0; i < nextBatch; ++i)
+                push(static_cast<Slot *>(::operator new(sizeof(Slot))));
+            nextBatch *= 2;
+        }
+    };
+
+    static Freelist &
+    freelist()
+    {
+        static thread_local Freelist list;
+        return list;
     }
 };
 

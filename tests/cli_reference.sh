@@ -139,6 +139,14 @@ split ckpt_dram_plugins 12345 --pattern dram --plugins ecc,prac,refmgr \
 split ckpt_hmc_stack_16 2500 --preset hmc_stack_16 --requests 6400
 split ckpt_hbm2_stack_4 4321 --preset hbm2_stack_4 --sim-threads 4
 
+# A checkpoint restores its generators' request counts, so a restore
+# with a different --requests exits 1 naming both counts: the
+# single-channel 20000-request split above, and hmc_stack_16's 6400.
+both dramctrl_cli ckpt_requests_differ --requests 8000 \
+    --ckpt-restore ckpt_random.ckpt
+both dramctrl_cli ckpt_requests_differ_sharded --preset hmc_stack_16 \
+    --requests 3200 --ckpt-restore ckpt_hmc_stack_16.ckpt
+
 # A split at or after the end of the run is refused: hmc_stack_16 with
 # 6400 requests completes at 5.0 us, so 5.5 us must exit 1 and write
 # no checkpoint.

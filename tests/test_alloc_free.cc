@@ -21,6 +21,7 @@
 #include <cstdlib>
 #include <functional>
 #include <new>
+#include <string>
 
 #include "cpu/workload.hh"
 #include "dram/dram_presets.hh"
@@ -196,26 +197,42 @@ TEST(SteadyStateAlloc, ClosedLoopCommitsWithoutAllocating)
 
 TEST(SteadyStateAlloc, SingleChannelRandomGenRunsWithoutAllocating)
 {
-    // One event-model channel fed by a random generator: the path the
-    // packet and burst pools were built for.
-    harness::SingleChannelSystem tb(presets::ddr3_1333(),
-                                    harness::CtrlModel::Event);
-    GenConfig gc;
-    gc.windowSize = 1 << 22;
-    gc.readPct = 70;
-    gc.minITT = gc.maxITT = fromNs(3);
-    gc.numRequests = 0;
-    gc.seed = 5;
-    auto &gen = tb.addGen<RandomGen>(gc);
+    // One channel fed by a random generator: the path the pooled
+    // types were built for. Packet and DRAMPacket on the event model,
+    // CycleTransaction on the cycle model, and BurstHelper where a
+    // 128-byte request splits into two bursts.
+    struct Input
+    {
+        harness::CtrlModel model;
+        unsigned blockSize;
+    };
+    for (Input in : {Input{harness::CtrlModel::Event, 64},
+                     Input{harness::CtrlModel::Cycle, 64},
+                     Input{harness::CtrlModel::Event, 128},
+                     Input{harness::CtrlModel::Cycle, 128}}) {
+        SCOPED_TRACE(std::string(harness::toString(in.model)) + ", " +
+                     std::to_string(in.blockSize) + " B requests");
+        harness::SingleChannelSystem tb(presets::ddr3_1333(), in.model);
+        GenConfig gc;
+        gc.windowSize = 1 << 22;
+        gc.blockSize = in.blockSize;
+        gc.readPct = 70;
+        gc.minITT = gc.maxITT = fromNs(3);
+        gc.numRequests = 0;
+        gc.seed = 5;
+        auto &gen = tb.addGen<RandomGen>(gc);
 
-    // Past one refresh interval, so refresh runs in both phases.
-    tb.sim().run(fromUs(20));
-    double answered = gen.genStats().recvResponses.value();
+        // Past one refresh interval, so refresh runs in both phases.
+        tb.sim().run(fromUs(20));
+        double answered = gen.genStats().recvResponses.value();
 
-    std::uint64_t news = countNews([&] { tb.sim().run(fromUs(80)); });
-    EXPECT_GT(gen.genStats().recvResponses.value(), answered + 5000)
-        << "the measured phase answered too few requests";
-    EXPECT_EQ(news, 0u) << "operator new calls in the measured phase";
+        std::uint64_t news =
+            countNews([&] { tb.sim().run(fromUs(80)); });
+        EXPECT_GT(gen.genStats().recvResponses.value(),
+                  answered + 5000 * 64 / in.blockSize)
+            << "the measured phase answered too few requests";
+        EXPECT_EQ(news, 0u) << "operator new calls in the measured phase";
+    }
 }
 
 } // namespace

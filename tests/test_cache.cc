@@ -174,8 +174,11 @@ TEST_F(CacheTest, CrossBlockRequestPanics)
 {
     setThrowOnError(true);
     build(smallCache());
-    req->inject(0, MemCmd::ReadReq, 0x3c, 16); // crosses 0x40
-    EXPECT_THROW(sim->run(fromUs(1)), std::runtime_error);
+    // The panic comes before the cache takes the packet, so the test
+    // still owns it.
+    auto pkt = std::make_unique<Packet>(MemCmd::ReadReq, 0x3c, 16, 0);
+    EXPECT_THROW(req->port().sendTimingReq(pkt.get()), // crosses 0x40
+                 std::runtime_error);
     setThrowOnError(false);
 }
 

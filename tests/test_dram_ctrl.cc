@@ -316,8 +316,11 @@ TEST_F(DramCtrlTest, MisroutedPacketPanics)
         AddrRange(cfg.org.channelCapacity, cfg.org.channelCapacity));
     req = std::make_unique<TestRequestor>(*sim, "req");
     req->port().bind(ctrl->port());
-    req->inject(0, MemCmd::ReadReq, 0);
-    EXPECT_THROW(sim->run(fromUs(1)), std::runtime_error);
+    // The panic comes before the controller takes the packet, so the
+    // test still owns it.
+    auto pkt = std::make_unique<Packet>(MemCmd::ReadReq, 0, 64, 0);
+    EXPECT_THROW(req->port().sendTimingReq(pkt.get()),
+                 std::runtime_error);
     setThrowOnError(false);
 }
 

@@ -2,10 +2,10 @@
  * @file
  * Concurrency tests for the shared-nothing simulation contract: many
  * whole Simulators running to completion on worker threads at once,
- * with identical results to serial execution, per-thread object
- * pools that aggregate cleanly, and a logging registry that survives
- * queues being created and destroyed across threads. The TSan CI job
- * runs exactly these suites.
+ * with identical results to serial execution, per-thread freelists
+ * that take slots freed on other threads, and a logging registry that
+ * survives queues being created and destroyed across threads. The
+ * TSan CI job runs exactly these suites.
  */
 
 #include <gtest/gtest.h>
@@ -135,39 +135,28 @@ TEST(ParallelSim, SweepOutputByteIdenticalAcrossWidths)
     EXPECT_EQ(serial, runSweepBatch(4));
 }
 
-TEST(ParallelSim, PoolsArePerThreadAndAggregate)
+TEST(ParallelSim, FreedSlotJoinsTheFreeingThreadsList)
 {
-    struct Blob
+    struct Blob : Pooled<Blob>
     {
         char payload[48];
     };
 
-    // Allocations on a worker thread must not disturb this thread's
-    // pool, and must show up in the cross-thread aggregate once the
-    // worker has exited (its counters fold into the retired totals).
-    const PoolStats before = ObjectPool<Blob>::instance().stats();
-    const PoolStats aggBefore = ObjectPool<Blob>::aggregatedStats();
+    // A slot made on a worker that then exits must outlive that
+    // worker's freelist (ASan sees a use after free if not): freed
+    // here, it joins this thread's list and is handed out again. A
+    // second worker then frees it into its own list, which frees the
+    // slot when that worker exits (LeakSanitizer sees it if not).
+    Blob *blob = nullptr;
+    std::thread([&] { blob = new Blob; }).join();
+    void *slot = blob;
+    blob->payload[0] = 1;
+    delete blob;
 
-    std::thread worker([] {
-        auto &pool = ObjectPool<Blob>::instance();
-        std::vector<void *> blobs;
-        for (int i = 0; i < 100; ++i)
-            blobs.push_back(pool.allocate());
-        for (void *p : blobs)
-            pool.deallocate(p);
-        EXPECT_EQ(pool.stats().totalAllocs, 100u);
-        EXPECT_EQ(pool.stats().inUse, 0u);
-    });
-    worker.join();
-
-    const PoolStats after = ObjectPool<Blob>::instance().stats();
-    EXPECT_EQ(after.totalAllocs, before.totalAllocs)
-        << "worker-thread allocations leaked into this thread's "
-           "pool";
-
-    const PoolStats agg = ObjectPool<Blob>::aggregatedStats();
-    EXPECT_EQ(agg.totalAllocs, aggBefore.totalAllocs + 100);
-    EXPECT_EQ(agg.inUse, 0u);
+    blob = new Blob;
+    EXPECT_EQ(static_cast<void *>(blob), slot);
+    blob->payload[0] = 2;
+    std::thread([&] { delete blob; }).join();
 }
 
 TEST(ParallelSim, EventQueueRegistryHandlesChurnAcrossThreads)

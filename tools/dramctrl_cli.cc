@@ -22,6 +22,7 @@
  */
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -393,6 +394,22 @@ audit(const DRAMCtrlConfig &cfg, const std::vector<CmdLogger> &loggers)
     return violations == 0 ? 0 : 2;
 }
 
+/** Requests the system's generators issue in total. */
+std::uint64_t
+genRequests(harness::SingleChannelSystem &tb)
+{
+    return tb.gen().genConfig().numRequests;
+}
+
+std::uint64_t
+genRequests(harness::MultiChannelSystem &mc)
+{
+    std::uint64_t n = 0;
+    for (unsigned i = 0; i < mc.numGens(); ++i)
+        n += mc.gen(i).genConfig().numRequests;
+    return n;
+}
+
 /**
  * Run one system, single- or multi-channel: command loggers, capture,
  * the stimulus, checkpoint restore or save, the run, the JSON dump or
@@ -411,8 +428,19 @@ runSystem(const CliOptions &opt, const harness::ResolvedConfig &rc,
         sys.enableCapture(opt.traceCapture);
     sys.addStimulus(opt.stim);
 
-    if (!opt.restoreFrom.empty())
+    if (!opt.restoreFrom.empty()) {
+        // A checkpoint restores its generators' request counts, so a
+        // different --requests would silently run the saved one.
+        bool gens = opt.stim.pattern != "trace";
+        std::uint64_t typed = gens ? genRequests(sys) : 0;
         ckpt::restoreFile(sys.sim(), opt.restoreFrom);
+        std::uint64_t saved = gens ? genRequests(sys) : 0;
+        if (saved != typed)
+            fatal("checkpoint '%s' holds a run of %llu requests, not "
+                  "the %llu of --requests", opt.restoreFrom.c_str(),
+                  static_cast<unsigned long long>(saved),
+                  static_cast<unsigned long long>(opt.stim.requests));
+    }
 
     if (!opt.json) {
         std::printf("%s\n", rc.cfg.describe().c_str());
