@@ -22,11 +22,14 @@
 #include <functional>
 #include <new>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "cpu/workload.hh"
 #include "dram/dram_presets.hh"
 #include "harness/multichannel.hh"
 #include "harness/testbench.hh"
+#include "sim/pool.hh"
 #include "trafficgen/random_gen.hh"
 
 namespace {
@@ -233,6 +236,39 @@ TEST(SteadyStateAlloc, SingleChannelRandomGenRunsWithoutAllocating)
             << "the measured phase answered too few requests";
         EXPECT_EQ(news, 0u) << "operator new calls in the measured phase";
     }
+}
+
+TEST(PooledGrowth, BatchesDoubleAndRefillWithoutAllocating)
+{
+    struct Slotted : Pooled<Slotted>
+    {
+        std::uint64_t value = 0;
+    };
+
+    // A fresh thread, so Slotted's list starts empty whatever ran
+    // before. An empty list grows by 64, then 128, then 256 slots,
+    // one operator new each; a drained and refilled list makes none.
+    std::thread([] {
+        std::vector<Slotted *> held;
+        held.reserve(64 + 128 + 1);
+        auto make = [&](unsigned n) {
+            return countNews([&] {
+                for (unsigned i = 0; i < n; ++i)
+                    held.push_back(new Slotted);
+            });
+        };
+        EXPECT_EQ(make(1), 64u);
+        EXPECT_EQ(make(63), 0u);
+        EXPECT_EQ(make(1), 128u);
+        EXPECT_EQ(make(127), 0u);
+        EXPECT_EQ(make(1), 256u);
+        for (Slotted *s : held)
+            delete s;
+        held.clear();
+        EXPECT_EQ(make(64 + 128 + 1), 0u);
+        for (Slotted *s : held)
+            delete s;
+    }).join();
 }
 
 } // namespace

@@ -10,8 +10,10 @@
 
 #include <cstdint>
 #include <set>
+#include <thread>
 #include <vector>
 
+#include "mem/packet.hh"
 #include "sim/pool.hh"
 #include "sim/ring_buffer.hh"
 
@@ -24,6 +26,17 @@ struct Payload : Pooled<Payload>
 
     std::uint64_t a;
     std::uint64_t b;
+};
+
+/** Derives from a pooled type but is not Payload-sized. */
+struct WidePayload : Payload
+{
+    WidePayload(std::uint64_t a_, std::uint64_t b_, std::uint64_t c_)
+        : Payload(a_, b_), c(c_)
+    {
+    }
+
+    std::uint64_t c;
 };
 
 std::vector<int>
@@ -99,6 +112,52 @@ TEST(PooledTest, LiveObjectsNeverShareASlot)
         EXPECT_EQ(held[i]->b, ~i);
         delete held[i];
     }
+}
+
+TEST(PooledTest, WiderDerivedTypeBypassesTheFreelist)
+{
+    auto *p = new Payload{1, 2};
+    void *freed = p;
+    delete p;
+    // A wider object cannot fit a Payload slot: it neither takes the
+    // freed slot nor leaves its own storage on the list.
+    auto *w = new WidePayload{3, 4, 5};
+    EXPECT_NE(static_cast<void *>(w), freed);
+    EXPECT_EQ(w->c, 5u);
+    delete w;
+    auto *q = new Payload{6, 7};
+    EXPECT_EQ(static_cast<void *>(q), freed);
+    delete q;
+}
+
+TEST(PooledTest, FreedSlotIsNotHandedOutOnAnotherThread)
+{
+    auto *p = new Payload{1, 2};
+    void *freed = p;
+    delete p;
+    // The slot sits on this thread's list; a worker grows its own.
+    void *worker_slot = nullptr;
+    std::thread([&] {
+        auto *w = new Payload{3, 4};
+        worker_slot = w;
+        delete w;
+    }).join();
+    EXPECT_NE(worker_slot, freed);
+    auto *q = new Payload{5, 6};
+    EXPECT_EQ(static_cast<void *>(q), freed);
+    delete q;
+}
+
+TEST(PooledTest, PacketsReuseTheirFreedSlot)
+{
+    // Packet is pooled: a freed packet's storage is the next one's.
+    auto *pkt = new Packet(MemCmd::ReadReq, 0x40, 64, 0);
+    void *addr = pkt;
+    delete pkt;
+    auto *pkt2 = new Packet(MemCmd::WriteReq, 0x80, 64, 0);
+    EXPECT_EQ(static_cast<void *>(pkt2), addr);
+    EXPECT_EQ(pkt2->addr(), 0x80u);
+    delete pkt2;
 }
 
 } // namespace
