@@ -59,7 +59,9 @@ namespace ckpt {
 // the due ticks of returns in flight) instead of credit inboxes.
 // Version 4: the generators' latency histograms are tick histograms
 // (the controller's duplicate read-latency histogram is gone).
-constexpr std::uint32_t kFormatVersion = 4;
+// Version 5: the controllers' response queues and the crossbar inboxes
+// share one walk (PacketQueue::checkpoint()).
+constexpr std::uint32_t kFormatVersion = 5;
 
 /** CRC32 (IEEE 802.3 polynomial) of @p len bytes at @p data. */
 std::uint32_t crc32(const void *data, std::size_t len);

@@ -51,7 +51,8 @@ Cache::Cache(Simulator &sim, std::string name, const CacheConfig &cfg)
     : SimObject(sim, std::move(name)), cfg_(cfg),
       cpuSide_(this->name() + ".cpuSide", *this),
       memSide_(this->name() + ".memSide", *this),
-      respQueue_(this->eventq(), cpuSide_, this->name() + ".respQueue"),
+      respQueue_(*this, "respQueue.sendEvent", Event::kResponsePriority,
+                 cpuSide_),
       prefetcher_(cfg.prefetcher, cfg.blockSize)
 {
     if (!isPowerOf2(cfg_.blockSize))
@@ -192,7 +193,7 @@ Cache::handleCpuReq(Packet *pkt)
         if (pkt->isWrite())
             line->dirty = true;
         pkt->makeResponse();
-        respQueue_.schedSendResp(pkt, curTick() + cfg_.hitLatency);
+        respQueue_.deliver(curTick() + cfg_.hitLatency, pkt, 0);
         runPrefetcher(block, pkt->requestorId());
         return true;
     }
@@ -348,7 +349,7 @@ Cache::handleMemResp(Packet *pkt)
     // Answer every coalesced target.
     for (Packet *target : mshr->targets) {
         target->makeResponse();
-        respQueue_.schedSendResp(target, curTick() + cfg_.hitLatency);
+        respQueue_.deliver(curTick() + cfg_.hitLatency, target, 0);
     }
     mshr->targets.clear();
     mshr->valid = false;

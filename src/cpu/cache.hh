@@ -125,7 +125,7 @@ class Cache : public SimObject
             return cache_.handleCpuReq(pkt);
         }
 
-        void recvRespRetry() override { cache_.respQueue_.retry(); }
+        void recvRespRetry() override { cache_.respQueue_.resume(); }
 
       private:
         Cache &cache_;
@@ -186,7 +186,7 @@ class Cache : public SimObject
     CacheConfig cfg_;
     CpuSide cpuSide_;
     MemSide memSide_;
-    RespPacketQueue respQueue_;
+    PacketQueue respQueue_;
 
     std::vector<std::vector<Line>> sets_;
     std::uint64_t useCounter_ = 0;

@@ -77,7 +77,8 @@ CycleDRAMCtrl::CycleDRAMCtrl(Simulator &sim, std::string name,
     : MemCtrlBase(sim, std::move(name)), cfg_(config), range_(range),
       decoder_(cfg_.org, cfg_.addrMapping), ct_(cfg_.timing),
       port_(this->name() + ".port", *this),
-      respQueue_(this->eventq(), port_, this->name() + ".respQueue"),
+      respQueue_(*this, "respQueue.sendEvent", Event::kResponsePriority,
+                 port_),
       transQueueLimit_(cfg_.readBufferSize + cfg_.writeBufferSize),
       cmdQueue_(cfg_.org.ranksPerChannel, cfg_.org.banksPerRank,
                 cmd_queue_depth),
@@ -290,7 +291,7 @@ CycleDRAMCtrl::checkpoint(ckpt::Io &io)
     io.u64("idleSinceCycle", idleSinceCycle_);
     io.tick("windowStart", windowStart_);
 
-    respQueue_.checkpoint(io);
+    respQueue_.checkpoint(io, "respq");
     io.event("tickEvent", eventq(), tickEvent_);
 
     plugins_.checkpoint(io);
@@ -424,7 +425,7 @@ CycleDRAMCtrl::recvTimingReq(Packet *pkt)
             stats::LatencySpan::immediate(curTick(),
                                           cfg_.frontendLatency));
         pkt->makeResponse();
-        respQueue_.schedSendResp(pkt, curTick() + cfg_.frontendLatency);
+        respQueue_.deliver(curTick() + cfg_.frontendLatency, pkt, 0);
         trans->pkt = nullptr;
     }
 
@@ -967,9 +968,9 @@ CycleDRAMCtrl::burstCompleted(CycleTransaction *trans,
         trans->pkt->setSpan(span);
 
         trans->pkt->makeResponse();
-        respQueue_.schedSendResp(trans->pkt,
-                                 data_done_tick + cfg_.frontendLatency +
-                                     cfg_.backendLatency);
+        respQueue_.deliver(data_done_tick + cfg_.frontendLatency +
+                               cfg_.backendLatency,
+                           trans->pkt, 0);
     }
     delete trans;
 }

@@ -178,7 +178,7 @@ class CycleDRAMCtrl : public MemCtrlBase
             return ctrl_.recvTimingReq(pkt);
         }
 
-        void recvRespRetry() override { ctrl_.respQueue_.retry(); }
+        void recvRespRetry() override { ctrl_.respQueue_.resume(); }
 
       private:
         CycleDRAMCtrl &ctrl_;
@@ -237,7 +237,7 @@ class CycleDRAMCtrl : public MemCtrlBase
     CycleTiming ct_;
 
     MemoryPort port_;
-    RespPacketQueue respQueue_;
+    PacketQueue respQueue_;
 
     std::vector<CycleTransaction *> transQueue_;
     std::size_t transQueueLimit_;

@@ -161,7 +161,8 @@ DRAMCtrl::DRAMCtrl(Simulator &sim, std::string name,
     : MemCtrlBase(sim, std::move(name)), cfg_(config), range_(range),
       decoder_(cfg_.org, cfg_.addrMapping),
       port_(this->name() + ".port", *this),
-      respQueue_(this->eventq(), port_, this->name() + ".respQueue"),
+      respQueue_(*this, "respQueue.sendEvent", Event::kResponsePriority,
+                 port_),
       nextReqEvent_([this] { processNextReqEvent(); },
                     this->name() + ".nextReqEvent"),
       refreshEvent_([this] { processRefreshEvent(); },
@@ -392,7 +393,7 @@ DRAMCtrl::checkpoint(ckpt::Io &io)
     io.tick("windowStart", windowStart_);
     io.tick("lastQStatUpdate", lastQStatUpdate_);
 
-    respQueue_.checkpoint(io);
+    respQueue_.checkpoint(io, "respq");
     io.event("nextReqEvent", eventq(), nextReqEvent_);
     io.event("refreshEvent", eventq(), refreshEvent_);
 
@@ -656,7 +657,7 @@ DRAMCtrl::recvTimingReq(Packet *pkt)
 void
 DRAMCtrl::recvRespRetry()
 {
-    respQueue_.retry();
+    respQueue_.resume();
 }
 
 DRAMCtrl::DRAMPacket *
@@ -1344,8 +1345,8 @@ DRAMCtrl::accessAndRespond(Packet *pkt, Tick static_latency,
                            Tick ready_time)
 {
     pkt->makeResponse();
-    respQueue_.schedSendResp(pkt, std::max(curTick(), ready_time) +
-                                      static_latency);
+    respQueue_.deliver(std::max(curTick(), ready_time) + static_latency,
+                       pkt, 0);
 }
 
 void

@@ -399,7 +399,7 @@ class DRAMCtrl : public MemCtrlBase
     AddrDecoder decoder_;
 
     MemoryPort port_;
-    RespPacketQueue respQueue_;
+    PacketQueue respQueue_;
 
     std::vector<Rank> ranks_;
 

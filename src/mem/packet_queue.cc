@@ -1,115 +1,144 @@
 #include "mem/packet_queue.hh"
 
-#include <algorithm>
+#include <vector>
 
 #include "ckpt/ckpt.hh"
+#include "mem/packet.hh"
+#include "mem/port.hh"
 #include "obs/chrome_trace.hh"
 #include "obs/trace.hh"
 #include "sim/logging.hh"
+#include "sim/sim_object.hh"
 
 namespace dramctrl {
 
-RespPacketQueue::RespPacketQueue(EventQueue &eventq, ResponsePort &port,
-                                 std::string name)
-    : eventq_(eventq), port_(port),
-      sendEvent_([this] { trySend(); }, std::move(name) + ".sendEvent",
-                 Event::kResponsePriority)
+PacketQueue::PacketQueue(SimObject &owner, const std::string &name,
+                         Event::Priority priority, Handler handler)
+    : owner_(owner), handler_(std::move(handler)),
+      event_([this] { pump(); }, owner.name() + "." + name, priority)
+{
+    if (priority == Event::kArrivalPriority)
+        owner.eventq().fixArrivalOrder(event_);
+}
+
+PacketQueue::PacketQueue(SimObject &owner, const std::string &name,
+                         Event::Priority priority, ResponsePort &port)
+    : PacketQueue(owner, name, priority,
+                  [this, &port](Tick, Packet *pkt, std::uint64_t) {
+                      return sendResp(port, pkt);
+                  })
 {
 }
 
-RespPacketQueue::~RespPacketQueue()
+PacketQueue::~PacketQueue()
 {
-    if (sendEvent_.scheduled())
-        eventq_.deschedule(sendEvent_);
-    for (std::size_t i = head_; i < queue_.size(); ++i) {
-        Entry &e = queue_[i];
-        // Undelivered responses may still carry per-hop sender state
+    if (event_.scheduled())
+        owner_.deschedule(event_);
+    for (std::size_t i = 0; i < entries_.size(); ++i) {
+        Packet *pkt = entries_[i].pkt;
+        if (pkt == nullptr)
+            continue;
+        // An undelivered packet may still carry per-hop sender state
         // from the request path; release it before the packet.
-        while (e.pkt->senderState() != nullptr)
-            delete e.pkt->popSenderState();
-        delete e.pkt;
+        while (pkt->senderState() != nullptr)
+            delete pkt->popSenderState();
+        delete pkt;
     }
 }
 
 void
-RespPacketQueue::schedSendResp(Packet *pkt, Tick when)
+PacketQueue::deliver(Tick when, Packet *pkt, std::uint64_t arg)
+{
+    DC_ASSERT(when >= owner_.curTick(), "%s: packet due in the past",
+              event_.name().c_str());
+    // Keep entries sorted by (due tick, arg), then by delivery order.
+    // Which barrier delivers a crossbar message depends on the run()
+    // horizon, so delivery order only breaks ties within one sender,
+    // whose messages always arrive in send order. Packets mostly
+    // arrive in due order, so the scan from the back usually stops at
+    // once.
+    std::size_t pos = entries_.size();
+    while (pos > 0 && (entries_[pos - 1].when > when ||
+                       (entries_[pos - 1].when == when &&
+                        entries_[pos - 1].arg > arg)))
+        --pos;
+    entries_.insert(pos, Entry{when, pkt, arg});
+    if (!stalled_)
+        scheduleWake();
+}
+
+void
+PacketQueue::resume()
+{
+    DC_ASSERT(stalled_, "%s: unexpected retry", event_.name().c_str());
+    stalled_ = false;
+    pump();
+}
+
+bool
+PacketQueue::sendResp(ResponsePort &port, Packet *pkt)
 {
     DC_ASSERT(pkt->isResponse(), "queueing non-response %s",
               pkt->toString().c_str());
-    DC_ASSERT(when >= eventq_.curTick(), "response in the past");
-
-    // Insert keeping time order; equal ticks keep push order.
-    auto it = std::find_if(queue_.begin() + head_, queue_.end(),
-                           [when](const Entry &e) { return e.when > when; });
-    queue_.insert(it, Entry{when, pkt});
-
-    if (!waitingForRetry_) {
-        Tick front_when = front().when;
-        if (!sendEvent_.scheduled())
-            eventq_.schedule(sendEvent_, front_when);
-        else if (sendEvent_.when() > front_when)
-            eventq_.reschedule(sendEvent_, front_when);
+    // The receiver may delete the packet as soon as it accepts it;
+    // take what the span needs up front.
+    std::uint64_t pkt_id = pkt->id();
+    if (!port.sendTimingResp(pkt)) {
+        TRACE(PacketQueue, "%s: response held, peer busy",
+              event_.name().c_str());
+        return false;
     }
+    TRACE(PacketQueue, "%s: response delivered", event_.name().c_str());
+    if (auto *ct = obs::chromeTracer())
+        ct->endSpan(pkt_id, owner_.curTick());
+    return true;
 }
 
 void
-RespPacketQueue::retry()
+PacketQueue::pump()
 {
-    DC_ASSERT(waitingForRetry_, "unexpected response retry");
-    waitingForRetry_ = false;
-    trySend();
-}
-
-void
-RespPacketQueue::trySend()
-{
-    while (!empty() && front().when <= eventq_.curTick()) {
-        Packet *pkt = front().pkt;
-        // The receiver may delete the packet as soon as it accepts it;
-        // take what the span needs up front.
-        std::uint64_t pkt_id = pkt->id();
-        if (!port_.sendTimingResp(pkt)) {
-            TRACE(PacketQueue, "%s: response held, peer busy",
-                  sendEvent_.name().c_str());
-            waitingForRetry_ = true;
+    while (!entries_.empty() &&
+           entries_.front().when <= owner_.curTick()) {
+        // A copy: the handler may deliver into this queue, which can
+        // grow (and so move) the ring.
+        Entry head = entries_.front();
+        if (!handler_(head.when, head.pkt, head.arg)) {
+            stalled_ = true;
             return;
         }
-        TRACE(PacketQueue, "%s: response delivered",
-              sendEvent_.name().c_str());
-        if (auto *ct = obs::chromeTracer())
-            ct->endSpan(pkt_id, eventq_.curTick());
-        popFront();
+        entries_.pop_front();
     }
-    if (!empty() && !sendEvent_.scheduled())
-        eventq_.schedule(sendEvent_, front().when);
+    if (!entries_.empty())
+        scheduleWake();
 }
 
 void
-RespPacketQueue::checkpoint(ckpt::Io &io)
+PacketQueue::scheduleWake()
 {
-    std::uint64_t count = size();
-    io.u64("respq.count", count);
-    // A restore fills a fresh queue (head_ 0) with the saved entries;
-    // a save walks the live ones in place.
-    queue_.resize(head_ + count);
-    io.table("respq.whens", count, [this](std::size_t i) {
-        return std::tie(queue_[head_ + i].when);
+    Tick head = entries_.front().when;
+    if (!event_.scheduled())
+        owner_.schedule(event_, head);
+    else if (event_.when() != head)
+        owner_.reschedule(event_, head);
+}
+
+void
+PacketQueue::checkpoint(ckpt::Io &io, const std::string &prefix)
+{
+    io.flag(prefix + ".stalled", stalled_);
+    std::vector<std::uint64_t> whens;
+    for (std::size_t i = 0; i < entries_.size(); ++i)
+        whens.push_back(entries_[i].when);
+    io.list(prefix + ".when", whens);
+    // A restore refills the fresh queue, one entry per saved due tick.
+    for (std::size_t i = entries_.size(); i < whens.size(); ++i)
+        entries_.insert(i, Entry{whens[i], nullptr, 0});
+    io.table(prefix + ".arg", entries_.size(), [this](std::size_t i) {
+        return std::tie(entries_[i].arg);
     });
-    for (std::size_t i = 0; i < count; ++i)
-        io.packet("respq.pkt" + std::to_string(i), queue_[head_ + i].pkt);
-    io.flag("respq.waitingForRetry", waitingForRetry_);
-    io.event("respq.sendEvent", eventq_, sendEvent_);
-}
-
-void
-RespPacketQueue::popFront()
-{
-    ++head_;
-    if (head_ == queue_.size()) {
-        // Drained: rewind into the retained storage.
-        queue_.clear();
-        head_ = 0;
-    }
+    for (std::size_t i = 0; i < entries_.size(); ++i)
+        io.packet(prefix + ".pkt" + std::to_string(i), entries_[i].pkt);
+    io.event(prefix + ".wake", owner_.eventq(), event_);
 }
 
 } // namespace dramctrl

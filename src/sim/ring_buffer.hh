@@ -4,18 +4,22 @@
  *
  * The simulator's bounded bookkeeping windows (the tXAW activation
  * window, the cycle model's per-bank command queues, a core's reorder
- * buffer, a cache's outbound queue, a crossbar inbox) used std::deque
- * or std::list, which allocate in steady state as the FIFO marches
- * through its node map or its nodes. This ring owns one flat array
- * and indices wrap instead of pointers moving. A bounded window sizes
- * it once at init() and never allocates again; an unbounded queue
- * uses insert(), which doubles the array when it is full, so the ring
- * grows to its high-water mark and then stops allocating.
+ * buffer, a cache's outbound queue) and its timed packet queues (the
+ * controllers' and the cache's response queues, the crossbar inboxes:
+ * PacketQueue) used std::deque, std::list or a vector reclaimed only
+ * when it drained, which allocate in steady state as the FIFO marches
+ * through its node map, its nodes or its storage. This ring owns one
+ * flat array and indices wrap instead of pointers moving. A bounded
+ * window sizes it once at init() and never allocates again; an
+ * unbounded queue uses insert(), which doubles the array when it is
+ * full, so the ring grows to its high-water mark (or the size given
+ * to reserve()) and then stops allocating.
  */
 
 #ifndef DRAMCTRL_SIM_RING_BUFFER_H
 #define DRAMCTRL_SIM_RING_BUFFER_H
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -79,11 +83,28 @@ class RingBuffer
     {
         DC_ASSERT(i <= count_, "ring buffer insert past the end");
         if (full())
-            grow();
+            reserve(count_ + 1);
         ++count_;
         for (std::size_t j = count_ - 1; j > i; --j)
             (*this)[j] = (*this)[j - 1];
         (*this)[i] = value;
+    }
+
+    /**
+     * Grow to at least @p capacity slots, keeping the contents. A ring
+     * that grows at least doubles, so growing it a few slots at a time
+     * reallocates only O(log n) times.
+     */
+    void
+    reserve(std::size_t capacity)
+    {
+        if (capacity <= slots_.size())
+            return;
+        std::vector<T> slots(std::max(capacity, 2 * slots_.size()));
+        for (std::size_t i = 0; i < count_; ++i)
+            slots[i] = (*this)[i];
+        slots_.swap(slots);
+        head_ = 0;
     }
 
     void
@@ -115,17 +136,6 @@ class RingBuffer
     }
 
   private:
-    /** Double the capacity (at least one slot), front moved to slot 0. */
-    void
-    grow()
-    {
-        std::vector<T> slots(slots_.empty() ? 1 : 2 * slots_.size());
-        for (std::size_t i = 0; i < count_; ++i)
-            slots[i] = (*this)[i];
-        slots_.swap(slots);
-        head_ = 0;
-    }
-
     std::size_t
     wrap(std::size_t i) const
     {

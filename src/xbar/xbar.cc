@@ -1,10 +1,13 @@
 #include "xbar/xbar.hh"
 
 #include <algorithm>
+#include <functional>
 
 #include "ckpt/ckpt.hh"
+#include "mem/packet_queue.hh"
 #include "obs/trace.hh"
 #include "sim/logging.hh"
+#include "sim/ring_buffer.hh"
 #include "sim/shard.hh"
 #include "sim/simulator.hh"
 
@@ -23,114 +26,6 @@ interleavedRanges(Addr base, std::uint64_t total_size,
     for (unsigned ch = 0; ch < channels; ++ch)
         ranges.emplace_back(base, total_size, granularity, channels, ch);
     return ranges;
-}
-
-// --------------------------------------------------------------------
-// ShardInbox
-// --------------------------------------------------------------------
-
-ShardInbox::ShardInbox(SimObject &owner, const std::string &name,
-                       Handler handler)
-    : owner_(owner), handler_(std::move(handler)),
-      wakeEvent_([this] { pump(); }, owner.name() + "." + name + ".wake",
-                 Event::kArrivalPriority)
-{
-    owner.eventq().fixArrivalOrder(wakeEvent_);
-    // Room for one peer's in-flight packets; insert() grows it past
-    // that.
-    entries_.init(Crossbar::kCredits);
-}
-
-ShardInbox::~ShardInbox()
-{
-    if (wakeEvent_.scheduled())
-        owner_.deschedule(wakeEvent_);
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
-        Packet *pkt = entries_[i].pkt;
-        if (pkt == nullptr)
-            continue;
-        while (pkt->senderState() != nullptr)
-            delete pkt->popSenderState();
-        delete pkt;
-    }
-}
-
-void
-ShardInbox::deliver(Tick when, Packet *pkt, std::uint64_t arg)
-{
-    // Keep entries sorted by (due tick, sender), then by delivery
-    // order. Which barrier delivers a message depends on the run()
-    // horizon, so delivery order only breaks ties within one sender,
-    // whose messages always arrive in send order. Messages mostly
-    // arrive in due order, so the scan from the back usually stops at
-    // once.
-    std::size_t pos = entries_.size();
-    while (pos > 0 && (entries_[pos - 1].when > when ||
-                       (entries_[pos - 1].when == when &&
-                        entries_[pos - 1].arg > arg)))
-        --pos;
-    entries_.insert(pos, Entry{when, pkt, arg});
-    if (!stalled_)
-        scheduleWake();
-}
-
-void
-ShardInbox::resume()
-{
-    if (!stalled_)
-        return;
-    stalled_ = false;
-    pump();
-}
-
-void
-ShardInbox::pump()
-{
-    while (!entries_.empty() &&
-           entries_.front().when <= owner_.curTick()) {
-        // A copy: the handler may deliver into this inbox, which can
-        // grow (and so move) the ring.
-        Entry head = entries_.front();
-        if (!handler_(head.when, head.pkt, head.arg)) {
-            stalled_ = true;
-            return;
-        }
-        entries_.pop_front();
-    }
-    if (!entries_.empty())
-        scheduleWake();
-}
-
-void
-ShardInbox::scheduleWake()
-{
-    DC_ASSERT(!entries_.empty(), "waking an empty inbox");
-    Tick head = entries_.front().when;
-    if (wakeEvent_.scheduled()) {
-        if (wakeEvent_.when() != head)
-            owner_.reschedule(wakeEvent_, head);
-    } else {
-        owner_.schedule(wakeEvent_, head);
-    }
-}
-
-void
-ShardInbox::checkpoint(ckpt::Io &io, const std::string &prefix)
-{
-    io.flag(prefix + ".stalled", stalled_);
-    std::vector<std::uint64_t> whens;
-    for (std::size_t i = 0; i < entries_.size(); ++i)
-        whens.push_back(entries_[i].when);
-    io.list(prefix + ".when", whens);
-    // A restore refills the fresh inbox, one entry per saved due tick.
-    for (std::size_t i = entries_.size(); i < whens.size(); ++i)
-        entries_.insert(i, Entry{whens[i], nullptr, 0});
-    io.table(prefix + ".arg", entries_.size(), [this](std::size_t i) {
-        return std::tie(entries_[i].arg);
-    });
-    for (std::size_t i = 0; i < entries_.size(); ++i)
-        io.packet(prefix + ".pkt" + std::to_string(i), entries_[i].pkt);
-    io.event(prefix + ".wake", owner_.eventq(), wakeEvent_);
 }
 
 // --------------------------------------------------------------------
@@ -322,7 +217,7 @@ class Crossbar::FrontPort : public SimObject
               Crossbar &xbar, unsigned index)
         : SimObject(sim, name), xbar_(xbar), index_(index),
           gate_(name + ".port", *this),
-          respInbox_(*this, "resp",
+          respInbox_(*this, "resp.wake", Event::kArrivalPriority,
                      [this](Tick t, Packet *p, std::uint64_t a) {
                          return handleResp(t, p, a);
                      }),
@@ -330,10 +225,12 @@ class Crossbar::FrontPort : public SimObject
                    [this] { gate_.sendReqRetry(); }),
           stats_(*this)
     {
+        // Each channel holds kCredits response credits toward us.
+        respInbox_.reserve(Crossbar::kCredits * xbar.numChannels());
     }
 
     ResponsePort &gate() { return gate_; }
-    ShardInbox &respInbox() { return respInbox_; }
+    PacketQueue &respInbox() { return respInbox_; }
     CreditPool &credits() { return credits_; }
 
     bool idle() const { return respInbox_.empty() && credits_.idle(); }
@@ -396,7 +293,7 @@ class Crossbar::FrontPort : public SimObject
     /** When this front's request lane frees up. */
     Tick reqBusyUntil_ = 0;
 
-    ShardInbox respInbox_;
+    PacketQueue respInbox_;
     /** Request credits per channel. */
     CreditPool credits_;
     FrontStats stats_;
@@ -418,7 +315,7 @@ class Crossbar::ChannelPort : public SimObject
                 Crossbar &xbar, unsigned index)
         : SimObject(sim, name), xbar_(xbar), index_(index),
           ctrlPort_(name + ".port", *this),
-          reqInbox_(*this, "req",
+          reqInbox_(*this, "req.wake", Event::kArrivalPriority,
                     [this](Tick t, Packet *p, std::uint64_t a) {
                         return handleReq(t, p, a);
                     }),
@@ -428,11 +325,19 @@ class Crossbar::ChannelPort : public SimObject
     }
 
     RequestPort &ctrlPort() { return ctrlPort_; }
-    ShardInbox &reqInbox() { return reqInbox_; }
+    PacketQueue &reqInbox() { return reqInbox_; }
     CreditPool &credits() { return credits_; }
 
-    /** Called once per front port attached (fronts follow channels). */
-    void addFront() { credits_.addPeer(); }
+    /**
+     * Called once per front port attached (fronts follow channels).
+     * Each front holds kCredits request credits toward us.
+     */
+    void
+    addFront()
+    {
+        credits_.addPeer();
+        reqInbox_.reserve(Crossbar::kCredits * xbar_.numFronts());
+    }
 
     bool idle() const { return reqInbox_.empty() && credits_.idle(); }
 
@@ -527,7 +432,7 @@ class Crossbar::ChannelPort : public SimObject
     /** When this channel's response lane frees up. */
     Tick respBusyUntil_ = 0;
 
-    ShardInbox reqInbox_;
+    PacketQueue reqInbox_;
     /** Response credits per front. */
     CreditPool credits_;
     ChannelStats stats_;
@@ -643,11 +548,10 @@ Crossbar::addFrontPort(const std::vector<RequestorId> &ids)
                   name_.c_str(), unsigned(id));
         frontByRequestor_[id] = index;
     }
-    auto front = std::make_unique<FrontPort>(
-        sim_, name_ + ".front" + std::to_string(index), *this, index);
+    fronts_.push_back(std::make_unique<FrontPort>(
+        sim_, name_ + ".front" + std::to_string(index), *this, index));
     for (auto &channel : channels_)
         channel->addFront();
-    fronts_.push_back(std::move(front));
     return fronts_.back()->gate();
 }
 
@@ -661,6 +565,17 @@ Crossbar::idle() const
         if (!channel->idle())
             return false;
     return true;
+}
+
+std::vector<std::size_t>
+Crossbar::inboxCapacities() const
+{
+    std::vector<std::size_t> capacities;
+    for (const auto &front : fronts_)
+        capacities.push_back(front->respInbox_.capacity());
+    for (const auto &channel : channels_)
+        capacities.push_back(channel->reqInbox_.capacity());
+    return capacities;
 }
 
 unsigned

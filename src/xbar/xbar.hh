@@ -35,13 +35,14 @@
  * and controllers see the ordinary timing-port protocol, unchanged.
  *
  * The credit rule: a returned credit is home from its due tick on,
- * and costs no event. Requests and responses land in a ShardInbox
- * that wakes at their due tick; a credit lands in the port's credit
- * pool as a due tick only, and the port counts every return due by
- * now when it next sends. Only a port refused for lack of credit
- * schedules a wake: at the stalled peer's earliest outstanding
- * return, or at a return's due tick when it is delivered. The wake
- * sends the ordinary retry to the local peer.
+ * and costs no event. Requests and responses land in an inbox (a
+ * PacketQueue, sized for the credit bound) that wakes at their due
+ * tick; a credit lands in the port's credit pool as a due tick only,
+ * and the port counts every return due by now when it next sends.
+ * Only a port refused for lack of credit schedules a wake: at the
+ * stalled peer's earliest outstanding return, or at a return's due
+ * tick when it is delivered. The wake sends the ordinary retry to the
+ * local peer.
  *
  * Responses route back by requestor id, never by state pushed onto
  * the packet, so a checkpoint of in-flight packets needs nothing from
@@ -63,14 +64,12 @@
 #define DRAMCTRL_XBAR_XBAR_H
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "mem/addr_range.hh"
 #include "mem/port.hh"
-#include "sim/ring_buffer.hh"
 #include "sim/shard.hh"
 #include "sim/sim_object.hh"
 #include "sim/types.hh"
@@ -102,66 +101,6 @@ std::vector<AddrRange> interleavedRanges(Addr base,
                                          std::uint64_t total_size,
                                          std::uint64_t granularity,
                                          unsigned channels);
-
-/**
- * Ordered inbound queue of one crossbar link, owned by a SimObject on
- * the receiving shard. deliver() inserts the message sorted by due
- * tick, then by @p arg (the crossbar passes the sender's index), and
- * keeps an arrival event (Event::kArrivalPriority) scheduled for the
- * head; the handler is then invoked on the owner's shard at exactly
- * the due tick. A handler returning false stalls the queue (the head
- * entry stays put) until the owner calls resume().
- *
- * A message from another shard is delivered after each barrier, on
- * the executor that runs the owner's shard, while other executors fill
- * their own shards' inboxes or run their next window; deliver() then
- * touches only the owner's queue and this inbox. A message from the
- * owner's own shard (every message, when the simulator is unsharded)
- * is delivered when it is sent. Neither the barrier a message meets
- * nor the order of deliveries decides when an entry is handled: only
- * its due tick, its sender, and the order the sender sent in. The
- * queue grows to its high-water mark and never shrinks, so a steady
- * state delivers without allocating.
- */
-class ShardInbox : public ShardMailbox
-{
-  public:
-    /** Invoked on the owner's shard; false = stall until resume(). */
-    using Handler = std::function<bool(Tick, Packet *, std::uint64_t)>;
-
-    ShardInbox(SimObject &owner, const std::string &name,
-               Handler handler);
-
-    /** Deschedules the wake-up and frees still-queued packets. */
-    ~ShardInbox() override;
-
-    void deliver(Tick when, Packet *pkt, std::uint64_t arg) override;
-
-    /** Clear a stall and re-pump pending entries. */
-    void resume();
-
-    bool empty() const { return entries_.empty(); }
-
-    /** Checkpoint walk over the queued entries, keys under @p prefix. */
-    void checkpoint(ckpt::Io &io, const std::string &prefix);
-
-  private:
-    struct Entry
-    {
-        Tick when;
-        Packet *pkt;
-        std::uint64_t arg;
-    };
-
-    void pump();
-    void scheduleWake();
-
-    SimObject &owner_;
-    Handler handler_;
-    RingBuffer<Entry> entries_;
-    bool stalled_ = false;
-    EventFunctionWrapper wakeEvent_;
-};
 
 /**
  * Channel count, address map and routing fabric between front-side
@@ -219,6 +158,13 @@ class Crossbar
      * no event has counted it yet; one still in flight does not.
      */
     bool idle() const;
+
+    /**
+     * Ring capacity of every inbox: each front's response inbox, then
+     * each channel's request inbox. Wiring sizes each for its credit
+     * bound, kCredits per peer, so no run grows them.
+     */
+    std::vector<std::size_t> inboxCapacities() const;
 
     /** Channel index serving @p addr; fatals when unmapped. */
     unsigned routeChannel(Addr addr) const;

@@ -29,7 +29,11 @@
 #include "dram/dram_presets.hh"
 #include "harness/multichannel.hh"
 #include "harness/testbench.hh"
+#include "mem/packet_queue.hh"
+#include "mem/port.hh"
 #include "sim/pool.hh"
+#include "sim/sim_object.hh"
+#include "sim/simulator.hh"
 #include "trafficgen/random_gen.hh"
 
 namespace {
@@ -236,6 +240,61 @@ TEST(SteadyStateAlloc, SingleChannelRandomGenRunsWithoutAllocating)
             << "the measured phase answered too few requests";
         EXPECT_EQ(news, 0u) << "operator new calls in the measured phase";
     }
+}
+
+TEST(SteadyStateAlloc, UndrainedPacketQueueRunsWithoutAllocating)
+{
+    // A response queue on a busy port never drains: each step pushes
+    // one response due kDepth ticks on and runs one tick, which sends
+    // the oldest, so it holds at most kDepth entries. Its storage must
+    // be reused all the same, not reclaimed only when it drains.
+    constexpr Tick kDepth = 8;
+
+    struct Sink : RequestPort
+    {
+        using RequestPort::RequestPort;
+        bool recvTimingResp(Packet *) override { return true; }
+        void recvReqRetry() override {}
+    };
+    struct Source : ResponsePort
+    {
+        using ResponsePort::ResponsePort;
+        bool recvTimingReq(Packet *) override { return false; }
+        void recvRespRetry() override {}
+    };
+
+    Simulator sim;
+    SimObject owner(sim, "owner");
+    Sink sink("sink");
+    Source source("source");
+    sink.bind(source);
+    PacketQueue queue(owner, "respQueue.sendEvent",
+                      Event::kResponsePriority, source);
+
+    // One packet per slot: the one pushed kDepth steps ago has been
+    // sent by the time its slot comes round again.
+    std::vector<Packet *> pkts;
+    for (Tick i = 0; i < kDepth; ++i) {
+        pkts.push_back(new Packet(MemCmd::ReadReq, i * 64, 64, 0));
+        pkts.back()->makeResponse();
+    }
+    Tick t = 0;
+    auto push = [&](unsigned n) {
+        for (unsigned i = 0; i < n; ++i) {
+            queue.deliver(t + kDepth, pkts[t % kDepth], 0);
+            sim.run(++t);
+            ASSERT_FALSE(queue.empty());
+        }
+    };
+
+    push(1'000);
+    std::uint64_t news = countNews([&] { push(100'000); });
+    EXPECT_EQ(news, 0u) << "operator new calls over 100,000 pushes";
+
+    sim.run(t + kDepth);
+    EXPECT_TRUE(queue.empty());
+    for (Packet *pkt : pkts)
+        delete pkt;
 }
 
 TEST(PooledGrowth, BatchesDoubleAndRefillWithoutAllocating)

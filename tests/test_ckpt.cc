@@ -599,11 +599,16 @@ TEST(CkptDamage, ckpt_bit_flip_sweep_never_restores_silently)
 TEST(CkptDamage, ckpt_other_format_version_is_refused)
 {
     // The version word follows the 4-byte magic, little-endian.
+    const std::uint32_t older = ckpt::kFormatVersion - 1;
     std::string old = makeSnapshot();
-    old[4] = 3;
+    old[4] = static_cast<char>(older);
     std::string msg = restoreExpectingFatal(old);
-    EXPECT_NE(msg.find("version 3"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("version 4"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("version " + std::to_string(older)),
+              std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find("version " + std::to_string(ckpt::kFormatVersion)),
+              std::string::npos)
+        << msg;
 }
 
 /**

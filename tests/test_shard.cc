@@ -24,6 +24,7 @@
 #include "dram/dram_presets.hh"
 #include "dram/protocol_checker.hh"
 #include "harness/multichannel.hh"
+#include "mem/packet_queue.hh"
 #include "sim/shard.hh"
 #include "sim/simulator.hh"
 #include "trafficgen/linear_gen.hh"
@@ -43,7 +44,7 @@ class Pinger : public SimObject
   public:
     Pinger(Simulator &sim, std::string name, Tick delay)
         : SimObject(sim, std::move(name)), delay_(delay),
-          inbox_(*this, "in",
+          inbox_(*this, "in.wake", Event::kArrivalPriority,
                  [this](Tick t, Packet *p, std::uint64_t a) {
                      (void)t;
                      (void)p;
@@ -53,7 +54,7 @@ class Pinger : public SimObject
     }
 
     void setPeer(Pinger *peer) { peer_ = peer; }
-    ShardInbox &inbox() { return inbox_; }
+    PacketQueue &inbox() { return inbox_; }
 
     unsigned received = 0;
     Tick lastTick = 0;
@@ -73,7 +74,7 @@ class Pinger : public SimObject
 
     Tick delay_;
     Pinger *peer_ = nullptr;
-    ShardInbox inbox_;
+    PacketQueue inbox_;
 };
 
 struct PingResult
@@ -160,7 +161,7 @@ class LoggingReceiver : public SimObject
     LoggingReceiver(Simulator &sim, std::string name,
                     std::vector<std::string> &log)
         : SimObject(sim, std::move(name)), log_(log),
-          inbox_(*this, "in",
+          inbox_(*this, "in.wake", Event::kArrivalPriority,
                  [this](Tick t, Packet *p, std::uint64_t a) {
                      (void)p;
                      log_.push_back(this->name() + "@" +
@@ -171,11 +172,11 @@ class LoggingReceiver : public SimObject
     {
     }
 
-    ShardInbox &inbox() { return inbox_; }
+    PacketQueue &inbox() { return inbox_; }
 
   private:
     std::vector<std::string> &log_;
-    ShardInbox inbox_;
+    PacketQueue inbox_;
 };
 
 /** Posts one message to @p to at @p at, due at @p due; arg: its shard. */

@@ -266,6 +266,47 @@ TEST(XbarTest, CreditExhaustionStallsRequests)
     EXPECT_TRUE(sys.xbar->idle());
 }
 
+TEST(XbarTest, InboxesStayAtTheirCreditBound)
+{
+    // Three requestors flood two channels: every front runs out of
+    // request credits. Wiring sized each inbox for its credit bound
+    // (kCredits per peer), so the run grows none of them.
+    DRAMCtrlConfig cfg = testutil::bareTimingConfig();
+    Simulator sim;
+    Crossbar xbar(sim, "xbar", XBarConfig{});
+    auto ranges =
+        interleavedRanges(0, 2 * cfg.org.channelCapacity, 64, 2);
+    std::vector<std::unique_ptr<DRAMCtrl>> ctrls;
+    for (unsigned ch = 0; ch < 2; ++ch) {
+        ctrls.push_back(std::make_unique<DRAMCtrl>(
+            sim, "ctrl" + std::to_string(ch), cfg, ranges[ch]));
+        xbar.addChannel(ctrls.back()->port(), ranges[ch]);
+    }
+    std::vector<std::unique_ptr<TestRequestor>> reqs;
+    for (unsigned r = 0; r < 3; ++r) {
+        auto id = static_cast<RequestorId>(r);
+        reqs.push_back(std::make_unique<TestRequestor>(
+            sim, "req" + std::to_string(r)));
+        reqs.back()->port().bind(xbar.addFrontPort({id}));
+        for (unsigned i = 0; i < 40; ++i)
+            reqs.back()->inject(0, MemCmd::ReadReq,
+                                (r * 40 + i) * 64, 64, id);
+    }
+    // Fronts first, then channels.
+    const std::vector<std::size_t> wired = xbar.inboxCapacities();
+    ASSERT_EQ(wired.size(), 5u);
+    for (unsigned i = 0; i < 5; ++i)
+        EXPECT_GE(wired[i], Crossbar::kCredits * (i < 3 ? 2 : 3)) << i;
+
+    sim.run(fromUs(50));
+    for (const auto &req : reqs) {
+        EXPECT_TRUE(req->allResponded());
+        EXPECT_GT(req->retries(), 0u);
+    }
+    EXPECT_TRUE(xbar.idle());
+    EXPECT_EQ(xbar.inboxCapacities(), wired);
+}
+
 TEST(XbarTest, RoundTripWithCreditsHomeRunsOnlyArrivalEvents)
 {
     // Credits cost no event while the sender has one: a round trip is
