@@ -61,7 +61,9 @@ namespace ckpt {
 // (the controller's duplicate read-latency histogram is gone).
 // Version 5: the controllers' response queues and the crossbar inboxes
 // share one walk (PacketQueue::checkpoint()).
-constexpr std::uint32_t kFormatVersion = 5;
+// Version 6: the event controller no longer records starvation flags
+// or the top QoS tier; both are derived.
+constexpr std::uint32_t kFormatVersion = 6;
 
 /** CRC32 (IEEE 802.3 polynomial) of @p len bytes at @p data. */
 std::uint32_t crc32(const void *data, std::size_t len);

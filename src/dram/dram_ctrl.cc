@@ -195,16 +195,11 @@ DRAMCtrl::DRAMCtrl(Simulator &sim, std::string name,
         grpColAllowedAt_.assign(total_groups, 0);
         grpNextActAt_.assign(total_groups, 0);
     }
-    readyCache_.resize(total_banks);
-    bankGen_.assign(total_banks, 0);
-    rankGen_.assign(cfg_.org.ranksPerChannel, 0);
     rdRowHitCounts_.assign(total_banks, 0);
     wrRowHitCounts_.assign(total_banks, 0);
     rdBankCounts_.assign(total_banks, 0);
     wrBankCounts_.assign(total_banks, 0);
-    starvedHits_.assign(total_banks, 0);
-    for (unsigned p : cfg_.requestorPriorities)
-        maxReqPriority_ = std::max(maxReqPriority_, p);
+    missEst_.assign(total_banks, 0);
 
     // All steady-state queue traffic stays within these reservations.
     readQueue_.reserve(cfg_.readBufferSize);
@@ -301,7 +296,6 @@ DRAMCtrl::checkpoint(ckpt::Io &io)
     });
     for (std::size_t r = 0; r < ranks_.size(); ++r)
         io.ring("rank.actWindow" + std::to_string(r), ranks_[r].actWindow);
-    io.lanes("starvedHits", starvedHits_);
     if (hasBankGroups_) {
         // Bank-group lanes only exist for grouped organisations.
         io.lanes("grp.colAllowedAt", grpColAllowedAt_);
@@ -371,7 +365,6 @@ DRAMCtrl::checkpoint(ckpt::Io &io)
     walk_queue("rq", readQueue_);
     walk_queue("wq", writeQueue_);
 
-    io.u64("maxReqPriority", maxReqPriority_);
     bool bus_write = busState_ == BusState::Write;
     io.flag("busStateWrite", bus_write);
     busState_ = bus_write ? BusState::Write : BusState::Read;
@@ -771,15 +764,12 @@ DRAMCtrl::noteEnqueued(const DRAMPacket &pkt, bool is_read)
     else
         ++wrBankCounts_[flat];
     if (bankOpenRow_[flat] == pkt.row) {
-        bool usable = !starvedHits_[flat];
         if (is_read) {
             ++rdRowHitCounts_[flat];
-            if (usable)
-                ++rdRowHitTotal_;
+            ++rdRowHitTotal_;
         } else {
             ++wrRowHitCounts_[flat];
-            if (usable)
-                ++wrRowHitTotal_;
+            ++wrRowHitTotal_;
         }
     }
 }
@@ -793,15 +783,12 @@ DRAMCtrl::noteDequeued(const DRAMPacket &pkt, bool is_read)
     else
         --wrBankCounts_[flat];
     if (bankOpenRow_[flat] == pkt.row) {
-        bool usable = !starvedHits_[flat];
         if (is_read) {
             --rdRowHitCounts_[flat];
-            if (usable)
-                --rdRowHitTotal_;
+            --rdRowHitTotal_;
         } else {
             --wrRowHitCounts_[flat];
-            if (usable)
-                --wrRowHitTotal_;
+            --wrRowHitTotal_;
         }
     }
 }
@@ -809,13 +796,10 @@ DRAMCtrl::noteDequeued(const DRAMPacket &pkt, bool is_read)
 void
 DRAMCtrl::rowClosed(unsigned flat_bank)
 {
-    if (!starvedHits_[flat_bank]) {
-        rdRowHitTotal_ -= rdRowHitCounts_[flat_bank];
-        wrRowHitTotal_ -= wrRowHitCounts_[flat_bank];
-    }
+    rdRowHitTotal_ -= rdRowHitCounts_[flat_bank];
+    wrRowHitTotal_ -= wrRowHitCounts_[flat_bank];
     rdRowHitCounts_[flat_bank] = 0;
     wrRowHitCounts_[flat_bank] = 0;
-    starvedHits_[flat_bank] = 0;
 }
 
 void
@@ -824,7 +808,6 @@ DRAMCtrl::rowOpened(unsigned rank, unsigned bank, std::uint64_t row)
     unsigned flat = rank * cfg_.org.banksPerRank + bank;
     DC_ASSERT(rdRowHitCounts_[flat] == 0 && wrRowHitCounts_[flat] == 0,
               "row opened over stale hit counts");
-    DC_ASSERT(!starvedHits_[flat], "row opened on a starved bank");
     if (rdBankCounts_[flat] == 0 && wrBankCounts_[flat] == 0)
         return;
     std::uint64_t key = packKey(flat, row);
@@ -861,7 +844,6 @@ DRAMCtrl::recordActivate(Rank &rank, Tick act_tick)
     // oldest launch tick is exactly the old push-then-trim.
     if (cfg_.timing.activationLimit > 0)
         rank.actWindow.push_back_overwrite(act_tick);
-    invalidateRank(static_cast<unsigned>(&rank - ranks_.data()));
 }
 
 void
@@ -872,7 +854,6 @@ DRAMCtrl::prechargeBank(unsigned flat, Tick pre_tick)
     logCmd(pre_tick, DRAMCmd::Pre, flat / cfg_.org.banksPerRank,
            flat % cfg_.org.banksPerRank);
     rowClosed(flat);
-    invalidateBank(flat);
     bankOpenRow_[flat] = kNoRow;
     bankRowAccesses_[flat] = 0;
     Tick pre_done = pre_tick + cfg_.timing.tRP;
@@ -902,7 +883,6 @@ DRAMCtrl::pracMitigate(unsigned flat_bank, unsigned rank, unsigned bank,
     // pending flag as it flows through onCommand.
     Tick ref_at = act_from;
     logCmd(ref_at, DRAMCmd::RefM, rank, bank);
-    invalidateBank(flat_bank);
     return ref_at + pracPlugin_->tRFM();
 }
 
@@ -937,44 +917,25 @@ DRAMCtrl::estimateReadyTick(const DRAMPacket &pkt) const
 Tick
 DRAMCtrl::estimateBankReady(unsigned rank_idx, unsigned bank_idx) const
 {
+    // Precharge (if a row is open), then activate, then the column
+    // command tRCD later; the activate also waits for the rank's tRRD
+    // and tXAW limits and, with bank groups, the group's tRRD_L.
+    const DRAMTiming &t = cfg_.timing;
     const Rank &rank = ranks_[rank_idx];
-
-    // The miss estimate max-distributes into a state-dependent part
-    // (cacheable per bank) and a curTick-relative floor:
-    //   conflict: max(preAllowedAt + tRP, nextActAt, tXAW) + tRCD
-    //             vs now + tRP + tRCD
-    //   closed:   max(actAllowedAt, nextActAt, tXAW) + tRCD
-    //             vs now + tRCD
-    // The cached part survives until the owning bank or rank mutates
-    // (generation counters), so a scheduling scan computes each bank's
-    // estimate once no matter how many queued bursts target it.
-    unsigned flat = rank_idx * cfg_.org.banksPerRank + bank_idx;
-    ReadyCache &rc = readyCache_[flat];
-    std::uint64_t tag = bankGen_[flat] + rankGen_[rank_idx] + 1;
-    if (rc.tag != tag) {
-        const DRAMTiming &t = cfg_.timing;
-        Tick awc = 0;
-        unsigned limit = t.activationLimit;
-        if (limit != 0 && rank.actWindow.size() >= limit)
-            awc = rank.actWindow.front() + t.tXAW;
-        // Same-group activate spacing (tRRD_L) is rank state for cache
-        // purposes: recordActivate bumps it and invalidates the rank.
-        Tick grp_act =
-            hasBankGroups_ ? grpNextActAt_[grpIdx(flat)] : 0;
-        if (bankOpenRow_[flat] != kNoRow) {
-            rc.base = std::max({bankPreAllowedAt_[flat] + t.tRP,
-                                rank.nextActAt, grp_act, awc}) +
-                      t.tRCD;
-            rc.nowOffset = t.tRP + t.tRCD;
-        } else {
-            rc.base = std::max({bankActAllowedAt_[flat],
-                                rank.nextActAt, grp_act, awc}) +
-                      t.tRCD;
-            rc.nowOffset = t.tRCD;
-        }
-        rc.tag = tag;
-    }
-    return std::max(rc.base, curTick() + rc.nowOffset);
+    const unsigned flat = flatIdx(rank_idx, bank_idx);
+    const Tick now = curTick();
+    Tick awc = 0;
+    if (t.activationLimit != 0 &&
+        rank.actWindow.size() >= t.activationLimit)
+        awc = rank.actWindow.front() + t.tXAW;
+    Tick grp_act = hasBankGroups_ ? grpNextActAt_[grpIdx(flat)] : 0;
+    if (bankOpenRow_[flat] != kNoRow)
+        return std::max({bankPreAllowedAt_[flat] + t.tRP, rank.nextActAt,
+                         grp_act, awc, now + t.tRP}) +
+               t.tRCD;
+    return std::max({bankActAllowedAt_[flat], rank.nextActAt, grp_act,
+                     awc, now}) +
+           t.tRCD;
 }
 
 unsigned
@@ -994,67 +955,69 @@ DRAMCtrl::chooseNext(std::vector<DRAMPacket *> &queue)
 
     if (cfg_.schedPolicy == SchedPolicy::Fcfs || queue.size() == 1)
         return queue.begin();
+    if (cfg_.schedPolicy != SchedPolicy::FrFcfs)
+        return scanQueue(queue);
 
     // Plain FR-FCFS has two counter-driven fast paths.
-    if (cfg_.schedPolicy == SchedPolicy::FrFcfs) {
-        const bool is_read = &queue == &readQueue_;
-        unsigned hits = is_read ? rdRowHitTotal_ : wrRowHitTotal_;
-        if (hits > 0) {
-            // The totals say a usable (non-starved) hit is queued: the
-            // winner is the oldest one, no ready ticks needed.
-            for (auto it = queue.begin(); it != queue.end(); ++it) {
-                const DRAMPacket &dp = **it;
-                unsigned flat = flatIdx(dp.rank, dp.bank);
-                if (bankOpenRow_[flat] == dp.row &&
-                    !starvedHits_[flat])
-                    return it;
-            }
-            DC_ASSERT(false, "row-hit counter out of sync");
-        } else {
-            // No usable hits, so every entry's estimate is a pure
-            // function of its bank: queued hits can only sit on
-            // starved banks, where they all share the column-path
-            // estimate, and misses share the bank's activate
-            // estimate. Take the minimum over banks that have queued
-            // bursts here (far fewer than queue entries), then return
-            // the oldest burst achieving it — exactly what the
-            // entry-by-entry scan selects.
-            const auto &bank_counts =
-                is_read ? rdBankCounts_ : wrBankCounts_;
-            const auto &hit_counts =
-                is_read ? rdRowHitCounts_ : wrRowHitCounts_;
-            const unsigned nbanks = cfg_.org.banksPerRank;
-            const Tick now = curTick();
-            Tick best_ready = kMaxTick;
-            for (unsigned flat = 0; flat < bank_counts.size();
-                 ++flat) {
-                if (bank_counts[flat] == 0)
-                    continue;
-                if (hit_counts[flat] > 0)
-                    best_ready = std::min(
-                        best_ready,
-                        std::max(colAllowedAt(flat), now));
-                if (bank_counts[flat] > hit_counts[flat])
-                    best_ready =
-                        std::min(best_ready,
-                                 estimateBankReady(flat / nbanks,
-                                                   flat % nbanks));
-            }
-            for (auto it = queue.begin(); it != queue.end(); ++it) {
-                const DRAMPacket &dp = **it;
-                unsigned flat = flatIdx(dp.rank, dp.bank);
-                // Bank estimates were cached by the pass above.
-                Tick est =
-                    bankOpenRow_[flat] == dp.row
-                        ? std::max(colAllowedAt(flat), now)
-                        : estimateBankReady(dp.rank, dp.bank);
-                if (est == best_ready)
-                    return it;
-            }
-            DC_ASSERT(false, "no burst matches the minimum estimate");
-        }
+    const bool is_read = &queue == &readQueue_;
+    auto pick = queue.end();
+    if ((is_read ? rdRowHitTotal_ : wrRowHitTotal_) > 0) {
+        // A row hit is queued: the winner is the oldest one on a bank
+        // under its access cap, no ready ticks needed.
+        pick = std::find_if(queue.begin(), queue.end(),
+                            [this](const DRAMPacket *dp) {
+                                unsigned flat = flatIdx(dp->rank, dp->bank);
+                                return bankOpenRow_[flat] == dp->row &&
+                                       !rowCapped(flat);
+                            });
     }
+    if (pick == queue.end()) {
+        // No usable hit, so every entry's estimate is a pure function
+        // of its bank: queued hits can only sit on capped banks, where
+        // they all share the column-path estimate, and misses share
+        // the bank's activate estimate. Take the minimum over banks
+        // that have queued bursts here (far fewer than queue entries),
+        // keeping each miss estimate, then return the oldest burst
+        // achieving it.
+        const auto &bank_counts = is_read ? rdBankCounts_ : wrBankCounts_;
+        const auto &hit_counts = is_read ? rdRowHitCounts_ : wrRowHitCounts_;
+        const unsigned nbanks = cfg_.org.banksPerRank;
+        const Tick now = curTick();
+        Tick best_ready = kMaxTick;
+        for (unsigned flat = 0; flat < bank_counts.size(); ++flat) {
+            if (bank_counts[flat] == 0)
+                continue;
+            if (hit_counts[flat] > 0)
+                best_ready =
+                    std::min(best_ready, std::max(colAllowedAt(flat), now));
+            if (bank_counts[flat] > hit_counts[flat]) {
+                missEst_[flat] =
+                    estimateBankReady(flat / nbanks, flat % nbanks);
+                best_ready = std::min(best_ready, missEst_[flat]);
+            }
+        }
+        pick = std::find_if(
+            queue.begin(), queue.end(), [&](const DRAMPacket *dp) {
+                unsigned flat = flatIdx(dp->rank, dp->bank);
+                return (bankOpenRow_[flat] == dp->row
+                            ? std::max(colAllowedAt(flat), now)
+                            : missEst_[flat]) == best_ready;
+            });
+        DC_ASSERT(pick != queue.end(),
+                  "no burst matches the minimum estimate");
+    }
+#ifndef NDEBUG
+    DC_ASSERT(pick == scanQueue(queue),
+              "FR-FCFS fast path picked entry %ld, the scan entry %ld",
+              static_cast<long>(pick - queue.begin()),
+              static_cast<long>(scanQueue(queue) - queue.begin()));
+#endif
+    return pick;
+}
 
+std::vector<DRAMCtrl::DRAMPacket *>::iterator
+DRAMCtrl::scanQueue(std::vector<DRAMPacket *> &queue) const
+{
     // FR-FCFS: prefer the oldest row hit; otherwise the request whose
     // bank is ready first (Section II-C). The QoS variant searches
     // priority tier by tier, so a high-priority conflict beats a
@@ -1069,29 +1032,15 @@ DRAMCtrl::chooseNext(std::vector<DRAMPacket *> &queue)
         const DRAMPacket &dp = **it;
         unsigned flat = flatIdx(dp.rank, dp.bank);
         unsigned prio = priorityOf(dp);
-        bool row_hit = bankOpenRow_[flat] == dp.row;
-        bool starved =
-            cfg_.maxAccessesPerRow > 0 &&
-            bankRowAccesses_[flat] >= cfg_.maxAccessesPerRow;
-        if (row_hit && !starved) {
+        if (bankOpenRow_[flat] == dp.row && !rowCapped(flat)) {
             if (!prio_sched)
                 return it; // plain FR-FCFS: oldest row hit wins
             if (best_hit == queue.end() || prio > best_hit_prio) {
                 best_hit = it;
                 best_hit_prio = prio;
-                // A hit at the top tier wins outright: later hits only
-                // displace it at strictly higher priority, and a
-                // non-hit only wins at strictly higher priority.
-                if (best_hit_prio >= maxReqPriority_)
-                    return best_hit;
             }
             continue;
         }
-        // A non-hit at or below the best queued hit's tier can never
-        // be selected; skip its ready-tick estimate entirely.
-        if (prio_sched && best_hit != queue.end() &&
-            prio <= best_hit_prio)
-            continue;
         Tick ready = estimateReadyTick(dp);
         if (best == queue.end() || prio > best_prio ||
             (prio == best_prio && ready < best_ready)) {
@@ -1129,9 +1078,7 @@ DRAMCtrl::doDRAMAccess(DRAMPacket *pkt)
         act = pracMitigate(flat_bank, pkt->rank, pkt->bank, act);
         act = activationWindowConstraint(rank, act);
         recordActivate(rank, act);
-        // Same-group activates additionally respect tRRD_L; the rank
-        // invalidation recordActivate just did covers this mutation
-        // for the ready cache.
+        // Same-group activates additionally respect tRRD_L.
         if (hasBankGroups_) {
             Tick &g = grpNextActAt_[grpIdx(flat_bank)];
             g = std::max(g, act + t.tRRDLong());
@@ -1221,19 +1168,6 @@ DRAMCtrl::doDRAMAccess(DRAMPacket *pkt)
     }
     ++bankRowAccesses_[flat_bank];
 
-    invalidateBank(flat_bank);
-
-    // Crossing the per-row access limit demotes this bank's queued
-    // hits: FR-FCFS must now treat them as conflicts, so they leave
-    // the usable-hit totals (the raw counts stay, the page policy
-    // still wants them).
-    if (cfg_.maxAccessesPerRow > 0 && !starvedHits_[flat_bank] &&
-        bankRowAccesses_[flat_bank] >= cfg_.maxAccessesPerRow) {
-        starvedHits_[flat_bank] = 1;
-        rdRowHitTotal_ -= rdRowHitCounts_[flat_bank];
-        wrRowHitTotal_ -= wrRowHitCounts_[flat_bank];
-    }
-
     std::uint64_t burst_size = cfg_.org.burstSize();
     if (pkt->isRead) {
         if (row_hit)
@@ -1273,48 +1207,14 @@ DRAMCtrl::doDRAMAccess(DRAMPacket *pkt)
     applyPagePolicy(*pkt);
 }
 
-bool
-DRAMCtrl::queuedRowHits(unsigned rank, unsigned bank,
-                        std::uint64_t row) const
-{
-    // When asking about the currently open row (the page-policy case)
-    // the maintained hit counters already hold the answer.
-    if (bankOpenRow_[flatIdx(rank, bank)] == row) {
-        unsigned flat = flatIdx(rank, bank);
-        return rdRowHitCounts_[flat] + wrRowHitCounts_[flat] > 0;
-    }
-    auto match = [&](const DRAMPacket *dp) {
-        return dp->rank == rank && dp->bank == bank && dp->row == row;
-    };
-    return std::any_of(readQueue_.begin(), readQueue_.end(), match) ||
-           std::any_of(writeQueue_.begin(), writeQueue_.end(), match);
-}
-
-bool
-DRAMCtrl::queuedBankConflicts(unsigned rank, unsigned bank,
-                              std::uint64_t row) const
-{
-    // Queued-for-this-bank minus queued-for-the-open-row leaves the
-    // conflicting entries, again counter-only for the open row.
-    if (bankOpenRow_[flatIdx(rank, bank)] == row) {
-        unsigned flat = flatIdx(rank, bank);
-        return (rdBankCounts_[flat] - rdRowHitCounts_[flat]) +
-                   (wrBankCounts_[flat] - wrRowHitCounts_[flat]) >
-               0;
-    }
-    auto conflict = [&](const DRAMPacket *dp) {
-        return dp->rank == rank && dp->bank == bank && dp->row != row;
-    };
-    return std::any_of(readQueue_.begin(), readQueue_.end(), conflict) ||
-           std::any_of(writeQueue_.begin(), writeQueue_.end(), conflict);
-}
-
 void
 DRAMCtrl::applyPagePolicy(const DRAMPacket &pkt)
 {
     const unsigned flat = flatIdx(pkt.rank, pkt.bank);
     DC_ASSERT(bankOpenRow_[flat] == pkt.row, "page policy on stale row");
 
+    // The adaptive policies read the bank's counters: queued hits on
+    // the open row, and queued bursts for the bank (hits + conflicts).
     bool auto_precharge = false;
     switch (cfg_.pagePolicy) {
       case PagePolicy::Closed:
@@ -1322,7 +1222,8 @@ DRAMCtrl::applyPagePolicy(const DRAMPacket &pkt)
         break;
       case PagePolicy::ClosedAdaptive:
         // Keep the row open only when more accesses to it are queued.
-        auto_precharge = !queuedRowHits(pkt.rank, pkt.bank, pkt.row);
+        auto_precharge =
+            rdRowHitCounts_[flat] + wrRowHitCounts_[flat] == 0;
         break;
       case PagePolicy::Open:
         break;
@@ -1330,8 +1231,8 @@ DRAMCtrl::applyPagePolicy(const DRAMPacket &pkt)
         // Close early when a conflicting access waits and nothing more
         // wants this row.
         auto_precharge =
-            queuedBankConflicts(pkt.rank, pkt.bank, pkt.row) &&
-            !queuedRowHits(pkt.rank, pkt.bank, pkt.row);
+            rdRowHitCounts_[flat] + wrRowHitCounts_[flat] == 0 &&
+            rdBankCounts_[flat] + wrBankCounts_[flat] > 0;
         break;
     }
 
@@ -1513,7 +1414,6 @@ DRAMCtrl::refreshRank(unsigned rank_idx)
     for (unsigned flat = lo; flat < hi; ++flat)
         bankActAllowedAt_[flat] = std::max(bankActAllowedAt_[flat],
                                            done);
-    invalidateRank(rank_idx);
     ++stats_->numRefreshes;
 }
 
@@ -1541,7 +1441,6 @@ DRAMCtrl::processPerBankRefreshEvent()
             static_cast<double>(refMgr_->tRFCpb()) * testTRFCpbScale_);
         bankActAllowedAt_[flat] =
             std::max(bankActAllowedAt_[flat], ref_at + busy);
-        invalidateBank(flat);
         ++stats_->numRefreshes;
     }
     nextRefreshAt_ += refMgr_->interval(cfg_);
@@ -1637,10 +1536,8 @@ DRAMCtrl::processRefreshEvent()
           name().c_str(), ranks_.size(),
           static_cast<unsigned long long>(start),
           static_cast<unsigned long long>(done));
-    for (unsigned r = 0; r < ranks_.size(); ++r) {
+    for (unsigned r = 0; r < ranks_.size(); ++r)
         logCmd(start, DRAMCmd::Ref, r, 0);
-        invalidateRank(r);
-    }
     for (std::size_t flat = 0; flat < bankOpenRow_.size(); ++flat)
         bankActAllowedAt_[flat] = std::max(bankActAllowedAt_[flat],
                                            done);

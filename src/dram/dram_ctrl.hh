@@ -313,6 +313,16 @@ class DRAMCtrl : public MemCtrlBase
     std::vector<DRAMPacket *>::iterator
     chooseNext(std::vector<DRAMPacket *> &queue);
 
+    /**
+     * The (QoS) FR-FCFS rule as one entry-by-entry scan: the oldest
+     * row hit on a bank under its access cap, else the burst whose
+     * estimated ready tick is earliest, oldest first on ties; with
+     * FrFcfsPrio, tier by tier. Plain FR-FCFS takes counter-driven
+     * fast paths instead, which debug builds check against this.
+     */
+    std::vector<DRAMPacket *>::iterator
+    scanQueue(std::vector<DRAMPacket *> &queue) const;
+
     /** Estimated earliest tick @p pkt's column command could launch. */
     Tick estimateReadyTick(const DRAMPacket &pkt) const;
 
@@ -336,13 +346,6 @@ class DRAMCtrl : public MemCtrlBase
 
     /** Earliest activate obeying the rolling tXAW window. */
     Tick activationWindowConstraint(const Rank &rank, Tick act_tick) const;
-
-    /** True if any queued burst hits @p row in the same bank. */
-    bool queuedRowHits(unsigned rank, unsigned bank,
-                       std::uint64_t row) const;
-    /** True if any queued burst conflicts with the open @p row. */
-    bool queuedBankConflicts(unsigned rank, unsigned bank,
-                             std::uint64_t row) const;
 
     /** Apply the page policy after a column access to @p pkt's bank. */
     void applyPagePolicy(const DRAMPacket &pkt);
@@ -492,31 +495,12 @@ class DRAMCtrl : public MemCtrlBase
     DRAMPacket *findWriteEntry(Addr burst_addr) const;
 
     /**
-     * Incremental scheduling state. The row-hit counters track, per
-     * flat bank and per queue, how many queued bursts target the bank's
-     * currently open row (used by the O(1) adaptive page policy
-     * probes). The totals count only *usable* hits — hits on banks
-     * whose open row has not reached the starvation limit — which is
-     * exactly the set plain FR-FCFS may select, so the scheduler can
-     * stop at the oldest such hit without estimating ready ticks. The
-     * ready cache memoises the state-dependent part of the miss
-     * estimate per bank, tagged with bank+rank generation counters so
-     * entries die exactly when the owning bank or rank state changes.
+     * Incremental scheduling state, per flat bank and per queue: how
+     * many queued bursts target the bank, and how many of those hit
+     * its open row. The hit totals say whether plain FR-FCFS can stop
+     * at the oldest hit without estimating ready ticks, and the
+     * adaptive page policies read the two counts in O(1).
      */
-    struct ReadyCache
-    {
-        /** bankGen + rankGen + 1 at fill time; 0 means never filled. */
-        std::uint64_t tag = 0;
-        /** State-dependent lower bound (already includes tRCD). */
-        Tick base = 0;
-        /** curTick-relative lower bound: est = max(base, now + off). */
-        Tick nowOffset = 0;
-    };
-
-    mutable std::vector<ReadyCache> readyCache_;
-    std::vector<std::uint64_t> bankGen_;
-    std::vector<std::uint64_t> rankGen_;
-
     std::vector<std::uint32_t> rdRowHitCounts_;
     std::vector<std::uint32_t> wrRowHitCounts_;
     std::vector<std::uint32_t> rdBankCounts_;
@@ -524,16 +508,8 @@ class DRAMCtrl : public MemCtrlBase
     unsigned rdRowHitTotal_ = 0;
     unsigned wrRowHitTotal_ = 0;
 
-    /**
-     * Per flat bank: the open row hit its access limit, so its queued
-     * hits are excluded from the usable totals and must be scheduled
-     * as conflicts. Cleared whenever the row closes or a new one
-     * opens (rowAccesses restarts from zero).
-     */
-    std::vector<std::uint8_t> starvedHits_;
-
-    /** Highest priority any requestor holds under FrFcfsPrio. */
-    unsigned maxReqPriority_ = 0;
+    /** Scratch for one no-hit decision: each bank's miss estimate. */
+    std::vector<Tick> missEst_;
 
     /** Flat (rank-major) index of @p bank in rank @p rank. */
     unsigned flatIdx(unsigned rank, unsigned bank) const
@@ -541,8 +517,13 @@ class DRAMCtrl : public MemCtrlBase
         return rank * cfg_.org.banksPerRank + bank;
     }
 
-    void invalidateBank(unsigned flat_bank) { ++bankGen_[flat_bank]; }
-    void invalidateRank(unsigned rank_idx) { ++rankGen_[rank_idx]; }
+    /** The bank's open row reached the per-row access cap. */
+    bool
+    rowCapped(unsigned flat_bank) const
+    {
+        return cfg_.maxAccessesPerRow > 0 &&
+               bankRowAccesses_[flat_bank] >= cfg_.maxAccessesPerRow;
+    }
 
     /** Track a burst entering/leaving a queue (count bookkeeping). */
     void noteEnqueued(const DRAMPacket &pkt, bool is_read);

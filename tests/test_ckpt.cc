@@ -194,6 +194,73 @@ allCases()
 INSTANTIATE_TEST_SUITE_P(AllPresets, CkptRoundTrip,
                          testing::ValuesIn(allCases()), caseName);
 
+/** The integers of the JSON array recorded under @p key in @p json. */
+std::vector<std::uint64_t>
+jsonArray(const std::string &json, const std::string &key)
+{
+    std::vector<std::uint64_t> values;
+    std::smatch m;
+    if (!std::regex_search(json, m,
+                           std::regex("\"" + key + "\": \\[([^\\]]*)\\]")))
+        return values;
+    std::istringstream is(m[1].str());
+    std::string item;
+    while (std::getline(is, item, ','))
+        values.push_back(std::stoull(item));
+    return values;
+}
+
+/**
+ * A split taken while a bank sits at its row-access cap with hits on
+ * its open row still queued resumes exactly: the scheduler's view of
+ * which hits are starved must come back from the restored bank state.
+ */
+TEST(CkptRoundTripAtCap, ckpt_split_at_row_access_cap_matches)
+{
+    DRAMCtrlConfig cfg = presets::ddr3_1333();
+    cfg.maxAccessesPerRow = 4;
+    cfg.writeLowThreshold = 0.0;
+    auto build = [&] {
+        BuiltSystem b;
+        b.tb = std::make_unique<harness::SingleChannelSystem>(
+            cfg, harness::CtrlModel::Event);
+        GenConfig gc;
+        gc.windowSize = 1ULL << 22;
+        gc.readPct = 100;
+        gc.minITT = gc.maxITT = fromNs(1.0);
+        gc.numRequests = kRequests;
+        gc.seed = kSeed;
+        b.gen = &b.tb->addGen<LinearGen>(gc);
+        return b;
+    };
+    const std::string snapshot = expectSplitRunMatches(build);
+
+    std::istringstream is(snapshot);
+    std::ostringstream os;
+    ckpt::dumpJson(is, os);
+    const std::string json = os.str();
+    const auto open_row = jsonArray(json, "bank.openRow");
+    const auto accesses = jsonArray(json, "bank.rowAccesses");
+    ASSERT_EQ(open_row.size(), accesses.size());
+    ASSERT_FALSE(open_row.empty());
+    // Read-queue entries: (entryTime, readyTime, isRead, requestorId,
+    // rank, bank, row, ...); look for a hit on a capped bank.
+    unsigned capped_hits = 0;
+    for (std::size_t i = 0;; ++i) {
+        const auto e = jsonArray(json, "rq." + std::to_string(i));
+        if (e.empty())
+            break;
+        ASSERT_GE(e.size(), 7u);
+        const std::size_t flat = e[4] * cfg.org.banksPerRank + e[5];
+        ASSERT_LT(flat, open_row.size());
+        if (open_row[flat] == e[6] &&
+            accesses[flat] >= cfg.maxAccessesPerRow)
+            ++capped_hits;
+    }
+    EXPECT_GT(capped_hits, 0u)
+        << "the split must fall while a capped bank has queued hits";
+}
+
 /** Fuzzer-drawn configurations must round-trip just like presets. */
 TEST(CkptFuzz, ckpt_fuzzed_configs_round_trip)
 {

@@ -239,6 +239,79 @@ TEST_F(DramCtrlTest, FrFcfsRowHitStarvationCap)
     EXPECT_GE(after_conflict, 1u);
 }
 
+/** Addresses of @p req's responses, in the order they arrived. */
+std::vector<Addr>
+responseOrder(const TestRequestor &req)
+{
+    std::vector<Addr> order;
+    for (const auto &r : req.responses())
+        order.push_back(r.addr);
+    return order;
+}
+
+TEST_F(DramCtrlTest, FrFcfsCappedBankYieldsToUsableHitElsewhere)
+{
+    DRAMCtrlConfig cfg = testutil::bareTimingConfig();
+    cfg.schedPolicy = SchedPolicy::FrFcfs;
+    cfg.pagePolicy = PagePolicy::Open;
+    cfg.maxAccessesPerRow = 2;
+    build(cfg);
+    // Warm-up: two accesses put bank 0's row 0 at the cap, one opens
+    // row 0 in bank 1 (one access, under the cap).
+    req->inject(0, MemCmd::ReadReq, addrOf(0, 0, 0));
+    req->inject(0, MemCmd::ReadReq, addrOf(0, 0, 1));
+    req->inject(0, MemCmd::ReadReq, addrOf(1, 0, 0));
+    sim->run(fromUs(1));
+    ASSERT_TRUE(req->allResponded());
+    // Two hits on the capped bank, then a younger hit on bank 1, all
+    // queued before one decision: the usable bank-1 hit goes first,
+    // then the capped bank's hits, oldest first.
+    const Tick at = fromUs(1);
+    req->inject(at, MemCmd::ReadReq, addrOf(0, 0, 2));
+    req->inject(at, MemCmd::ReadReq, addrOf(0, 0, 3));
+    req->inject(at, MemCmd::ReadReq, addrOf(1, 0, 1));
+    sim->run(fromUs(2));
+    ASSERT_TRUE(req->allResponded());
+    std::vector<Addr> order = responseOrder(*req);
+    ASSERT_EQ(order.size(), 6u);
+    order.erase(order.begin(), order.begin() + 3);
+    EXPECT_EQ(order, (std::vector<Addr>{addrOf(1, 0, 1), addrOf(0, 0, 2),
+                                        addrOf(0, 0, 3)}));
+}
+
+TEST_F(DramCtrlTest, FrFcfsCappedHitsCompeteByReadyTick)
+{
+    DRAMCtrlConfig cfg = testutil::bareTimingConfig();
+    cfg.schedPolicy = SchedPolicy::FrFcfs;
+    cfg.pagePolicy = PagePolicy::Open;
+    cfg.maxAccessesPerRow = 2;
+    build(cfg);
+    // Warm-up: bank 0's row 0 reaches the cap; banks 1 and 2 open
+    // row 0 with one access each.
+    req->inject(0, MemCmd::ReadReq, addrOf(0, 0, 0));
+    req->inject(0, MemCmd::ReadReq, addrOf(0, 0, 1));
+    req->inject(0, MemCmd::ReadReq, addrOf(1, 0, 0));
+    req->inject(0, MemCmd::ReadReq, addrOf(2, 0, 0));
+    sim->run(fromUs(1));
+    ASSERT_TRUE(req->allResponded());
+    // Only a capped hit and conflicts are queued. The idle capped
+    // bank's column path is ready now, the conflicts only after a
+    // precharge and an activate, so the younger capped hit goes
+    // first. The two conflicts then tie on idle banks, and the older
+    // one (bank 2, queued first) wins the tie.
+    const Tick at = fromUs(1);
+    req->inject(at, MemCmd::ReadReq, addrOf(2, 1, 0));
+    req->inject(at, MemCmd::ReadReq, addrOf(0, 0, 2));
+    req->inject(at, MemCmd::ReadReq, addrOf(1, 1, 0));
+    sim->run(fromUs(2));
+    ASSERT_TRUE(req->allResponded());
+    std::vector<Addr> order = responseOrder(*req);
+    ASSERT_EQ(order.size(), 7u);
+    order.erase(order.begin(), order.begin() + 4);
+    EXPECT_EQ(order, (std::vector<Addr>{addrOf(0, 0, 2), addrOf(2, 1, 0),
+                                        addrOf(1, 1, 0)}));
+}
+
 TEST_F(DramCtrlTest, NarrowInterfaceChopsCacheLines)
 {
     // LPDDR3: 32-byte bursts; a 64-byte line is two bursts
