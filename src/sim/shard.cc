@@ -1,9 +1,11 @@
 #include "sim/shard.hh"
 
 #include <algorithm>
+#include <exception>
 #include <thread>
 
 #include "exec/thread_pool.hh"
+#include "mem/packet.hh"
 #include "sim/eventq.hh"
 #include "sim/logging.hh"
 #include "sim/simulator.hh"
@@ -30,9 +32,16 @@ ShardedEngine::~ShardedEngine()
         pool_.reset(); // drains and joins
     }
     // Messages posted since the last run would mean leaked packets.
-    for (const Outbox &ob : outboxes_)
-        DC_ASSERT(ob.msgs.empty(),
-                  "engine destroyed with undelivered messages");
+    // While a panic unwinds they are expected: free them, and let the
+    // panic through rather than throw over it.
+    const bool unwinding = std::uncaught_exceptions() > 0;
+    for (const Outbox &ob : outboxes_) {
+        if (!unwinding)
+            DC_ASSERT(ob.msgs.empty(),
+                      "engine destroyed with undelivered messages");
+        for (const Msg &m : ob.msgs)
+            delete m.pkt;
+    }
 }
 
 void

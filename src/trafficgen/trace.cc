@@ -327,9 +327,13 @@ TracePlayer::recvReqRetry()
 
     // Everything after this entry slips by however long we were
     // stalled — unless the trace was captured from a live run, whose
-    // timestamps already include the original backpressure.
-    if (slipOnStall_ && curTick() > blockedIntent_)
+    // timestamps already include the original backpressure. The stall
+    // is charged up to now only: a retry that is refused again charges
+    // just the time since this one.
+    if (slipOnStall_ && curTick() > blockedIntent_) {
         slip_ += curTick() - blockedIntent_;
+        blockedIntent_ = curTick();
+    }
 
     if (!port_.sendTimingReq(pkt)) {
         blockedPkt_ = pkt;

@@ -283,7 +283,10 @@ class TracePlayer : public SimObject
     std::uint64_t responses_ = 0;
     std::uint64_t outstandingReads_ = 0;
     Packet *blockedPkt_ = nullptr;
-    /** Intended (scaled + slipped) tick of the blocked entry. */
+    /**
+     * Intended (scaled + slipped) tick of the blocked entry; moves to
+     * the retry tick once the stall up to it is charged to slip_.
+     */
     Tick blockedIntent_ = 0;
     /** Accumulated slip when the memory system pushed back. */
     Tick slip_ = 0;

@@ -11,6 +11,7 @@
 #include "harness/testbench.hh"
 #include "sim/logging.hh"
 #include "sim/simulator.hh"
+#include "trafficgen/trace.hh"
 
 namespace dramctrl {
 namespace validate {
@@ -87,19 +88,25 @@ runModel(const FuzzCase &fc, const RequestStream &stream,
             ctrl.testStallPerBankRefresh(opts.injectRefPbStallFlat);
     }
 
-    StreamPlayer player(sim, "player", stream);
-    player.port().bind(ctrl.port());
+    // Replayed as an intent schedule: a stall slips what follows.
+    TracePlayer player(sim, "player", stream, 0);
+    ExactlyOnceCheck check(stream);
+    player.port().bind(check.cpuSidePort());
+    check.memSidePort().bind(ctrl.port());
+    auto answered = [&] {
+        return player.done() && check.outstanding() == 0;
+    };
 
     Tick end = harness::runUntil(
         sim,
         [&] {
             checker.drainUpTo(sim.curTick());
-            return player.done() && ctrl.idle();
+            return answered() && ctrl.idle();
         },
         fromUs(1.0), opts.maxTicks);
     checker.finish();
 
-    mr.completed = player.done();
+    mr.completed = answered();
     // Completion is the end of the last data burst on the DRAM bus,
     // so a write-only stream is measured by its service, not by when
     // the controller accepted its last write.
@@ -107,11 +114,11 @@ runModel(const FuzzCase &fc, const RequestStream &stream,
         sink.rds() + sink.wrs() > 0
             ? sink.lastColumn() + fc.cfg.timing.tCL + fc.cfg.timing.tBURST
             : end;
-    mr.responses = player.responses();
-    mr.spurious = player.spuriousResponses();
-    mr.duplicates = player.duplicateResponses();
-    mr.mismatched = player.mismatchedResponses();
-    mr.unanswered = player.unansweredRequests();
+    mr.responses = check.responses();
+    mr.spurious = check.spurious();
+    mr.duplicates = check.duplicates();
+    mr.mismatched = check.mismatched();
+    mr.unanswered = check.unanswered();
     mr.readResponses = player.readResponses();
     mr.avgReadLatencyNs = player.avgReadLatencyNs();
 
@@ -187,6 +194,8 @@ checkEccConservation(const char *model, const ModelResult &mr,
     }
 }
 
+} // namespace
+
 void
 checkFunctional(const char *model, const ModelResult &mr,
                 const RequestStream &stream, DiffResult &dr)
@@ -230,8 +239,6 @@ checkFunctional(const char *model, const ModelResult &mr,
         fail(std::move(msg));
     }
 }
-
-} // namespace
 
 std::string
 DiffResult::describe() const
@@ -304,9 +311,7 @@ runDiffStream(const FuzzCase &fc, const RequestStream &stream,
         // Injection span: when completion stretches well past it, the
         // run was bandwidth-bound and queueing delay dominates read
         // latency — skip the latency band (see DiffOptions).
-        Tick span = 0;
-        for (const StreamRequest &r : stream.reqs)
-            span += r.gap;
+        const Tick span = stream.back().tick;
         bool saturated =
             span == 0 ||
             toNs(dr.event.completionTick) >

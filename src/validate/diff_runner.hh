@@ -168,6 +168,14 @@ struct DiffResult
 };
 
 /**
+ * Append @p model's functional failures to @p dr: a timeout, a
+ * response count other than the stream's length, spurious, duplicate
+ * or mismatched responses, protocol violations.
+ */
+void checkFunctional(const char *model, const ModelResult &mr,
+                     const RequestStream &stream, DiffResult &dr);
+
+/**
  * Run @p fc.stream (materialised from @p streamSeed) through both
  * models and compare. Deterministic for fixed inputs.
  */

@@ -49,15 +49,18 @@ const FieldTable<DiffOptions> kOptionsFields = {
 Json
 streamToJson(const RequestStream &stream)
 {
-    // Compact row form: [gap, addr, size, isRead].
+    // Compact row form: [gap, addr, size, isRead], the gap measured
+    // from the previous request (the first one's from tick 0).
     Json arr = Json::array();
-    for (const StreamRequest &r : stream.reqs) {
+    Tick prev = 0;
+    for (const TraceEntry &e : stream) {
         Json row = Json::array();
-        row.push(r.gap);
-        row.push(r.addr);
-        row.push(r.size);
-        row.push(r.isRead);
+        row.push(e.tick - prev);
+        row.push(e.addr);
+        row.push(e.size);
+        row.push(e.isRead);
         arr.push(row);
+        prev = e.tick;
     }
     return arr;
 }
@@ -68,21 +71,27 @@ streamFromJson(const Json &arr, RequestStream &stream, std::string *err)
 {
     if (!arr.isArray())
         return failAt(err, "stream", "must be an array of rows");
-    stream.reqs.clear();
-    stream.reqs.reserve(arr.size());
+    stream.clear();
+    stream.reserve(arr.size());
     std::string why;
+    Tick tick = 0;
     for (std::size_t i = 0; i < arr.size(); ++i) {
         const Json &row = arr.at(i);
         const std::string where = "stream[" + std::to_string(i) + "]";
         if (!row.isArray() || row.size() != 4)
             return failAt(err, where, "must be [gap, addr, size, isRead]");
-        StreamRequest r;
-        if (!readAs(row.at(0), "gap", r.gap, why) ||
-            !readAs(row.at(1), "addr", r.addr, why) ||
-            !readAs(row.at(2), "size", r.size, why) ||
-            !readAs(row.at(3), "isRead", r.isRead, why))
+        Tick gap = 0;
+        TraceEntry e;
+        if (!readAs(row.at(0), "gap", gap, why) ||
+            !readAs(row.at(1), "addr", e.addr, why) ||
+            !readAs(row.at(2), "size", e.size, why) ||
+            !readAs(row.at(3), "isRead", e.isRead, why))
             return failAt(err, where, why);
-        stream.reqs.push_back(r);
+        if (gap > kMaxTick - tick)
+            return failAt(err, where, "gap sum overflows the tick range");
+        tick += gap;
+        e.tick = tick;
+        stream.push_back(e);
     }
     return true;
 }

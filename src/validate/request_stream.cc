@@ -3,18 +3,10 @@
 #include <algorithm>
 
 #include "sim/logging.hh"
+#include "sim/random.hh"
 
 namespace dramctrl {
 namespace validate {
-
-std::uint64_t
-RequestStream::totalBytes() const
-{
-    std::uint64_t total = 0;
-    for (const StreamRequest &r : reqs)
-        total += r.size;
-    return total;
-}
 
 RequestStream
 generateStream(const StreamParams &params, std::uint64_t seed)
@@ -23,153 +15,75 @@ generateStream(const StreamParams &params, std::uint64_t seed)
 
     Random rng(seed);
     RequestStream stream;
-    stream.reqs.reserve(params.numRequests);
+    stream.reserve(params.numRequests);
+    Tick tick = 0;
     for (std::uint64_t i = 0; i < params.numRequests; ++i) {
-        StreamRequest r;
-        r.gap = params.minITT == params.maxITT
+        TraceEntry e;
+        tick += params.minITT == params.maxITT
                     ? params.minITT
                     : rng.uniform(params.minITT, params.maxITT);
-        r.isRead = rng.uniform(1, 100) <= params.readPct;
-        r.size = params.mixedSizes
+        e.tick = tick;
+        e.isRead = rng.uniform(1, 100) <= params.readPct;
+        e.size = params.mixedSizes
                      ? kSizes[rng.uniform(0, 4)]
                      : params.blockSize;
         // Align to 16 bytes and keep the span inside the window.
-        Addr limit = params.windowSize > r.size
-                         ? params.windowSize - r.size
+        Addr limit = params.windowSize > e.size
+                         ? params.windowSize - e.size
                          : 0;
-        r.addr = rng.uniform(0, limit / 16) * 16;
-        stream.reqs.push_back(r);
+        e.addr = rng.uniform(0, limit / 16) * 16;
+        stream.push_back(e);
     }
     return stream;
 }
 
-StreamPlayer::StreamPlayer(Simulator &sim, std::string name,
-                           const RequestStream &stream, RequestorId id)
-    : SimObject(sim, std::move(name)), stream_(stream), id_(id),
-      port_(this->name() + ".port", *this),
-      completions_(stream.reqs.size(), 0),
-      injectEvent_([this] { inject(); }, this->name() + ".injectEvent")
+ExactlyOnceCheck::ExactlyOnceCheck(const RequestStream &stream)
+    : stream_(stream), cpuSide_(*this), memSide_(*this),
+      answered_(stream.size(), false)
 {
-    inflight_.reserve(64);
-}
-
-StreamPlayer::~StreamPlayer()
-{
-    if (injectEvent_.scheduled())
-        deschedule(injectEvent_);
-    delete blockedPkt_;
-}
-
-void
-StreamPlayer::startup()
-{
-    if (!stream_.reqs.empty())
-        schedule(injectEvent_,
-                 curTick() + stream_.reqs.front().gap);
+    ids_.reserve(stream.size());
 }
 
 bool
-StreamPlayer::done() const
+ExactlyOnceCheck::recvReq(Packet *pkt)
 {
-    return injected_ >= stream_.reqs.size() &&
-           blockedPkt_ == nullptr && inflight_.empty();
-}
-
-std::uint64_t
-StreamPlayer::unansweredRequests() const
-{
-    return static_cast<std::uint64_t>(std::count(
-        completions_.begin(), completions_.end(), Tick(0)));
-}
-
-double
-StreamPlayer::avgReadLatencyNs() const
-{
-    if (readResponses_ == 0)
-        return 0.0;
-    return toNs(totReadLatency_) /
-           static_cast<double>(readResponses_);
-}
-
-void
-StreamPlayer::scheduleNext()
-{
-    if (injected_ >= stream_.reqs.size() || blockedPkt_ != nullptr)
-        return;
-    if (!injectEvent_.scheduled())
-        schedule(injectEvent_,
-                 curTick() + stream_.reqs[injected_].gap);
-}
-
-void
-StreamPlayer::inject()
-{
-    DC_ASSERT(blockedPkt_ == nullptr, "inject while blocked");
-    DC_ASSERT(injected_ < stream_.reqs.size(), "stream exhausted");
-
-    std::size_t idx = injected_;
-    const StreamRequest &r = stream_.reqs[idx];
-    auto *pkt =
-        new Packet(r.isRead ? MemCmd::ReadReq : MemCmd::WriteReq,
-                   r.addr, r.size, id_);
-    pkt->setInjectedTick(curTick());
-    inflight_.emplace_back(pkt->id(), idx);
-    ++injected_;
-
-    if (!port_.sendTimingReq(pkt)) {
-        blockedPkt_ = pkt;
-        blockedIdx_ = idx;
-        return;
-    }
-    scheduleNext();
-}
-
-void
-StreamPlayer::retry()
-{
-    DC_ASSERT(blockedPkt_ != nullptr, "retry with no blocked packet");
-    Packet *pkt = blockedPkt_;
-    blockedPkt_ = nullptr;
-    if (!port_.sendTimingReq(pkt)) {
-        blockedPkt_ = pkt;
-        return;
-    }
-    scheduleNext();
-}
-
-bool
-StreamPlayer::recvResp(Packet *pkt)
-{
-    DC_ASSERT(pkt->isResponse(), "player received %s",
+    DC_ASSERT(ids_.size() < stream_.size(),
+              "request %s beyond the end of the stream",
               pkt->toString().c_str());
-    ++responses_;
+    DC_ASSERT(ids_.empty() || pkt->id() > ids_.back(),
+              "request %s out of stream order", pkt->toString().c_str());
+    // Noted before forwarding, in case the model answers at once.
+    ids_.push_back(pkt->id());
+    if (memSide_.sendTimingReq(pkt))
+        return true;
+    ids_.pop_back();
+    return false;
+}
 
-    auto it = std::find_if(inflight_.begin(), inflight_.end(),
-                           [&](const auto &e) {
-                               return e.first == pkt->id();
-                           });
-    if (it == inflight_.end()) {
-        ++spurious_;
+bool
+ExactlyOnceCheck::recvResp(Packet *pkt)
+{
+    DC_ASSERT(pkt->isResponse(), "check received %s",
+              pkt->toString().c_str());
+    auto it = std::lower_bound(ids_.begin(), ids_.end(), pkt->id());
+    const std::size_t idx = it - ids_.begin();
+    const bool known = it != ids_.end() && *it == pkt->id();
+    if (!known || answered_[idx]) {
+        ++(known ? duplicates_ : spurious_);
+        ++responses_;
         delete pkt;
         return true;
     }
-    std::size_t idx = it->second;
-    inflight_.erase(it);
 
-    if (completions_[idx] != 0)
-        ++duplicates_;
-    completions_[idx] = curTick();
-
-    const StreamRequest &r = stream_.reqs[idx];
-    if (pkt->isRead() != r.isRead || pkt->addr() != r.addr ||
-        pkt->size() != r.size)
-        ++mismatched_;
-
-    if (pkt->cmd() == MemCmd::ReadResp) {
-        ++readResponses_;
-        totReadLatency_ += curTick() - pkt->injectedTick();
-    }
-    delete pkt;
+    const TraceEntry &e = stream_[idx];
+    const bool mismatch = pkt->isRead() != e.isRead ||
+                          pkt->addr() != e.addr || pkt->size() != e.size;
+    if (!cpuSide_.sendTimingResp(pkt))
+        return false;
+    ++responses_;
+    mismatched_ += mismatch;
+    answered_[idx] = true;
+    ++answeredCount_;
     return true;
 }
 

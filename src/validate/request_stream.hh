@@ -5,49 +5,28 @@
  * The differential runner must feed *byte-identical* stimulus to both
  * controller models, and the shrinker must be able to cut the stimulus
  * down to a minimal reproducer. Both needs point away from re-seeding
- * live generators and towards a materialised stream: a vector of
- * (gap, address, size, is-read) tuples generated once from a seed,
- * replayed into each model by a StreamPlayer, and trivially sliceable
- * for delta debugging.
+ * live generators and towards a materialised stream: a vector of trace
+ * entries (absolute tick, direction, address, size) generated once
+ * from a seed, replayed into each model by a TracePlayer as an intent
+ * schedule, and trivially sliceable for delta debugging.
  */
 
 #ifndef DRAMCTRL_VALIDATE_REQUEST_STREAM_H
 #define DRAMCTRL_VALIDATE_REQUEST_STREAM_H
 
-#include <string>
+#include <cstdint>
 #include <vector>
 
 #include "mem/packet.hh"
 #include "mem/port.hh"
-#include "sim/random.hh"
-#include "sim/sim_object.hh"
 #include "sim/types.hh"
+#include "trafficgen/trace.hh"
 
 namespace dramctrl {
 namespace validate {
 
-/** One scripted request. */
-struct StreamRequest
-{
-    /** Delay after the previous injection (first: after tick 0). */
-    Tick gap = 0;
-    Addr addr = 0;
-    unsigned size = 64;
-    bool isRead = true;
-
-    bool operator==(const StreamRequest &) const = default;
-};
-
-struct RequestStream
-{
-    std::vector<StreamRequest> reqs;
-
-    std::size_t size() const { return reqs.size(); }
-    bool empty() const { return reqs.empty(); }
-
-    /** Total bytes requested (both directions). */
-    std::uint64_t totalBytes() const;
-};
+/** A scripted request stream, tick-ordered. */
+using RequestStream = std::vector<TraceEntry>;
 
 /** Knobs for stream sampling (serialised into repro files). */
 struct StreamParams
@@ -56,6 +35,7 @@ struct StreamParams
     /** Address window [0, windowSize); must fit the channel. */
     std::uint64_t windowSize = 1ULL << 22;
     unsigned readPct = 70;
+    /** Bounds of the gap between consecutive requests. */
     Tick minITT = fromNs(3.0);
     Tick maxITT = fromNs(30.0);
     /**
@@ -72,95 +52,103 @@ RequestStream generateStream(const StreamParams &params,
                              std::uint64_t seed);
 
 /**
- * Replays a RequestStream through a RequestPort, honouring flow
- * control, and records one completion tick per request. The player is
- * the functional-equivalence probe of the differential runner: after a
- * run it knows whether every request was answered exactly once.
+ * The differential runner's exactly-once oracle: a pass-through
+ * between the player of a stream and the model under test. Requests,
+ * retries and flow control pass unchanged; each response is matched to
+ * the accepted request it answers. A response that answers no accepted
+ * request (spurious) or one already answered (duplicate) is counted
+ * and dropped. Every other response goes on to the player, counted as
+ * mismatched when its direction, address or size differ from its
+ * stream entry.
  */
-class StreamPlayer : public SimObject
+class ExactlyOnceCheck
 {
   public:
-    StreamPlayer(Simulator &sim, std::string name,
-                 const RequestStream &stream, RequestorId id = 0);
-    ~StreamPlayer() override;
+    /** @p stream must outlive the check; the player replays it. */
+    explicit ExactlyOnceCheck(const RequestStream &stream);
 
-    RequestPort &port() { return port_; }
+    /** Port facing the player. */
+    ResponsePort &cpuSidePort() { return cpuSide_; }
+    /** Port facing the model. */
+    RequestPort &memSidePort() { return memSide_; }
 
-    void startup() override;
-
-    /** All requests injected and every response received. */
-    bool done() const;
-
-    std::uint64_t injected() const { return injected_; }
+    /** Every response seen, including the dropped ones. */
     std::uint64_t responses() const { return responses_; }
+    std::uint64_t spurious() const { return spurious_; }
+    std::uint64_t duplicates() const { return duplicates_; }
+    std::uint64_t mismatched() const { return mismatched_; }
 
-    /** Responses carrying an id the player never injected. */
-    std::uint64_t spuriousResponses() const { return spurious_; }
-
-    /** Responses for a request that was already answered. */
-    std::uint64_t duplicateResponses() const { return duplicates_; }
-
-    /** Read responses whose command does not match the request. */
-    std::uint64_t mismatchedResponses() const { return mismatched_; }
-
-    /** Requests still unanswered (after a timeout: the lost ones). */
-    std::uint64_t unansweredRequests() const;
-
-    /** Completion tick per stream index; 0 = no response (yet). */
-    const std::vector<Tick> &completionTicks() const
+    /** Stream entries with no response (after a timeout: the lost). */
+    std::uint64_t unanswered() const
     {
-        return completions_;
+        return stream_.size() - answeredCount_;
     }
 
-    std::uint64_t readResponses() const { return readResponses_; }
-
-    /** Mean end-to-end read latency in nanoseconds. */
-    double avgReadLatencyNs() const;
+    /** Accepted requests still waiting for their response. */
+    std::uint64_t outstanding() const
+    {
+        return ids_.size() - answeredCount_;
+    }
 
   private:
-    class Port : public RequestPort
+    class CpuSide : public ResponsePort
     {
       public:
-        Port(std::string name, StreamPlayer &player)
-            : RequestPort(std::move(name)), player_(player)
+        explicit CpuSide(ExactlyOnceCheck &check)
+            : ResponsePort("check.cpuSide"), check_(check)
         {}
 
-        bool recvTimingResp(Packet *pkt) override
+        bool
+        recvTimingReq(Packet *pkt) override
         {
-            return player_.recvResp(pkt);
+            return check_.recvReq(pkt);
         }
 
-        void recvReqRetry() override { player_.retry(); }
+        void recvRespRetry() override { check_.memSide_.sendRespRetry(); }
 
       private:
-        StreamPlayer &player_;
+        ExactlyOnceCheck &check_;
     };
 
-    void inject();
-    void retry();
+    class MemSide : public RequestPort
+    {
+      public:
+        explicit MemSide(ExactlyOnceCheck &check)
+            : RequestPort("check.memSide"), check_(check)
+        {}
+
+        bool
+        recvTimingResp(Packet *pkt) override
+        {
+            return check_.recvResp(pkt);
+        }
+
+        void recvReqRetry() override { check_.cpuSide_.sendReqRetry(); }
+
+      private:
+        ExactlyOnceCheck &check_;
+    };
+
+    bool recvReq(Packet *pkt);
     bool recvResp(Packet *pkt);
-    void scheduleNext();
 
-    const RequestStream stream_;
-    RequestorId id_;
-    Port port_;
+    const RequestStream &stream_;
+    CpuSide cpuSide_;
+    MemSide memSide_;
 
-    std::uint64_t injected_ = 0;
+    /**
+     * Packet id of each accepted request, by stream index. An in-order
+     * player creates each packet after the previous one was accepted,
+     * so the ids ascend.
+     */
+    std::vector<std::uint64_t> ids_;
+    std::vector<bool> answered_;
+    std::uint64_t answeredCount_ = 0;
+
     std::uint64_t responses_ = 0;
     std::uint64_t spurious_ = 0;
     std::uint64_t duplicates_ = 0;
     std::uint64_t mismatched_ = 0;
-    std::uint64_t readResponses_ = 0;
-    Tick totReadLatency_ = 0;
-
-    std::vector<Tick> completions_;
-    /** Packet id -> stream index of in-flight requests. */
-    std::vector<std::pair<std::uint64_t, std::size_t>> inflight_;
-
-    Packet *blockedPkt_ = nullptr;
-    std::size_t blockedIdx_ = 0;
-
-    EventFunctionWrapper injectEvent_;
 };
 
 } // namespace validate

@@ -7,14 +7,22 @@ namespace validate {
 
 namespace {
 
+/**
+ * @p s without entries [from, from + count). Every later entry moves
+ * back by the span the cut entries covered, so each keeps its gap to
+ * the entry before it.
+ */
 RequestStream
 without(const RequestStream &s, std::size_t from, std::size_t count)
 {
-    RequestStream out;
-    out.reqs.reserve(s.reqs.size() - count);
-    for (std::size_t i = 0; i < s.reqs.size(); ++i)
-        if (i < from || i >= from + count)
-            out.reqs.push_back(s.reqs[i]);
+    const Tick span =
+        s[from + count - 1].tick - (from > 0 ? s[from - 1].tick : 0);
+    RequestStream out(s.begin(), s.begin() + from);
+    out.reserve(s.size() - count);
+    for (std::size_t i = from + count; i < s.size(); ++i) {
+        out.push_back(s[i]);
+        out.back().tick -= span;
+    }
     return out;
 }
 

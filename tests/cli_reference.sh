@@ -29,7 +29,8 @@ rm -rf "$WORK"
 mkdir -p "$WORK"
 cd "$WORK"
 # Relative paths only: some outputs echo the file names they were given.
-cp "$HERE/traces/example.dtrc" "$HERE/../examples/ddr4.json" .
+cp "$HERE/traces/example.dtrc" "$HERE/traces/backpressure.txt" \
+    "$HERE/../examples/ddr4.json" .
 mkdir -p tests/repros
 cp "$HERE/repros/injected_trcd_fault.json" \
     "$HERE/repros/clean_baseline.json" tests/repros/
@@ -95,6 +96,8 @@ run default
 run dram_audit --pattern dram --audit
 run cycle_json --model cycle --json
 run trace_replay --pattern trace --trace-in example.dtrc
+# An intent schedule under back pressure: each stall slips it once.
+run trace_slip --pattern trace --trace-in backpressure.txt
 run hmc_stack_16_json --preset hmc_stack_16 --json
 run ch4_linear_audit --channels 4 --pattern linear --audit
 

@@ -25,6 +25,7 @@
 #include "dram/protocol_checker.hh"
 #include "harness/multichannel.hh"
 #include "mem/packet_queue.hh"
+#include "sim/logging.hh"
 #include "sim/shard.hh"
 #include "sim/simulator.hh"
 #include "trafficgen/linear_gen.hh"
@@ -139,6 +140,58 @@ TEST(ShardEngine, ThreadCountInvariant)
     PingResult eight = runPingPong(8, 101, delay);
     EXPECT_TRUE(one == two);
     EXPECT_TRUE(one == eight);
+}
+
+/** Posts a packet to another shard's inbox, then panics. */
+class Bomb : public SimObject
+{
+  public:
+    Bomb(Simulator &sim, Pinger &target)
+        : SimObject(sim, "bomb"), target_(target),
+          event_([this] { explode(); }, "bomb.event")
+    {}
+
+    void startup() override { schedule(event_, fromNs(1.0)); }
+
+  private:
+    void
+    explode()
+    {
+        simulator().shardEngine().post(
+            shardId(), target_.shardId(), curTick() + fromNs(5.0),
+            target_.inbox(), new Packet(MemCmd::ReadReq, 0, 64, 0), 0);
+        panic("planted panic with a message in flight");
+    }
+
+    Pinger &target_;
+    EventFunctionWrapper event_;
+};
+
+TEST(ShardEngine, PanicWithMessagesInFlightSurfacesThePanic)
+{
+    // Unwinding destroys the engine with the packet still in its
+    // outbox: the engine frees it, and the panic is what surfaces.
+    const std::uint64_t live = Packet::liveCount();
+    setThrowOnError(true);
+    std::string what;
+    try {
+        Simulator sim("panic");
+        sim.configureShards(2, fromNs(5.0));
+        std::unique_ptr<Pinger> target;
+        {
+            Simulator::ShardScope scope(sim, 1);
+            target = std::make_unique<Pinger>(sim, "target", fromNs(5.0));
+        }
+        Bomb bomb(sim, *target);
+        sim.run(kMaxTick);
+    } catch (const std::runtime_error &e) {
+        what = e.what();
+    }
+    setThrowOnError(false);
+    EXPECT_NE(what.find("planted panic with a message in flight"),
+              std::string::npos)
+        << what;
+    EXPECT_EQ(Packet::liveCount(), live);
 }
 
 TEST(ShardEngine, FiniteHorizonReachesExactly)

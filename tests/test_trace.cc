@@ -149,6 +149,77 @@ TEST(TracePlayerTest, TimeScaleStretchesReplay)
     EXPECT_GE(sim.curTick(), fromNs(400));
 }
 
+/**
+ * Refuses the first @p refusals requests it sees, sending a retry
+ * 10 ns after each refusal; takes (and drops) every write after that.
+ */
+class RefusingMemory : public SimObject
+{
+  public:
+    RefusingMemory(Simulator &sim, unsigned refusals)
+        : SimObject(sim, "mem"), refusals_(refusals), port_(*this),
+          retryEvent_([this] { port_.sendReqRetry(); },
+                      "mem.retryEvent")
+    {}
+
+    ResponsePort &port() { return port_; }
+
+    /** Tick of every request attempt, refused or not. */
+    std::vector<Tick> attempts;
+
+  private:
+    class Port : public ResponsePort
+    {
+      public:
+        explicit Port(RefusingMemory &mem)
+            : ResponsePort("mem.port"), mem_(mem)
+        {}
+
+        bool
+        recvTimingReq(Packet *pkt) override
+        {
+            mem_.attempts.push_back(mem_.curTick());
+            if (mem_.refusals_ > 0) {
+                --mem_.refusals_;
+                mem_.schedule(mem_.retryEvent_,
+                              mem_.curTick() + fromNs(10.0));
+                return false;
+            }
+            delete pkt;
+            return true;
+        }
+
+        void recvRespRetry() override {}
+
+      private:
+        RefusingMemory &mem_;
+    };
+
+    unsigned refusals_;
+    Port port_;
+    EventFunctionWrapper retryEvent_;
+};
+
+TEST(TracePlayerTest, OneStallSlipsTheScheduleOnce)
+{
+    // The first write is refused at 100 ns and again on the retry at
+    // 110 ns, then taken at 120 ns: the stall is 20 ns, so the second
+    // write, meant for 200 ns, goes at 220 ns.
+    Simulator sim;
+    RefusingMemory mem(sim, 2);
+    std::vector<TraceEntry> trace = {
+        {fromNs(100), false, 0x0, 64},
+        {fromNs(200), false, 0x40, 64},
+    };
+    TracePlayer player(sim, "player", trace, 0);
+    player.port().bind(mem.port());
+    harness::runUntil(sim, [&] { return player.done(); });
+
+    EXPECT_EQ(mem.attempts,
+              (std::vector<Tick>{fromNs(100), fromNs(110), fromNs(120),
+                                 fromNs(220)}));
+}
+
 TEST(TracePlayerTest, RecordThenReplayReproducesStream)
 {
     // Record a live generator run, then replay the trace into an

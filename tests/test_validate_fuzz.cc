@@ -5,7 +5,9 @@
  * fault must be caught by the online protocol audit and shrink to a
  * tiny reproducer, repro files must round-trip exactly through JSON,
  * the online checker must agree with batch mode on identical logs,
- * and the ddmin shrinker must converge under arbitrary predicates.
+ * the exactly-once check must report each response fault a fake model
+ * plants, and the ddmin shrinker must converge under arbitrary
+ * predicates.
  */
 
 #include <gtest/gtest.h>
@@ -19,13 +21,16 @@
 #include "dram/dram_ctrl.hh"
 #include "dram/dram_presets.hh"
 #include "dram/protocol_checker.hh"
+#include "harness/testbench.hh"
 #include "sim/random.hh"
 #include "sim/simulator.hh"
 #include "test_util.hh"
+#include "trafficgen/trace.hh"
 #include "validate/config_fuzzer.hh"
 #include "validate/diff_runner.hh"
 #include "validate/json_io.hh"
 #include "validate/repro.hh"
+#include "validate/request_stream.hh"
 #include "validate/shrinker.hh"
 
 namespace dramctrl {
@@ -102,7 +107,7 @@ TEST(ValidateFuzz, ReproRoundTripsThroughJson)
     repro.fc = fixedCase();
     repro.streamSeed = 99;
     repro.stream = generateStream(repro.fc.stream, 99);
-    repro.stream.reqs.resize(5);
+    repro.stream.resize(5);
     repro.opts.injectTRCDScale = 0.5;
     repro.opts.runCycle = false;
     repro.opts.bandwidthRelTol = 0.25;
@@ -126,9 +131,7 @@ TEST(ValidateFuzz, ReproRoundTripsThroughJson)
     EXPECT_EQ(back.opts.runCycle, repro.opts.runCycle);
     EXPECT_EQ(back.opts.bandwidthRelTol, repro.opts.bandwidthRelTol);
     EXPECT_EQ(back.note, repro.note);
-    ASSERT_EQ(back.stream.reqs.size(), repro.stream.reqs.size());
-    for (std::size_t i = 0; i < repro.stream.reqs.size(); ++i)
-        EXPECT_EQ(back.stream.reqs[i], repro.stream.reqs[i]) << i;
+    EXPECT_EQ(back.stream, repro.stream);
 
     // And the replayed repro still fails exactly as recorded.
     EXPECT_FALSE(replay(back).pass);
@@ -174,19 +177,177 @@ TEST(ValidateFuzz, OnlineCheckerMatchesBatchMode)
               batchViolations.front().rule);
 }
 
+/** A fault a model might commit when answering. */
+enum class Fault { None, Lose, Duplicate, Alter, Unknown };
+
+/**
+ * A fake model: answers each request 10 ns after accepting it, and
+ * commits its fault on the second request.
+ */
+class FaultyMemory : public SimObject
+{
+  public:
+    FaultyMemory(Simulator &sim, Fault fault)
+        : SimObject(sim, "mem"), fault_(fault), port_(*this),
+          respondEvent_([this] { respond(); }, "mem.respondEvent")
+    {}
+
+    ResponsePort &port() { return port_; }
+
+  private:
+    class Port : public ResponsePort
+    {
+      public:
+        explicit Port(FaultyMemory &mem)
+            : ResponsePort("mem.port"), mem_(mem)
+        {}
+
+        bool
+        recvTimingReq(Packet *pkt) override
+        {
+            mem_.pending_ = pkt;
+            mem_.schedule(mem_.respondEvent_,
+                          mem_.curTick() + fromNs(10.0));
+            return true;
+        }
+
+        void recvRespRetry() override {}
+
+      private:
+        FaultyMemory &mem_;
+    };
+
+    /** A response that reuses packet id @p id, as a buggy model might. */
+    static Packet *
+    forge(std::uint64_t id, const Packet &req, Addr addr)
+    {
+        const std::uint64_t next = Packet::nextId();
+        Packet::setNextId(id);
+        auto *pkt = new Packet(req.cmd(), addr, req.size(), 0);
+        Packet::setNextId(next);
+        pkt->makeResponse();
+        return pkt;
+    }
+
+    void
+    respond()
+    {
+        Packet *pkt = pending_;
+        Fault fault = ++served_ == 2 ? fault_ : Fault::None;
+        if (fault == Fault::Lose) {
+            delete pkt;
+            return;
+        }
+        Packet *extra = nullptr;
+        if (fault == Fault::Duplicate)
+            extra = forge(pkt->id(), *pkt, pkt->addr());
+        if (fault == Fault::Unknown) {
+            extra = new Packet(MemCmd::ReadReq, 0x40, 64, 0);
+            extra->makeResponse();
+        }
+        if (fault == Fault::Alter) {
+            Packet *altered = forge(pkt->id(), *pkt, pkt->addr() + 64);
+            delete pkt;
+            pkt = altered;
+        } else {
+            pkt->makeResponse();
+        }
+        port_.sendTimingResp(pkt);
+        if (extra != nullptr)
+            port_.sendTimingResp(extra);
+    }
+
+    Fault fault_;
+    Port port_;
+    Packet *pending_ = nullptr;
+    unsigned served_ = 0;
+    EventFunctionWrapper respondEvent_;
+};
+
+/**
+ * Replay four reads through an ExactlyOnceCheck into a FaultyMemory,
+ * as the differential runner replays a stream into a model, and
+ * return checkFunctional's verdict.
+ */
+DiffResult
+verdictAgainst(Fault fault)
+{
+    const RequestStream stream = {
+        {fromNs(100.0), true, 0x0, 64},
+        {fromNs(200.0), true, 0x40, 64},
+        {fromNs(300.0), true, 0x80, 64},
+        {fromNs(400.0), true, 0xc0, 64},
+    };
+    Simulator sim;
+    FaultyMemory mem(sim, fault);
+    TracePlayer player(sim, "player", stream, 0);
+    ExactlyOnceCheck check(stream);
+    player.port().bind(check.cpuSidePort());
+    check.memSidePort().bind(mem.port());
+    auto answered = [&] {
+        return player.done() && check.outstanding() == 0;
+    };
+    harness::runUntil(sim, answered, fromUs(1.0), fromUs(10.0));
+
+    ModelResult mr;
+    mr.completed = answered();
+    mr.responses = check.responses();
+    mr.spurious = check.spurious();
+    mr.duplicates = check.duplicates();
+    mr.mismatched = check.mismatched();
+    mr.unanswered = check.unanswered();
+    DiffResult dr;
+    checkFunctional("event", mr, stream, dr);
+    return dr;
+}
+
+using Failures = std::vector<std::string>;
+
+TEST(ExactlyOnceCheck, CleanModelPasses)
+{
+    EXPECT_TRUE(verdictAgainst(Fault::None).pass);
+}
+
+TEST(ExactlyOnceCheck, LostResponseIsUnanswered)
+{
+    EXPECT_EQ(verdictAgainst(Fault::Lose).failures,
+              (Failures{"event: timed out with 1 requests unanswered",
+                        "event: 3 responses for 4 requests"}));
+}
+
+TEST(ExactlyOnceCheck, RepeatedResponseIsDuplicate)
+{
+    EXPECT_EQ(verdictAgainst(Fault::Duplicate).failures,
+              (Failures{"event: 5 responses for 4 requests",
+                        "event: 1 duplicate responses"}));
+}
+
+TEST(ExactlyOnceCheck, AlteredResponseIsMismatched)
+{
+    EXPECT_EQ(verdictAgainst(Fault::Alter).failures,
+              (Failures{"event: 1 mismatched responses"}));
+}
+
+TEST(ExactlyOnceCheck, UnknownResponseIsSpurious)
+{
+    EXPECT_EQ(verdictAgainst(Fault::Unknown).failures,
+              (Failures{"event: 5 responses for 4 requests",
+                        "event: 1 spurious responses"}));
+}
+
 TEST(ValidateFuzz, ShrinkerConvergesUnderArbitraryPredicate)
 {
     RequestStream s;
     for (unsigned i = 0; i < 40; ++i)
-        s.reqs.push_back({fromNs(10.0), i * 64, 64, true});
+        s.push_back({(i + 1) * fromNs(10.0), true, i * 64, 64});
 
     // "Interesting" iff the two magic requests both survive: ddmin
     // must isolate exactly that pair.
     auto fails = [](const RequestStream &c) {
         bool a = false, b = false;
-        for (const StreamRequest &r : c.reqs) {
-            a |= r.addr == 7 * 64;
-            b |= r.addr == 29 * 64;
+        for (const TraceEntry &e : c) {
+            a |= e.addr == 7 * 64;
+            b |= e.addr == 29 * 64;
         }
         return a && b;
     };
@@ -194,8 +355,11 @@ TEST(ValidateFuzz, ShrinkerConvergesUnderArbitraryPredicate)
     ShrinkOutcome sh = shrinkStreamWith(s, fails);
     EXPECT_TRUE(sh.minimal);
     ASSERT_EQ(sh.stream.size(), 2u);
-    EXPECT_EQ(sh.stream.reqs[0].addr, 7u * 64);
-    EXPECT_EQ(sh.stream.reqs[1].addr, 29u * 64);
+    EXPECT_EQ(sh.stream[0].addr, 7u * 64);
+    EXPECT_EQ(sh.stream[1].addr, 29u * 64);
+    // Each survivor keeps its 10 ns gap to the request before it.
+    EXPECT_EQ(sh.stream[0].tick, fromNs(10.0));
+    EXPECT_EQ(sh.stream[1].tick, fromNs(20.0));
     EXPECT_GT(sh.evaluations, 0u);
 }
 

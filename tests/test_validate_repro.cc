@@ -216,10 +216,45 @@ TEST(ValidateRepro, TopLevelKeysAndStreamRowsAreChecked)
     std::string err;
     ASSERT_TRUE(fromJson(j, back, &err)) << err;
     ASSERT_EQ(back.stream.size(), 1u);
-    EXPECT_EQ(back.stream.reqs[0].gap, 2814u);
-    EXPECT_EQ(back.stream.reqs[0].addr, 1799152u);
-    EXPECT_EQ(back.stream.reqs[0].size, 32u);
-    EXPECT_TRUE(back.stream.reqs[0].isRead);
+    EXPECT_EQ(back.stream[0].tick, 2814u);
+    EXPECT_EQ(back.stream[0].addr, 1799152u);
+    EXPECT_EQ(back.stream[0].size, 32u);
+    EXPECT_TRUE(back.stream[0].isRead);
+}
+
+TEST(ValidateRepro, StreamGapsBecomeTicksAndBack)
+{
+    // Rows keep the gap form; in memory the stream holds absolute
+    // ticks, and a gap sum past the tick range is refused.
+    auto rowOf = [](std::uint64_t gap) {
+        Json row = Json::array();
+        row.push(Json(gap));
+        row.push(Json(64));
+        row.push(Json(64));
+        row.push(Json(false));
+        return row;
+    };
+    Json rows = Json::array();
+    for (std::uint64_t gap : {100u, 0u, 250u})
+        rows.push(rowOf(gap));
+    Json j = toJson(unusualRepro());
+    j.set("stream", rows);
+    ReproFile back;
+    std::string err;
+    ASSERT_TRUE(fromJson(j, back, &err)) << err;
+    ASSERT_EQ(back.stream.size(), 3u);
+    EXPECT_EQ(back.stream[0].tick, 100u);
+    EXPECT_EQ(back.stream[1].tick, 100u);
+    EXPECT_EQ(back.stream[2].tick, 350u);
+    EXPECT_EQ(toJson(back)["stream"].dump(), rows.dump());
+
+    Json huge = Json::array();
+    huge.push(rowOf(kMaxTick - 10));
+    huge.push(rowOf(11));
+    j.set("stream", huge);
+    EXPECT_FALSE(fromJson(j, back, &err));
+    EXPECT_NE(err.find("stream[1]: gap sum overflows"), std::string::npos)
+        << err;
 }
 
 TEST(ValidateRepro, VersionOneFileNamesTheExpectedFormat)

@@ -251,20 +251,16 @@ handleFailure(const FuzzCliOptions &opt, std::uint64_t run,
 
 /**
  * Write one fuzz case's drawn stream as '<prefix><run>.dtrc'. The
- * stream is an intent schedule (gaps accumulated to absolute ticks),
- * not a live capture, so a replay applies normal slip-on-stall
- * semantics — exactly what the StreamPlayer does.
+ * stream is an intent schedule, not a live capture, so a replay slips
+ * on stall — as the differential runner's TracePlayer replays it.
  */
 void
 captureCaseStream(const std::string &prefix, std::uint64_t run,
                   const RequestStream &stream)
 {
     TraceWriter writer(prefix + std::to_string(run) + ".dtrc");
-    Tick tick = 0;
-    for (const StreamRequest &r : stream.reqs) {
-        tick += r.gap;
-        writer.append(TraceEntry{tick, r.isRead, r.addr, r.size});
-    }
+    for (const TraceEntry &e : stream)
+        writer.append(e);
     writer.finish();
 }
 
