@@ -305,13 +305,6 @@ CycleDRAMCtrl::idle() const
 }
 
 double
-CycleDRAMCtrl::peakBandwidthGBs() const
-{
-    return static_cast<double>(cfg_.org.burstSize()) /
-           toSeconds(cfg_.timing.tBURST) / 1e9;
-}
-
-double
 CycleDRAMCtrl::busUtilisation() const
 {
     double w = toSeconds(curTick() - windowStart_);

@@ -114,7 +114,6 @@ class CycleDRAMCtrl : public MemCtrlBase
 
     double busUtilisation() const override;
     double achievedBandwidthGBs() const override;
-    double peakBandwidthGBs() const override;
     PowerInputs powerInputs() const override;
 
     void startup() override;

@@ -195,17 +195,10 @@ DRAMCtrl::DRAMCtrl(Simulator &sim, std::string name,
         grpColAllowedAt_.assign(total_groups, 0);
         grpNextActAt_.assign(total_groups, 0);
     }
-    rdRowHitCounts_.assign(total_banks, 0);
-    wrRowHitCounts_.assign(total_banks, 0);
-    rdBankCounts_.assign(total_banks, 0);
-    wrBankCounts_.assign(total_banks, 0);
     missEst_.assign(total_banks, 0);
-
-    // All steady-state queue traffic stays within these reservations.
-    readQueue_.reserve(cfg_.readBufferSize);
-    writeQueue_.reserve(cfg_.writeBufferSize);
-    rdKeys_.reserve(cfg_.readBufferSize);
-    wrKeys_.reserve(cfg_.writeBufferSize);
+    readQ_.init(bankOpenRow_, cfg_.org.banksPerRank, cfg_.readBufferSize);
+    writeQ_.init(bankOpenRow_, cfg_.org.banksPerRank,
+                 cfg_.writeBufferSize);
 
     plugins_ = plugin::buildChain(cfg_, statGroup(), this->name());
     refMgr_ = plugins_.refreshManager();
@@ -231,14 +224,14 @@ DRAMCtrl::~DRAMCtrl()
 
     std::unordered_set<BurstHelper *> helpers;
     std::unordered_set<Packet *> unanswered;
-    for (DRAMPacket *dp : readQueue_) {
+    for (DRAMPacket *dp : readQ_.entries) {
         if (dp->burstHelper)
             helpers.insert(dp->burstHelper);
         if (dp->pkt)
             unanswered.insert(dp->pkt);
         delete dp;
     }
-    for (DRAMPacket *dp : writeQueue_)
+    for (DRAMPacket *dp : writeQ_.entries)
         delete dp;
     for (BurstHelper *h : helpers)
         delete h;
@@ -312,7 +305,7 @@ DRAMCtrl::checkpoint(ckpt::Io &io)
     std::unordered_map<const Packet *, std::uint64_t> pkt_idx;
     std::vector<BurstHelper *> helpers;
     std::unordered_map<const BurstHelper *, std::uint64_t> helper_idx;
-    for (const DRAMPacket *dp : readQueue_) {
+    for (const DRAMPacket *dp : readQ_.entries) {
         if (dp->pkt != nullptr && pkt_idx.emplace(
                 dp->pkt, pkts.size() + 1).second)
             pkts.push_back(dp->pkt);
@@ -334,14 +327,14 @@ DRAMCtrl::checkpoint(ckpt::Io &io)
                   helpers[i]->burstCount, helpers[i]->burstsServiced);
     }
 
-    auto walk_queue = [&](const std::string &prefix,
-                          std::vector<DRAMPacket *> &queue) {
-        std::uint64_t count = queue.size();
+    auto walk_queue = [&](const std::string &prefix, BurstQueue &q) {
+        std::uint64_t count = q.size();
         io.u64(prefix + ".count", count);
         for (std::size_t i = 0; i < count; ++i) {
+            std::unique_ptr<DRAMPacket> restored;
             if (io.restoring())
-                queue.push_back(new DRAMPacket);
-            DRAMPacket &dp = *queue[i];
+                restored = std::make_unique<DRAMPacket>();
+            DRAMPacket &dp = restored ? *restored : *q.entries[i];
             std::uint64_t pkt_ref =
                 dp.pkt != nullptr ? pkt_idx.at(dp.pkt) : 0;
             std::uint64_t helper_ref =
@@ -355,15 +348,15 @@ DRAMCtrl::checkpoint(ckpt::Io &io)
                 dp.pkt = pkt_ref != 0 ? pkts.at(pkt_ref - 1) : nullptr;
                 dp.burstHelper =
                     helper_ref != 0 ? helpers.at(helper_ref - 1) : nullptr;
-                // Replaying the enqueue bookkeeping against the
-                // restored bank state rebuilds the packed key arrays
-                // and the incremental row-hit/bank counters exactly.
-                noteEnqueued(dp, dp.isRead);
+                // Replaying the enqueue against the restored bank
+                // state rebuilds the packed keys and the incremental
+                // row-hit/bank counters exactly.
+                q.add(restored.release());
             }
         }
     };
-    walk_queue("rq", readQueue_);
-    walk_queue("wq", writeQueue_);
+    walk_queue("rq", readQ_);
+    walk_queue("wq", writeQ_);
 
     bool bus_write = busState_ == BusState::Write;
     io.flag("busStateWrite", bus_write);
@@ -373,8 +366,8 @@ DRAMCtrl::checkpoint(ckpt::Io &io)
     io.tick("nextRdCmdAt", nextRdCmdAt_);
     io.tick("nextWrDataAt", nextWrDataAt_);
     io.flag("lastBurstWasRead", lastBurstWasRead_);
-    io.u64("readsThisTime", readsThisTime_);
-    io.u64("writesThisTime", writesThisTime_);
+    io.u64("readsThisTime", readQ_.servedThisTurn);
+    io.u64("writesThisTime", writeQ_.servedThisTurn);
     io.flag("retryReq", retryReq_);
     io.tick("nextRefreshAt", nextRefreshAt_);
     io.list("rankRefreshDue", rankRefreshDue_);
@@ -398,14 +391,7 @@ DRAMCtrl::idle() const
 {
     // Parked writes have already been acknowledged (early write
     // response), so only unanswered reads count as outstanding work.
-    return readQueue_.empty() && respQueue_.empty();
-}
-
-double
-DRAMCtrl::peakBandwidthGBs() const
-{
-    return static_cast<double>(cfg_.org.burstSize()) /
-           toSeconds(cfg_.timing.tBURST) / 1e9;
+    return readQ_.empty() && respQueue_.empty();
 }
 
 double
@@ -577,54 +563,34 @@ DRAMCtrl::recvTimingReq(Packet *pkt)
     // accepted; refusing it would retry forever (a silent deadlock the
     // differential fuzzer once shrank to a single unaligned request).
     // Fail fast and name the knob instead.
-    unsigned cap = pkt->isRead() ? cfg_.readBufferSize
-                                 : cfg_.writeBufferSize;
-    if (pkt_count > cap)
+    const bool read = pkt->isRead();
+    const char *dir = read ? "read" : "write";
+    BurstQueue &q = read ? readQ_ : writeQ_;
+    if (pkt_count > q.limit)
         fatal("%s: %s spans %u bursts but the %s queue only holds %u; "
               "increase %sBufferSize",
-              name().c_str(), pkt->toString().c_str(), pkt_count,
-              pkt->isRead() ? "read" : "write", cap,
-              pkt->isRead() ? "read" : "write");
+              name().c_str(), pkt->toString().c_str(), pkt_count, dir,
+              q.limit, dir);
 
-    if (pkt->isRead()) {
-        if (readQueue_.size() + pkt_count > cfg_.readBufferSize) {
-            TRACE(DRAMCtrl, "%s: refuse %s, read queue full (%zu)",
-                  name().c_str(), pkt->toString().c_str(),
-                  readQueue_.size());
-            ++stats_->numRdRetry;
-            retryReq_ = true;
-            return false;
-        }
-        TRACE(DRAMCtrl, "%s: accept %s (%u bursts)", name().c_str(),
-              pkt->toString().c_str(), pkt_count);
-        if (auto *ct = obs::chromeTracer())
-            ct->beginSpan(name(), pkt->id(),
-                          "read " + std::to_string(pkt->addr()),
-                          curTick());
-        ++stats_->readReqs;
-        if (!plugins_.empty())
-            plugins_.onEnqueue(
-                {true, pkt->addr(), pkt->size(), curTick()});
+    if (q.size() + pkt_count > q.limit) {
+        TRACE(DRAMCtrl, "%s: refuse %s, %s queue full (%zu)",
+              name().c_str(), pkt->toString().c_str(), dir, q.size());
+        ++(read ? stats_->numRdRetry : stats_->numWrRetry);
+        retryReq_ = true;
+        return false;
+    }
+    TRACE(DRAMCtrl, "%s: accept %s (%u bursts)", name().c_str(),
+          pkt->toString().c_str(), pkt_count);
+    if (auto *ct = obs::chromeTracer())
+        ct->beginSpan(name(), pkt->id(),
+                      std::string(dir) + " " + std::to_string(pkt->addr()),
+                      curTick());
+    ++(read ? stats_->readReqs : stats_->writeReqs);
+    if (!plugins_.empty())
+        plugins_.onEnqueue({read, pkt->addr(), pkt->size(), curTick()});
+    if (read) {
         addToReadQueue(pkt, local);
     } else {
-        if (writeQueue_.size() + pkt_count > cfg_.writeBufferSize) {
-            TRACE(DRAMCtrl, "%s: refuse %s, write queue full (%zu)",
-                  name().c_str(), pkt->toString().c_str(),
-                  writeQueue_.size());
-            ++stats_->numWrRetry;
-            retryReq_ = true;
-            return false;
-        }
-        TRACE(DRAMCtrl, "%s: accept %s (%u bursts)", name().c_str(),
-              pkt->toString().c_str(), pkt_count);
-        if (auto *ct = obs::chromeTracer())
-            ct->beginSpan(name(), pkt->id(),
-                          "write " + std::to_string(pkt->addr()),
-                          curTick());
-        ++stats_->writeReqs;
-        if (!plugins_.empty())
-            plugins_.onEnqueue(
-                {false, pkt->addr(), pkt->size(), curTick()});
         addToWriteQueue(pkt, local);
         // Early write response (Section II-A): acknowledge as soon as
         // the burst sits in the write queue. The observed latency is
@@ -637,9 +603,9 @@ DRAMCtrl::recvTimingReq(Packet *pkt)
 
     if (auto *ct = obs::chromeTracer()) {
         ct->counter(name(), "readQ", curTick(),
-                    static_cast<double>(readQueue_.size()));
+                    static_cast<double>(readQ_.size()));
         ct->counter(name(), "writeQ", curTick(),
-                    static_cast<double>(writeQueue_.size()));
+                    static_cast<double>(writeQ_.size()));
     }
 
     if (!nextReqEvent_.scheduled())
@@ -659,7 +625,7 @@ DRAMCtrl::findWriteEntry(Addr burst_addr) const
     // Burst windows are unique in the write queue (merges coalesce),
     // so a linear scan over the small contiguous queue replaces the
     // old hash map — and with it the per-write node churn.
-    for (DRAMPacket *dp : writeQueue_) {
+    for (DRAMPacket *dp : writeQ_.entries) {
         if (dp->burstAddr == burst_addr)
             return dp;
     }
@@ -714,8 +680,7 @@ DRAMCtrl::addToReadQueue(Packet *pkt, Addr local_addr)
             DRAMPacket *dp = makeDRAMPacket(pkt, addr, hi, true);
             dp->entryTime = curTick();
             dp->burstHelper = helper;
-            readQueue_.push_back(dp);
-            noteEnqueued(*dp, true);
+            readQ_.add(dp);
         }
         addr = window + burst_size;
     }
@@ -745,84 +710,101 @@ DRAMCtrl::addToWriteQueue(Packet *pkt, Addr local_addr)
         } else {
             DRAMPacket *dp = makeDRAMPacket(nullptr, addr, hi, false);
             dp->entryTime = curTick();
-            writeQueue_.push_back(dp);
-            noteEnqueued(*dp, false);
+            writeQ_.add(dp);
         }
         addr = window + burst_size;
     }
 }
 
 void
-DRAMCtrl::noteEnqueued(const DRAMPacket &pkt, bool is_read)
+DRAMCtrl::BurstQueue::init(const std::vector<std::uint64_t> &open_row,
+                           unsigned banks_per_rank, unsigned max_bursts)
 {
-    unsigned flat = pkt.rank * cfg_.org.banksPerRank + pkt.bank;
-    DC_ASSERT(pkt.row < (std::uint64_t(1) << kRowKeyBits),
+    openRow_ = &open_row;
+    banksPerRank_ = banks_per_rank;
+    limit = max_bursts;
+    bankCounts.assign(open_row.size(), 0);
+    hitCounts.assign(open_row.size(), 0);
+    recount_.assign(2 * open_row.size(), 0);
+    // All steady-state queue traffic stays within these reservations.
+    entries.reserve(max_bursts);
+    keys.reserve(max_bursts);
+}
+
+void
+DRAMCtrl::BurstQueue::add(DRAMPacket *dp)
+{
+    const unsigned flat = flatOf(*dp);
+    DC_ASSERT(dp->row < (std::uint64_t(1) << kRowKeyBits),
               "row index exceeds the packed key width");
-    (is_read ? rdKeys_ : wrKeys_).push_back(packKey(flat, pkt.row));
-    if (is_read)
-        ++rdBankCounts_[flat];
-    else
-        ++wrBankCounts_[flat];
-    if (bankOpenRow_[flat] == pkt.row) {
-        if (is_read) {
-            ++rdRowHitCounts_[flat];
-            ++rdRowHitTotal_;
-        } else {
-            ++wrRowHitCounts_[flat];
-            ++wrRowHitTotal_;
-        }
+    entries.push_back(dp);
+    keys.push_back(packKey(flat, dp->row));
+    ++bankCounts[flat];
+    if ((*openRow_)[flat] == dp->row) {
+        ++hitCounts[flat];
+        ++hitTotal;
     }
 }
 
-void
-DRAMCtrl::noteDequeued(const DRAMPacket &pkt, bool is_read)
+DRAMCtrl::DRAMPacket *
+DRAMCtrl::BurstQueue::take(std::vector<DRAMPacket *>::iterator it)
 {
-    unsigned flat = pkt.rank * cfg_.org.banksPerRank + pkt.bank;
-    if (is_read)
-        --rdBankCounts_[flat];
-    else
-        --wrBankCounts_[flat];
-    if (bankOpenRow_[flat] == pkt.row) {
-        if (is_read) {
-            --rdRowHitCounts_[flat];
-            --rdRowHitTotal_;
-        } else {
-            --wrRowHitCounts_[flat];
-            --wrRowHitTotal_;
-        }
+    DRAMPacket *dp = *it;
+    const unsigned flat = flatOf(*dp);
+    --bankCounts[flat];
+    if ((*openRow_)[flat] == dp->row) {
+        --hitCounts[flat];
+        --hitTotal;
     }
+    keys.erase(keys.begin() + (it - entries.begin()));
+    entries.erase(it);
+    return dp;
 }
 
 void
-DRAMCtrl::rowClosed(unsigned flat_bank)
+DRAMCtrl::BurstQueue::rowClosed(unsigned flat_bank)
 {
-    rdRowHitTotal_ -= rdRowHitCounts_[flat_bank];
-    wrRowHitTotal_ -= wrRowHitCounts_[flat_bank];
-    rdRowHitCounts_[flat_bank] = 0;
-    wrRowHitCounts_[flat_bank] = 0;
+    hitTotal -= hitCounts[flat_bank];
+    hitCounts[flat_bank] = 0;
 }
 
 void
-DRAMCtrl::rowOpened(unsigned rank, unsigned bank, std::uint64_t row)
+DRAMCtrl::BurstQueue::rowOpened(unsigned flat_bank, std::uint64_t row)
 {
-    unsigned flat = rank * cfg_.org.banksPerRank + bank;
-    DC_ASSERT(rdRowHitCounts_[flat] == 0 && wrRowHitCounts_[flat] == 0,
-              "row opened over stale hit counts");
-    if (rdBankCounts_[flat] == 0 && wrBankCounts_[flat] == 0)
+    DC_ASSERT(hitCounts[flat_bank] == 0, "row opened over stale hit counts");
+    if (bankCounts[flat_bank] == 0)
         return;
-    std::uint64_t key = packKey(flat, row);
-    auto rd = rdBankCounts_[flat] == 0
-                  ? 0
-                  : static_cast<std::uint32_t>(
-                        std::count(rdKeys_.begin(), rdKeys_.end(), key));
-    auto wr = wrBankCounts_[flat] == 0
-                  ? 0
-                  : static_cast<std::uint32_t>(
-                        std::count(wrKeys_.begin(), wrKeys_.end(), key));
-    rdRowHitCounts_[flat] = rd;
-    wrRowHitCounts_[flat] = wr;
-    rdRowHitTotal_ += rd;
-    wrRowHitTotal_ += wr;
+    auto hits = static_cast<std::uint32_t>(
+        std::count(keys.begin(), keys.end(), packKey(flat_bank, row)));
+    hitCounts[flat_bank] = hits;
+    hitTotal += hits;
+}
+
+void
+DRAMCtrl::BurstQueue::check()
+{
+    // recount_ holds each bank's (bursts, hits) pair.
+    std::fill(recount_.begin(), recount_.end(), 0);
+    unsigned hits = 0;
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+        const DRAMPacket &dp = *entries[i];
+        const unsigned flat = flatOf(dp);
+        DC_ASSERT(keys[i] == packKey(flat, dp.row),
+                  "entry %zu's packed key is stale", i);
+        ++recount_[2 * flat];
+        if ((*openRow_)[flat] == dp.row) {
+            ++recount_[2 * flat + 1];
+            ++hits;
+        }
+    }
+    for (unsigned flat = 0; flat < bankCounts.size(); ++flat)
+        DC_ASSERT(bankCounts[flat] == recount_[2 * flat] &&
+                      hitCounts[flat] == recount_[2 * flat + 1],
+                  "bank %u counts %u bursts, %u hits; its entries %u, %u",
+                  flat, bankCounts[flat], hitCounts[flat],
+                  recount_[2 * flat], recount_[2 * flat + 1]);
+    DC_ASSERT(hitTotal == hits, "hit total %u, the entries hold %u",
+              hitTotal, hits);
 }
 
 Tick
@@ -853,7 +835,8 @@ DRAMCtrl::prechargeBank(unsigned flat, Tick pre_tick)
               "precharging a closed bank");
     logCmd(pre_tick, DRAMCmd::Pre, flat / cfg_.org.banksPerRank,
            flat % cfg_.org.banksPerRank);
-    rowClosed(flat);
+    readQ_.rowClosed(flat);
+    writeQ_.rowClosed(flat);
     bankOpenRow_[flat] = kNoRow;
     bankRowAccesses_[flat] = 0;
     Tick pre_done = pre_tick + cfg_.timing.tRP;
@@ -949,19 +932,19 @@ DRAMCtrl::priorityOf(const DRAMPacket &pkt) const
 }
 
 std::vector<DRAMCtrl::DRAMPacket *>::iterator
-DRAMCtrl::chooseNext(std::vector<DRAMPacket *> &queue)
+DRAMCtrl::chooseNext(BurstQueue &q)
 {
-    DC_ASSERT(!queue.empty(), "choosing from an empty queue");
+    DC_ASSERT(!q.empty(), "choosing from an empty queue");
+    auto &queue = q.entries;
 
     if (cfg_.schedPolicy == SchedPolicy::Fcfs || queue.size() == 1)
         return queue.begin();
     if (cfg_.schedPolicy != SchedPolicy::FrFcfs)
-        return scanQueue(queue);
+        return scanQueue(q);
 
     // Plain FR-FCFS has two counter-driven fast paths.
-    const bool is_read = &queue == &readQueue_;
     auto pick = queue.end();
-    if ((is_read ? rdRowHitTotal_ : wrRowHitTotal_) > 0) {
+    if (q.hitTotal > 0) {
         // A row hit is queued: the winner is the oldest one on a bank
         // under its access cap, no ready ticks needed.
         pick = std::find_if(queue.begin(), queue.end(),
@@ -979,8 +962,8 @@ DRAMCtrl::chooseNext(std::vector<DRAMPacket *> &queue)
         // that have queued bursts here (far fewer than queue entries),
         // keeping each miss estimate, then return the oldest burst
         // achieving it.
-        const auto &bank_counts = is_read ? rdBankCounts_ : wrBankCounts_;
-        const auto &hit_counts = is_read ? rdRowHitCounts_ : wrRowHitCounts_;
+        const auto &bank_counts = q.bankCounts;
+        const auto &hit_counts = q.hitCounts;
         const unsigned nbanks = cfg_.org.banksPerRank;
         const Tick now = curTick();
         Tick best_ready = kMaxTick;
@@ -1007,22 +990,23 @@ DRAMCtrl::chooseNext(std::vector<DRAMPacket *> &queue)
                   "no burst matches the minimum estimate");
     }
 #ifndef NDEBUG
-    DC_ASSERT(pick == scanQueue(queue),
+    DC_ASSERT(pick == scanQueue(q),
               "FR-FCFS fast path picked entry %ld, the scan entry %ld",
               static_cast<long>(pick - queue.begin()),
-              static_cast<long>(scanQueue(queue) - queue.begin()));
+              static_cast<long>(scanQueue(q) - queue.begin()));
 #endif
     return pick;
 }
 
 std::vector<DRAMCtrl::DRAMPacket *>::iterator
-DRAMCtrl::scanQueue(std::vector<DRAMPacket *> &queue) const
+DRAMCtrl::scanQueue(BurstQueue &q) const
 {
     // FR-FCFS: prefer the oldest row hit; otherwise the request whose
     // bank is ready first (Section II-C). The QoS variant searches
     // priority tier by tier, so a high-priority conflict beats a
     // low-priority row hit.
     const bool prio_sched = cfg_.schedPolicy == SchedPolicy::FrFcfsPrio;
+    auto &queue = q.entries;
     auto best = queue.end();
     auto best_hit = queue.end();
     Tick best_ready = kMaxTick;
@@ -1091,7 +1075,8 @@ DRAMCtrl::doDRAMAccess(DRAMPacket *pkt)
         bankRowAccesses_[flat_bank] = 0;
         bankColAllowedAt_[flat_bank] = act + t.tRCD;
         bankPreAllowedAt_[flat_bank] = act + t.tRAS;
-        rowOpened(pkt->rank, pkt->bank, pkt->row);
+        readQ_.rowOpened(flat_bank, pkt->row);
+        writeQ_.rowOpened(flat_bank, pkt->row);
         if (auto *ct = obs::chromeTracer()) {
             ct->counter(name(), "openBanks", act,
                         static_cast<double>(numBanksActive_));
@@ -1213,8 +1198,11 @@ DRAMCtrl::applyPagePolicy(const DRAMPacket &pkt)
     const unsigned flat = flatIdx(pkt.rank, pkt.bank);
     DC_ASSERT(bankOpenRow_[flat] == pkt.row, "page policy on stale row");
 
-    // The adaptive policies read the bank's counters: queued hits on
-    // the open row, and queued bursts for the bank (hits + conflicts).
+    // The adaptive policies read the bank's counters in both queues:
+    // queued hits on the open row, and queued bursts for the bank
+    // (hits + conflicts).
+    const bool hits_queued =
+        readQ_.hitCounts[flat] + writeQ_.hitCounts[flat] > 0;
     bool auto_precharge = false;
     switch (cfg_.pagePolicy) {
       case PagePolicy::Closed:
@@ -1222,8 +1210,7 @@ DRAMCtrl::applyPagePolicy(const DRAMPacket &pkt)
         break;
       case PagePolicy::ClosedAdaptive:
         // Keep the row open only when more accesses to it are queued.
-        auto_precharge =
-            rdRowHitCounts_[flat] + wrRowHitCounts_[flat] == 0;
+        auto_precharge = !hits_queued;
         break;
       case PagePolicy::Open:
         break;
@@ -1231,8 +1218,8 @@ DRAMCtrl::applyPagePolicy(const DRAMPacket &pkt)
         // Close early when a conflicting access waits and nothing more
         // wants this row.
         auto_precharge =
-            rdRowHitCounts_[flat] + wrRowHitCounts_[flat] == 0 &&
-            rdBankCounts_[flat] + wrBankCounts_[flat] > 0;
+            !hits_queued &&
+            readQ_.bankCounts[flat] + writeQ_.bankCounts[flat] > 0;
         break;
     }
 
@@ -1266,9 +1253,9 @@ DRAMCtrl::touchQueueStats()
     if (now > lastQStatUpdate_) {
         double dt = static_cast<double>(now - lastQStatUpdate_);
         stats_->rdQOccupancyTicks +=
-            static_cast<double>(readQueue_.size()) * dt;
+            static_cast<double>(readQ_.size()) * dt;
         stats_->wrQOccupancyTicks +=
-            static_cast<double>(writeQueue_.size()) * dt;
+            static_cast<double>(writeQ_.size()) * dt;
     }
     lastQStatUpdate_ = now;
 }
@@ -1282,84 +1269,56 @@ DRAMCtrl::processNextReqEvent()
         cfg_.writeHighThreshold * cfg_.writeBufferSize);
 
     // Stage 1: read/write switching (Section II-C write drain mode).
-    if (busState_ == BusState::Read) {
-        bool switch_to_writes = false;
-        if (writeQueue_.size() >= high_entries) {
-            // Forced switch at the high watermark.
-            switch_to_writes = true;
-        } else if (readQueue_.empty() && !writeQueue_.empty() &&
-                   writeQueue_.size() >= low_entries) {
-            // No reads pending: drain from the low watermark.
-            switch_to_writes = true;
-        }
-        if (switch_to_writes) {
-            if (readsThisTime_ > 0)
-                stats_->rdPerTurnAround.sample(readsThisTime_);
-            readsThisTime_ = 0;
-            busState_ = BusState::Write;
-        }
+    const bool reading = busState_ == BusState::Read;
+    bool turn;
+    if (reading) {
+        // Forced switch at the high watermark; with no reads pending,
+        // drain from the low watermark.
+        turn = writeQ_.size() >= high_entries ||
+               (readQ_.empty() && !writeQ_.empty() &&
+                writeQ_.size() >= low_entries);
     } else {
-        bool switch_to_reads = false;
-        if (writeQueue_.empty()) {
-            switch_to_reads = true;
-        } else if (!readQueue_.empty() &&
-                   writesThisTime_ >= cfg_.minWritesPerSwitch &&
-                   writeQueue_.size() < low_entries) {
-            // Drained the minimum burst of writes and dropped below the
-            // low watermark with reads waiting: switch back.
-            switch_to_reads = true;
-        }
-        if (switch_to_reads) {
-            if (writesThisTime_ > 0)
-                stats_->wrPerTurnAround.sample(writesThisTime_);
-            writesThisTime_ = 0;
-            busState_ = BusState::Read;
-        }
+        // Back to reads when the writes ran out, or when the minimum
+        // burst of writes drained below the low watermark with reads
+        // waiting.
+        turn = writeQ_.empty() ||
+               (!readQ_.empty() &&
+                writeQ_.servedThisTurn >= cfg_.minWritesPerSwitch &&
+                writeQ_.size() < low_entries);
+    }
+    if (turn) {
+        BurstQueue &ending = busQueue();
+        if (ending.servedThisTurn > 0)
+            (reading ? stats_->rdPerTurnAround : stats_->wrPerTurnAround)
+                .sample(ending.servedThisTurn);
+        ending.servedThisTurn = 0;
+        busState_ = reading ? BusState::Write : BusState::Read;
     }
 
-    // Stage 2: service one burst in the current direction.
+    // Stage 2: service one burst in the current direction. A read
+    // burst answers its packet once the packet's last burst is done;
+    // writes were answered when they were accepted.
     touchQueueStats();
-    if (busState_ == BusState::Read) {
-        if (!readQueue_.empty()) {
-            auto it = chooseNext(readQueue_);
-            DRAMPacket *pkt = *it;
-            noteDequeued(*pkt, true);
-            rdKeys_.erase(rdKeys_.begin() + (it - readQueue_.begin()));
-            readQueue_.erase(it);
-            doDRAMAccess(pkt);
-            ++readsThisTime_;
-
-            if (pkt->burstHelper) {
-                ++pkt->burstHelper->burstsServiced;
-                if (pkt->burstHelper->burstsServiced ==
-                    pkt->burstHelper->burstCount) {
-                    accessAndRespond(pkt->pkt,
-                                     cfg_.frontendLatency +
-                                         cfg_.backendLatency,
-                                     pkt->readyTime);
-                    delete pkt->burstHelper;
-                }
-            } else {
-                accessAndRespond(pkt->pkt,
-                                 cfg_.frontendLatency +
-                                     cfg_.backendLatency,
-                                 pkt->readyTime);
-            }
-            delete pkt;
-            retryBlockedReq();
+    BurstQueue &q = busQueue();
+    if (!q.empty()) {
+        DRAMPacket *pkt = q.take(chooseNext(q));
+        doDRAMAccess(pkt);
+        ++q.servedThisTurn;
+#ifndef NDEBUG
+        readQ_.check();
+        writeQ_.check();
+#endif
+        BurstHelper *helper = pkt->burstHelper;
+        if (pkt->pkt != nullptr &&
+            (helper == nullptr ||
+             ++helper->burstsServiced == helper->burstCount)) {
+            accessAndRespond(pkt->pkt,
+                             cfg_.frontendLatency + cfg_.backendLatency,
+                             pkt->readyTime);
+            delete helper;
         }
-    } else {
-        if (!writeQueue_.empty()) {
-            auto it = chooseNext(writeQueue_);
-            DRAMPacket *pkt = *it;
-            noteDequeued(*pkt, false);
-            wrKeys_.erase(wrKeys_.begin() + (it - writeQueue_.begin()));
-            writeQueue_.erase(it);
-            doDRAMAccess(pkt);
-            ++writesThisTime_;
-            delete pkt;
-            retryBlockedReq();
-        }
+        delete pkt;
+        retryBlockedReq();
     }
 
     // Stage 3: decide whether and when to wake up again. Writes parked
@@ -1369,10 +1328,10 @@ DRAMCtrl::processNextReqEvent()
     // bank preparation (precharge + activate + column) for the next
     // burst can overlap the tail of the current data transfer.
     bool actionable =
-        !readQueue_.empty() ||
-        (busState_ == BusState::Write && !writeQueue_.empty()) ||
-        (!writeQueue_.empty() &&
-         writeQueue_.size() >= std::max<std::size_t>(low_entries, 1));
+        !readQ_.empty() ||
+        (busState_ == BusState::Write && !writeQ_.empty()) ||
+        (!writeQ_.empty() &&
+         writeQ_.size() >= std::max<std::size_t>(low_entries, 1));
 
     Tick prep = cfg_.timing.tRP + cfg_.timing.tRCD + cfg_.timing.tCL;
     nextReqTime_ = busBusyUntil_ > prep ? busBusyUntil_ - prep : 0;
@@ -1490,8 +1449,7 @@ DRAMCtrl::processRefreshEvent()
                 rankRefreshDue_[r] += refi;
             }
         }
-        if (cfg_.enablePowerDown && readQueue_.empty() &&
-            writeQueue_.empty())
+        if (cfg_.enablePowerDown && readQ_.empty() && writeQ_.empty())
             armPowerDown();
         Tick next = *std::min_element(rankRefreshDue_.begin(),
                                       rankRefreshDue_.end());
@@ -1548,7 +1506,7 @@ DRAMCtrl::processRefreshEvent()
     // already-running episode is left untouched so it can deepen into
     // self-refresh).
     if (cfg_.enablePowerDown && poweredDownAt_ == kMaxTick &&
-        readQueue_.empty() && writeQueue_.empty())
+        readQ_.empty() && writeQ_.empty())
         poweredDownAt_ = done + cfg_.powerDownDelay;
 
     nextRefreshAt_ += cfg_.effectiveREFI();

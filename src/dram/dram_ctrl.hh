@@ -60,8 +60,8 @@ class DRAMCtrl : public MemCtrlBase
     const AddrRange &range() const { return range_; }
 
     /** Queue occupancies, for tests and drain checks. */
-    std::size_t readQueueSize() const { return readQueue_.size(); }
-    std::size_t writeQueueSize() const { return writeQueue_.size(); }
+    std::size_t readQueueSize() const { return readQ_.size(); }
+    std::size_t writeQueueSize() const { return writeQ_.size(); }
 
     /**
      * True when every accepted request has been answered. Writes
@@ -72,7 +72,7 @@ class DRAMCtrl : public MemCtrlBase
 
     std::size_t queuedRequests() const override
     {
-        return readQueue_.size() + writeQueue_.size();
+        return readQ_.size() + writeQ_.size();
     }
 
     /**
@@ -213,9 +213,6 @@ class DRAMCtrl : public MemCtrlBase
     /** Achieved read+write bandwidth over the stats window, GByte/s. */
     double achievedBandwidthGBs() const override;
 
-    /** Theoretical peak bandwidth of the channel, GByte/s. */
-    double peakBandwidthGBs() const override;
-
     PowerInputs powerInputs() const override;
 
     void startup() override;
@@ -242,6 +239,7 @@ class DRAMCtrl : public MemCtrlBase
     };
 
     struct BurstHelper;
+    struct BurstQueue;
 
     /** One DRAM burst in flight through the controller (pooled). */
     struct DRAMPacket : public Pooled<DRAMPacket>
@@ -309,9 +307,8 @@ class DRAMCtrl : public MemCtrlBase
     /** Main state machine: pick a burst, run it, schedule the next. */
     void processNextReqEvent();
 
-    /** Pick the next burst per the scheduling policy; null if none. */
-    std::vector<DRAMPacket *>::iterator
-    chooseNext(std::vector<DRAMPacket *> &queue);
+    /** Pick the next burst of non-empty @p q per the scheduling policy. */
+    std::vector<DRAMPacket *>::iterator chooseNext(BurstQueue &q);
 
     /**
      * The (QoS) FR-FCFS rule as one entry-by-entry scan: the oldest
@@ -320,8 +317,7 @@ class DRAMCtrl : public MemCtrlBase
      * FrFcfsPrio, tier by tier. Plain FR-FCFS takes counter-driven
      * fast paths instead, which debug builds check against this.
      */
-    std::vector<DRAMPacket *>::iterator
-    scanQueue(std::vector<DRAMPacket *> &queue) const;
+    std::vector<DRAMPacket *>::iterator scanQueue(BurstQueue &q) const;
 
     /** Estimated earliest tick @p pkt's column command could launch. */
     Tick estimateReadyTick(const DRAMPacket &pkt) const;
@@ -464,24 +460,6 @@ class DRAMCtrl : public MemCtrlBase
         return t;
     }
 
-    /**
-     * Pending bursts, oldest first. Vectors with capacity reserved to
-     * the queue limits: scheduling scans run over contiguous pointers,
-     * and enqueue/dequeue never allocate. Selection erases from the
-     * middle, an O(n) pointer move bounded by the small queue depth.
-     */
-    std::vector<DRAMPacket *> readQueue_;
-    std::vector<DRAMPacket *> writeQueue_;
-
-    /**
-     * Packed (flat bank, row) key of each queued burst, kept parallel
-     * to the queue vectors. Row-hit recounts after an activate scan
-     * these flat integer arrays (one vectorisable equality sweep)
-     * instead of dereferencing every queued packet.
-     */
-    std::vector<std::uint64_t> rdKeys_;
-    std::vector<std::uint64_t> wrKeys_;
-
     static constexpr unsigned kRowKeyBits = 48;
 
     static std::uint64_t
@@ -491,22 +469,83 @@ class DRAMCtrl : public MemCtrlBase
                row;
     }
 
+    /**
+     * One direction's pending bursts, oldest first, and the scheduling
+     * state kept exact alongside them; the read and the write queue
+     * are two instances. Capacity is reserved to the limit, so scans
+     * run over contiguous pointers and enqueue/dequeue never allocate;
+     * selection erases from the middle, an O(n) move bounded by the
+     * small queue depth.
+     */
+    struct BurstQueue
+    {
+        /**
+         * Count against the flat (rank-major) open rows @p open_row
+         * and reserve @p max_bursts entries.
+         */
+        void init(const std::vector<std::uint64_t> &open_row,
+                  unsigned banks_per_rank, unsigned max_bursts);
+
+        std::size_t size() const { return entries.size(); }
+        bool empty() const { return entries.empty(); }
+
+        /** Append @p dp and count it. */
+        void add(DRAMPacket *dp);
+        /** Remove the entry at @p it, uncount it and return it. */
+        DRAMPacket *take(std::vector<DRAMPacket *>::iterator it);
+        /** Zero the hit count of @p flat_bank, whose row just closed. */
+        void rowClosed(unsigned flat_bank);
+        /** Recount the hits on @p flat_bank, which just opened @p row. */
+        void rowOpened(unsigned flat_bank, std::uint64_t row);
+        /** Recount every counter from the entries; assert they match. */
+        void check();
+
+        std::vector<DRAMPacket *> entries;
+        /**
+         * Packed (flat bank, row) key of each entry. Row-hit recounts
+         * after an activate scan this flat integer array (one
+         * vectorisable equality sweep) instead of every packet.
+         */
+        std::vector<std::uint64_t> keys;
+        /**
+         * Per flat bank: queued bursts for the bank, and how many of
+         * them hit its open row. The hit total tells plain FR-FCFS
+         * whether it can stop at the oldest hit without estimating
+         * ready ticks; the adaptive page policies read the counts.
+         */
+        std::vector<std::uint32_t> bankCounts;
+        std::vector<std::uint32_t> hitCounts;
+        unsigned hitTotal = 0;
+        /** Buffer size: the most bursts the queue may hold. */
+        unsigned limit = 0;
+        /** Bursts served since the bus last turned to this queue. */
+        unsigned servedThisTurn = 0;
+
+      private:
+        unsigned
+        flatOf(const DRAMPacket &dp) const
+        {
+            return dp.rank * banksPerRank_ + dp.bank;
+        }
+
+        const std::vector<std::uint64_t> *openRow_ = nullptr;
+        unsigned banksPerRank_ = 0;
+        /** check()'s per-bank (bursts, hits) recount, sized once. */
+        std::vector<std::uint32_t> recount_;
+    };
+
+    BurstQueue readQ_;
+    BurstQueue writeQ_;
+
+    /** The queue the data bus currently serves. */
+    BurstQueue &
+    busQueue()
+    {
+        return busState_ == BusState::Read ? readQ_ : writeQ_;
+    }
+
     /** Write queue entry covering the burst window at @p burst_addr. */
     DRAMPacket *findWriteEntry(Addr burst_addr) const;
-
-    /**
-     * Incremental scheduling state, per flat bank and per queue: how
-     * many queued bursts target the bank, and how many of those hit
-     * its open row. The hit totals say whether plain FR-FCFS can stop
-     * at the oldest hit without estimating ready ticks, and the
-     * adaptive page policies read the two counts in O(1).
-     */
-    std::vector<std::uint32_t> rdRowHitCounts_;
-    std::vector<std::uint32_t> wrRowHitCounts_;
-    std::vector<std::uint32_t> rdBankCounts_;
-    std::vector<std::uint32_t> wrBankCounts_;
-    unsigned rdRowHitTotal_ = 0;
-    unsigned wrRowHitTotal_ = 0;
 
     /** Scratch for one no-hit decision: each bank's miss estimate. */
     std::vector<Tick> missEst_;
@@ -524,14 +563,6 @@ class DRAMCtrl : public MemCtrlBase
         return cfg_.maxAccessesPerRow > 0 &&
                bankRowAccesses_[flat_bank] >= cfg_.maxAccessesPerRow;
     }
-
-    /** Track a burst entering/leaving a queue (count bookkeeping). */
-    void noteEnqueued(const DRAMPacket &pkt, bool is_read);
-    void noteDequeued(const DRAMPacket &pkt, bool is_read);
-    /** Zero the row-hit counters of a bank whose row just closed. */
-    void rowClosed(unsigned flat_bank);
-    /** Recount row hits for a bank that just opened @p row. */
-    void rowOpened(unsigned rank, unsigned bank, std::uint64_t row);
 
     BusState busState_ = BusState::Read;
 
@@ -551,11 +582,6 @@ class DRAMCtrl : public MemCtrlBase
     Tick nextWrDataAt_ = 0;
     /** Direction of the most recently issued burst. */
     bool lastBurstWasRead_ = true;
-
-    /** Reads serviced since the last switch to reads. */
-    unsigned readsThisTime_ = 0;
-    /** Writes drained since the last switch to writes. */
-    unsigned writesThisTime_ = 0;
 
     /** Whether the requestor is blocked on a full queue. */
     bool retryReq_ = false;

@@ -158,6 +158,14 @@ class SingleChannelSystem
         return *gen_;
     }
 
+    /** The trace player (not set for a synthetic generator). */
+    TracePlayer &
+    player()
+    {
+        DC_ASSERT(player_ != nullptr, "the stimulus is a generator");
+        return *player_;
+    }
+
     /** Mean end-to-end read latency of the generator or player, ns. */
     double
     avgReadLatencyNs() const

@@ -72,7 +72,12 @@ class MemCtrlBase : public SimObject
     virtual double achievedBandwidthGBs() const = 0;
 
     /** Theoretical peak bandwidth of the channel, GByte/s. */
-    virtual double peakBandwidthGBs() const = 0;
+    double
+    peakBandwidthGBs() const
+    {
+        return static_cast<double>(config().org.burstSize()) /
+               toSeconds(config().timing.tBURST) / 1e9;
+    }
 
     /** Inputs for the offline power calculation. */
     virtual PowerInputs powerInputs() const = 0;

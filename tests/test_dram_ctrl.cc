@@ -312,6 +312,42 @@ TEST_F(DramCtrlTest, FrFcfsCappedHitsCompeteByReadyTick)
                                         addrOf(1, 1, 0)}));
 }
 
+TEST_F(DramCtrlTest, ClosedAdaptiveKeepsRowForQueuedWriteHit)
+{
+    DRAMCtrlConfig cfg = testutil::bareTimingConfig();
+    cfg.pagePolicy = PagePolicy::ClosedAdaptive;
+    cfg.writeLowThreshold = 0.5; // keep the write parked
+    build(cfg);
+    // A write to row 0 of bank 0 parks below the low watermark; a read
+    // then opens that row. The only queued hit on the row is the
+    // write, and it alone keeps the page open.
+    req->inject(0, MemCmd::WriteReq, addrOf(0, 0, 1));
+    auto rd = req->inject(fromNs(10), MemCmd::ReadReq, addrOf(0, 0, 0));
+    sim->run(fromUs(1));
+    EXPECT_EQ(req->responseTick(rd), fromNs(10 + 13.75 + 13.75 + 6));
+    EXPECT_EQ(ctrl->writeQueueSize(), 1u);
+    EXPECT_EQ(ctrl->ctrlStats().numActs.value(), 1.0);
+    EXPECT_EQ(ctrl->ctrlStats().numPrecharges.value(), 0.0);
+}
+
+TEST_F(DramCtrlTest, OpenAdaptiveClosesForQueuedWriteConflict)
+{
+    DRAMCtrlConfig cfg = testutil::bareTimingConfig();
+    cfg.pagePolicy = PagePolicy::OpenAdaptive;
+    cfg.writeLowThreshold = 0.5; // keep the write parked
+    build(cfg);
+    // A write to row 1 of bank 0 parks below the low watermark; a read
+    // then opens row 0. The only burst waiting for the bank is the
+    // conflicting write, so the page closes right after the read.
+    req->inject(0, MemCmd::WriteReq, addrOf(0, 1));
+    auto rd = req->inject(fromNs(10), MemCmd::ReadReq, addrOf(0, 0));
+    sim->run(fromUs(1));
+    EXPECT_EQ(req->responseTick(rd), fromNs(10 + 13.75 + 13.75 + 6));
+    EXPECT_EQ(ctrl->writeQueueSize(), 1u);
+    EXPECT_EQ(ctrl->ctrlStats().numActs.value(), 1.0);
+    EXPECT_EQ(ctrl->ctrlStats().numPrecharges.value(), 1.0);
+}
+
 TEST_F(DramCtrlTest, NarrowInterfaceChopsCacheLines)
 {
     // LPDDR3: 32-byte bursts; a 64-byte line is two bursts

@@ -328,11 +328,15 @@ void
 printSummary(const CliOptions &opt, const harness::ResolvedConfig &rc,
              harness::SingleChannelSystem &tb)
 {
+    // A trace run injects what the trace holds, whatever --requests.
+    std::uint64_t requests = opt.stim.pattern == "trace"
+                                 ? tb.player().injected()
+                                 : opt.stim.requests;
     std::printf("preset %s, %s model, %s pattern, %llu requests, "
                 "seed %llu\n",
                 rc.preset.c_str(), opt.model.c_str(),
                 opt.stim.pattern.c_str(),
-                static_cast<unsigned long long>(opt.stim.requests),
+                static_cast<unsigned long long>(requests),
                 static_cast<unsigned long long>(opt.stim.seed));
     std::printf("simulated time:    %.2f us\n",
                 toSeconds(tb.sim().curTick()) * 1e6);
