@@ -63,7 +63,9 @@ namespace ckpt {
 // share one walk (PacketQueue::checkpoint()).
 // Version 6: the event controller no longer records starvation flags
 // or the top QoS tier; both are derived.
-constexpr std::uint32_t kFormatVersion = 6;
+// Version 7: the cycle controller ticks every cycle, so it no longer
+// records its ticking flag, idle-start cycle or ticked-cycle count.
+constexpr std::uint32_t kFormatVersion = 7;
 
 /** CRC32 (IEEE 802.3 polynomial) of @p len bytes at @p data. */
 std::uint32_t crc32(const void *data, std::size_t len);

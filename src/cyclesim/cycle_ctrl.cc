@@ -164,7 +164,7 @@ CycleDRAMCtrl::startup()
 {
     anchor_ = curTick();
     windowStart_ = curTick();
-    idleSinceCycle_ = 0;
+    schedule(tickEvent_, tickOf(cycle_ + 1));
 }
 
 void
@@ -278,7 +278,6 @@ CycleDRAMCtrl::checkpoint(ckpt::Io &io)
 
     io.u64("cycle", cycle_);
     io.tick("anchor", anchor_);
-    io.u64("cyclesTicked", cyclesTicked_);
     io.u64("busBusyUntil", busBusyUntil_);
     io.flag("lastDataWasRead", lastDataWasRead_);
     io.u64("readAllowedAt", readAllowedAt_);
@@ -287,8 +286,6 @@ CycleDRAMCtrl::checkpoint(ckpt::Io &io)
     io.u64("refNotBefore", refNotBefore_);
     io.u64("nextBankRR", nextBankRR_);
     io.flag("retryReq", retryReq_);
-    io.flag("ticking", ticking_);
-    io.u64("idleSinceCycle", idleSinceCycle_);
     io.tick("windowStart", windowStart_);
 
     respQueue_.checkpoint(io, "respq");
@@ -423,102 +420,13 @@ CycleDRAMCtrl::recvTimingReq(Packet *pkt)
     }
 
     transQueue_.push_back(trans);
-
-    if (!ticking_) {
-        Cycle now = (curTick() - anchor_) / cfg_.timing.tCK;
-        catchUpIdleCycles(now);
-        ticking_ = true;
-        schedule(tickEvent_, tickOf(cycle_ + 1));
-    }
     return true;
-}
-
-void
-CycleDRAMCtrl::catchUpIdleCycles(Cycle now)
-{
-    if (now <= cycle_) {
-        cycle_ = std::max(cycle_, now);
-        return;
-    }
-    Cycle elapsed = now - cycle_;
-
-    // Refreshes that would have happened during the idle gap: the banks
-    // were quiescent, so each one simply closes any open rows and costs
-    // tRFC of non-precharge-standby time.
-    std::uint64_t missed = 0;
-    if (ct_.tREFI > 0) {
-        if (elapsed < refreshCountdown_) {
-            refreshCountdown_ -= elapsed;
-        } else {
-            missed = 1 + (elapsed - refreshCountdown_) / ct_.tREFI;
-            refreshCountdown_ =
-                ct_.tREFI - (elapsed - refreshCountdown_) % ct_.tREFI;
-        }
-    }
-    if (missed > 0) {
-        stats_->numRefreshes += static_cast<double>(missed);
-
-        // Reconstruct the idle-time refreshes: close any open rows as
-        // soon as their precharge timing allowed, wait tRP, then the
-        // refreshes at tREFI intervals. The final refresh may straddle
-        // the resume point; its completion is carried forward as the
-        // banks' activate constraint, so resumed commands wait it out.
-        Cycle latest_pre = cycle_;
-        for (std::size_t i = 0; i < banks_.size(); ++i) {
-            CycleBankState &bank = banks_[i];
-            if (bank.rowOpen()) {
-                Cycle pre_c = std::max(cycle_, bank.nextPrecharge);
-                latest_pre = std::max(latest_pre, pre_c);
-                logCmd(tickOf(pre_c), DRAMCmd::Pre,
-                       static_cast<unsigned>(i / cfg_.org.banksPerRank),
-                       static_cast<unsigned>(i %
-                                             cfg_.org.banksPerRank));
-                bank.openRow = CycleBankState::kNoRow;
-                ++stats_->numPrecharges;
-            }
-        }
-
-        Cycle ref_first = std::max({latest_pre + ct_.tRP,
-                                    refNotBefore_, busBusyUntil_});
-        Cycle ref_last =
-            ref_first + (missed - 1) * ct_.tREFI;
-        for (unsigned r = 0; r < cfg_.org.ranksPerChannel; ++r) {
-            logCmd(tickOf(ref_first), DRAMCmd::Ref, r, 0);
-            if (missed > 1)
-                logCmd(tickOf(ref_last), DRAMCmd::Ref, r, 0);
-        }
-
-        Cycle ref_done = ref_last + ct_.tRFC;
-        for (CycleBankState &bank : banks_) {
-            bank.nextActivate = std::max(bank.nextActivate, ref_done);
-            bank.nextPrecharge = 0;
-            bank.nextRead = 0;
-            bank.nextWrite = 0;
-        }
-        for (std::uint64_t &tr : tailRows_)
-            tr = CycleBankState::kNoRow;
-        failedScanLen_ = kRescan;
-    }
-
-    bool all_closed = std::none_of(
-        banks_.begin(), banks_.end(),
-        [](const CycleBankState &b) { return b.rowOpen(); });
-    if (all_closed) {
-        Cycle standby = elapsed > missed * ct_.tRFC
-                            ? elapsed - missed * ct_.tRFC
-                            : 0;
-        stats_->prechargeAllTime +=
-            static_cast<double>(standby * cfg_.timing.tCK);
-    }
-
-    cycle_ = now;
 }
 
 void
 CycleDRAMCtrl::tick()
 {
     ++cycle_;
-    ++cyclesTicked_;
     ++stats_->numCycles;
 
     bool all_closed = std::none_of(
@@ -538,19 +446,7 @@ CycleDRAMCtrl::tick()
     if (++nextBankRR_ == cfg_.org.totalBanks())
         nextBankRR_ = 0;
 
-    if (hasWork()) {
-        schedule(tickEvent_, tickOf(cycle_ + 1));
-    } else {
-        ticking_ = false;
-        idleSinceCycle_ = cycle_;
-    }
-}
-
-bool
-CycleDRAMCtrl::hasWork() const
-{
-    return !transQueue_.empty() || !cmdQueue_.empty() ||
-           refreshPending_;
+    schedule(tickEvent_, tickOf(cycle_ + 1));
 }
 
 void

@@ -12,16 +12,18 @@
  *  - reads and writes serviced interleaved in arrival order — no write
  *    drain mode, so no bimodal read latency (Fig. 7) and less room to
  *    reschedule writes (Fig. 5),
- *  - one tick of work every DRAM clock cycle while busy — the source
- *    of the simulation-speed gap (Section III-D).
+ *  - one tick of work every DRAM clock cycle from startup, busy or
+ *    idle, as DRAMSim2 is clocked — the source of the simulation-speed
+ *    gap (Section III-D). Idle-time refreshes take the same path as
+ *    busy-time ones.
  *
  * A tick costs O(banks) plus a first-fit pass over the transaction
  * queue: each transaction carries the decoded coordinates of its next
  * burst (decoded once per burst, not once per cycle), the pass skips
  * transactions whose bank has no free command slot, and a pass that
  * queued nothing is not repeated until a bank gains a slot, a tail row
- * is reset or a transaction arrives. The model still ticks every cycle
- * while busy; only the per-cycle constant shrinks.
+ * is reset or a transaction arrives. The model still ticks every
+ * cycle; only the per-cycle constant shrinks.
  *
  * Writes are acknowledged on acceptance, like the event model, since
  * the paper notes both models respond to writes immediately.
@@ -120,9 +122,6 @@ class CycleDRAMCtrl : public MemCtrlBase
 
     void checkpoint(ckpt::Io &io) override;
 
-    /** DRAM clock cycles actually simulated (the model's work unit). */
-    std::uint64_t cyclesTicked() const { return cyclesTicked_; }
-
     /** Statistics mirror of the subset shared with the event model. */
     struct CtrlStats
     {
@@ -209,11 +208,6 @@ class CycleDRAMCtrl : public MemCtrlBase
     /** Current tick of cycle @p c. */
     Tick tickOf(Cycle c) const { return anchor_ + c * cfg_.timing.tCK; }
 
-    bool hasWork() const;
-
-    /** Fast-forward refresh bookkeeping over an idle gap. */
-    void catchUpIdleCycles(Cycle now);
-
     void burstCompleted(CycleTransaction *trans, Tick data_done_tick);
 
     /**
@@ -276,7 +270,6 @@ class CycleDRAMCtrl : public MemCtrlBase
 
     Cycle cycle_ = 0;
     Tick anchor_ = 0;
-    std::uint64_t cyclesTicked_ = 0;
 
     /** Data bus reservation, in cycles. */
     Cycle busBusyUntil_ = 0;
@@ -291,8 +284,6 @@ class CycleDRAMCtrl : public MemCtrlBase
 
     unsigned nextBankRR_ = 0;
     bool retryReq_ = false;
-    bool ticking_ = false;
-    Cycle idleSinceCycle_ = 0;
 
     Tick windowStart_ = 0;
 

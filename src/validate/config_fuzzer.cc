@@ -186,6 +186,14 @@ sampleCase(Random &rng, const FuzzerOptions &opts)
     sp.maxITT = fromNs(hi);
     sp.mixedSizes = rng.chance(0.3);
     sp.blockSize = 64;
+    // About one stream in eight idles once for 10-12 refresh
+    // intervals, past the protocol checker's 9 x tREFI slack, so a
+    // model that skips or drops idle-time refreshes fails its audit.
+    // Only a few: the cycle model ticks through every idle cycle.
+    if (cfg.timing.tREFI != 0 && rng.uniform(0, 7) == 0) {
+        const Tick refi = cfg.effectiveREFI();
+        sp.idlePause = rng.uniform(10 * refi, 12 * refi);
+    }
 
     // A request spanning more bursts than a whole queue can never be
     // accepted (the controller fatals on it); keep every sampled
@@ -213,6 +221,9 @@ summarize(const FuzzCase &fc)
 {
     const DRAMCtrlConfig &cfg = fc.cfg;
     const StreamParams &sp = fc.stream;
+    std::string pause;
+    if (sp.idlePause)
+        pause = formatString(" pause=%.1fus", toNs(sp.idlePause) / 1e3);
     std::string plugins;
     for (const PluginSpec &ps : cfg.plugins) {
         plugins += plugins.empty() ? " plugins=" : ",";
@@ -237,7 +248,7 @@ summarize(const FuzzCase &fc)
         static_cast<unsigned long long>(sp.numRequests),
         static_cast<unsigned long long>(sp.windowSize >> 10),
         sp.readPct, toNs(sp.minITT), toNs(sp.maxITT),
-        sp.mixedSizes ? " mixed" : "") + plugins;
+        sp.mixedSizes ? " mixed" : "") + pause + plugins;
 }
 
 } // namespace validate

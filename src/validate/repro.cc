@@ -28,6 +28,7 @@ const FieldTable<StreamParams> kStreamParamsFields = {
     {"maxITT", &StreamParams::maxITT},
     {"mixedSizes", &StreamParams::mixedSizes},
     {"blockSize", &StreamParams::blockSize},
+    {"idlePause", &StreamParams::idlePause},
 };
 
 const FieldTable<DiffOptions> kOptionsFields = {

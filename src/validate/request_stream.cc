@@ -19,6 +19,8 @@ generateStream(const StreamParams &params, std::uint64_t seed)
     Tick tick = 0;
     for (std::uint64_t i = 0; i < params.numRequests; ++i) {
         TraceEntry e;
+        if (i == params.numRequests / 2)
+            tick += params.idlePause;
         tick += params.minITT == params.maxITT
                     ? params.minITT
                     : rng.uniform(params.minITT, params.maxITT);

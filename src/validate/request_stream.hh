@@ -45,6 +45,8 @@ struct StreamParams
      */
     bool mixedSizes = false;
     unsigned blockSize = 64;
+    /** One extra idle gap before the middle request (0: none). */
+    Tick idlePause = 0;
 };
 
 /** Materialise a stream from @p params and @p seed (deterministic). */

@@ -94,6 +94,15 @@ same() {
 
 run default
 run dram_audit --pattern dram --audit
+# Idle gaps of about 25 x tREFI: both models issue and log every
+# refresh of the gaps, so their audits read the same clean count.
+for model in event cycle; do
+    run "idle_refresh_audit_$model" --preset ddr3_1333 --model "$model" \
+        --pattern random --itt-ns 200000 --requests 20 --audit
+    grep '^protocol audit:' "idle_refresh_audit_$model.out" \
+        > "idle_refresh_audit_${model}_line.out"
+done
+same idle_refresh_audit_cycle_line idle_refresh_audit_event_line
 run cycle_json --model cycle --json
 run trace_replay --pattern trace --trace-in example.dtrc
 # An intent schedule under back pressure: each stall slips it once.

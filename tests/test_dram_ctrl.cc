@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "dram/cmd_log.hh"
 #include "dram/dram_ctrl.hh"
 #include "dram/dram_presets.hh"
 #include "sim/logging.hh"
@@ -346,6 +347,32 @@ TEST_F(DramCtrlTest, OpenAdaptiveClosesForQueuedWriteConflict)
     EXPECT_EQ(ctrl->writeQueueSize(), 1u);
     EXPECT_EQ(ctrl->ctrlStats().numActs.value(), 1.0);
     EXPECT_EQ(ctrl->ctrlStats().numPrecharges.value(), 1.0);
+}
+
+TEST_F(DramCtrlTest, OpenAdaptiveClosesForQueuedReadConflict)
+{
+    DRAMCtrlConfig cfg = testutil::bareTimingConfig();
+    cfg.pagePolicy = PagePolicy::OpenAdaptive;
+    build(cfg);
+    CmdLogger logger;
+    ctrl->setCmdLogger(&logger);
+    // A read opens row 0 of bank 0; a read to row 1 of the same bank
+    // waits behind twelve row hits on bank 1. The only burst waiting
+    // for bank 0 is that conflicting read, so the page closes as soon
+    // as tRAS allows, not when the read is finally picked.
+    req->inject(0, MemCmd::ReadReq, addrOf(0, 0));
+    for (unsigned col = 0; col < 12; ++col)
+        req->inject(0, MemCmd::ReadReq, addrOf(1, 0, col));
+    req->inject(0, MemCmd::ReadReq, addrOf(0, 1));
+    sim->run(fromUs(1));
+    ASSERT_TRUE(req->allResponded());
+    std::vector<Tick> bank0_pre;
+    for (const CmdRecord &rec : logger.log()) {
+        if (rec.cmd == DRAMCmd::Pre && rec.bank == 0)
+            bank0_pre.push_back(rec.tick);
+    }
+    EXPECT_EQ(bank0_pre, std::vector<Tick>{fromNs(35)});
+    EXPECT_EQ(ctrl->ctrlStats().numActs.value(), 3.0);
 }
 
 TEST_F(DramCtrlTest, NarrowInterfaceChopsCacheLines)
