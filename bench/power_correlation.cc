@@ -2,9 +2,12 @@
  * @file
  * Experiment E6 — Section III-C3: DRAM power correlation between the
  * two controller models across the synthetic test cases. Both models
- * feed the same Micron power model with their own behavioural
- * statistics; the paper reports an average difference of ~3% and a
- * maximum of ~8%, attributable to the architectural/policy deltas.
+ * feed the same Micron power model with the inputs one tally derives
+ * from their command streams; the paper reports an average difference
+ * of ~3% and a maximum of ~8%, attributable to the
+ * architectural/policy deltas. Each model's precharge-all fraction
+ * and refresh count print next to its watts, so a difference can be
+ * traced to the inputs that make it.
  */
 
 #include <algorithm>
@@ -52,8 +55,9 @@ main()
          AddrMapping::RoCoRaBaCh, 256, 8, 0},
     };
 
-    std::printf("%-20s %10s %10s %8s\n", "case", "event_W", "cycle_W",
-                "diff");
+    std::printf("%-20s %10s %10s %8s %7s %7s %6s %6s\n", "case",
+                "event_W", "cycle_W", "diff", "ev_pre", "cy_pre", "ev_ref",
+                "cy_ref");
 
     auto params = power::ddr3Params();
     std::vector<double> diffs;
@@ -77,8 +81,15 @@ main()
         double diff = 100.0 * (p_ev - p_cy) / p_cy;
         diffs.push_back(std::abs(diff));
 
-        std::printf("%-20s %9.3f %9.3f %7.1f%%\n", c.name, p_ev, p_cy,
-                    diff);
+        auto pre_frac = [](const PowerInputs &in) {
+            return 100.0 * static_cast<double>(in.prechargeAllTime) /
+                   static_cast<double>(in.window);
+        };
+        std::printf("%-20s %9.3f %9.3f %7.1f%% %6.1f%% %6.1f%% %6.0f "
+                    "%6.0f\n",
+                    c.name, p_ev, p_cy, diff, pre_frac(ev.powerIn),
+                    pre_frac(cy.powerIn), ev.powerIn.numRefreshes,
+                    cy.powerIn.numRefreshes);
     }
 
     double avg = 0;

@@ -65,7 +65,7 @@ namespace ckpt {
 // or the top QoS tier; both are derived.
 // Version 7: the cycle controller ticks every cycle, so it no longer
 // records its ticking flag, idle-start cycle or ticked-cycle count.
-constexpr std::uint32_t kFormatVersion = 7;
+constexpr std::uint32_t kFormatVersion = 8;
 
 /** CRC32 (IEEE 802.3 polynomial) of @p len bytes at @p data. */
 std::uint32_t crc32(const void *data, std::size_t len);

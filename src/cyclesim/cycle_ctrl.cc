@@ -74,11 +74,7 @@ CycleDRAMCtrl::unsupportedFeature(const DRAMCtrlConfig &cfg)
 CycleDRAMCtrl::CycleDRAMCtrl(Simulator &sim, std::string name,
                              DRAMCtrlConfig config, AddrRange range,
                              unsigned cmd_queue_depth)
-    : MemCtrlBase(sim, std::move(name)), cfg_(config), range_(range),
-      decoder_(cfg_.org, cfg_.addrMapping), ct_(cfg_.timing),
-      port_(this->name() + ".port", *this),
-      respQueue_(*this, "respQueue.sendEvent", Event::kResponsePriority,
-                 port_),
+    : MemCtrlBase(sim, std::move(name), config, range), ct_(cfg_.timing),
       transQueueLimit_(cfg_.readBufferSize + cfg_.writeBufferSize),
       cmdQueue_(cfg_.org.ranksPerChannel, cfg_.org.banksPerRank,
                 cmd_queue_depth),
@@ -89,7 +85,6 @@ CycleDRAMCtrl::CycleDRAMCtrl(Simulator &sim, std::string name,
       refreshCountdown_(ct_.tREFI),
       tickEvent_([this] { tick(); }, this->name() + ".tickEvent")
 {
-    cfg_.check();
     // Apply the temperature derating to the refresh interval.
     if (cfg_.timing.tREFI > 0) {
         ct_.tREFI = divCeil<Tick>(cfg_.effectiveREFI(),
@@ -99,12 +94,6 @@ CycleDRAMCtrl::CycleDRAMCtrl(Simulator &sim, std::string name,
     if (const char *feature = unsupportedFeature(cfg_))
         fatal("cycle-based controller '%s' does not support %s",
               this->name().c_str(), feature);
-    if (range_.localSize() != cfg_.org.channelCapacity)
-        fatal("controller '%s': address range provides %llu bytes but "
-              "the DRAM organisation has %llu",
-              this->name().c_str(),
-              static_cast<unsigned long long>(range_.localSize()),
-              static_cast<unsigned long long>(cfg_.org.channelCapacity));
     transQueue_.reserve(transQueueLimit_);
     for (CycleRankState &rs : rankState_)
         rs.actWindow.init(ct_.activationLimit);
@@ -119,8 +108,9 @@ CycleDRAMCtrl::CycleDRAMCtrl(Simulator &sim, std::string name,
     pracPlugin_ = plugins_.prac();
 
     stats_ = std::make_unique<CtrlStats>(*this);
-    statGroup().onDump([this] { plugins_.onStatsDump(); });
-    statGroup().onReset([this] { windowStart_ = curTick(); });
+    initTally({&stats_->numActs, &stats_->numPrecharges,
+               &stats_->numRefreshes, &stats_->bytesRead,
+               &stats_->bytesWritten, &stats_->prechargeAllTime});
 }
 
 CycleDRAMCtrl::~CycleDRAMCtrl()
@@ -163,7 +153,6 @@ void
 CycleDRAMCtrl::startup()
 {
     anchor_ = curTick();
-    windowStart_ = curTick();
     schedule(tickEvent_, tickOf(cycle_ + 1));
 }
 
@@ -286,12 +275,10 @@ CycleDRAMCtrl::checkpoint(ckpt::Io &io)
     io.u64("refNotBefore", refNotBefore_);
     io.u64("nextBankRR", nextBankRR_);
     io.flag("retryReq", retryReq_);
-    io.tick("windowStart", windowStart_);
 
-    respQueue_.checkpoint(io, "respq");
     io.event("tickEvent", eventq(), tickEvent_);
 
-    plugins_.checkpoint(io);
+    MemCtrlBase::checkpoint(io);
 }
 
 bool
@@ -299,52 +286,6 @@ CycleDRAMCtrl::idle() const
 {
     return transQueue_.empty() && cmdQueue_.empty() &&
            respQueue_.empty();
-}
-
-double
-CycleDRAMCtrl::busUtilisation() const
-{
-    double w = toSeconds(curTick() - windowStart_);
-    if (w <= 0)
-        return 0.0;
-    return (stats_->bytesRead.value() + stats_->bytesWritten.value()) /
-           1e9 / peakBandwidthGBs() / w;
-}
-
-double
-CycleDRAMCtrl::achievedBandwidthGBs() const
-{
-    double w = toSeconds(curTick() - windowStart_);
-    if (w <= 0)
-        return 0.0;
-    return (stats_->bytesRead.value() + stats_->bytesWritten.value()) /
-           1e9 / w;
-}
-
-PowerInputs
-CycleDRAMCtrl::powerInputs() const
-{
-    PowerInputs in;
-    in.window = curTick() - windowStart_;
-    in.numActs = stats_->numActs.value();
-    in.numPrecharges = stats_->numPrecharges.value();
-    in.numRefreshes = stats_->numRefreshes.value();
-    in.readBursts =
-        stats_->bytesRead.value() /
-        static_cast<double>(cfg_.org.burstSize());
-    in.writeBursts =
-        stats_->bytesWritten.value() /
-        static_cast<double>(cfg_.org.burstSize());
-    in.prechargeAllTime =
-        static_cast<Tick>(stats_->prechargeAllTime.value());
-    double w = toSeconds(in.window);
-    if (w > 0) {
-        double peak_bytes = peakBandwidthGBs() * 1e9;
-        in.readBusFraction = stats_->bytesRead.value() / peak_bytes / w;
-        in.writeBusFraction =
-            stats_->bytesWritten.value() / peak_bytes / w;
-    }
-    return in;
 }
 
 void
@@ -360,12 +301,6 @@ CycleDRAMCtrl::decodeNextBurst(CycleTransaction &trans) const
 bool
 CycleDRAMCtrl::recvTimingReq(Packet *pkt)
 {
-    DC_ASSERT(pkt->isRequest(), "controller received %s",
-              pkt->toString().c_str());
-    if (!range_.contains(pkt->addr()))
-        panic("controller '%s' received misrouted packet %s",
-              name().c_str(), pkt->toString().c_str());
-
     if (transQueue_.size() >= transQueueLimit_) {
         TRACE(CycleCtrl, "%s: refuse %s, transaction queue full (%zu)",
               name().c_str(), pkt->toString().c_str(),
@@ -429,13 +364,6 @@ CycleDRAMCtrl::tick()
     ++cycle_;
     ++stats_->numCycles;
 
-    bool all_closed = std::none_of(
-        banks_.begin(), banks_.end(),
-        [](const CycleBankState &b) { return b.rowOpen(); });
-    if (all_closed && !refreshPending_)
-        stats_->prechargeAllTime +=
-            static_cast<double>(cfg_.timing.tCK);
-
     serviceRefresh();
     if (!refreshPending_) {
         repairQueueHeads();
@@ -475,7 +403,6 @@ CycleDRAMCtrl::serviceRefresh()
         if (cycle_ >= bank.nextPrecharge) {
             bank.precharge(cycle_, ct_);
             refNotBefore_ = std::max(refNotBefore_, cycle_ + ct_.tRP);
-            ++stats_->numPrecharges;
             logCmd(tickOf(cycle_), DRAMCmd::Pre,
                    static_cast<unsigned>(i / cfg_.org.banksPerRank),
                    static_cast<unsigned>(i % cfg_.org.banksPerRank));
@@ -490,7 +417,6 @@ CycleDRAMCtrl::serviceRefresh()
     // All banks precharged: refresh now.
     TRACE(Refresh, "%s: REF all ranks at cycle %llu", name().c_str(),
           static_cast<unsigned long long>(cycle_));
-    ++stats_->numRefreshes;
     for (unsigned r = 0; r < cfg_.org.ranksPerChannel; ++r)
         logCmd(tickOf(cycle_), DRAMCmd::Ref, r, 0);
     for (CycleBankState &bank : banks_)
@@ -671,7 +597,6 @@ CycleDRAMCtrl::execute(const Command &cmd)
                cmd.bank];
     CycleRankState &rank = rankState_[cmd.rank];
     Cycle c = cycle_;
-    std::uint64_t burst_size = cfg_.org.burstSize();
 
     switch (cmd.type) {
       case CmdType::Act:
@@ -681,13 +606,11 @@ CycleDRAMCtrl::execute(const Command &cmd)
             Cycle &g = grpNextAct_[grpIdx(cmd.rank, cmd.bank)];
             g = std::max(g, c + ct_.tRRD_L);
         }
-        ++stats_->numActs;
         logCmd(tickOf(c), DRAMCmd::Act, cmd.rank, cmd.bank, cmd.row);
         break;
       case CmdType::Pre:
         bank.precharge(c, ct_);
         refNotBefore_ = std::max(refNotBefore_, c + ct_.tRP);
-        ++stats_->numPrecharges;
         logCmd(tickOf(c), DRAMCmd::Pre, cmd.rank, cmd.bank);
         break;
       case CmdType::Read: {
@@ -718,10 +641,8 @@ CycleDRAMCtrl::execute(const Command &cmd)
             bank.nextActivate = std::max(bank.nextActivate,
                                          pre_c + ct_.tRP);
             refNotBefore_ = std::max(refNotBefore_, pre_c + ct_.tRP);
-            ++stats_->numPrecharges;
             logCmd(tickOf(pre_c), DRAMCmd::Pre, cmd.rank, cmd.bank);
         }
-        stats_->bytesRead += static_cast<double>(burst_size);
         cmd.trans->issueTime = tickOf(c);
         burstCompleted(cmd.trans, tickOf(data_done));
         break;
@@ -753,25 +674,12 @@ CycleDRAMCtrl::execute(const Command &cmd)
             bank.nextActivate = std::max(bank.nextActivate,
                                          pre_c + ct_.tRP);
             refNotBefore_ = std::max(refNotBefore_, pre_c + ct_.tRP);
-            ++stats_->numPrecharges;
             logCmd(tickOf(pre_c), DRAMCmd::Pre, cmd.rank, cmd.bank);
         }
-        stats_->bytesWritten += static_cast<double>(burst_size);
         cmd.trans->issueTime = tickOf(c);
         burstCompleted(cmd.trans, tickOf(data_done));
         break;
       }
-    }
-
-    if (auto *ct = obs::chromeTracer()) {
-        if (cmd.type == CmdType::Act || cmd.type == CmdType::Pre ||
-            cmd.autoPrecharge) {
-            auto open = std::count_if(
-                banks_.begin(), banks_.end(),
-                [](const CycleBankState &b) { return b.rowOpen(); });
-            ct->counter(name(), "openBanks", tickOf(c),
-                        static_cast<double>(open));
-        }
     }
 }
 

@@ -104,19 +104,12 @@ class CycleDRAMCtrl : public MemCtrlBase
      */
     static const char *unsupportedFeature(const DRAMCtrlConfig &cfg);
 
-    ResponsePort &port() override { return port_; }
-    const DRAMCtrlConfig &config() const override { return cfg_; }
-
     bool idle() const override;
 
     std::size_t queuedRequests() const override
     {
         return transQueue_.size();
     }
-
-    double busUtilisation() const override;
-    double achievedBandwidthGBs() const override;
-    PowerInputs powerInputs() const override;
 
     void startup() override;
 
@@ -150,39 +143,14 @@ class CycleDRAMCtrl : public MemCtrlBase
 
     const CtrlStats &ctrlStats() const { return *stats_; }
 
-    /** Attach a command logger (see DRAMCtrl::setCmdLogger). */
-    void setCmdLogger(CmdLogger *logger) { cmdLogger_ = logger; }
-
     /**
      * Test-only fault injection: skip the PRAC mitigation refresh
      * (see DRAMCtrl::testSkipPracMitigation). Never call outside tests.
      */
     void testSkipPracMitigation() { testSkipPrac_ = true; }
 
-    /** The controller's plugin chain (empty without --plugins). */
-    plugin::PluginChain &pluginChain() { return plugins_; }
-    const plugin::PluginChain &pluginChain() const { return plugins_; }
-
   private:
-    class MemoryPort : public ResponsePort
-    {
-      public:
-        MemoryPort(std::string name, CycleDRAMCtrl &ctrl)
-            : ResponsePort(std::move(name)), ctrl_(ctrl)
-        {}
-
-        bool recvTimingReq(Packet *pkt) override
-        {
-            return ctrl_.recvTimingReq(pkt);
-        }
-
-        void recvRespRetry() override { ctrl_.respQueue_.resume(); }
-
-      private:
-        CycleDRAMCtrl &ctrl_;
-    };
-
-    bool recvTimingReq(Packet *pkt);
+    bool recvTimingReq(Packet *pkt) override;
 
     /** One DRAM clock cycle of controller work. */
     void tick();
@@ -210,27 +178,7 @@ class CycleDRAMCtrl : public MemCtrlBase
 
     void burstCompleted(CycleTransaction *trans, Tick data_done_tick);
 
-    /**
-     * Record an implied DRAM command into the logger (if attached) and
-     * through the plugin chain (see DRAMCtrl::logCmd).
-     */
-    void
-    logCmd(Tick tick, DRAMCmd cmd, unsigned rank, unsigned bank,
-           std::uint64_t row = 0)
-    {
-        if (cmdLogger_)
-            cmdLogger_->record(tick, cmd, rank, bank, row);
-        if (!plugins_.empty())
-            plugins_.onCommand({tick, cmd, rank, bank, row});
-    }
-
-    DRAMCtrlConfig cfg_;
-    AddrRange range_;
-    AddrDecoder decoder_;
     CycleTiming ct_;
-
-    MemoryPort port_;
-    PacketQueue respQueue_;
 
     std::vector<CycleTransaction *> transQueue_;
     std::size_t transQueueLimit_;
@@ -285,14 +233,8 @@ class CycleDRAMCtrl : public MemCtrlBase
     unsigned nextBankRR_ = 0;
     bool retryReq_ = false;
 
-    Tick windowStart_ = 0;
-
     EventFunctionWrapper tickEvent_;
 
-    CmdLogger *cmdLogger_ = nullptr;
-
-    /** Ordered plugin chain built from cfg_.plugins (may be empty). */
-    plugin::PluginChain plugins_;
     plugin::PracPlugin *pracPlugin_ = nullptr;
     bool testSkipPrac_ = false;
 

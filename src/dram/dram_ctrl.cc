@@ -90,8 +90,7 @@ DRAMCtrl::CtrlStats::CtrlStats(DRAMCtrl &ctrl)
       busUtilRead(&ctrl.statGroup(), "busUtilRead",
                   "data bus utilisation by reads",
                   [this, &ctrl] {
-                      double w = toSeconds(ctrl.curTick() -
-                                           ctrl.windowStart_);
+                      double w = ctrl.windowSeconds();
                       return w > 0 ? bytesRead.value() / 1e9 /
                                          ctrl.peakBandwidthGBs() / w
                                    : 0.0;
@@ -99,8 +98,7 @@ DRAMCtrl::CtrlStats::CtrlStats(DRAMCtrl &ctrl)
       busUtilWrite(&ctrl.statGroup(), "busUtilWrite",
                    "data bus utilisation by writes",
                    [this, &ctrl] {
-                       double w = toSeconds(ctrl.curTick() -
-                                            ctrl.windowStart_);
+                       double w = ctrl.windowSeconds();
                        return w > 0 ? bytesWritten.value() / 1e9 /
                                           ctrl.peakBandwidthGBs() / w
                                     : 0.0;
@@ -109,14 +107,14 @@ DRAMCtrl::CtrlStats::CtrlStats(DRAMCtrl &ctrl)
                 "time-weighted average read queue length",
                 [this, &ctrl] {
                     double w = static_cast<double>(
-                        ctrl.curTick() - ctrl.windowStart_);
+                        ctrl.curTick() - ctrl.statsWindowStart());
                     return w > 0 ? rdQOccupancyTicks.value() / w : 0.0;
                 }),
       avgWrQLen(&ctrl.statGroup(), "avgWrQLen",
                 "time-weighted average write queue length",
                 [this, &ctrl] {
                     double w = static_cast<double>(
-                        ctrl.curTick() - ctrl.windowStart_);
+                        ctrl.curTick() - ctrl.statsWindowStart());
                     return w > 0 ? wrQOccupancyTicks.value() / w : 0.0;
                 }),
       avgQLatNs(&ctrl.statGroup(), "avgQLatNs",
@@ -139,15 +137,13 @@ DRAMCtrl::CtrlStats::CtrlStats(DRAMCtrl &ctrl)
       avgRdBWGBs(&ctrl.statGroup(), "avgRdBWGBs",
                  "achieved read bandwidth (GByte/s)",
                  [this, &ctrl] {
-                     double w = toSeconds(ctrl.curTick() -
-                                          ctrl.windowStart_);
+                     double w = ctrl.windowSeconds();
                      return w > 0 ? bytesRead.value() / 1e9 / w : 0.0;
                  }),
       avgWrBWGBs(&ctrl.statGroup(), "avgWrBWGBs",
                  "achieved write bandwidth (GByte/s)",
                  [this, &ctrl] {
-                     double w = toSeconds(ctrl.curTick() -
-                                          ctrl.windowStart_);
+                     double w = ctrl.windowSeconds();
                      return w > 0 ? bytesWritten.value() / 1e9 / w : 0.0;
                  }),
       peakBWGBs(&ctrl.statGroup(), "peakBWGBs",
@@ -158,26 +154,13 @@ DRAMCtrl::CtrlStats::CtrlStats(DRAMCtrl &ctrl)
 
 DRAMCtrl::DRAMCtrl(Simulator &sim, std::string name,
                    DRAMCtrlConfig config, AddrRange range)
-    : MemCtrlBase(sim, std::move(name)), cfg_(config), range_(range),
-      decoder_(cfg_.org, cfg_.addrMapping),
-      port_(this->name() + ".port", *this),
-      respQueue_(*this, "respQueue.sendEvent", Event::kResponsePriority,
-                 port_),
+    : MemCtrlBase(sim, std::move(name), config, range),
       nextReqEvent_([this] { processNextReqEvent(); },
                     this->name() + ".nextReqEvent"),
       refreshEvent_([this] { processRefreshEvent(); },
                     this->name() + ".refreshEvent",
                     Event::kRefreshPriority)
 {
-    cfg_.check();
-
-    if (range_.localSize() != cfg_.org.channelCapacity)
-        fatal("controller '%s': address range provides %llu bytes but "
-              "the DRAM organisation has %llu",
-              this->name().c_str(),
-              static_cast<unsigned long long>(range_.localSize()),
-              static_cast<unsigned long long>(cfg_.org.channelCapacity));
-
     ranks_.resize(cfg_.org.ranksPerChannel);
     for (Rank &rank : ranks_)
         rank.actWindow.init(cfg_.timing.activationLimit);
@@ -205,14 +188,11 @@ DRAMCtrl::DRAMCtrl(Simulator &sim, std::string name,
     pracPlugin_ = plugins_.prac();
 
     stats_ = std::make_unique<CtrlStats>(*this);
-    statGroup().onDump([this] { plugins_.onStatsDump(); });
-    statGroup().onReset([this] {
-        windowStart_ = curTick();
-        // A fresh window starts from the current (unknown-split) state;
-        // treat "now" as the precharge-accounting origin.
-        allBanksPreSince_ = curTick();
-        lastQStatUpdate_ = curTick();
-    });
+    initTally({&stats_->numActs, &stats_->numPrecharges,
+               &stats_->numRefreshes, &stats_->bytesRead,
+               &stats_->bytesWritten, &stats_->prechargeAllTime,
+               &stats_->powerDownTime, &stats_->selfRefreshTime});
+    statGroup().onReset([this] { lastQStatUpdate_ = curTick(); });
 }
 
 DRAMCtrl::~DRAMCtrl()
@@ -245,8 +225,6 @@ DRAMCtrl::~DRAMCtrl()
 void
 DRAMCtrl::startup()
 {
-    windowStart_ = curTick();
-    allBanksPreSince_ = curTick();
     lastQStatUpdate_ = curTick();
     if (cfg_.timing.tREFI > 0) {
         Tick refi = cfg_.effectiveREFI();
@@ -374,16 +352,12 @@ DRAMCtrl::checkpoint(ckpt::Io &io)
     io.tick("refNotBefore", refNotBefore_);
     io.tick("poweredDownAt", poweredDownAt_);
     io.tick("wakeConstraint", wakeConstraint_);
-    io.u64("numBanksActive", numBanksActive_);
-    io.tick("allBanksPreSince", allBanksPreSince_);
-    io.tick("windowStart", windowStart_);
     io.tick("lastQStatUpdate", lastQStatUpdate_);
 
-    respQueue_.checkpoint(io, "respq");
     io.event("nextReqEvent", eventq(), nextReqEvent_);
     io.event("refreshEvent", eventq(), refreshEvent_);
 
-    plugins_.checkpoint(io);
+    MemCtrlBase::checkpoint(io);
 }
 
 bool
@@ -392,56 +366,6 @@ DRAMCtrl::idle() const
     // Parked writes have already been acknowledged (early write
     // response), so only unanswered reads count as outstanding work.
     return readQ_.empty() && respQueue_.empty();
-}
-
-double
-DRAMCtrl::busUtilisation() const
-{
-    double w = toSeconds(curTick() - windowStart_);
-    if (w <= 0)
-        return 0.0;
-    return (stats_->bytesRead.value() + stats_->bytesWritten.value()) /
-           1e9 / peakBandwidthGBs() / w;
-}
-
-PowerInputs
-DRAMCtrl::powerInputs() const
-{
-    PowerInputs in;
-    in.window = curTick() - windowStart_;
-    in.numActs = stats_->numActs.value();
-    in.numPrecharges = stats_->numPrecharges.value();
-    in.numRefreshes = stats_->numRefreshes.value();
-    in.readBursts =
-        stats_->bytesRead.value() /
-        static_cast<double>(cfg_.org.burstSize());
-    in.writeBursts =
-        stats_->bytesWritten.value() /
-        static_cast<double>(cfg_.org.burstSize());
-    in.prechargeAllTime = static_cast<Tick>(
-        stats_->prechargeAllTime.value());
-    in.powerDownTime =
-        static_cast<Tick>(stats_->powerDownTime.value());
-    in.selfRefreshTime =
-        static_cast<Tick>(stats_->selfRefreshTime.value());
-    double w = toSeconds(in.window);
-    if (w > 0) {
-        double peak_bytes = peakBandwidthGBs() * 1e9;
-        in.readBusFraction = stats_->bytesRead.value() / peak_bytes / w;
-        in.writeBusFraction =
-            stats_->bytesWritten.value() / peak_bytes / w;
-    }
-    return in;
-}
-
-double
-DRAMCtrl::achievedBandwidthGBs() const
-{
-    double w = toSeconds(curTick() - windowStart_);
-    if (w <= 0)
-        return 0.0;
-    return (stats_->bytesRead.value() + stats_->bytesWritten.value()) /
-           1e9 / w;
 }
 
 unsigned
@@ -542,12 +466,6 @@ DRAMCtrl::exitPowerDown(Tick now)
 bool
 DRAMCtrl::recvTimingReq(Packet *pkt)
 {
-    DC_ASSERT(pkt->isRequest(), "controller received %s",
-              pkt->toString().c_str());
-    if (!range_.contains(pkt->addr()))
-        panic("controller '%s' received misrouted packet %s",
-              name().c_str(), pkt->toString().c_str());
-
     if (cfg_.enablePowerDown) {
         Tick wake = exitPowerDown(curTick());
         if (wake != 0)
@@ -611,12 +529,6 @@ DRAMCtrl::recvTimingReq(Packet *pkt)
     if (!nextReqEvent_.scheduled())
         schedule(nextReqEvent_, std::max(curTick(), nextReqTime_));
     return true;
-}
-
-void
-DRAMCtrl::recvRespRetry()
-{
-    respQueue_.resume();
 }
 
 DRAMCtrl::DRAMPacket *
@@ -843,14 +755,6 @@ DRAMCtrl::prechargeBank(unsigned flat, Tick pre_tick)
     bankActAllowedAt_[flat] =
         std::max(bankActAllowedAt_[flat], pre_done);
     refNotBefore_ = std::max(refNotBefore_, pre_done);
-    ++stats_->numPrecharges;
-    bankPrecharged(pre_done);
-    if (auto *ct = obs::chromeTracer()) {
-        ct->counter(name(), "openBanks", pre_done,
-                    static_cast<double>(numBanksActive_));
-        ct->counter(name() + ".banks", "bank" + std::to_string(flat),
-                    pre_done, 0.0);
-    }
 }
 
 Tick
@@ -867,24 +771,6 @@ DRAMCtrl::pracMitigate(unsigned flat_bank, unsigned rank, unsigned bank,
     Tick ref_at = act_from;
     logCmd(ref_at, DRAMCmd::RefM, rank, bank);
     return ref_at + pracPlugin_->tRFM();
-}
-
-void
-DRAMCtrl::bankActivated(Tick act_tick)
-{
-    if (numBanksActive_ == 0 && act_tick > allBanksPreSince_)
-        stats_->prechargeAllTime += static_cast<double>(
-            act_tick - allBanksPreSince_);
-    ++numBanksActive_;
-}
-
-void
-DRAMCtrl::bankPrecharged(Tick pre_done_tick)
-{
-    DC_ASSERT(numBanksActive_ > 0, "precharge with no active banks");
-    --numBanksActive_;
-    if (numBanksActive_ == 0)
-        allBanksPreSince_ = pre_done_tick;
 }
 
 Tick
@@ -1067,8 +953,6 @@ DRAMCtrl::doDRAMAccess(DRAMPacket *pkt)
             Tick &g = grpNextActAt_[grpIdx(flat_bank)];
             g = std::max(g, act + t.tRRDLong());
         }
-        bankActivated(act);
-        ++stats_->numActs;
         logCmd(act, DRAMCmd::Act, pkt->rank, pkt->bank, pkt->row);
 
         bankOpenRow_[flat_bank] = pkt->row;
@@ -1077,12 +961,6 @@ DRAMCtrl::doDRAMAccess(DRAMPacket *pkt)
         bankPreAllowedAt_[flat_bank] = act + t.tRAS;
         readQ_.rowOpened(flat_bank, pkt->row);
         writeQ_.rowOpened(flat_bank, pkt->row);
-        if (auto *ct = obs::chromeTracer()) {
-            ct->counter(name(), "openBanks", act,
-                        static_cast<double>(numBanksActive_));
-            ct->counter(name() + ".banks",
-                        "bank" + std::to_string(flat_bank), act, 1.0);
-        }
     }
 
     // Column access: constrained by the bank, the shared data bus, and
@@ -1153,12 +1031,10 @@ DRAMCtrl::doDRAMAccess(DRAMPacket *pkt)
     }
     ++bankRowAccesses_[flat_bank];
 
-    std::uint64_t burst_size = cfg_.org.burstSize();
     if (pkt->isRead) {
         if (row_hit)
             ++stats_->readRowHits;
         stats_->perBankRdBursts[flat_bank] += 1;
-        stats_->bytesRead += static_cast<double>(burst_size);
         stats_->totQLat += static_cast<double>(curTick() -
                                                pkt->entryTime);
         stats_->totSvcLat += static_cast<double>(data_done - curTick());
@@ -1186,7 +1062,6 @@ DRAMCtrl::doDRAMAccess(DRAMPacket *pkt)
         if (row_hit)
             ++stats_->writeRowHits;
         stats_->perBankWrBursts[flat_bank] += 1;
-        stats_->bytesWritten += static_cast<double>(burst_size);
     }
 
     applyPagePolicy(*pkt);
@@ -1373,7 +1248,6 @@ DRAMCtrl::refreshRank(unsigned rank_idx)
     for (unsigned flat = lo; flat < hi; ++flat)
         bankActAllowedAt_[flat] = std::max(bankActAllowedAt_[flat],
                                            done);
-    ++stats_->numRefreshes;
 }
 
 void
@@ -1400,7 +1274,6 @@ DRAMCtrl::processPerBankRefreshEvent()
             static_cast<double>(refMgr_->tRFCpb()) * testTRFCpbScale_);
         bankActAllowedAt_[flat] =
             std::max(bankActAllowedAt_[flat], ref_at + busy);
-        ++stats_->numRefreshes;
     }
     nextRefreshAt_ += refMgr_->interval(cfg_);
     schedule(refreshEvent_, std::max(nextRefreshAt_, curTick() + 1));
@@ -1460,28 +1333,13 @@ DRAMCtrl::processRefreshEvent()
     // All banks must be precharged and the data bus quiet before the
     // refresh can launch (Section II-B: refreshes cause latency spikes).
     Tick start = std::max({curTick(), busBusyUntil_, wakeConstraint_});
-    bool any_open = false;
     for (std::size_t flat = 0; flat < bankOpenRow_.size(); ++flat) {
-        if (bankOpenRow_[flat] != kNoRow) {
-            any_open = true;
+        if (bankOpenRow_[flat] != kNoRow)
             start = std::max(start, bankPreAllowedAt_[flat]);
-        }
     }
-
-    if (any_open) {
-        for (unsigned flat = 0; flat < bankOpenRow_.size(); ++flat) {
-            if (bankOpenRow_[flat] != kNoRow)
-                prechargeBank(flat,
-                              std::max(start,
-                                       bankPreAllowedAt_[flat]));
-        }
-    } else if (numBanksActive_ == 0) {
-        // Idle window up to the refresh: account precharge-standby time
-        // and restart accounting after the refresh completes.
-        Tick quiet_until = std::max(start, refNotBefore_);
-        if (quiet_until > allBanksPreSince_)
-            stats_->prechargeAllTime += static_cast<double>(
-                quiet_until - allBanksPreSince_);
+    for (unsigned flat = 0; flat < bankOpenRow_.size(); ++flat) {
+        if (bankOpenRow_[flat] != kNoRow)
+            prechargeBank(flat, std::max(start, bankPreAllowedAt_[flat]));
     }
 
     // The refresh launches tRP after the last precharge anywhere —
@@ -1499,8 +1357,6 @@ DRAMCtrl::processRefreshEvent()
     for (std::size_t flat = 0; flat < bankOpenRow_.size(); ++flat)
         bankActAllowedAt_[flat] = std::max(bankActAllowedAt_[flat],
                                            done);
-    allBanksPreSince_ = done;
-    ++stats_->numRefreshes;
 
     // Arm power-down after the refresh if nothing is pending (an
     // already-running episode is left untouched so it can deepen into

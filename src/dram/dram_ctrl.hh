@@ -42,22 +42,10 @@ namespace dramctrl {
 class DRAMCtrl : public MemCtrlBase
 {
   public:
-    /**
-     * @param sim the owning simulator
-     * @param name instance name (also the stats path component)
-     * @param config controller and DRAM parameters (validated here)
-     * @param range the (possibly channel-interleaved) address range
-     *              this controller responds to
-     */
+    /** See MemCtrlBase::MemCtrlBase(). */
     DRAMCtrl(Simulator &sim, std::string name, DRAMCtrlConfig config,
              AddrRange range);
     ~DRAMCtrl() override;
-
-    /** The system-facing port; bind a crossbar or requestor to it. */
-    ResponsePort &port() override { return port_; }
-
-    const DRAMCtrlConfig &config() const override { return cfg_; }
-    const AddrRange &range() const { return range_; }
 
     /** Queue occupancies, for tests and drain checks. */
     std::size_t readQueueSize() const { return readQ_.size(); }
@@ -149,14 +137,6 @@ class DRAMCtrl : public MemCtrlBase
     const CtrlStats &ctrlStats() const { return *stats_; }
 
     /**
-     * Attach a command logger: every implied DRAM command (ACT, PRE,
-     * RD, WR, REF) is recorded with its computed launch tick, for
-     * debugging and for ProtocolChecker audits. Pass nullptr to
-     * detach. Not owned.
-     */
-    void setCmdLogger(CmdLogger *logger) { cmdLogger_ = logger; }
-
-    /**
      * Test-only fault injection: scale the internal tRCD by @p factor
      * (e.g. 0.5 makes the controller schedule column commands too
      * early). The validation harness uses this to prove the
@@ -193,27 +173,6 @@ class DRAMCtrl : public MemCtrlBase
     {
         testStallRefPbFlat_ = flat;
     }
-
-    /** The controller's plugin chain (empty without --plugins). */
-    plugin::PluginChain &pluginChain() { return plugins_; }
-    const plugin::PluginChain &pluginChain() const { return plugins_; }
-
-    /** Tick at which the current stats window started. */
-    Tick statsWindowStart() const { return windowStart_; }
-
-    /** Simulated seconds in the current stats window. */
-    double windowSeconds() const
-    {
-        return toSeconds(curTick() - windowStart_);
-    }
-
-    /** Data-bus utilisation (both directions) over the stats window. */
-    double busUtilisation() const override;
-
-    /** Achieved read+write bandwidth over the stats window, GByte/s. */
-    double achievedBandwidthGBs() const override;
-
-    PowerInputs powerInputs() const override;
 
     void startup() override;
 
@@ -271,28 +230,9 @@ class DRAMCtrl : public MemCtrlBase
         explicit BurstHelper(unsigned count) : burstCount(count) {}
     };
 
-    class MemoryPort : public ResponsePort
-    {
-      public:
-        MemoryPort(std::string name, DRAMCtrl &ctrl)
-            : ResponsePort(std::move(name)), ctrl_(ctrl)
-        {}
-
-        bool recvTimingReq(Packet *pkt) override
-        {
-            return ctrl_.recvTimingReq(pkt);
-        }
-
-        void recvRespRetry() override { ctrl_.recvRespRetry(); }
-
-      private:
-        DRAMCtrl &ctrl_;
-    };
-
     enum class BusState { Read, Write };
 
-    bool recvTimingReq(Packet *pkt);
-    void recvRespRetry();
+    bool recvTimingReq(Packet *pkt) override;
 
     /** Number of burst windows [addr, addr+size) overlaps. */
     unsigned burstCountFor(Addr local_addr, unsigned size) const;
@@ -355,22 +295,6 @@ class DRAMCtrl : public MemCtrlBase
     void processPerBankRefreshEvent();
 
     /**
-     * Record an implied DRAM command: into the attached CmdLogger (if
-     * any) and through the plugin chain's onCommand hook. All command
-     * emission funnels through here so plugins observe the stream even
-     * without a logger.
-     */
-    void
-    logCmd(Tick tick, DRAMCmd cmd, unsigned rank, unsigned bank,
-           std::uint64_t row = 0)
-    {
-        if (cmdLogger_)
-            cmdLogger_->record(tick, cmd, rank, bank, row);
-        if (!plugins_.empty())
-            plugins_.onCommand({tick, cmd, rank, bank, row});
-    }
-
-    /**
      * If the PRAC plugin demands a mitigation before the next ACT to
      * @p flat_bank, issue a RefM ending no earlier than @p act_from and
      * return the tick the ACT may launch; otherwise @p act_from.
@@ -382,23 +306,11 @@ class DRAMCtrl : public MemCtrlBase
     void accessAndRespond(Packet *pkt, Tick static_latency,
                           Tick ready_time);
 
-    /** Power accounting: a bank went active at @p act_tick. */
-    void bankActivated(Tick act_tick);
-    /** Power accounting: a bank closed at @p pre_done_tick. */
-    void bankPrecharged(Tick pre_done_tick);
-
     /** Wake the blocked requestor if queue space freed up. */
     void retryBlockedReq();
 
     /** Fold elapsed time into the queue-occupancy integrals. */
     void touchQueueStats();
-
-    DRAMCtrlConfig cfg_;
-    AddrRange range_;
-    AddrDecoder decoder_;
-
-    MemoryPort port_;
-    PacketQueue respQueue_;
 
     std::vector<Rank> ranks_;
 
@@ -609,20 +521,11 @@ class DRAMCtrl : public MemCtrlBase
     /** Arm power-down after the current activity drains. */
     void armPowerDown();
 
-    /** Banks currently (nominally) holding an open row. */
-    unsigned numBanksActive_ = 0;
-    Tick allBanksPreSince_ = 0;
-
-    Tick windowStart_ = 0;
     Tick lastQStatUpdate_ = 0;
 
     EventFunctionWrapper nextReqEvent_;
     EventFunctionWrapper refreshEvent_;
 
-    CmdLogger *cmdLogger_ = nullptr;
-
-    /** Ordered plugin chain built from cfg_.plugins (may be empty). */
-    plugin::PluginChain plugins_;
     /** Cached typed plugins (owned by plugins_); null when absent. */
     plugin::RefreshManager *refMgr_ = nullptr;
     plugin::PracPlugin *pracPlugin_ = nullptr;

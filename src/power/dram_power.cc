@@ -67,7 +67,8 @@ computeCommandEnergy(const PowerInputs &in, const DRAMCtrlConfig &cfg,
     out.actPre *= devices;
     out.read *= devices;
     out.write *= devices;
-    out.refresh *= devices;
+    // numRefreshes already counts each rank's REF.
+    out.refresh *= static_cast<double>(cfg.org.devicesPerRank);
     out.background *= devices;
     return out;
 }

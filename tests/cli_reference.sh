@@ -104,6 +104,13 @@ for model in event cycle; do
 done
 same idle_refresh_audit_cycle_line idle_refresh_audit_event_line
 run cycle_json --model cycle --json
+# Power inputs from the command stream: on the same mostly idle
+# closed-page traffic both models issue 2,000-odd ACT/PRE and 12 REF,
+# and their prechargeAllTime differ only as their command streams do.
+for model in event cycle; do
+    run "power_inputs_$model" --preset ddr3_1333 --page closed \
+        --pattern random --itt-ns 50 --requests 2000 --model "$model" --json
+done
 run trace_replay --pattern trace --trace-in example.dtrc
 # An intent schedule under back pressure: each stall slips it once.
 run trace_slip --pattern trace --trace-in backpressure.txt
